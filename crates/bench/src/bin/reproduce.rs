@@ -20,8 +20,8 @@
 //! `$BYTEROBUST_BENCH_DIR`, default `.`): `BENCH_reproduce.json` with
 //! per-section and total wall times, `BENCH_fleet.json` with the
 //! `large_drill` scheduler-throughput measurement plus the `mega_panel`
-//! stats (mega-drill events/sec, serial + parallel stepping walls, peak
-//! RSS — the `mega_*` keys), `BENCH_obs.json`
+//! stats (mega-drill events/sec, wall time, peak RSS — the `mega_*` keys),
+//! `BENCH_obs.json`
 //! with the observability plane's self-profiling (trace codec timings, the
 //! alerting plane's lead-time scorecards, plus the full wall-clock metrics
 //! registry), and `BENCH_query.json` with the resident query plane's
@@ -231,24 +231,19 @@ fn main() {
         query_stats.p99_nanos,
     );
 
-    // The mega drill: 100x fleet scale under the batched stepper, serial
-    // oracle vs parallel pre-advance (byte-identity asserted inside the
-    // panel). It runs alone on the main thread — it is the largest single
-    // allocation and wall-clock item, so nothing may skew it. The panel is
+    // The mega drill: 100x fleet scale through the fleet event loop. It
+    // runs alone on the main thread — it is the largest single allocation
+    // and wall-clock item, so nothing may skew it. The panel is
     // deterministic; walls, events/sec, and peak RSS go to stderr,
     // `BENCH_fleet.json`, and the guarded sections.
     let ((mega_text, mega_stats), mega_secs) = timed(experiments::mega_panel);
     println!("{mega_text}");
     perf.record("mega_panel", mega_secs);
     perf.record("mega_serial", mega_stats.bench.serial_wall_secs);
-    perf.record("mega_parallel", mega_stats.bench.parallel_wall_secs);
     eprintln!(
-        "mega drill: {} events in {:.2}s serial / {:.2}s parallel x{} \
-         ({:.0} events/sec, peak RSS {} MiB)",
+        "mega drill: {} events in {:.2}s ({:.0} events/sec, peak RSS {} MiB)",
         mega_stats.bench.events,
         mega_stats.bench.serial_wall_secs,
-        mega_stats.bench.parallel_wall_secs,
-        mega_stats.bench.stepping_threads,
         mega_stats.bench.events_per_sec(),
         mega_stats.bench.peak_rss_bytes >> 20,
     );

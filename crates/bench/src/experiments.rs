@@ -1,8 +1,7 @@
 //! One function per paper table / figure.
 //!
 //! Each function runs the relevant workload on the simulator and renders the
-//! same rows or series the paper reports. See `DESIGN.md` §4 for the
-//! experiment index and `EXPERIMENTS.md` for paper-vs-measured numbers.
+//! same rows or series the paper reports.
 
 use std::collections::BTreeMap;
 
@@ -15,8 +14,7 @@ use byterobust_cluster::{
 use byterobust_core::{JobConfig, JobLifecycle, JobReport};
 use byterobust_fleet::{
     BrokerConfig, FleetConfig, FleetQuery, FleetRunner, IncidentWarehouse, QueryResponse,
-    SchedulerKind, SteppingMode, TrafficConfig, TrafficGenerator, WarehouseService,
-    WarehouseStorage,
+    SchedulerKind, TrafficConfig, TrafficGenerator, WarehouseService, WarehouseStorage,
 };
 use byterobust_incident::{
     Classification, IncidentCapture, IncidentDossier, IncidentQuery, IncidentStore,
@@ -1610,7 +1608,7 @@ pub fn fleet_throughput() -> (String, FleetBenchStats) {
 pub struct MegaStats {
     /// The measurement appended to `BENCH_fleet.json`.
     pub bench: MegaBenchStats,
-    /// Scheduler op counters from the serial mega run.
+    /// Scheduler op counters from the mega run.
     pub scheduler_ops: byterobust_fleet::SchedulerOps,
     /// Query-latency histogram over resident shards of the mega warehouse.
     pub query_hot: byterobust_obs::HistogramSnapshot,
@@ -1619,10 +1617,9 @@ pub struct MegaStats {
     pub query_faulted: byterobust_obs::HistogramSnapshot,
 }
 
-/// The mega-drill stepping benchmark: the 100×-scale fleet (600 jobs,
-/// 52,224 machines, >1M events over 47 simulated days) run once under the
-/// serial stepper — the determinism oracle — and once under the parallel
-/// pre-advance stepper, asserted byte-identical. Fast mode substitutes
+/// The mega-drill benchmark: the 100×-scale fleet (600 jobs, 52,224
+/// machines, >1M events over 47 simulated days) run once through the fleet
+/// event loop. Fast mode substitutes
 /// [`FleetConfig::mega_smoke`] (60 jobs, 5,120 machines, six days), the same
 /// shapes and event mix at CI scale.
 ///
@@ -1640,32 +1637,12 @@ pub fn mega_panel() -> (String, MegaStats) {
     let jobs = config.jobs.len();
     let machines = config.total_machines();
     let runner = FleetRunner::new(config, SEED + 99);
-    let (serial_report, serial_wall_secs) =
-        timed(|| runner.run_stepped(SchedulerKind::Heap, SteppingMode::Serial));
-    // At least three workers even on a single-core host, so the pre-advance
-    // fan-out (chunking, slot commit order) is genuinely exercised there too.
-    let stepping_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(3);
-    let (parallel_report, parallel_wall_secs) = timed(|| {
-        runner.run_stepped(
-            SchedulerKind::Heap,
-            SteppingMode::Parallel {
-                threads: stepping_threads,
-            },
-        )
-    });
-    assert_eq!(
-        serial_report.render(),
-        parallel_report.render(),
-        "parallel stepping must be byte-identical to the serial oracle"
-    );
+    let (report, serial_wall_secs) = timed(|| runner.run_with(SchedulerKind::Heap));
     let peak_rss = crate::perf::peak_rss_bytes();
 
     // Point the warehouse latency histograms at the mega warehouse: the
     // canonical query mix over the full cross-job index.
-    let warehouse = &serial_report.warehouse;
+    let warehouse = &report.warehouse;
     let mega_queries = [
         IncidentQuery::any(),
         IncidentQuery::any().at_least(Severity::Sev2),
@@ -1679,24 +1656,22 @@ pub fn mega_panel() -> (String, MegaStats) {
 
     let stats = MegaStats {
         bench: MegaBenchStats {
-            seed: serial_report.seed,
+            seed: report.seed,
             fast_mode: fast,
             jobs,
             machines,
-            incidents: serial_report.total_incidents(),
-            events: serial_report.events_processed,
+            incidents: report.total_incidents(),
+            events: report.events_processed,
             serial_wall_secs,
-            parallel_wall_secs,
-            stepping_threads,
             peak_rss_bytes: peak_rss,
         },
-        scheduler_ops: serial_report.scheduler_ops,
+        scheduler_ops: report.scheduler_ops,
         query_hot,
         query_faulted,
     };
 
     let mut table = Table::new(
-        "Mega drill: 100x fleet scale under the batched stepper (serial = parallel, asserted)",
+        "Mega drill: 100x fleet scale through the serial event loop",
         &["Quantity", "Value"],
     );
     table.row(&["Concurrent jobs".to_string(), jobs.to_string()]);
@@ -1708,11 +1683,11 @@ pub fn mega_panel() -> (String, MegaStats) {
     ]);
     table.row(&[
         "Fleet ETTR".to_string(),
-        format!("{:.4}", serial_report.fleet_ettr()),
+        format!("{:.4}", report.fleet_ettr()),
     ]);
     table.row(&[
         "Repeat offenders".to_string(),
-        serial_report.repeat_offenders.len().to_string(),
+        report.repeat_offenders.len().to_string(),
     ]);
     table.row(&["Warehouse query hits".to_string(), hits.to_string()]);
     (table.render(), stats)

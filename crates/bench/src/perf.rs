@@ -5,8 +5,8 @@
 //! figure plus the total) and `BENCH_fleet.json` (the `large_drill`
 //! throughput benchmark — events/sec under the heap scheduler and the
 //! measured speedup over the retained naive scan — plus [`MegaBenchStats`],
-//! the mega-drill panel: events/sec, serial and parallel stepping walls,
-//! and peak RSS). The `bench_guard` binary
+//! the mega-drill panel: events/sec, wall time, and peak RSS). The
+//! `bench_guard` binary
 //! compares the former against the checked-in budget in
 //! `ci/bench_budget.json` and fails CI when the total regresses more than 2×.
 //!
@@ -193,10 +193,9 @@ impl FleetBenchStats {
     }
 }
 
-/// The mega-drill stepping measurement appended to `BENCH_fleet.json`: the
-/// 100×-scale fleet run once under the serial stepper and once under the
-/// parallel pre-advance stepper (byte-identity asserted by the panel), with
-/// events/sec and the process peak RSS. Keys are `mega_`-prefixed so the
+/// The mega-drill measurement appended to `BENCH_fleet.json`: the 100×-scale
+/// fleet run once through the serial event loop, with events/sec and the
+/// process peak RSS. Keys are `mega_`-prefixed so the
 /// document stays flat and collision-free for [`read_json_number`].
 #[derive(Debug, Clone)]
 pub struct MegaBenchStats {
@@ -212,29 +211,18 @@ pub struct MegaBenchStats {
     pub incidents: usize,
     /// Scheduler events processed (incidents plus job-end events).
     pub events: usize,
-    /// Wall seconds for the serial-oracle run.
+    /// Wall seconds for the run.
     pub serial_wall_secs: f64,
-    /// Wall seconds for the parallel pre-advance run.
-    pub parallel_wall_secs: f64,
-    /// Worker threads the parallel run was given.
-    pub stepping_threads: usize,
-    /// Process peak RSS in bytes (`VmHWM`), read right after the runs. The
+    /// Process peak RSS in bytes (`VmHWM`), read right after the run. The
     /// mega drill dominates the process high-water mark by an order of
     /// magnitude, so this is an honest ceiling for the drill itself.
     pub peak_rss_bytes: u64,
 }
 
 impl MegaBenchStats {
-    /// Throughput of the best of the two runs in events per second (the
-    /// reports are byte-identical, so either run is the same work).
+    /// Throughput of the run in events per second.
     pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.serial_wall_secs.min(self.parallel_wall_secs).max(1e-9)
-    }
-
-    /// Serial wall time over parallel wall time (below 1.0 on single-core
-    /// hosts, where the scoped-thread fan-out only adds overhead).
-    pub fn parallel_speedup(&self) -> f64 {
-        self.serial_wall_secs / self.parallel_wall_secs.max(1e-9)
+        self.events as f64 / self.serial_wall_secs.max(1e-9)
     }
 
     /// Renders the `mega_`-prefixed lines appended inside `BENCH_fleet.json`.
@@ -252,23 +240,8 @@ impl MegaBenchStats {
         );
         let _ = writeln!(
             out,
-            "  \"mega_parallel_wall_secs\": {:.4},",
-            self.parallel_wall_secs
-        );
-        let _ = writeln!(
-            out,
-            "  \"mega_stepping_threads\": {},",
-            self.stepping_threads
-        );
-        let _ = writeln!(
-            out,
             "  \"mega_events_per_sec\": {:.1},",
             self.events_per_sec()
-        );
-        let _ = writeln!(
-            out,
-            "  \"mega_parallel_speedup\": {:.2},",
-            self.parallel_speedup()
         );
         let _ = writeln!(out, "  \"mega_peak_rss_bytes\": {}", self.peak_rss_bytes);
         out

@@ -175,17 +175,11 @@ impl JobExecution {
         self.end
     }
 
-    /// Number of machines currently active in this job's cluster — an upper
-    /// bound on how many standbys one incident can possibly request.
-    pub fn active_machine_count(&self) -> usize {
-        self.cluster.active_machines().len()
-    }
-
     /// A provable lower bound on the unproductive time any incident adds
     /// before this job's next event: every recovery charges at least the
     /// in-place restart time (no evictions) or one standby awakening
-    /// (evictions), whichever is smaller. Fleet steppers use the fleet-wide
-    /// minimum as the batching quantum.
+    /// (evictions), whichever is smaller. The fleet event loop uses the
+    /// fleet-wide minimum as its offender-publication quantum.
     pub fn scheduling_time_floor(&self) -> SimDuration {
         let model = self.controller.restart_model();
         model.hot_update_time().min(model.standby_awaken)

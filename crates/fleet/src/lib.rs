@@ -102,7 +102,7 @@ pub mod prelude {
         alert_get, AlertQuery, FleetQuery, IncidentRow, QueryResponse, WarehouseDigest,
     };
     pub use crate::report::{DrainSummary, FleetJobReport, FleetReport};
-    pub use crate::runner::{FleetConfig, FleetJob, FleetRunner, SteppingMode};
+    pub use crate::runner::{FleetConfig, FleetJob, FleetRunner};
     pub use crate::scheduler::{EventScheduler, SchedulerKind, SchedulerOps};
     pub use crate::service::{
         CacheStats, EpochSnapshot, EpochStamp, PlanChoice, ServiceStats, ShardCache, TrafficConfig,

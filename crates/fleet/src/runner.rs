@@ -14,11 +14,11 @@
 //!
 //! After every incident the runner feeds the closed dossier to the
 //! [`IncidentWarehouse`], the [`RepeatOffenderLedger`] (whose offender set is
-//! re-published to every job's monitor behind an `Arc` — and only when the
-//! set actually changed), and the [`BacklogDrainer`] (whose completed
-//! stress-test sweeps return cleared machines to the shared pool).
+//! re-published to every job's monitor behind an `Arc` — only when the set
+//! actually changed, and in broker-less runs once per quantum window), and
+//! the [`BacklogDrainer`] (whose completed stress-test sweeps return cleared
+//! machines to the shared pool).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use byterobust_core::{JobConfig, JobExecution, RobustController, SegmentOutcome};
@@ -27,7 +27,7 @@ use byterobust_obs::{
     names, signals, AlertEngine, RuleSet, SignalBus, SignalId, SpanId, SpanKind, Trace,
     TraceRecorder,
 };
-use byterobust_recovery::{RestartCostModel, SchedulingOutcome, StandbyScheduler, WarmStandbyPool};
+use byterobust_recovery::WarmStandbyPool;
 use byterobust_sim::{SimDuration, SimRng, SimTime};
 use byterobust_trainsim::JobSpec;
 
@@ -108,11 +108,10 @@ pub struct FleetConfig {
     /// Skip the per-event `JobStep` / `WarehouseInsert` trace instants. The
     /// mega drill processes ~10^6 events; recording an instant per event
     /// costs hundreds of megabytes and dominates the merge at the end of the
-    /// run, so fleet-scale drills opt out. The stepping drivers apply the
-    /// same policy on both the serial and parallel paths, so the rendered
-    /// report stays a pure function of (config, seed) — but note a lean run
-    /// renders differently from a traced run of the same fleet (the trace
-    /// summary is part of the report).
+    /// run, so fleet-scale drills opt out. The rendered report stays a pure
+    /// function of (config, seed) — but note a lean run renders differently
+    /// from a traced run of the same fleet (the trace summary is part of the
+    /// report).
     pub lean_trace: bool,
 }
 
@@ -319,19 +318,18 @@ impl FleetConfig {
     /// The mega drill: 100× the large drill. 600 concurrent jobs — 384 at 64
     /// machines and 216 at 128 machines, 52,224 active machines — over 47
     /// simulated days, producing over a million fleet events. Sized for the
-    /// batched stepping drivers ([`FleetRunner::run_stepped`]): the per-event
-    /// linear scan is impractical here, and per-event trace instants are
-    /// disabled ([`FleetConfig::lean_trace`]). The shared pool override keeps
-    /// eligibility budgets wide enough that parallel stepping can speculate
-    /// whole batches.
+    /// heap scheduler (the per-event linear scan is impractical here), with
+    /// per-event trace instants disabled ([`FleetConfig::lean_trace`]). The
+    /// shared pool is overridden to 2,048 standbys; the override is part of
+    /// the drill's simulated history.
     pub fn mega_drill() -> Self {
         Self::mega_fleet(384, 216, SimDuration::from_days(47))
     }
 
     /// The scaled-down mega drill for tests: the same job shapes and event
     /// mix at 60 jobs (40×64 + 20×128 = 5,120 machines) over six days —
-    /// big enough to exercise multi-event batches and speculation, small
-    /// enough for a test suite.
+    /// big enough that many events share each offender-publication quantum,
+    /// small enough for a test suite.
     pub fn mega_smoke() -> Self {
         Self::mega_fleet(40, 20, SimDuration::from_days(6))
     }
@@ -476,134 +474,19 @@ impl AlertTap {
     }
 }
 
-/// How the batched stepping drivers advance a broker-less fleet.
-///
-/// Broker-less runs are processed in *batches*: all events inside one
-/// sim-time quantum (the fleet-wide minimum scheduling floor — no recovery
-/// can complete faster, so advancing a job cannot create a new event inside
-/// the current batch). `Serial` commits each batch event in order on the
-/// calling thread and is the byte-identity oracle; `Parallel` first
-/// *pre-advances* the batch's jobs concurrently under recorded full-grant
-/// scheduling assumptions, then commits in the identical order, replaying
-/// each recorded grant against the real shared pool and asserting it matches.
-/// The two modes are byte-identical by construction. Brokered runs ignore
-/// the mode entirely (cross-job interventions are inherently sequential).
+/// How a fleet run is stepped. Every run goes through the one serial event
+/// loop, so `Serial` is the only mode; the type remains so existing callers
+/// of [`FleetRunner::run_stepped`] (the `perfbench` harness among them) keep
+/// compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SteppingMode {
-    /// Commit every event in order on the calling thread (the oracle).
+    /// Commit every event in global time order on the calling thread.
     Serial,
-    /// Pre-advance each batch across up to `threads` workers, then commit in
-    /// the serial order. `threads <= 1` degenerates to `Serial`.
-    Parallel {
-        /// Worker-thread cap for the pre-advance phase.
-        threads: usize,
-    },
-}
-
-impl SteppingMode {
-    /// Resolves the mode from the environment: `BYTEROBUST_SERIAL=1` forces
-    /// the serial oracle, `BYTEROBUST_STEP_THREADS=N` pins the worker count,
-    /// and otherwise the host's available parallelism decides (one core =
-    /// serial).
-    pub fn from_env() -> Self {
-        if std::env::var("BYTEROBUST_SERIAL").as_deref() == Ok("1") {
-            return SteppingMode::Serial;
-        }
-        let threads = std::env::var("BYTEROBUST_STEP_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        if threads <= 1 {
-            SteppingMode::Serial
-        } else {
-            SteppingMode::Parallel { threads }
-        }
-    }
-
-    fn threads(self) -> usize {
-        match self {
-            SteppingMode::Serial => 1,
-            SteppingMode::Parallel { threads } => threads.max(1),
-        }
-    }
-}
-
-/// One standby-scheduler call recorded during a speculative pre-advance.
-struct RecordedCall {
-    model: RestartCostModel,
-    evicted: usize,
-    now: SimTime,
-    outcome: SchedulingOutcome,
-}
-
-/// The result of speculatively advancing one job off-thread: the segment
-/// outcome plus every scheduling call it made, to be replayed against the
-/// real pool at commit time.
-struct PreAdvanced {
-    outcome: SegmentOutcome,
-    calls: Vec<RecordedCall>,
-}
-
-/// The proxy scheduler used during speculative pre-advance: it *predicts*
-/// what the shared pool will answer (full grant — the eligibility budget
-/// guarantees the pool can cover the whole speculated prefix even in the
-/// worst case) and records every call. The commit replay asserts each
-/// prediction against the real pool, so a wrong prediction is a loud panic,
-/// never a silent divergence.
-#[derive(Default)]
-struct FullGrantScheduler {
-    calls: Vec<RecordedCall>,
-}
-
-impl StandbyScheduler for FullGrantScheduler {
-    fn schedule(
-        &mut self,
-        model: &RestartCostModel,
-        evicted: usize,
-        now: SimTime,
-    ) -> SchedulingOutcome {
-        // Mirrors `WarmStandbyPool::schedule` on its fully-covered paths.
-        let outcome = if evicted == 0 {
-            SchedulingOutcome {
-                duration: model.hot_update_time(),
-                ..SchedulingOutcome::default()
-            }
-        } else {
-            SchedulingOutcome {
-                duration: model.standby_awaken,
-                granted: evicted,
-                ..SchedulingOutcome::default()
-            }
-        };
-        self.calls.push(RecordedCall {
-            model: *model,
-            evicted,
-            now,
-            outcome,
-        });
-        outcome
-    }
-}
-
-/// Speculatively advances one job, recording its scheduler traffic.
-fn pre_advance(execution: &mut JobExecution) -> PreAdvanced {
-    let mut proxy = FullGrantScheduler::default();
-    let outcome = execution.advance_with_scheduler(&mut proxy);
-    PreAdvanced {
-        outcome,
-        calls: proxy.calls,
-    }
 }
 
 /// Everything the event loop mutates besides the executions and the
-/// scheduler. Factoring it out of `run_stepped` lets the classic per-event
-/// loop (brokered runs) and the batched drivers (broker-less runs) share one
-/// `commit_event` body, so "what happens when an event commits" is written
-/// exactly once.
+/// scheduler, so "what happens when an event commits" is written once, in
+/// [`LoopState::commit_event`].
 struct LoopState<'a> {
     jobs: &'a [FleetJob],
     lean_trace: bool,
@@ -619,29 +502,26 @@ struct LoopState<'a> {
     fleet_trace: TraceRecorder,
     alert_tap: Option<AlertTap>,
     /// Set when the offender set changed under deferred publication; the
-    /// batched drivers flush it at the end of the batch.
+    /// event loop flushes it when a pick falls past the current quantum
+    /// window.
     offenders_dirty: bool,
 }
 
 impl LoopState<'_> {
     /// Commits one event: drainer sweeps due at the event time, the job's
-    /// advance (or the replay of its speculative pre-advance), incident
-    /// bookkeeping, admission/migration follow-ups, alert evaluation, and the
-    /// scheduler re-registration.
+    /// advance, incident bookkeeping, admission/migration follow-ups, alert
+    /// evaluation, and the scheduler re-registration.
     ///
-    /// `immediate_publish` selects the offender-republication policy: the
-    /// classic per-event loop republishes inside the event (brokered runs),
-    /// the batched drivers defer to the end of the batch (`offenders_dirty` +
-    /// [`LoopState::flush_offender_publish`]) so the serial and parallel
-    /// stepping paths see identical monitor state at every advance.
+    /// A changed offender set reaches the monitors on one of two schedules.
+    /// Brokered runs republish it inside the event. Broker-less runs defer
+    /// it (`offenders_dirty`) until the event loop's next
+    /// [`LoopState::flush_offender_publish`], once per quantum window.
     fn commit_event(
         &mut self,
         executions: &mut [JobExecution],
         scheduler: &mut EventScheduler,
         event_at: SimTime,
         index: usize,
-        pre: Option<PreAdvanced>,
-        immediate_publish: bool,
     ) {
         self.events_processed += 1;
         let step_span: Option<SpanId> = if self.lean_trace {
@@ -669,27 +549,8 @@ impl LoopState<'_> {
 
         let jobs = self.jobs;
         let label = &jobs[index].label;
-        let outcome = match pre {
-            // The job already advanced speculatively; charge the real pool
-            // with the recorded scheduler traffic and check the full-grant
-            // predictions held.
-            Some(pre) => {
-                let mut grants = BrokeredScheduler::new(&mut self.broker, index);
-                for call in &pre.calls {
-                    let real = grants.schedule(&call.model, call.evicted, call.now);
-                    assert_eq!(
-                        real, call.outcome,
-                        "speculative pre-advance diverged from the shared pool \
-                         (job {index} at {event_at})"
-                    );
-                }
-                pre.outcome
-            }
-            None => {
-                let mut grants = BrokeredScheduler::new(&mut self.broker, index);
-                executions[index].advance_with_scheduler(&mut grants)
-            }
-        };
+        let mut grants = BrokeredScheduler::new(&mut self.broker, index);
+        let outcome = executions[index].advance_with_scheduler(&mut grants);
         match outcome {
             SegmentOutcome::Finished => {}
             SegmentOutcome::Incident { seq } => {
@@ -727,7 +588,7 @@ impl LoopState<'_> {
                 // actually crossed the threshold; each monitor receives an
                 // Arc pointer copy, not a vector clone.
                 if offenders_changed {
-                    if immediate_publish {
+                    if self.broker.enabled() {
                         let offenders = self.ledger.offenders_shared();
                         for execution in executions.iter_mut() {
                             execution
@@ -776,9 +637,8 @@ impl LoopState<'_> {
     }
 
     /// Publishes the offender set to every job's monitor if a deferred
-    /// change is pending. The batched drivers call this once per batch, so
-    /// offender visibility advances in batch quanta — identically on the
-    /// serial and parallel paths.
+    /// change is pending. The event loop calls this once per quantum window,
+    /// so in broker-less runs offender visibility advances in quanta.
     fn flush_offender_publish(&mut self, executions: &mut [JobExecution]) {
         if !self.offenders_dirty {
             return;
@@ -828,24 +688,23 @@ impl FleetRunner {
     }
 
     /// Runs every job to completion and returns the fleet report, using the
-    /// heap scheduler and the environment-selected stepping mode (see
-    /// [`SteppingMode::from_env`]).
+    /// heap scheduler.
     pub fn run(&self) -> FleetReport {
-        self.run_stepped(SchedulerKind::default(), SteppingMode::from_env())
+        self.run_with(SchedulerKind::default())
+    }
+
+    /// Same as [`FleetRunner::run_with`]; `Serial` is the only
+    /// [`SteppingMode`]. Kept so existing callers (the `perfbench` harness
+    /// among them) keep compiling.
+    pub fn run_stepped(&self, scheduler_kind: SchedulerKind, _mode: SteppingMode) -> FleetReport {
+        self.run_with(scheduler_kind)
     }
 
     /// Runs with an explicit scheduler. [`SchedulerKind::NaiveScan`] is the
     /// retained O(J)-per-event reference; the oracle tests pin
-    /// `run_with(NaiveScan).render() == run().render()`.
+    /// `run_with(NaiveScan).render() == run().render()`. The report is a
+    /// pure function of (config, seed).
     pub fn run_with(&self, scheduler_kind: SchedulerKind) -> FleetReport {
-        self.run_stepped(scheduler_kind, SteppingMode::from_env())
-    }
-
-    /// Runs with an explicit scheduler *and* stepping mode. The report is a
-    /// pure function of (config, seed): every `(SchedulerKind, SteppingMode)`
-    /// combination renders byte-identically — `Serial` is the oracle the
-    /// determinism tests pin `Parallel` against.
-    pub fn run_stepped(&self, scheduler_kind: SchedulerKind, mode: SteppingMode) -> FleetReport {
         let mut rng = SimRng::new(self.seed);
         let mut executions: Vec<JobExecution> = self
             .config
@@ -928,33 +787,38 @@ impl FleetRunner {
             offenders_dirty: false,
         };
 
-        if state.broker.enabled() {
-            // Brokered runs keep the classic per-event loop: cross-job
-            // interventions (preemption, migration, admission) make every
-            // event depend on all earlier ones, so there is nothing safe to
-            // batch. The unfinished job with the earliest next event
-            // advances; simultaneous events are broken by the interleave
-            // stream inside the scheduler.
-            while let Some((event_at, index)) = scheduler.next(&executions, &mut tie_rng) {
-                assert!(
-                    event_at < SimTime::MAX,
-                    "scheduler picked a job still held in the admission queue"
-                );
-                state.commit_event(&mut executions, &mut scheduler, event_at, index, None, true);
-            }
-        } else {
-            // Broker-less runs use the batched stepper: enumerate every
-            // event inside one scheduling quantum, optionally pre-advance
-            // the affected jobs in parallel, then commit in the exact order
-            // the per-event loop would have produced. See `SteppingMode`.
-            self.run_batched(
-                &mut state,
-                &mut executions,
-                &mut scheduler,
-                &mut tie_rng,
-                mode,
+        // The event loop: the unfinished job with the earliest next event
+        // advances; simultaneous events are broken by the interleave stream
+        // inside the scheduler. Broker-less runs publish offender-set changes
+        // once per quantum window (see `LoopState::commit_event`). A window
+        // opens at the first pick at or past the previous window's end and
+        // spans the fleet-wide scheduling floor: no recovery completes
+        // faster, so a job advanced inside the window cannot produce another
+        // event inside it. The one exception is a job's own configured end,
+        // so the window end is clamped to any end that falls inside it.
+        let quantum = executions
+            .iter()
+            .map(JobExecution::scheduling_time_floor)
+            .min()
+            .unwrap_or(SimDuration::from_secs(1));
+        let mut window_end = SimTime::ZERO;
+        while let Some((event_at, index)) = scheduler.next(&executions, &mut tie_rng) {
+            assert!(
+                event_at < SimTime::MAX,
+                "scheduler picked a job still held in the admission queue"
             );
+            if event_at >= window_end {
+                state.flush_offender_publish(&mut executions);
+                window_end = event_at + quantum;
+            }
+            let end = executions[index].end_at();
+            if event_at < end && end < window_end {
+                window_end = end;
+            }
+            state.commit_event(&mut executions, &mut scheduler, event_at, index);
         }
+        state.flush_offender_publish(&mut executions);
+
         let LoopState {
             mut broker,
             warehouse,
@@ -1061,136 +925,6 @@ impl FleetRunner {
             migrations: broker.registry().migrations().to_vec(),
             broker: broker.summary(),
             alerts,
-        }
-    }
-
-    /// The batched stepping driver for broker-less fleets.
-    ///
-    /// Correctness rests on the *scheduling floor*: every advance charges at
-    /// least `min(hot_update_time, standby_awaken)` of scheduling time, so a
-    /// job advanced at `t` cannot produce a new fault event before `t +
-    /// quantum` — with one exception, the job's own configured end, which the
-    /// window is clamped to. Events inside `[t0, window_end)` therefore form
-    /// a closed batch: enumerating them against pre-advance state yields
-    /// exactly the pick sequence (and tie-break stream consumption) of the
-    /// per-event loop. Cross-job coupling inside a batch is limited to the
-    /// shared pool (made safe by the eligibility budget + commit-time replay)
-    /// and the repeat-offender set (made order-independent by deferring
-    /// publication to the end of the batch on both serial and parallel
-    /// paths).
-    fn run_batched(
-        &self,
-        state: &mut LoopState<'_>,
-        executions: &mut [JobExecution],
-        scheduler: &mut EventScheduler,
-        tie_rng: &mut SimRng,
-        mode: SteppingMode,
-    ) {
-        let threads = mode.threads();
-        // The fleet-wide scheduling floor. Using the minimum over all jobs
-        // keeps the window valid for whichever jobs land in it.
-        let quantum = executions
-            .iter()
-            .map(JobExecution::scheduling_time_floor)
-            .min()
-            .unwrap_or(SimDuration::from_secs(1));
-        let mut batch: Vec<(SimTime, usize)> = Vec::new();
-        let mut slots: Vec<Option<PreAdvanced>> = Vec::new();
-        let mut taken = vec![false; executions.len()];
-
-        while let Some((first_at, first_job)) = scheduler.next(executions, tie_rng) {
-            assert!(
-                first_at < SimTime::MAX,
-                "scheduler picked a job still held in the admission queue"
-            );
-            // Enumerate the batch: every event strictly inside the window,
-            // in exactly the order the per-event loop would pick them. The
-            // window is clamped to any in-window job end (the one event kind
-            // the scheduling floor does not push past the quantum); ends
-            // landing exactly on the clamped bound fall into the next batch.
-            batch.clear();
-            let mut window_end = first_at + quantum;
-            let end = executions[first_job].end_at();
-            if first_at < end && end < window_end {
-                window_end = end;
-            }
-            batch.push((first_at, first_job));
-            taken[first_job] = true;
-            while let Some((at, job)) =
-                scheduler.next_in_window(executions, tie_rng, window_end, &taken)
-            {
-                let end = executions[job].end_at();
-                if at < end && end < window_end {
-                    window_end = end;
-                }
-                batch.push((at, job));
-                taken[job] = true;
-            }
-            for &(_, job) in &batch {
-                taken[job] = false;
-            }
-
-            slots.clear();
-            slots.resize_with(batch.len(), || None);
-            if threads > 1 && batch.len() > 1 {
-                // Eligibility: speculate the longest prefix whose worst-case
-                // pool demand (every active machine evicted) fits the ready
-                // count at the window start. The pool only shrinks through
-                // these same events' grants (sweep restocks and provisioning
-                // ticks add), so at commit time every speculated event finds
-                // at least its worst case ready and the full-grant
-                // predictions hold. The first ineligible event cuts the
-                // prefix for everything after it: a later event must not be
-                // speculated past an inline advance whose real pool draw is
-                // unknown.
-                let mut budget = state.broker.pool().ready();
-                let mut prefix = 0usize;
-                for &(_, job) in &batch {
-                    let cost = executions[job].active_machine_count();
-                    if cost <= budget {
-                        budget -= cost;
-                        prefix += 1;
-                    } else {
-                        break;
-                    }
-                }
-                if prefix > 1 {
-                    // Pair every speculated job with its result slot, in job
-                    // order (a job appears at most once per batch, so the
-                    // mutable borrows are disjoint).
-                    let mut by_job: BTreeMap<usize, &mut Option<PreAdvanced>> = batch[..prefix]
-                        .iter()
-                        .map(|&(_, job)| job)
-                        .zip(slots[..prefix].iter_mut())
-                        .collect();
-                    let mut work: Vec<(&mut JobExecution, &mut Option<PreAdvanced>)> = executions
-                        .iter_mut()
-                        .enumerate()
-                        .filter_map(|(i, execution)| {
-                            by_job.remove(&i).map(|slot| (execution, slot))
-                        })
-                        .collect();
-                    let workers = threads.min(work.len());
-                    let chunk = work.len().div_ceil(workers);
-                    std::thread::scope(|scope| {
-                        for piece in work.chunks_mut(chunk) {
-                            scope.spawn(move || {
-                                for (execution, slot) in piece.iter_mut() {
-                                    **slot = Some(pre_advance(execution));
-                                }
-                            });
-                        }
-                    });
-                }
-            }
-
-            // Commit in batch order — the serial order. Pre-advanced events
-            // replay their recorded pool traffic; everything else advances
-            // inline. Offender-set changes flush once per batch.
-            for (k, &(at, job)) in batch.iter().enumerate() {
-                state.commit_event(executions, scheduler, at, job, slots[k].take(), false);
-            }
-            state.flush_offender_publish(executions);
         }
     }
 }

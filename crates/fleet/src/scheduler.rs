@@ -103,37 +103,6 @@ impl EventScheduler {
         }
     }
 
-    /// Like [`EventScheduler::next`], but only returns a pick whose event
-    /// time is strictly before `bound`. When the earliest live event is at or
-    /// past the bound the scheduler state is left untouched — nothing is
-    /// popped and the tie-break stream is not consumed — so the very same
-    /// pick surfaces on the next call with a larger (or no) bound. This is
-    /// what lets the batched fleet stepper enumerate one sim-time quantum at
-    /// a time while consuming picks and tie draws in exactly the order the
-    /// unbounded per-event loop would.
-    ///
-    /// `taken` flags jobs already picked in the current batch (the stepper
-    /// enumerates a whole batch *before* advancing anyone, so a picked job's
-    /// `next_event_at()` still reads its old value). The linear scan skips
-    /// flagged jobs; the heap gets the same exclusion for free because a
-    /// picked job's key was popped and is only re-pushed by `reschedule`
-    /// after its advance. Pass an empty slice when every pick is advanced
-    /// before the next call.
-    pub fn next_in_window(
-        &mut self,
-        executions: &[JobExecution],
-        tie_rng: &mut SimRng,
-        bound: SimTime,
-        taken: &[bool],
-    ) -> Option<(SimTime, usize)> {
-        match self {
-            EventScheduler::Heap(heap) => heap.next_in_window(executions, tie_rng, bound),
-            EventScheduler::NaiveScan(scan) => {
-                scan.next_in_window(executions, tie_rng, bound, taken)
-            }
-        }
-    }
-
     /// Re-registers a job after it advanced (its `next_event_at` changed).
     /// Finished jobs are not re-registered.
     pub fn reschedule(&mut self, index: usize, executions: &[JobExecution]) {
@@ -235,33 +204,6 @@ impl HeapScheduler {
         Some((event_at, index))
     }
 
-    fn next_in_window(
-        &mut self,
-        executions: &[JobExecution],
-        tie_rng: &mut SimRng,
-        bound: SimTime,
-    ) -> Option<(SimTime, usize)> {
-        // Drop stale keys until the heap's minimum is live, but never pop the
-        // live minimum itself: if it lies at or past the bound it must stay
-        // queued (and the tie-break stream untouched) so the next window sees
-        // an unchanged scheduler.
-        loop {
-            let &Reverse((at, index)) = self.heap.peek()?;
-            if Self::is_live(executions, at, index) {
-                if at >= bound {
-                    return None;
-                }
-                break;
-            }
-            self.heap.pop();
-            self.ops.stale_drops += 1;
-        }
-        // The earliest live event falls inside the window, so from here this
-        // is exactly an unbounded pick: same tie gather, same draw, same
-        // loser re-push, same counters.
-        self.next(executions, tie_rng)
-    }
-
     fn reschedule(&mut self, index: usize, executions: &[JobExecution]) {
         if !executions[index].is_finished() {
             self.heap
@@ -308,52 +250,6 @@ impl NaiveScanScheduler {
             }
         }
         let event_at = earliest?;
-        let index = if tied.len() == 1 {
-            tied[0]
-        } else {
-            self.ops.tie_draws += 1;
-            tied[tie_rng.index(tied.len())]
-        };
-        self.ops.picks += 1;
-        Some((event_at, index))
-    }
-
-    fn next_in_window(
-        &mut self,
-        executions: &[JobExecution],
-        tie_rng: &mut SimRng,
-        bound: SimTime,
-        taken: &[bool],
-    ) -> Option<(SimTime, usize)> {
-        // Same scan as `next`, but jobs already picked this batch are skipped
-        // and the earliest event is only *taken* when it falls inside the
-        // window; otherwise the tie-break stream stays untouched and the pick
-        // surfaces unchanged on the next window.
-        let mut earliest: Option<SimTime> = None;
-        let mut tied: Vec<usize> = Vec::new();
-        for (i, execution) in executions.iter().enumerate() {
-            self.ops.scan_comparisons += 1;
-            if execution.is_finished() || taken.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            let at = execution.next_event_at();
-            match earliest {
-                None => {
-                    earliest = Some(at);
-                    tied = vec![i];
-                }
-                Some(best) if at < best => {
-                    earliest = Some(at);
-                    tied = vec![i];
-                }
-                Some(best) if at == best => tied.push(i),
-                Some(_) => {}
-            }
-        }
-        let event_at = earliest?;
-        if event_at >= bound {
-            return None;
-        }
         let index = if tied.len() == 1 {
             tied[0]
         } else {
@@ -438,45 +334,6 @@ mod tests {
         heap.reschedule(index, &execs);
         let (_, next_index) = heap.next(&execs, &mut SimRng::new(2)).unwrap();
         assert!(!execs[next_index].is_finished());
-    }
-
-    #[test]
-    fn windowed_picks_match_unbounded_picks() {
-        use byterobust_sim::SimDuration;
-        for kind in [SchedulerKind::Heap, SchedulerKind::NaiveScan] {
-            // Drive two copies of the same fleet to completion: one through
-            // plain `next`, one through `next_in_window` with a small sliding
-            // window. The pick sequences and tie-stream consumption must
-            // match exactly — empty windows must not disturb either.
-            let mut plain_execs = executions(4);
-            let mut windowed_execs = executions(4);
-            let mut plain = EventScheduler::new(kind, &plain_execs);
-            let mut windowed = EventScheduler::new(kind, &windowed_execs);
-            let mut plain_rng = SimRng::new(0xBEEF);
-            let mut windowed_rng = SimRng::new(0xBEEF);
-            let quantum = SimDuration::from_mins(30);
-            let mut cursor = SimTime::ZERO;
-            loop {
-                let expected = plain.next(&plain_execs, &mut plain_rng);
-                let got = loop {
-                    let bound = cursor + quantum;
-                    match windowed.next_in_window(&windowed_execs, &mut windowed_rng, bound, &[]) {
-                        Some(pick) => break Some(pick),
-                        None if windowed_execs.iter().all(|e| e.is_finished()) => break None,
-                        None => cursor = bound,
-                    }
-                };
-                assert_eq!(got, expected, "{kind:?}");
-                let Some((_, index)) = got else { break };
-                plain_execs[index].advance();
-                plain.reschedule(index, &plain_execs);
-                windowed_execs[index].advance();
-                windowed.reschedule(index, &windowed_execs);
-            }
-            assert!(plain_execs.iter().all(|e| e.is_finished()));
-            assert_eq!(plain.ops().picks, windowed.ops().picks, "{kind:?}");
-            assert_eq!(plain.ops().tie_draws, windowed.ops().tie_draws, "{kind:?}");
-        }
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Mega drill: the 100×-scale fleet (600 jobs over ~52k machines, ≥1M
-//! events) driven through the batched stepper, or its ~5k-machine
+//! events) driven through the fleet event loop, or its ~5k-machine
 //! `mega_smoke` stand-in when `BYTEROBUST_FAST=1` (the CI default).
 //!
 //! The printed report is byte-identical across runs with the same seed —
-//! across serial vs parallel stepping (`BYTEROBUST_SERIAL` /
-//! `BYTEROBUST_PARALLEL` / `BYTEROBUST_STEP_THREADS`), across warehouse
-//! spill on/off, and with live query traffic attached. The
+//! across warehouse spill on/off and with live query traffic attached. The
 //! `determinism-matrix` CI job relies on that to diff the toggled runs
 //! byte-for-byte.
 //!
@@ -175,7 +173,7 @@ fn main() {
     }
 
     eprintln!(
-        "mega drill: {} job(s), {} machine(s), {} event(s), fleet ETTR {:.1}s",
+        "mega drill: {} job(s), {} machine(s), {} event(s), fleet ETTR {:.4}",
         report.jobs.len(),
         runner.config().total_machines(),
         report.events_processed,

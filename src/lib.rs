@@ -18,8 +18,8 @@
 //! assert!(report.ettr.cumulative_ettr() > 0.5);
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and the per-experiment index, and
-//! `EXPERIMENTS.md` for paper-vs-measured results.
+//! See `docs/ARCHITECTURE.md` for the crate map, the event flow, and the
+//! determinism contract.
 
 pub use byterobust_agent as agent;
 pub use byterobust_analyzer as analyzer;
