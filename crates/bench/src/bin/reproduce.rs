@@ -190,7 +190,7 @@ fn main() {
     perf.record("obs_trace_diagnose", obs_stats.trace_diagnose_secs);
 
     // Alerting: the declarative rule engine on the large drill, scored for
-    // lead time against ground truth across all three built-in rule sets
+    // lead time against ground truth across both built-in rule sets
     // (determinism and trade-off oracles asserted inside the panel). The
     // deterministic panel goes to stdout; the scoring wall clock becomes its
     // own guarded section and the scorecards land in `BENCH_obs.json`.
@@ -277,8 +277,7 @@ fn main() {
         Err(err) => eprintln!("failed to write BENCH_fleet.json: {err}"),
     }
     // Merge the mega drill's self-profiling into the registry: its scheduler
-    // op counters and its warehouse query-latency histograms sit alongside
-    // the small drill's under their own names.
+    // op counters sit alongside the small drill's under their own names.
     let mut registry = obs_stats.registry;
     registry.set_counter("scheduler.mega.picks", mega_stats.scheduler_ops.picks);
     registry.set_counter(
@@ -292,11 +291,6 @@ fn main() {
     registry.set_counter(
         "scheduler.mega.tie_draws",
         mega_stats.scheduler_ops.tie_draws,
-    );
-    registry.set_histogram("warehouse.mega_query_hot_nanos", mega_stats.query_hot);
-    registry.set_histogram(
-        "warehouse.mega_query_faulted_nanos",
-        mega_stats.query_faulted,
     );
     let obs_bench = ObsBenchStats {
         trace_export_secs: obs_stats.trace_export_secs,

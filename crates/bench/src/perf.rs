@@ -357,12 +357,12 @@ pub struct ObsBenchStats {
     pub trace_import_secs: f64,
     /// Wall seconds to reconstruct every cause chain from the trace.
     pub trace_diagnose_secs: f64,
-    /// The alerting plane's section — scoring wall clock plus the three
+    /// The alerting plane's section — scoring wall clock plus the two
     /// rule-set scorecards — embedded verbatim as the `alerts` value
     /// (rendered by `AlertsStats::render_json`).
     pub alerts_json: String,
     /// The metrics registry's own JSON export (scheduler op counters,
-    /// warehouse latency histograms, broker grant outcomes, pool gauges),
+    /// warehouse spill counters, broker grant outcomes, pool gauges),
     /// embedded verbatim as the `metrics` value.
     pub metrics_json: String,
 }

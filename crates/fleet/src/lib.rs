@@ -13,11 +13,12 @@
 //!    the fleet seed. Job selection goes through the
 //!    [`scheduler`] — an O(log J) binary heap by default, with the O(J)
 //!    linear scan retained as an oracle reference pinned byte-identical.
-//! 2. [`warehouse::IncidentWarehouse`] — per-job incident-store shards merged
-//!    under secondary indexes (by machine, by severity, by category, by time
-//!    bucket), so fleet queries are index lookups instead of
-//!    O(total-incidents) scans. `linear_scan` exists purely so tests can pin
-//!    the invariant that indexed results equal the brute-force answer.
+//! 2. [`warehouse::IncidentWarehouse`] — a write-only log of append-only
+//!    per-job incident-store shards (with disk spill). Every read goes
+//!    through one [`EpochSnapshot`] type: the planner builds posting lists
+//!    (by machine, severity, category, time bucket) only for the queries
+//!    that need them, aggregates are folds over shard prefixes, and
+//!    [`EpochSnapshot::oracle_answer`] is the single brute-force oracle.
 //! 3. [`drainer::BacklogDrainer`] — consumes the stores' escalation backlog:
 //!    `StressTestSweep` items dispatch
 //!    [`SelectiveStressTester`](byterobust_agent::SelectiveStressTester)
@@ -43,8 +44,10 @@
 //! plane: a [`WarehouseService`] the runner publishes copy-on-write epoch
 //! snapshots into after every insert, answering queries concurrently with
 //! fleet execution under snapshot isolation, through a selectivity-based
-//! planner with a retained `linear_scan` oracle, with spilled shards faulted
-//! in through a capacity-bounded LRU.
+//! planner checked against the `oracle_answer` linear scan, with spilled
+//! shards faulted in through a capacity-bounded LRU. A finished run's
+//! [`FleetReport::answer`] reads the warehouse's own snapshot — the same
+//! type, so live, replayed and post-run answers share one read path.
 //!
 //! # Machine identity across jobs
 //!
@@ -91,7 +94,7 @@ pub use service::{
     CacheStats, EpochSnapshot, EpochStamp, PlanChoice, ServiceStats, ShardCache, TrafficConfig,
     TrafficGenerator, WarehouseService,
 };
-pub use warehouse::{IncidentWarehouse, SpillStats, WarehouseHit, WarehouseStorage};
+pub use warehouse::{IncidentWarehouse, SpillStats, WarehouseStorage};
 
 /// Convenience prelude for downstream crates.
 pub mod prelude {
@@ -108,5 +111,5 @@ pub mod prelude {
         CacheStats, EpochSnapshot, EpochStamp, PlanChoice, ServiceStats, ShardCache, TrafficConfig,
         TrafficGenerator, WarehouseService,
     };
-    pub use crate::warehouse::{IncidentWarehouse, SpillStats, WarehouseHit, WarehouseStorage};
+    pub use crate::warehouse::{IncidentWarehouse, SpillStats, WarehouseStorage};
 }

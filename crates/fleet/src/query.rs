@@ -5,10 +5,9 @@
 //! against stores and the warehouse, [`TraceQuery`]/`trace_get` against the
 //! sim-time trace, and ad-hoc helper methods against the alert timeline.
 //! [`FleetQuery`] folds them into one dispatchable vocabulary and
-//! [`QueryResponse`] into one deterministic answer document, without
-//! breaking any existing call site: `IncidentStore::query`,
-//! `IncidentWarehouse::query`, and `trace_get` remain thin typed wrappers
-//! over the same shared filter core (`byterobust_incident::filter` for
+//! [`QueryResponse`] into one deterministic answer document.
+//! `IncidentStore::query`, the fleet's epoch snapshots, and `trace_get`
+//! share the same filter cores (`byterobust_incident::filter` for
 //! incidents; the span/alert predicates here are equally conjunctive).
 //!
 //! Both sides are codec documents (`byterobust-fleet-query` /

@@ -11,7 +11,7 @@ use byterobust_obs::{AlertTimeline, FaultWindow, Trace};
 
 use crate::broker::BrokerSummary;
 use crate::drainer::CompletedSweep;
-use crate::query::{alert_get, FleetQuery, QueryResponse, WarehouseDigest};
+use crate::query::{alert_get, FleetQuery, QueryResponse};
 use crate::scheduler::SchedulerOps;
 use crate::warehouse::IncidentWarehouse;
 
@@ -68,7 +68,8 @@ pub struct FleetReport {
     /// runs differ here by design — so, like `events_processed`, deliberately
     /// never rendered.
     pub scheduler_ops: SchedulerOps,
-    /// The indexed cross-job incident warehouse.
+    /// The cross-job incident warehouse (read through its
+    /// [`snapshot`](IncidentWarehouse::snapshot)).
     pub warehouse: IncidentWarehouse,
     /// Every completed stress-test sweep, in completion order.
     pub completed_sweeps: Vec<CompletedSweep>,
@@ -107,53 +108,16 @@ pub struct FleetReport {
 impl FleetReport {
     /// Answers any [`FleetQuery`] against the finished run — the post-hoc
     /// half of the unified query API. The warehouse arms (incidents,
-    /// dossiers, digest) go through [`IncidentWarehouse::query`] and the
-    /// index aggregates; the span and alert arms filter the merged trace and
+    /// dossiers, digest) go through the warehouse's memoized
+    /// [`EpochSnapshot`](crate::service::EpochSnapshot), the same read path
+    /// live readers use; the span and alert arms filter the merged trace and
     /// the canonical alert timeline. Post-seal, every warehouse-backed
     /// answer renders byte-identical to
     /// [`WarehouseService::answer`](crate::service::WarehouseService::answer)
     /// at the final epoch (pinned by the agreement oracle) — same vocabulary,
-    /// three serving paths.
+    /// one read path.
     pub fn answer(&self, query: &FleetQuery) -> QueryResponse {
         match query {
-            FleetQuery::Incidents(inner) => QueryResponse::incidents(
-                self.warehouse
-                    .query(inner)
-                    .into_iter()
-                    .map(|hit| (hit.job, hit.dossier)),
-            ),
-            FleetQuery::Dossiers(inner) => QueryResponse::dossiers(
-                self.warehouse
-                    .query(inner)
-                    .into_iter()
-                    .map(|hit| (hit.job, hit.dossier)),
-            ),
-            FleetQuery::Digest => {
-                let mut jobs: Vec<(String, u64)> = self
-                    .warehouse
-                    .epoch_heads()
-                    .into_iter()
-                    .filter(|head| head.len > 0)
-                    .map(|head| (head.label, head.len as u64))
-                    .collect();
-                jobs.sort();
-                QueryResponse::Digest(WarehouseDigest {
-                    total: self.warehouse.len() as u64,
-                    jobs,
-                    severity: self
-                        .warehouse
-                        .severity_counts()
-                        .into_iter()
-                        .map(|(severity, count)| (severity, count as u64))
-                        .collect(),
-                    category: self
-                        .warehouse
-                        .category_counts()
-                        .into_iter()
-                        .map(|(category, count)| (category, count as u64))
-                        .collect(),
-                })
-            }
             FleetQuery::Spans(inner) => QueryResponse::Spans(
                 byterobust_obs::trace_get(&self.trace, inner)
                     .into_iter()
@@ -167,6 +131,14 @@ impl FleetReport {
                     .cloned()
                     .collect(),
             ),
+            FleetQuery::Incidents(_) | FleetQuery::Dossiers(_) | FleetQuery::Digest => {
+                let (response, _) = self
+                    .warehouse
+                    .snapshot()
+                    .answer(query)
+                    .expect("incidents, dossiers and digest are warehouse-backed");
+                response
+            }
         }
     }
 
@@ -288,22 +260,23 @@ impl FleetReport {
             );
         }
 
+        let warehouse = self.warehouse.snapshot();
         let _ = writeln!(
             out,
             "\n-- incident warehouse ({} incidents, {} shards)",
-            self.warehouse.len(),
-            self.warehouse.jobs().len()
+            warehouse.total(),
+            warehouse.jobs().len()
         );
-        for (severity, count) in self.warehouse.severity_counts() {
+        for (severity, count) in warehouse.severity_counts() {
             let _ = writeln!(out, "  {:>5}: {}", severity.label(), count);
         }
-        for (category, count) in self.warehouse.category_counts() {
+        for (category, count) in warehouse.category_counts() {
             let _ = writeln!(out, "  {category:?}: {count}");
         }
         let _ = writeln!(
             out,
             "  attribution accuracy (concluded vs ground truth): {:.4}",
-            self.warehouse.attribution_accuracy()
+            warehouse.attribution_accuracy()
         );
 
         let _ = writeln!(

@@ -25,30 +25,41 @@
 //!   from the latest heads plus the recorded per-epoch lengths — the
 //!   post-hoc half of the live-vs-post-hoc determinism oracle.
 //!
+//! [`EpochSnapshot`] is the repo's one read path over incident history:
+//! the same type serves live readers here, post-hoc epoch replays, and —
+//! through the memoized
+//! [`IncidentWarehouse::snapshot`](crate::warehouse::IncidentWarehouse::snapshot)
+//! — every post-run read of a finished warehouse.
+//!
 //! # Planner
 //!
-//! A query is answered through one of the four secondary indexes — machine,
+//! A query is answered through one of four secondary indexes — machine,
 //! category, severity floor, time bucket — chosen by **estimated
 //! selectivity** (posting-list lengths, which the index knows exactly),
-//! falling back to a full scan when no index applies. Whatever the plan, the
-//! residual conjunctive filter (`byterobust_incident::filter::matches`) is
-//! applied and hits come back in canonical (start time, job, seq) order, so
-//! every plan is answer-equivalent to `EpochSnapshot::linear_scan` — the
-//! retained brute-force oracle, pinned byte-identical at every epoch by the
+//! falling back to a full scan when no index applies. The indexes are built
+//! lazily, on a snapshot's first planned query; they are the only posting
+//! lists in the repo. Whatever the plan, the residual conjunctive filter
+//! (`byterobust_incident::filter::matches`) is applied and hits come back in
+//! canonical (start time, job, seq) order, so every plan is
+//! answer-equivalent to [`EpochSnapshot::oracle_answer`] — the repo's single
+//! brute-force oracle, pinned byte-identical at every epoch by the
 //! planner-equivalence tests.
+//!
+//! Whole-shard aggregates (totals, per-job/severity/category/machine
+//! counts, attribution scoring, resolution times, the digest) never touch
+//! the planner: they are folds over the snapshot's shard prefixes.
 //!
 //! # Segment cache (LRU)
 //!
 //! A snapshot head for a spilled shard names its segment file. Reads fault
 //! segments in through a **capacity-bounded LRU** ([`ShardCache`]) shared by
-//! all snapshots of a service — unlike the warehouse's own per-shard
-//! `OnceLock` path (which pins every faulted shard for the warehouse's
-//! lifetime), the cache evicts least-recently-used shards once its dossier
-//! budget is exceeded, so resident memory stays flat under scans over cold
-//! history. Eviction just drops an `Arc`: in-flight readers holding the
-//! store keep it alive until they finish. A segment rewritten with more
-//! appended dossiers since an epoch was published is detected by length and
-//! reloaded; the epoch reads its exact prefix either way.
+//! all snapshots of a service (or of a warehouse), which evicts
+//! least-recently-used shards once its dossier budget is exceeded, so
+//! resident memory stays flat under scans over cold history. Eviction just
+//! drops an `Arc`: in-flight readers holding the store keep it alive until
+//! they finish. A segment rewritten with more appended dossiers since an
+//! epoch was published is detected by length and reloaded; the epoch reads
+//! its exact prefix either way.
 //!
 //! # Determinism
 //!
@@ -70,9 +81,12 @@ use byterobust_obs::{HistogramSnapshot, LatencyHistogram};
 use byterobust_sim::{SimDuration, SimRng, SimTime};
 
 use crate::query::{FleetQuery, QueryResponse, WarehouseDigest};
-use crate::warehouse::{
-    bucket_index_of, load_segment_at_least, IncidentWarehouse, ShardContent, ShardHead,
-};
+use crate::warehouse::{load_segment_at_least, IncidentWarehouse, ShardContent, ShardHead};
+
+/// The time-bucket index of a start time under a bucket width.
+fn bucket_index_of(bucket_width: SimDuration, at: SimTime) -> u64 {
+    (at.as_secs_f64() / bucket_width.as_secs_f64()).floor() as u64
+}
 
 /// Which access path the planner chose for one incidents/dossiers query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +135,8 @@ pub struct CacheStats {
     pub faults: u64,
     /// Entries dropped to keep the resident total under budget.
     pub evictions: u64,
+    /// Segment bytes read by faults.
+    pub fault_bytes: u64,
     /// Dossiers currently resident in the cache.
     pub resident_dossiers: u64,
 }
@@ -142,6 +158,7 @@ pub struct ShardCache {
     hits: AtomicU64,
     faults: AtomicU64,
     evictions: AtomicU64,
+    fault_bytes: AtomicU64,
 }
 
 struct CacheState {
@@ -170,6 +187,7 @@ impl ShardCache {
             hits: AtomicU64::new(0),
             faults: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            fault_bytes: AtomicU64::new(0),
         }
     }
 
@@ -192,6 +210,7 @@ impl ShardCache {
             hits: self.hits.load(Ordering::Relaxed),
             faults: self.faults.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            fault_bytes: self.fault_bytes.load(Ordering::Relaxed),
             resident_dossiers: resident,
         }
     }
@@ -215,12 +234,13 @@ impl ShardCache {
             inner.entries.remove(&shard);
         }
         self.faults.fetch_add(1, Ordering::Relaxed);
-        let store = load_segment_at_least(path, label, min_len).unwrap_or_else(|err| {
+        let (store, bytes) = load_segment_at_least(path, label, min_len).unwrap_or_else(|err| {
             panic!(
                 "query-plane segment {} for shard `{label}` is unreadable: {err}",
                 path.display()
             )
         });
+        self.fault_bytes.fetch_add(bytes, Ordering::Relaxed);
         let store = Arc::new(store);
         inner.entries.insert(
             shard,
@@ -270,10 +290,9 @@ struct SnapKey {
     seq: u64,
 }
 
-/// The four secondary indexes of one epoch, rebuilt lazily from the shard
-/// prefixes on first indexed query (posting lists over [`SnapKey`]s, each in
-/// canonical order). Built through the same shared filter core as the
-/// warehouse's live indexes, so the two cannot drift.
+/// The four secondary indexes of one epoch, built lazily from the shard
+/// prefixes on the first planned query (posting lists over [`SnapKey`]s,
+/// each in canonical order).
 struct SnapshotIndex {
     by_machine: BTreeMap<MachineId, Vec<SnapKey>>,
     by_severity: BTreeMap<Severity, Vec<SnapKey>>,
@@ -308,6 +327,26 @@ impl std::fmt::Debug for EpochSnapshot {
 }
 
 impl EpochSnapshot {
+    /// A snapshot over captured shard heads, carving out the first
+    /// `lens[shard]` dossiers of each (`lens` may be shorter than `heads`:
+    /// shards created after this epoch have length 0 here).
+    pub(crate) fn new(
+        epoch: u64,
+        bucket_width: SimDuration,
+        heads: Arc<Vec<ShardHead>>,
+        lens: Vec<usize>,
+        cache: Arc<ShardCache>,
+    ) -> EpochSnapshot {
+        EpochSnapshot {
+            epoch,
+            bucket_width,
+            heads,
+            lens,
+            cache,
+            index: OnceLock::new(),
+        }
+    }
+
     /// The epoch this snapshot pins.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -327,8 +366,9 @@ impl EpochSnapshot {
     }
 
     /// The store behind one shard head (resident heads are free; spilled
-    /// heads go through the shared LRU cache).
-    fn store(&self, shard: usize) -> Arc<IncidentStore> {
+    /// heads go through the shared LRU cache). Its first
+    /// `lens[shard]` dossiers are this epoch's content.
+    pub(crate) fn store(&self, shard: usize) -> Arc<IncidentStore> {
         match &self.heads[shard].content {
             ShardContent::Resident(store) => Arc::clone(store),
             ShardContent::Spilled(path) => {
@@ -342,6 +382,24 @@ impl EpochSnapshot {
         (key.at, self.label(key.shard), key.seq)
     }
 
+    /// Visits every dossier visible at this epoch with its shard index:
+    /// shards in creation order, each shard's prefix in append order.
+    /// Shards are streamed one at a time, so a fold over spilled history
+    /// stays within the cache budget. The index build and every aggregate
+    /// are folds over this.
+    fn for_each_dossier(&self, mut visit: impl FnMut(usize, &IncidentDossier)) {
+        for shard in 0..self.heads.len() {
+            let len = self.shard_len(shard);
+            if len == 0 {
+                continue;
+            }
+            let store = self.store(shard);
+            for dossier in &store.all()[..len] {
+                visit(shard, dossier);
+            }
+        }
+    }
+
     fn index(&self) -> &SnapshotIndex {
         self.index.get_or_init(|| {
             let mut by_machine: BTreeMap<MachineId, Vec<SnapKey>> = BTreeMap::new();
@@ -349,35 +407,26 @@ impl EpochSnapshot {
             let mut by_category: BTreeMap<FaultCategory, Vec<SnapKey>> = BTreeMap::new();
             let mut by_bucket: BTreeMap<u64, Vec<SnapKey>> = BTreeMap::new();
             let mut machines = Vec::new();
-            // Shards are streamed one at a time: only keys survive, so a
-            // build over spilled history stays within the cache budget.
-            for shard in 0..self.heads.len() {
-                let len = self.shard_len(shard);
-                if len == 0 {
-                    continue;
+            self.for_each_dossier(|shard, dossier| {
+                let key = SnapKey {
+                    at: dossier.at,
+                    shard,
+                    seq: dossier.seq,
+                };
+                filter::implicated_machines_into(dossier, &mut machines);
+                for &machine in &machines {
+                    by_machine.entry(machine).or_default().push(key);
                 }
-                let store = self.store(shard);
-                for dossier in &store.all()[..len] {
-                    let key = SnapKey {
-                        at: dossier.at,
-                        shard,
-                        seq: dossier.seq,
-                    };
-                    filter::implicated_machines_into(dossier, &mut machines);
-                    for &machine in &machines {
-                        by_machine.entry(machine).or_default().push(key);
-                    }
-                    by_severity
-                        .entry(dossier.classification.severity)
-                        .or_default()
-                        .push(key);
-                    by_category.entry(dossier.category).or_default().push(key);
-                    by_bucket
-                        .entry(bucket_index_of(self.bucket_width, dossier.at))
-                        .or_default()
-                        .push(key);
-                }
-            }
+                by_severity
+                    .entry(dossier.classification.severity)
+                    .or_default()
+                    .push(key);
+                by_category.entry(dossier.category).or_default().push(key);
+                by_bucket
+                    .entry(bucket_index_of(self.bucket_width, dossier.at))
+                    .or_default()
+                    .push(key);
+            });
             for list in by_machine
                 .values_mut()
                 .chain(by_severity.values_mut())
@@ -441,7 +490,7 @@ impl EpochSnapshot {
             consider(estimate, 3, PlanChoice::TimeBucket);
         }
         let Some((_, _, choice)) = best else {
-            return (PlanChoice::Scan, self.scan_keys(query));
+            return (PlanChoice::Scan, self.scan_keys());
         };
         let keys = match choice {
             PlanChoice::Machine => index
@@ -487,20 +536,15 @@ impl EpochSnapshot {
 
     /// Every dossier at this epoch as canonically sorted keys (the scan
     /// plan's candidate set).
-    fn scan_keys(&self, _query: &IncidentQuery) -> Vec<SnapKey> {
+    fn scan_keys(&self) -> Vec<SnapKey> {
         let mut keys = Vec::with_capacity(self.total());
-        for shard in 0..self.heads.len() {
-            let len = self.shard_len(shard);
-            if len == 0 {
-                continue;
-            }
-            let store = self.store(shard);
-            keys.extend(store.all()[..len].iter().map(|dossier| SnapKey {
+        self.for_each_dossier(|shard, dossier| {
+            keys.push(SnapKey {
                 at: dossier.at,
                 shard,
                 seq: dossier.seq,
-            }));
-        }
+            })
+        });
         keys.sort_by(|a, b| self.canonical(a).cmp(&self.canonical(b)));
         keys
     }
@@ -542,7 +586,7 @@ impl EpochSnapshot {
 
     /// Answers one warehouse-backed query through the planner. Returns the
     /// response and the plan the planner chose (`None` for the digest arm,
-    /// which reads the index histograms directly). Trace/alert arms are not
+    /// a fold over the shard prefixes). Trace/alert arms are not
     /// warehouse-backed and return `None` — they are served post-hoc by
     /// [`FleetReport::answer`](crate::report::FleetReport::answer).
     pub fn answer(&self, query: &FleetQuery) -> Option<(QueryResponse, Option<PlanChoice>)> {
@@ -560,98 +604,152 @@ impl EpochSnapshot {
         }
     }
 
-    /// The brute-force oracle at this epoch: evaluates an incidents or
-    /// dossiers query by scanning every shard prefix with its own
-    /// independent sort, and the digest by re-counting from the dossiers —
-    /// no posting lists involved. The planner-equivalence tests pin
+    /// The brute-force oracle at this epoch, and the only one in the repo:
+    /// evaluates an incidents or dossiers query by scanning every shard
+    /// prefix with its own independent sort — no posting lists involved.
+    /// The digest is a fold over the shard prefixes already, so both paths
+    /// share it. The planner-equivalence tests pin
     /// `answer == oracle_answer` byte-for-byte at every published epoch.
     pub fn oracle_answer(&self, query: &FleetQuery) -> Option<QueryResponse> {
         match query {
             FleetQuery::Incidents(inner) => Some(self.linear_scan(inner, false)),
             FleetQuery::Dossiers(inner) => Some(self.linear_scan(inner, true)),
-            FleetQuery::Digest => {
-                let mut severity: BTreeMap<Severity, u64> = BTreeMap::new();
-                let mut category: BTreeMap<FaultCategory, u64> = BTreeMap::new();
-                let mut jobs: Vec<(String, u64)> = Vec::new();
-                for shard in 0..self.heads.len() {
-                    let len = self.shard_len(shard);
-                    if len == 0 {
-                        continue;
-                    }
-                    jobs.push((self.label(shard).to_string(), len as u64));
-                    let store = self.store(shard);
-                    for dossier in &store.all()[..len] {
-                        *severity.entry(dossier.classification.severity).or_default() += 1;
-                        *category.entry(dossier.category).or_default() += 1;
-                    }
-                }
-                jobs.sort();
-                Some(QueryResponse::Digest(WarehouseDigest {
-                    total: self.total() as u64,
-                    jobs,
-                    severity: severity.into_iter().collect(),
-                    category: category.into_iter().collect(),
-                }))
-            }
+            FleetQuery::Digest => Some(QueryResponse::Digest(self.digest())),
             FleetQuery::Spans(_) | FleetQuery::Alerts(_) => None,
         }
     }
 
     /// The scan evaluator behind [`EpochSnapshot::oracle_answer`].
     fn linear_scan(&self, query: &IncidentQuery, full: bool) -> QueryResponse {
-        let mut hits: Vec<(SimTime, String, u64, IncidentDossier)> = Vec::new();
+        let mut hits: Vec<(SimTime, &str, u64, &IncidentDossier)> = Vec::new();
+        let mut stores = Vec::new();
         for shard in 0..self.heads.len() {
-            let len = self.shard_len(shard);
-            if len == 0 {
-                continue;
+            if self.shard_len(shard) > 0 {
+                stores.push((shard, self.store(shard)));
             }
-            let store = self.store(shard);
-            for dossier in &store.all()[..len] {
-                if filter::matches(query, dossier.as_ref()) {
-                    hits.push((
-                        dossier.at,
-                        self.label(shard).to_string(),
-                        dossier.seq,
-                        dossier.as_ref().clone(),
-                    ));
+        }
+        for (shard, store) in &stores {
+            for dossier in &store.all()[..self.shard_len(*shard)] {
+                if filter::matches(query, dossier) {
+                    hits.push((dossier.at, self.label(*shard), dossier.seq, dossier));
                 }
             }
         }
-        hits.sort_by(|a, b| (a.0, &a.1, a.2).cmp(&(b.0, &b.1, b.2)));
+        hits.sort_by(|a, b| (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)));
+        let hits = hits.into_iter().map(|(_, job, _, dossier)| (job, dossier));
         if full {
-            QueryResponse::Dossiers(hits.into_iter().map(|(_, job, _, d)| (job, d)).collect())
+            QueryResponse::dossiers(hits)
         } else {
-            QueryResponse::Incidents(
-                hits.iter()
-                    .map(|(_, job, _, d)| crate::query::IncidentRow::of(job, d))
-                    .collect(),
-            )
+            QueryResponse::incidents(hits)
         }
     }
 
-    /// The digest at this epoch, from the index histograms (counts are
-    /// posting-list lengths — no shard content is touched).
+    /// The digest at this epoch: per-job counts plus one fold for the
+    /// severity and category histograms.
     pub fn digest(&self) -> WarehouseDigest {
-        let index = self.index();
         let mut jobs: Vec<(String, u64)> = (0..self.heads.len())
             .filter(|&shard| self.shard_len(shard) > 0)
             .map(|shard| (self.label(shard).to_string(), self.shard_len(shard) as u64))
             .collect();
         jobs.sort();
+        let mut severity: BTreeMap<Severity, u64> = BTreeMap::new();
+        let mut category: BTreeMap<FaultCategory, u64> = BTreeMap::new();
+        self.for_each_dossier(|_, dossier| {
+            *severity.entry(dossier.classification.severity).or_default() += 1;
+            *category.entry(dossier.category).or_default() += 1;
+        });
         WarehouseDigest {
             total: self.total() as u64,
             jobs,
-            severity: index
-                .by_severity
-                .iter()
-                .map(|(&severity, keys)| (severity, keys.len() as u64))
-                .collect(),
-            category: index
-                .by_category
-                .iter()
-                .map(|(&category, keys)| (category, keys.len() as u64))
-                .collect(),
+            severity: severity.into_iter().collect(),
+            category: category.into_iter().collect(),
         }
+    }
+
+    /// Job labels with at least one incident at this epoch, sorted.
+    pub fn jobs(&self) -> Vec<&str> {
+        let mut labels: Vec<&str> = (0..self.heads.len())
+            .filter(|&shard| self.shard_len(shard) > 0)
+            .map(|shard| self.label(shard))
+            .collect();
+        labels.sort_unstable();
+        labels
+    }
+
+    /// Dossier counts per `key`, as a fold over the shard prefixes.
+    fn count_by<K: Ord>(&self, key: impl Fn(&IncidentDossier) -> K) -> BTreeMap<K, usize> {
+        let mut counts = BTreeMap::new();
+        self.for_each_dossier(|_, dossier| *counts.entry(key(dossier)).or_default() += 1);
+        counts
+    }
+
+    /// Incident counts per severity class.
+    pub fn severity_counts(&self) -> BTreeMap<Severity, usize> {
+        self.count_by(|dossier| dossier.classification.severity)
+    }
+
+    /// Incident counts per category.
+    pub fn category_counts(&self) -> BTreeMap<FaultCategory, usize> {
+        self.count_by(|dossier| dossier.category)
+    }
+
+    /// Per-machine incident counts: how many dossiers implicate each machine
+    /// (the same "involves" set as `IncidentQuery::machine`).
+    pub fn machine_incident_counts(&self) -> BTreeMap<MachineId, usize> {
+        let mut counts = BTreeMap::new();
+        let mut machines = Vec::new();
+        self.for_each_dossier(|_, dossier| {
+            filter::implicated_machines_into(dossier, &mut machines);
+            for &machine in &machines {
+                *counts.entry(machine).or_default() += 1;
+            }
+        });
+        counts
+    }
+
+    /// Attribution scoring: `(matching, total)` incidents whose concluded
+    /// cause equals ground truth, per category.
+    pub fn attribution_stats(&self) -> BTreeMap<FaultCategory, (usize, usize)> {
+        let mut stats: BTreeMap<FaultCategory, (usize, usize)> = BTreeMap::new();
+        self.for_each_dossier(|_, dossier| {
+            let entry = stats.entry(dossier.category).or_default();
+            if dossier.concluded_cause == dossier.root_cause {
+                entry.0 += 1;
+            }
+            entry.1 += 1;
+        });
+        stats
+    }
+
+    /// Attribution accuracy in `[0, 1]` (1.0 when empty).
+    pub fn attribution_accuracy(&self) -> f64 {
+        let (matching, total) = self
+            .attribution_stats()
+            .values()
+            .fold((0usize, 0usize), |(m, t), &(dm, dt)| (m + dm, t + dt));
+        if total == 0 {
+            1.0
+        } else {
+            matching as f64 / total as f64
+        }
+    }
+
+    /// Mean and max resolution time per symptom in seconds (the Table 6
+    /// "ours" columns), accumulated in shard order.
+    pub fn resolution_time_by_symptom(&self) -> BTreeMap<FaultKind, (f64, f64)> {
+        let mut acc: BTreeMap<FaultKind, Vec<f64>> = BTreeMap::new();
+        self.for_each_dossier(|_, dossier| {
+            acc.entry(dossier.kind)
+                .or_default()
+                .push(dossier.resolution_time().as_secs_f64())
+        });
+        acc.into_iter()
+            .map(|(kind, values)| {
+                let mean = values.iter().sum::<f64>() / values.len() as f64;
+                let max = values.iter().copied().fold(0.0, f64::max);
+                (kind, (mean, max))
+            })
+            .collect()
     }
 }
 
@@ -756,14 +854,13 @@ impl WarehouseService {
             epoch,
             shard_lens: lens.clone(),
         });
-        state.latest = Some(Arc::new(EpochSnapshot {
+        state.latest = Some(Arc::new(EpochSnapshot::new(
             epoch,
-            bucket_width: warehouse.bucket_width(),
-            heads: Arc::new(heads),
+            warehouse.bucket_width(),
+            Arc::new(heads),
             lens,
-            cache: Arc::clone(&self.shared.cache),
-            index: OnceLock::new(),
-        }));
+            Arc::clone(&self.shared.cache),
+        )));
         epoch
     }
 
@@ -811,14 +908,13 @@ impl WarehouseService {
         if latest.epoch == epoch {
             return Some(Arc::clone(latest));
         }
-        Some(Arc::new(EpochSnapshot {
+        Some(Arc::new(EpochSnapshot::new(
             epoch,
-            bucket_width: state.bucket_width,
-            heads: Arc::clone(&latest.heads),
-            lens: stamp.shard_lens.clone(),
-            cache: Arc::clone(&self.shared.cache),
-            index: OnceLock::new(),
-        }))
+            state.bucket_width,
+            Arc::clone(&latest.heads),
+            stamp.shard_lens.clone(),
+            Arc::clone(&self.shared.cache),
+        )))
     }
 
     /// Answers one query against the latest epoch, recording latency and

@@ -1,8 +1,8 @@
 //! The shared filter core behind every incident query surface.
 //!
-//! [`IncidentStore::query`](crate::IncidentStore::query), the fleet
-//! warehouse's indexed path and its `linear_scan` oracle, and the epoch
-//! snapshots of the resident query plane all answer the same question — which
+//! [`IncidentStore::query`](crate::IncidentStore::query) and the fleet's
+//! epoch snapshots (their planner and their brute-force oracle) all answer
+//! the same question — which
 //! dossiers match an [`IncidentQuery`] — and historically each grew its own
 //! copy of the predicate plumbing. This module is the single home for that
 //! logic:

@@ -6,10 +6,10 @@
 //! ([`crate::alert::AlertEngine`]) evaluates the set in *sim time* during
 //! the run, so swapping a rule file changes detection policy without
 //! touching a line of code: the fleet drill loads one via
-//! `BYTEROBUST_ALERT_RULES`, and CI ships three committed fixtures
-//! (`ci/alert_rules.json` plus a degraded and an aggressive variant) whose
-//! precision/recall trade-off the `alerts_panel` bench scores against
-//! ground-truth injected faults.
+//! `BYTEROBUST_ALERT_RULES`, and CI ships two committed fixtures
+//! (`ci/alert_rules.json` plus a degraded variant) whose precision/recall
+//! trade-off the `alerts_panel` bench scores against ground-truth injected
+//! faults.
 //!
 //! Three detector families cover the classic SLO shapes:
 //!
@@ -305,31 +305,6 @@ impl RuleSet {
         }
     }
 
-    /// The aggressive variant (`ci/alert_rules_aggressive.json`): hair
-    /// triggers and slow clears, including an always-on watchdog on the
-    /// pool gauge. Recall is at least the default's, but alerts blanket
-    /// quiet time too — poor precision, the noisy end of the trade-off.
-    pub fn aggressive_rules() -> RuleSet {
-        let mut set = RuleSet::default_rules();
-        set.name = "aggressive".to_string();
-        for rule in &mut set.rules {
-            rule.clear_after = SimDuration::from_hours(12);
-        }
-        set.rules.push(AlertRule {
-            name: "pool-watchdog".to_string(),
-            signal: signals::POOL_READY.to_string(),
-            detector: Detector::Threshold {
-                aggregate: Aggregate::Max,
-                window: SimDuration::from_hours(48),
-                threshold: 0.0,
-            },
-            severity: AlertSeverity::Ticket,
-            escalate_after: None,
-            clear_after: SimDuration::from_hours(48),
-        });
-        set
-    }
-
     /// Exports the set as a self-describing JSON document. Deterministic:
     /// equal sets export byte-identical text, and an imported set re-exports
     /// to the exact input bytes.
@@ -487,14 +462,11 @@ mod tests {
     fn builtin_sets_are_distinct_and_named() {
         let default = RuleSet::default_rules();
         let degraded = RuleSet::degraded_rules();
-        let aggressive = RuleSet::aggressive_rules();
         assert_eq!(default.name, "default");
         assert_eq!(degraded.name, "degraded");
-        assert_eq!(aggressive.name, "aggressive");
         assert_ne!(default, degraded);
-        assert_ne!(default, aggressive);
         // Every built-in rule watches a well-known fleet signal.
-        for set in [&default, &degraded, &aggressive] {
+        for set in [&default, &degraded] {
             for rule in &set.rules {
                 assert!(rule.signal.starts_with("fleet/"), "{}", rule.signal);
             }
@@ -503,11 +475,7 @@ mod tests {
 
     #[test]
     fn rule_set_export_import_is_an_exact_fixed_point() {
-        for set in [
-            RuleSet::default_rules(),
-            RuleSet::degraded_rules(),
-            RuleSet::aggressive_rules(),
-        ] {
+        for set in [RuleSet::default_rules(), RuleSet::degraded_rules()] {
             let text = set.export_json();
             let back = RuleSet::import_json(&text).expect("own export must re-import");
             assert_eq!(back, set);

@@ -1,6 +1,6 @@
 //! Fleet orchestration integration tests: determinism of the fleet report,
-//! the warehouse index-vs-linear-scan invariant, shard-merge determinism,
-//! in-run backlog draining, and the repeat-offender ledger.
+//! the snapshot planner-vs-oracle invariant on warehouse data, shard-merge
+//! determinism, in-run backlog draining, and the repeat-offender ledger.
 
 use std::sync::OnceLock;
 
@@ -13,10 +13,31 @@ fn drill() -> &'static FleetReport {
     REPORT.get_or_init(|| FleetRunner::new(FleetConfig::small_drill(), 20250916).run())
 }
 
-fn hit_ids(hits: &[WarehouseHit<'_>]) -> Vec<(String, u64)> {
-    hits.iter()
-        .map(|hit| (hit.job.to_string(), hit.dossier.seq))
-        .collect()
+/// The (job, seq) ids of the planner's answer on a warehouse's snapshot.
+fn hit_ids(warehouse: &IncidentWarehouse, query: IncidentQuery) -> Vec<(String, u64)> {
+    match warehouse.snapshot().answer(&FleetQuery::Incidents(query)) {
+        Some((QueryResponse::Incidents(rows), _)) => {
+            rows.into_iter().map(|row| (row.job, row.seq)).collect()
+        }
+        other => panic!("incidents arm answered {other:?}"),
+    }
+}
+
+/// The rendered full-dossier planner answer on a warehouse's snapshot,
+/// asserted byte-identical to the snapshot's brute-force oracle.
+fn checked(warehouse: &IncidentWarehouse, query: &IncidentQuery) -> String {
+    let query = FleetQuery::Dossiers(*query);
+    let snapshot = warehouse.snapshot();
+    let (planned, _) = snapshot.answer(&query).expect("warehouse-backed arm");
+    let oracle = snapshot
+        .oracle_answer(&query)
+        .expect("warehouse-backed arm");
+    assert_eq!(
+        planned.render(),
+        oracle.render(),
+        "planner diverged from the oracle for {query:?}"
+    );
+    planned.render()
 }
 
 #[test]
@@ -197,17 +218,13 @@ fn warehouse_indexed_queries_equal_linear_scan_on_fleet_data() {
         queries.push(IncidentQuery::any().at_least(severity));
     }
     // Every machine the fleet ever implicated, plus one it never did.
-    for (&machine, _) in warehouse.machine_incident_counts().iter() {
+    for &machine in warehouse.snapshot().machine_incident_counts().keys() {
         queries.push(IncidentQuery::any().machine(machine));
     }
     queries.push(IncidentQuery::any().machine(MachineId(9999)));
 
-    for query in queries {
-        assert_eq!(
-            hit_ids(&warehouse.query(&query)),
-            hit_ids(&warehouse.linear_scan(&query)),
-            "indexed result diverged from linear scan for {query:?}"
-        );
+    for query in &queries {
+        checked(warehouse, query);
     }
 }
 
@@ -245,18 +262,19 @@ fn warehouse_shard_merge_is_deterministic_across_insertion_orders() {
         IncidentQuery::any().window(SimTime::ZERO, SimTime::from_hours(48)),
     ];
     for query in queries {
-        let expected = hit_ids(&forward.query(&query));
-        assert_eq!(expected, hit_ids(&reverse.query(&query)), "{query:?}");
-        assert_eq!(expected, hit_ids(&interleaved.query(&query)), "{query:?}");
+        let expected = checked(&forward, &query);
+        assert_eq!(expected, checked(&reverse, &query), "{query:?}");
+        assert_eq!(expected, checked(&interleaved, &query), "{query:?}");
     }
-    for (&machine, _) in forward.machine_incident_counts().iter() {
-        assert_eq!(
-            hit_ids(&forward.by_machine(machine)),
-            hit_ids(&reverse.by_machine(machine)),
-        );
+    for &machine in forward.snapshot().machine_incident_counts().keys() {
+        let query = IncidentQuery::any().machine(machine);
+        assert_eq!(hit_ids(&forward, query), hit_ids(&reverse, query));
     }
-    assert_eq!(forward.jobs(), reverse.jobs());
-    assert_eq!(forward.severity_counts(), reverse.severity_counts());
+    assert_eq!(forward.snapshot().jobs(), reverse.snapshot().jobs());
+    assert_eq!(
+        forward.snapshot().severity_counts(),
+        reverse.snapshot().severity_counts()
+    );
 }
 
 #[test]
@@ -458,23 +476,27 @@ fn repeat_offender_ledger_is_built_from_cross_job_history() {
     );
     for (machine, count) in &report.repeat_offenders {
         assert!(*count >= report.repeat_offender_threshold);
-        // The ledger's counts agree with the warehouse's machine index.
+        // The ledger's counts agree with the warehouse's machine history,
+        // answered by the planner and by the machine-count fold alike.
         assert_eq!(
-            report.warehouse.by_machine(*machine).len(),
+            hit_ids(&report.warehouse, IncidentQuery::any().machine(*machine)).len(),
             *count,
             "ledger and warehouse disagree about {machine}"
+        );
+        assert_eq!(
+            report.warehouse.snapshot().machine_incident_counts()[machine],
+            *count
         );
     }
     // At least one offender accumulated history from more than one job — the
     // cross-job part of the ledger.
     assert!(
         report.repeat_offenders.iter().any(|(machine, _)| {
-            let jobs: std::collections::BTreeSet<String> = report
-                .warehouse
-                .by_machine(*machine)
-                .iter()
-                .map(|hit| hit.job.to_string())
-                .collect();
+            let jobs: std::collections::BTreeSet<String> =
+                hit_ids(&report.warehouse, IncidentQuery::any().machine(*machine))
+                    .into_iter()
+                    .map(|(job, _)| job)
+                    .collect();
             jobs.len() > 1
         }),
         "some offender must have incidents in more than one job"
@@ -491,11 +513,11 @@ fn spill_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn warehouse_spill_is_invisible_on_the_small_drill() {
-    // The tentpole oracle at drill scale: the same fleet with a deliberately
+    // The spill oracle at drill scale: the same fleet with a deliberately
     // tiny resident budget must render byte-identically and answer every
-    // query identically to the in-memory run — and to the brute-force
-    // linear scan, which is independent of both the indexes and the spill
-    // layer.
+    // query identically to the in-memory run — and to the snapshot's
+    // brute-force oracle, which is independent of both the planner's
+    // posting lists and the spill layer.
     let dir = spill_dir("small");
     let memory = drill();
     let spilled = FleetRunner::new(
@@ -523,19 +545,15 @@ fn warehouse_spill_is_invisible_on_the_small_drill() {
     ];
     for query in queries {
         assert_eq!(
-            hit_ids(&spilled.warehouse.query(&query)),
-            hit_ids(&memory.warehouse.query(&query)),
+            checked(&spilled.warehouse, &query),
+            checked(&memory.warehouse, &query),
             "spill on/off disagree on {query:?}"
         );
-        assert_eq!(
-            hit_ids(&spilled.warehouse.query(&query)),
-            hit_ids(&spilled.warehouse.linear_scan(&query)),
-            "spilled indexed path diverged from its linear scan on {query:?}"
-        );
     }
-    // Per-machine queries across the whole index.
-    for (machine, count) in memory.warehouse.machine_incident_counts() {
-        assert_eq!(spilled.warehouse.by_machine(machine).len(), count);
+    // Per-machine queries across the whole history.
+    for (machine, count) in memory.warehouse.snapshot().machine_incident_counts() {
+        let query = IncidentQuery::any().machine(machine);
+        assert_eq!(hit_ids(&spilled.warehouse, query).len(), count);
     }
     // Full-content identity of every dossier, not just ids.
     assert_eq!(
@@ -564,13 +582,19 @@ fn warehouse_spill_is_invisible_on_the_large_drill() {
     );
     let stats = spilled.warehouse.spill_stats();
     assert!(
-        stats.segments_written >= spilled.warehouse.jobs().len(),
+        stats.segments_written >= spilled.warehouse.snapshot().jobs().len(),
         "every shard must have spilled at least once: {stats:?}"
     );
+    let everything = FleetQuery::Dossiers(IncidentQuery::any());
     assert_eq!(
-        hit_ids(&spilled.warehouse.query(&IncidentQuery::any())),
-        hit_ids(&memory.warehouse.linear_scan(&IncidentQuery::any())),
-        "spilled query must equal the in-memory linear scan at large scale"
+        checked(&spilled.warehouse, &IncidentQuery::any()),
+        memory
+            .warehouse
+            .snapshot()
+            .oracle_answer(&everything)
+            .expect("warehouse-backed arm")
+            .render(),
+        "spilled query must equal the in-memory oracle at large scale"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -591,18 +615,23 @@ fn warehouse_export_import_render_round_trip_on_fleet_data() {
         "a second export is a fixed point"
     );
     assert_eq!(
-        hit_ids(&imported.query(&IncidentQuery::any())),
-        hit_ids(&report.warehouse.query(&IncidentQuery::any()))
+        hit_ids(&imported, IncidentQuery::any()),
+        hit_ids(&report.warehouse, IncidentQuery::any())
     );
     // Postmortems regenerate identically from the imported dossiers.
-    for (before, after) in report
-        .warehouse
-        .postmortems_at_least(Severity::Sev2)
-        .iter()
-        .zip(imported.postmortems_at_least(Severity::Sev2).iter())
-    {
-        assert_eq!(before.render(), after.render());
-    }
+    let severe = FleetQuery::Dossiers(IncidentQuery::any().at_least(Severity::Sev2));
+    let postmortems = |warehouse: &IncidentWarehouse| -> Vec<String> {
+        match warehouse.snapshot().answer(&severe) {
+            Some((QueryResponse::Dossiers(hits), _)) => hits
+                .iter()
+                .map(|(_, dossier)| Postmortem::for_dossier(dossier).render())
+                .collect(),
+            other => panic!("dossiers arm answered {other:?}"),
+        }
+    };
+    let before = postmortems(&report.warehouse);
+    assert!(!before.is_empty(), "the drill has Sev2-or-worse incidents");
+    assert_eq!(before, postmortems(&imported));
 }
 
 // ---------------------------------------------------------------------------
@@ -742,8 +771,8 @@ fn live_answers_replay_byte_identically_from_post_hoc_snapshots() {
 fn planner_matches_the_linear_scan_oracle_at_every_published_epoch() {
     // The planner-vs-oracle matrix: every published epoch, a slice of the
     // traffic stream (all shapes: point lookups, floors, windows,
-    // conjunctions, scans, digests), planner and brute-force scan must
-    // render byte-identically.
+    // conjunctions, scans, digests), planner and the brute-force
+    // `oracle_answer` scan must render byte-identically.
     let live = live_drill();
     let stamps = live.service.stamps();
     assert!(stamps.len() >= 3, "the drill publishes many epochs");

@@ -414,10 +414,6 @@ fn fixture_rule_sets_are_pinned_to_the_builtins() {
     for (path, rules) in [
         ("ci/alert_rules.json", RuleSet::default_rules()),
         ("ci/alert_rules_degraded.json", RuleSet::degraded_rules()),
-        (
-            "ci/alert_rules_aggressive.json",
-            RuleSet::aggressive_rules(),
-        ),
     ] {
         let on_disk = std::fs::read_to_string(path)
             .unwrap_or_else(|err| panic!("{path}: fixture must be readable ({err})"));
