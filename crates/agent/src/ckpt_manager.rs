@@ -2,15 +2,13 @@
 //! step according to the checkpoint plan, records completed checkpoints in
 //! the store, and answers recovery queries (§6.3, §7).
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_checkpoint::{CheckpointEngine, CheckpointPlan, CheckpointStore, RecoveryPoint};
 use byterobust_cluster::MachineId;
 use byterobust_sim::SimDuration;
 use byterobust_trainsim::{JobSpec, StepBreakdown};
 
 /// Per-pod checkpoint manager.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CkptManager {
     plan: CheckpointPlan,
     engine: CheckpointEngine,

@@ -17,14 +17,12 @@
 //! took, and whether everything passed (in which case the controller falls
 //! back to reattempt → rollback → dual-phase replay, Fig. 5).
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_cluster::{Cluster, FaultKind, MachineId, NicState};
 use byterobust_sim::{SimDuration, SimRng};
 use byterobust_telemetry::LogClass;
 
 /// Timing and accuracy parameters of the stop-time test suites.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiagnoserConfig {
     /// Duration of an EUD run on one machine (machines run in parallel).
     pub eud_duration: SimDuration,
@@ -55,7 +53,7 @@ impl Default for DiagnoserConfig {
 }
 
 /// What the diagnoser concluded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiagnosisConclusion {
     /// Specific machines failed the checks and should be evicted.
     FaultyMachines,
@@ -66,7 +64,7 @@ pub enum DiagnosisConclusion {
 }
 
 /// The outcome of one stop-time diagnosis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiagnosisOutcome {
     /// Conclusion of the checks.
     pub conclusion: DiagnosisConclusion,

@@ -7,7 +7,6 @@
 //! and alert thresholds; Table 3 reports the resulting detection times and
 //! compares them with a timeout-only baseline.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use byterobust_cluster::{FaultKind, HealthIssue, HealthReport, Machine, MachineId};
@@ -17,7 +16,7 @@ use byterobust_trainsim::StepMetrics;
 
 /// The inspection category an item belongs to, each with its own interval and
 /// alert threshold (Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InspectionCategory {
     /// NIC / switch / link items, inspected every 30 s.
     Network,
@@ -42,7 +41,7 @@ impl InspectionCategory {
 }
 
 /// Monitor configuration: inspection intervals and alert thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Network-side inspection interval (Table 3: 30 s).
     pub network_interval: SimDuration,
@@ -87,7 +86,7 @@ impl MonitorConfig {
 }
 
 /// One finding from an inspection sweep, attributed to a machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InspectionFinding {
     /// Machine the issue was found on.
     pub machine: MachineId,
@@ -98,7 +97,7 @@ pub struct InspectionFinding {
 }
 
 /// The monitor sub-module of the Robust Agent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Monitor {
     /// Configuration.
     pub config: MonitorConfig,

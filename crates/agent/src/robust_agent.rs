@@ -5,13 +5,11 @@
 //! trainer or a warm standby parked at the pre-set barrier, and carries out
 //! control signals (suspend for diagnostics, evict, activate).
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_cluster::{HealthReport, Machine, MachineId};
 use byterobust_sim::{SimDuration, SimTime};
 
 /// Lifecycle state of one Robust Agent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AgentState {
     /// Training processes are running.
     Training,
@@ -24,7 +22,7 @@ pub enum AgentState {
 }
 
 /// The per-machine Robust Agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustAgent {
     /// Machine this agent manages.
     pub machine: MachineId,

@@ -7,13 +7,11 @@
 //! this baseline; for symptoms caused by human mistakes the stress tests
 //! never localize the fault at all (reported as `INF` in the paper).
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_cluster::{FaultKind, RootCause};
 use byterobust_sim::SimDuration;
 
 /// The selective stress-testing baseline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectiveStressTester;
 
 impl SelectiveStressTester {

@@ -6,13 +6,11 @@
 //! to every process on every pod — so the capture latency is tracked and
 //! charged to the incident's localization time.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_sim::SimDuration;
 use byterobust_trainsim::{StackTrace, TrainingRuntime};
 
 /// The on-demand tracer sub-module of the Robust Agent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnDemandTracer {
     /// Time to attach to all processes and sample their stacks across the job.
     pub capture_latency: SimDuration,

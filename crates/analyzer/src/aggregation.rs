@@ -5,7 +5,6 @@
 //! identical stack, so the dominant group(s) are deemed healthy and every
 //! remaining group is an outlier.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use byterobust_parallelism::Rank;
@@ -14,7 +13,7 @@ use byterobust_trainsim::{ProcessKind, StackTrace};
 use crate::process_tree::ProcessTree;
 
 /// A group of ranks whose processes show the same stack.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StackCluster {
     /// Process kind the stacks were captured from.
     pub process: ProcessKind,
@@ -32,7 +31,7 @@ impl StackCluster {
 }
 
 /// The outcome of aggregating one trace capture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregationResult {
     /// All clusters, largest first.
     pub clusters: Vec<StackCluster>,

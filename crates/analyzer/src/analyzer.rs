@@ -11,8 +11,6 @@
 //! Both return an [`EvictionDecision`] plus the time the analysis took, which
 //! the controller charges against the incident's unproductive time.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_parallelism::ParallelTopology;
 use byterobust_sim::SimDuration;
 use byterobust_trainsim::StackTrace;
@@ -22,7 +20,7 @@ use crate::eviction::EvictionDecision;
 use crate::failslow::FailSlowVoter;
 
 /// Analyzer tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyzerConfig {
     /// Dominance ratio for outlier classification.
     pub dominance_ratio: f64,
@@ -44,7 +42,7 @@ impl Default for AnalyzerConfig {
 }
 
 /// Result of one analyzer invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisOutcome {
     /// The aggregation clusters (for observability / the event log).
     pub aggregation: AggregationResult,
@@ -55,7 +53,7 @@ pub struct AnalysisOutcome {
 }
 
 /// The Runtime Analyzer (control-plane component, §3).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RuntimeAnalyzer {
     /// Configuration.
     pub config: AnalyzerConfig,

@@ -5,13 +5,11 @@
 //! every machine of that group — deliberately over-evicting a few healthy
 //! machines in exchange for fast, confident isolation (§5.1, §9).
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_cluster::MachineId;
 use byterobust_parallelism::{GroupKind, ParallelTopology, Rank};
 
 /// The analyzer's recommendation after analysing one implicit failure.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvictionDecision {
     /// Machines to evict, ascending, deduplicated.
     pub machines: Vec<MachineId>,

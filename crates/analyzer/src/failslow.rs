@@ -6,7 +6,6 @@
 //! (§5.1). The repeated vote filters out transient stragglers that a single
 //! snapshot would misattribute.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use byterobust_parallelism::{GroupKind, ParallelTopology, Rank};
@@ -15,7 +14,7 @@ use byterobust_sim::SimDuration;
 use crate::eviction::EvictionDecision;
 
 /// Accumulates per-round flags and produces a final eviction decision.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FailSlowVoter {
     /// Interval between aggregation rounds (paper: 10 seconds).
     pub round_interval: SimDuration,

@@ -6,12 +6,10 @@
 //! for its stack, and must *exclude* unrelated processes (the robust daemon
 //! itself, for instance) from the aggregation.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_trainsim::{ProcessKind, StackTrace};
 
 /// A node in the reconstructed per-pod process tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessNode {
     /// Kind of process.
     pub kind: ProcessKind,
@@ -39,7 +37,7 @@ impl ProcessNode {
 /// The canonical per-pod process tree: the launch script forks the robust
 /// daemon and spawns the training worker, which in turn forks data-I/O and
 /// checkpoint workers (Fig. 7, step 1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessTree {
     /// Root of the tree (the pod's launch script).
     pub root: ProcessNode,

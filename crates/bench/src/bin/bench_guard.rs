@@ -10,10 +10,13 @@
 //! `wall_secs` from a `BENCH_reproduce.json` produced by the `reproduce`
 //! binary and compares them against the checked-in budget
 //! (`reproduce_fast_budget_secs` plus per-section `budget_secs` in
-//! `ci/bench_budget.json`). The job fails when the total — or any budgeted
-//! section — exceeds twice its budget, and the failure report names each
-//! offending section with its budget, its measurement, and how far over it
-//! is, instead of a bare exit code. The 2× factor absorbs runner-hardware
+//! `ci/bench_budget.json`). Both documents are parsed with the in-repo
+//! codec; a malformed document, or a section entry without a string `name`
+//! and a numeric value, fails the gate with an error naming the entry. The
+//! job fails when the total — or any budgeted section — exceeds twice its
+//! budget, and the failure report names each offending section with its
+//! budget, its measurement, and how far over it is, instead of a bare exit
+//! code. The 2× factor absorbs runner-hardware
 //! variance while still catching complexity regressions.
 //!
 //! Measured sections *absent from the budget file* do not fail the gate by
@@ -30,7 +33,8 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use byterobust_bench::perf::{read_json_name_number_pairs, read_json_number};
+use byterobust_bench::perf::read_sections;
+use byterobust_incident::codec::JsonValue;
 
 /// Allowed slowdown over a budget before the gate trips.
 const REGRESSION_FACTOR: f64 = 2.0;
@@ -62,21 +66,11 @@ fn main() -> ExitCode {
         return usage();
     };
 
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(contents) => Some(contents),
-        Err(err) => {
-            eprintln!("bench_guard: cannot read {path}: {err}");
-            None
-        }
-    };
-    let Some(results) = read(results_path) else {
+    let Some((measured_total, measured_sections)) =
+        read_document(results_path, "total_wall_secs", "wall_secs")
+    else {
         return ExitCode::FAILURE;
     };
-    let Some(measured_total) = read_json_number(&results, "total_wall_secs") else {
-        eprintln!("bench_guard: {results_path} has no numeric total_wall_secs");
-        return ExitCode::FAILURE;
-    };
-    let measured_sections = read_json_name_number_pairs(&results, "wall_secs");
 
     if update {
         let budget = render_budget(measured_total, &measured_sections);
@@ -96,14 +90,11 @@ fn main() -> ExitCode {
         };
     }
 
-    let Some(budget) = read(budget_path) else {
+    let Some((allowed_total, section_budgets)) =
+        read_document(budget_path, "reproduce_fast_budget_secs", "budget_secs")
+    else {
         return ExitCode::FAILURE;
     };
-    let Some(allowed_total) = read_json_number(&budget, "reproduce_fast_budget_secs") else {
-        eprintln!("bench_guard: {budget_path} has no numeric reproduce_fast_budget_secs");
-        return ExitCode::FAILURE;
-    };
-    let section_budgets = read_json_name_number_pairs(&budget, "budget_secs");
 
     // Compare every budgeted quantity; collect the offenders.
     let mut rows = Vec::new();
@@ -213,6 +204,28 @@ fn main() -> ExitCode {
     }
 }
 
+/// Reads the numeric `total_key` and the `sections` pairs (valued by
+/// `value_key`) from the JSON document at `path`. Reports the first problem
+/// on stderr and returns `None`.
+fn read_document(
+    path: &str,
+    total_key: &str,
+    value_key: &str,
+) -> Option<(f64, Vec<(String, f64)>)> {
+    let read = || -> Result<(f64, Vec<(String, f64)>), String> {
+        let text =
+            std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
+        let document = JsonValue::parse(&text).map_err(|err| format!("{path}: {err}"))?;
+        let total = document
+            .field(total_key)
+            .map_err(|err| format!("{path}: no numeric {total_key}: {err}"))?;
+        let sections =
+            read_sections(&document, value_key).map_err(|err| format!("{path}: {err}"))?;
+        Ok((total, sections))
+    };
+    read().map_err(|err| eprintln!("bench_guard: {err}")).ok()
+}
+
 /// Renders a fresh `ci/bench_budget.json` from the current measurement.
 fn render_budget(total: f64, sections: &[(String, f64)]) -> String {
     let mut out = String::new();
@@ -235,7 +248,8 @@ fn render_budget(total: f64, sections: &[(String, f64)]) -> String {
         let comma = if i + 1 == sections.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"name\": \"{name}\", \"budget_secs\": {:.2}}}{comma}",
+            "    {{\"name\": {}, \"budget_secs\": {:.2}}}{comma}",
+            JsonValue::Str(name.clone()).render(),
             secs.max(MIN_BUDGET_SECS)
         );
     }

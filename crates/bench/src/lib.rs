@@ -3,9 +3,9 @@
 //! Every table and figure of the paper's evaluation (§2 and §8) has a
 //! corresponding function in [`experiments`] that runs the relevant workload
 //! on the simulator and renders the same rows/series the paper reports. The
-//! Criterion benches under `benches/` and the `reproduce` binary are thin
-//! wrappers over these functions, so `cargo bench` and
-//! `cargo run -p byterobust-bench --bin reproduce` produce identical content.
+//! `reproduce` binary (`cargo run --release -p byterobust-bench --bin
+//! reproduce`) is the one entry point that runs them: it prints every table,
+//! times each section, and writes the `BENCH_*.json` perf records.
 
 pub mod experiments;
 pub mod perf;

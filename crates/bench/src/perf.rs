@@ -10,13 +10,15 @@
 //! compares the former against the checked-in budget in
 //! `ci/bench_budget.json` and fails CI when the total regresses more than 2×.
 //!
-//! No external serde is available offline, so the writers emit the (small,
-//! flat) JSON by hand; [`read_json_number`] is the matching extractor used by
-//! `bench_guard`.
+//! The writers emit the (small, flat) JSON by hand, escaping names through
+//! the in-repo codec; `bench_guard` reads the documents back with the
+//! codec's parser and [`read_sections`].
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
+
+use byterobust_incident::codec::JsonValue;
 
 /// Where benchmark artifacts are written: `$BYTEROBUST_BENCH_DIR` if set,
 /// else the current directory.
@@ -89,8 +91,8 @@ impl PerfRecorder {
             };
             let _ = writeln!(
                 out,
-                "    {{\"name\": \"{}\", \"wall_secs\": {:.4}}}{comma}",
-                json_escape(&section.name),
+                "    {{\"name\": {}, \"wall_secs\": {:.4}}}{comma}",
+                JsonValue::Str(section.name.clone()).render(),
                 section.wall_secs
             );
         }
@@ -151,7 +153,7 @@ impl FleetBenchStats {
 
     /// Renders the `BENCH_fleet.json` document, appending the mega-drill
     /// measurement when one was taken. The document stays flat: mega keys
-    /// are `mega_`-prefixed, so [`read_json_number`] sees no duplicates.
+    /// are `mega_`-prefixed, so no key appears twice.
     pub fn render_json_with_mega(&self, mega: Option<&MegaBenchStats>) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -195,8 +197,8 @@ impl FleetBenchStats {
 
 /// The mega-drill measurement appended to `BENCH_fleet.json`: the 100×-scale
 /// fleet run once through the serial event loop, with events/sec and the
-/// process peak RSS. Keys are `mega_`-prefixed so the
-/// document stays flat and collision-free for [`read_json_number`].
+/// process peak RSS. Keys are `mega_`-prefixed so the document stays flat
+/// and collision-free.
 #[derive(Debug, Clone)]
 pub struct MegaBenchStats {
     /// Fleet seed.
@@ -331,8 +333,8 @@ impl QueryBenchStats {
             let comma = if i + 1 == self.plans.len() { "" } else { "," };
             let _ = writeln!(
                 out,
-                "    {{\"name\": \"{}\", \"count\": {count}}}{comma}",
-                json_escape(label)
+                "    {{\"name\": {}, \"count\": {count}}}{comma}",
+                JsonValue::Str(label.clone()).render()
             );
         }
         out.push_str("  ]\n}\n");
@@ -402,79 +404,61 @@ impl ObsBenchStats {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
+/// Reads the `sections` array of a `BENCH_reproduce.json` or
+/// `ci/bench_budget.json` document as `(name, <value_key>)` pairs, in
+/// document order. Every entry must carry a string `name` and a numeric
+/// `value_key`; the first one that does not is an error naming it, so a
+/// misspelled budget key fails the gate instead of silently unguarding its
+/// section.
+pub fn read_sections(document: &JsonValue, value_key: &str) -> Result<Vec<(String, f64)>, String> {
+    let Some(JsonValue::Array(entries)) = document.get("sections") else {
+        return Err("no `sections` array".to_string());
+    };
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            let name: String = entry
+                .field("name")
+                .map_err(|err| format!("sections[{i}] has no string `name`: {}", err.message))?;
+            let value = entry.field(value_key).map_err(|err| {
+                format!(
+                    "sections[{i}] `{name}` has no numeric `{value_key}`: {}",
+                    err.message
+                )
+            })?;
+            Ok((name, value))
         })
         .collect()
-}
-
-/// Extracts every `{"name": "<x>", "<value_key>": <number>}` pair from a
-/// JSON document written by this module (the `sections` arrays of
-/// `BENCH_reproduce.json` and `ci/bench_budget.json`), in document order.
-/// Objects without a numeric `value_key` after their `name` are skipped.
-pub fn read_json_name_number_pairs(document: &str, value_key: &str) -> Vec<(String, f64)> {
-    let mut pairs = Vec::new();
-    let mut rest = document;
-    while let Some(at) = rest.find("\"name\"") {
-        rest = &rest[at + "\"name\"".len()..];
-        let Some(colon) = rest.trim_start().strip_prefix(':') else {
-            continue;
-        };
-        let value = colon.trim_start();
-        let Some(value) = value.strip_prefix('"') else {
-            continue;
-        };
-        let Some(end) = value.find('"') else { break };
-        let name = &value[..end];
-        // The value key must belong to this object: look only as far as the
-        // object's closing brace.
-        let tail = &value[end..];
-        let object_end = tail.find('}').unwrap_or(tail.len());
-        if let Some(number) = read_json_number(&tail[..object_end], value_key) {
-            pairs.push((name.to_string(), number));
-        }
-        rest = tail;
-    }
-    pairs
-}
-
-/// Extracts the numeric value of `"key": <number>` from a JSON document
-/// written by this module (flat documents, no nested duplicates of the key).
-/// Returns `None` when the key is absent or not a number.
-pub fn read_json_number(document: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = document.find(&needle)?;
-    let rest = document[at + needle.len()..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parses a rendered document with the codec, so every test also checks
+    /// that the writer emits well-formed JSON.
+    fn parse(json: &str) -> JsonValue {
+        JsonValue::parse(json).unwrap_or_else(|err| panic!("{err}\n{json}"))
+    }
+
+    fn number(document: &JsonValue, key: &str) -> f64 {
+        document.field(key).unwrap()
+    }
+
     #[test]
     fn recorder_renders_and_reads_back() {
         let mut perf = PerfRecorder::new();
         perf.record("table1_incidents", 0.25);
         perf.record("fig2_loss_mfu", 1.5);
-        let json = perf.render_json(true, true, 1.75);
-        assert_eq!(read_json_number(&json, "total_wall_secs"), Some(1.75));
+        let doc = parse(&perf.render_json(true, true, 1.75));
+        assert_eq!(number(&doc, "total_wall_secs"), 1.75);
+        assert_eq!(number(&doc, "sections_wall_secs_sum"), 1.75);
+        assert_eq!(doc.field::<bool>("parallel"), Ok(true));
         assert_eq!(
-            read_json_number(&json, "sections_wall_secs_sum"),
-            Some(1.75)
+            read_sections(&doc, "wall_secs").unwrap()[1],
+            ("fig2_loss_mfu".to_string(), 1.5)
         );
-        assert!(json.contains("\"name\": \"fig2_loss_mfu\""));
-        assert!(json.contains("\"parallel\": true"));
     }
 
     #[test]
@@ -490,9 +474,23 @@ mod tests {
         };
         assert!((stats.events_per_sec() - 1048.0).abs() < 1e-9);
         assert!((stats.scheduler_speedup() - 2.0).abs() < 1e-9);
-        let json = stats.render_json();
-        assert_eq!(read_json_number(&json, "events"), Some(524.0));
-        assert_eq!(read_json_number(&json, "scheduler_speedup"), Some(2.0));
+        let doc = parse(&stats.render_json());
+        assert_eq!(number(&doc, "events"), 524.0);
+        assert_eq!(number(&doc, "scheduler_speedup"), 2.0);
+        let mega = MegaBenchStats {
+            seed: 1,
+            fast_mode: true,
+            jobs: 60,
+            machines: 5120,
+            incidents: 12_000,
+            events: 12_865,
+            serial_wall_secs: 0.5,
+            peak_rss_bytes: 1 << 20,
+        };
+        let doc = parse(&stats.render_json_with_mega(Some(&mega)));
+        assert_eq!(number(&doc, "scheduler_speedup"), 2.0);
+        assert_eq!(number(&doc, "mega_events_per_sec"), 25_730.0);
+        assert_eq!(number(&doc, "mega_peak_rss_bytes"), 1_048_576.0);
     }
 
     #[test]
@@ -513,48 +511,68 @@ mod tests {
             cache_evictions: 2,
         };
         assert!((stats.queries_per_sec() - 100_000.0).abs() < 1e-6);
-        let json = stats.render_json();
-        assert_eq!(read_json_number(&json, "queries"), Some(1_000_000.0));
-        assert_eq!(read_json_number(&json, "p99_nanos"), Some(65536.0));
-        assert_eq!(read_json_number(&json, "cache_faults"), Some(5.0));
-        assert_eq!(
-            read_json_name_number_pairs(&json, "count"),
-            vec![("machine".to_string(), 7.0), ("scan".to_string(), 3.0)]
-        );
+        let doc = parse(&stats.render_json());
+        assert_eq!(number(&doc, "queries"), 1_000_000.0);
+        assert_eq!(number(&doc, "p99_nanos"), 65536.0);
+        assert_eq!(number(&doc, "cache_faults"), 5.0);
+        let Some(JsonValue::Array(plans)) = doc.get("plans") else {
+            panic!("no plans array");
+        };
+        let plans: Vec<(String, u64)> = plans
+            .iter()
+            .map(|plan| (plan.field("name").unwrap(), plan.field("count").unwrap()))
+            .collect();
+        assert_eq!(plans, stats.plans);
     }
 
     #[test]
     fn name_number_pairs_extraction() {
         let mut perf = PerfRecorder::new();
         perf.record("table1_incidents", 0.25);
-        perf.record("fleet_panel", 1.5);
-        let json = perf.render_json(true, false, 1.75);
+        perf.record("fleet \"panel\"", 1.5);
+        let doc = parse(&perf.render_json(true, false, 1.75));
         assert_eq!(
-            read_json_name_number_pairs(&json, "wall_secs"),
-            vec![
+            read_sections(&doc, "wall_secs"),
+            Ok(vec![
                 ("table1_incidents".to_string(), 0.25),
-                ("fleet_panel".to_string(), 1.5)
-            ]
+                ("fleet \"panel\"".to_string(), 1.5)
+            ])
         );
         // A budget-shaped document with a different value key.
-        let budget = r#"{"sections": [
-            {"name": "a", "budget_secs": 0.5},
-            {"name": "broken"},
-            {"name": "b", "budget_secs": 2}
-        ]}"#;
-        assert_eq!(
-            read_json_name_number_pairs(budget, "budget_secs"),
-            vec![("a".to_string(), 0.5), ("b".to_string(), 2.0)]
+        let budget = parse(
+            r#"{"sections": [
+                {"name": "a", "budget_secs": 0.5},
+                {"name": "b", "budget_secs": 2}
+            ]}"#,
         );
-        assert!(read_json_name_number_pairs("{}", "wall_secs").is_empty());
+        assert_eq!(
+            read_sections(&budget, "budget_secs"),
+            Ok(vec![("a".to_string(), 0.5), ("b".to_string(), 2.0)])
+        );
+        assert_eq!(
+            read_sections(&parse(r#"{"sections": []}"#), "wall_secs"),
+            Ok(vec![])
+        );
+        assert!(read_sections(&parse("{}"), "wall_secs").is_err());
     }
 
     #[test]
-    fn json_number_extraction_edge_cases() {
-        assert_eq!(read_json_number("{}", "missing"), None);
-        assert_eq!(read_json_number("{\"a\": 3}", "a"), Some(3.0));
-        assert_eq!(read_json_number("{\"a\": -1.5e3}", "a"), Some(-1500.0));
-        assert_eq!(read_json_number("{\"a\": \"text\"}", "a"), None);
+    fn misspelled_budget_key_is_an_error_naming_the_entry() {
+        let budget = parse(
+            r#"{"sections": [
+                {"name": "table1_incidents", "budget_secs": 0.25},
+                {"name": "fleet_panel", "budget_sec": 0.5}
+            ]}"#,
+        );
+        let err = read_sections(&budget, "budget_secs").unwrap_err();
+        assert!(err.contains("sections[1] `fleet_panel`"), "{err}");
+        assert!(err.contains("`budget_secs`"), "{err}");
+        let text = parse(r#"{"sections": [{"name": "fleet_panel", "budget_secs": "0.5"}]}"#);
+        let err = read_sections(&text, "budget_secs").unwrap_err();
+        assert!(err.contains("sections[0] `fleet_panel`"), "{err}");
+        let unnamed = parse(r#"{"sections": [{"budget_secs": 0.5}]}"#);
+        let err = read_sections(&unnamed, "budget_secs").unwrap_err();
+        assert!(err.contains("sections[0] has no string `name`"), "{err}");
     }
 
     #[test]
@@ -567,8 +585,9 @@ mod tests {
             metrics_json: "{\"format\": 1}".to_string(),
         };
         let json = stats.render_json();
-        assert_eq!(read_json_number(&json, "trace_export_secs"), Some(0.001));
-        assert_eq!(read_json_number(&json, "trace_diagnose_secs"), Some(0.003));
+        let doc = parse(&json);
+        assert_eq!(number(&doc, "trace_export_secs"), 0.001);
+        assert_eq!(number(&doc, "trace_diagnose_secs"), 0.003);
         assert!(json.contains("\"alerts\": {\"score_secs\": 0.000001},"));
         assert!(json.contains("\"metrics\": {\"format\": 1}"));
         assert!(json.ends_with("}\n"));

@@ -6,15 +6,13 @@
 //! destroys MFU when checkpointing every iteration (Table 8); the background
 //! time bounds how frequently checkpoints can be taken.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_sim::SimDuration;
 use byterobust_trainsim::{JobSpec, StepBreakdown};
 
 use crate::state::CheckpointState;
 
 /// Which checkpointing approach is in use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CheckpointApproach {
     /// Blocking checkpointing to remote storage as in Megatron-LM.
     MegatronSave,
@@ -44,7 +42,7 @@ impl CheckpointApproach {
 }
 
 /// Result of one checkpoint save.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaveOutcome {
     /// Time training is stalled waiting for the save.
     pub blocking: SimDuration,
@@ -61,7 +59,7 @@ impl SaveOutcome {
 }
 
 /// A checkpoint engine: computes save outcomes for a job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointEngine {
     approach: CheckpointApproach,
     state: CheckpointState,

@@ -1,7 +1,5 @@
 //! Checkpointing plans: approach, frequency per storage tier.
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::CheckpointApproach;
 
 /// How often checkpoints are taken at each storage tier.
@@ -11,7 +9,7 @@ use crate::engine::CheckpointApproach;
 /// storage for durability beyond the cluster (§6.3). The baselines checkpoint
 /// far less often because each save stalls training (§2.3 cites 30-minute or
 /// 100-step intervals).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPlan {
     /// Approach used for the hot path.
     pub approach: CheckpointApproach,

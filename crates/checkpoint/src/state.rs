@@ -1,12 +1,10 @@
 //! Checkpoint state sizing: how many bytes each rank / machine must persist.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_trainsim::JobSpec;
 
 /// Sizes of the training state that a checkpoint must capture, derived from
 //  the job's model and parallelism layout.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointState {
     /// Model weight bytes held by one rank (sharded over TP × PP).
     pub weight_bytes_per_rank: f64,

@@ -7,8 +7,6 @@
 //! survive process crashes but not machine eviction; remote copies always
 //! survive but are slow to fetch and usually old.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_cluster::MachineId;
 use byterobust_parallelism::{BackupAssignment, ParallelTopology};
 use byterobust_sim::SimDuration;
@@ -17,7 +15,7 @@ use byterobust_trainsim::JobSpec;
 use crate::state::CheckpointState;
 
 /// Where a checkpoint copy lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageTier {
     /// Host CPU memory of the owning machine, plus the peer backup.
     CpuMemory,
@@ -29,7 +27,7 @@ pub enum StorageTier {
 
 /// A restorable checkpoint: the step it captures, the tier it will be loaded
 /// from, and how long loading takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPoint {
     /// Optimizer step captured by the checkpoint.
     pub step: u64,
@@ -41,7 +39,7 @@ pub struct RecoveryPoint {
 
 /// Tracks the latest complete checkpoint per tier and answers recovery
 /// queries under machine eviction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CheckpointStore {
     topology: ParallelTopology,
     backup: BackupAssignment,

@@ -5,7 +5,6 @@
 //! records when and why each machine was blocked, supports release after
 //! repair, and tracks repeat offenders.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use byterobust_sim::SimTime;
@@ -14,7 +13,7 @@ use crate::fault::FaultKind;
 use crate::ids::MachineId;
 
 /// One blacklist entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlacklistEntry {
     /// When the machine was blocked.
     pub since: SimTime,
@@ -28,7 +27,7 @@ pub struct BlacklistEntry {
 }
 
 /// The set of machines currently blocked from scheduling.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Blacklist {
     entries: HashMap<MachineId, BlacklistEntry>,
     /// Historical count of blacklisting events per machine (survives release).

@@ -8,14 +8,12 @@
 //! rate scales with cluster size (Meta reports roughly one hardware failure
 //! every 2.78 hours at 16k GPUs; the default rate here is calibrated to that).
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_sim::{SimDuration, SimRng, SimTime};
 
 use crate::ids::MachineId;
 
 /// Incident category (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultCategory {
     /// Clear diagnostic indicators: error messages, exit codes.
     Explicit,
@@ -27,7 +25,7 @@ pub enum FaultCategory {
 }
 
 /// Concrete incident symptom, mirroring Table 1 of the paper exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultKind {
     // --- Explicit failures ---
     /// CUDA error raised by a kernel launch or runtime call (36.1%).
@@ -181,7 +179,7 @@ impl FaultKind {
 }
 
 /// Root cause classes from Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RootCause {
     /// Underlying hardware or platform software (GPUs, NICs, switches,
     /// remote storage, host OS).
@@ -196,7 +194,7 @@ pub enum RootCause {
 }
 
 /// A concrete incident produced by the injector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
     /// When the underlying fault begins to affect the job.
     pub at: SimTime,
@@ -225,7 +223,7 @@ impl FaultEvent {
 }
 
 /// Configuration for the fault injector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultInjectorConfig {
     /// Number of machines in the job.
     pub machines: usize,

@@ -5,12 +5,10 @@
 //! bit-wise-alignment checks (§4.2, §4.3) probe for broken HBM and silent data
 //! corruption. This module models exactly the state those checks observe.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::GpuId;
 
 /// Coarse operational state of a GPU as seen by the monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuState {
     /// Operating normally.
     Healthy,
@@ -31,7 +29,7 @@ impl GpuState {
 }
 
 /// A single GPU device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gpu {
     /// Identity (machine + slot).
     pub id: GpuId,

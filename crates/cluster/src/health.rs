@@ -6,13 +6,11 @@
 //! concrete [`HealthIssue`]s found so the agent can decide whether to raise a
 //! warning to the controller.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gpu::Gpu;
 use crate::machine::{Machine, NicState};
 
 /// A single anomalous finding from an inspection sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HealthIssue {
     /// RDMA NIC is down.
     NicDown,
@@ -59,7 +57,7 @@ impl HealthIssue {
 }
 
 /// Result of one inspection sweep over one machine.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HealthReport {
     /// Issues discovered, in detection order.
     pub issues: Vec<HealthIssue>,

@@ -1,10 +1,9 @@
 //! Strongly-typed identifiers for cluster resources.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a physical machine (training node) in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MachineId(pub u32);
 
 impl MachineId {
@@ -21,7 +20,7 @@ impl fmt::Display for MachineId {
 }
 
 /// Identifier of a single GPU: the machine it lives on plus its local slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GpuId {
     /// Hosting machine.
     pub machine: MachineId,
@@ -44,7 +43,7 @@ impl fmt::Display for GpuId {
 
 /// Identifier of a network switch. Machines are grouped under leaf switches;
 /// a switch failure affects every machine under it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwitchId(pub u32);
 
 impl fmt::Display for SwitchId {

@@ -5,13 +5,11 @@
 //! standby, evicted). The monitor's host-side and network-side inspections
 //! (§4.1) read the fields modelled here.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gpu::{Gpu, GpuState};
 use crate::ids::{GpuId, MachineId, SwitchId};
 
 /// Lifecycle state of a machine from the controller's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MachineState {
     /// Participating in the training job.
     Active,
@@ -27,7 +25,7 @@ pub enum MachineState {
 }
 
 /// NIC operational state used by the network-side inspections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NicState {
     /// Normal operation.
     Up,
@@ -40,7 +38,7 @@ pub enum NicState {
 /// Host-side resource condition (CPU / memory / disk), the source of several
 /// explicit failure classes in Table 1 (CPU overload, CPU OOM, insufficient
 /// disk space, filesystem mount failures).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostCondition {
     /// Host CPU utilization in `[0, 1]`; sustained values near 1.0 correspond
     /// to the "CPU Overload" incident class.
@@ -68,7 +66,7 @@ impl Default for HostCondition {
 }
 
 /// A training machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Machine {
     /// Identity.
     pub id: MachineId,

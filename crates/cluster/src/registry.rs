@@ -19,14 +19,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_sim::SimTime;
 
 use crate::ids::MachineId;
 
 /// One cross-job machine migration, in fleet event order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationRecord {
     /// The machine that moved (same id before and after).
     pub machine: MachineId,
@@ -39,7 +37,7 @@ pub struct MigrationRecord {
 }
 
 /// Fleet-wide machine bookkeeping shared across every job in a fleet run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetMachineRegistry {
     /// Per-job: every machine id currently in that job's cluster.
     members: Vec<BTreeSet<MachineId>>,

@@ -11,8 +11,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_sim::SimTime;
 
 use crate::blacklist::Blacklist;
@@ -21,7 +19,7 @@ use crate::ids::{MachineId, SwitchId};
 use crate::machine::{Machine, MachineState};
 
 /// Static description of a cluster to construct.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// Machines actively assigned to the training job.
     pub active_machines: usize,
@@ -78,7 +76,7 @@ impl ClusterSpec {
 }
 
 /// The live cluster: machine objects, switch attachment, and the blacklist.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     spec: ClusterSpec,
     machines: Vec<Machine>,

@@ -1,7 +1,5 @@
 //! End-to-end job configuration for the lifecycle driver.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_checkpoint::CheckpointPlan;
 use byterobust_cluster::{ClusterSpec, FaultInjectorConfig};
 use byterobust_recovery::StandbyPoolConfig;
@@ -9,7 +7,7 @@ use byterobust_sim::SimDuration;
 use byterobust_trainsim::JobSpec;
 
 /// Everything needed to run one simulated training job under ByteRobust.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobConfig {
     /// The training job (model, parallelism, batch, hardware).
     pub job: JobSpec,

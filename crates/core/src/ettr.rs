@@ -5,13 +5,11 @@
 //! **sliding-window** ETTR over the last hour, which surfaces the impact of
 //! individual incidents that the cumulative figure smooths away.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_incident::codec::{CodecError, Decode, Encode, JsonValue};
 use byterobust_sim::{SimDuration, SimTime};
 
 /// One recorded segment of job time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Segment {
     start: SimTime,
     duration: SimDuration,
@@ -19,7 +17,7 @@ struct Segment {
 }
 
 /// Tracks productive vs. unproductive time and derives ETTR curves.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EttrTracker {
     segments: Vec<Segment>,
 }

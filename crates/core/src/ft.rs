@@ -9,8 +9,6 @@
 //! incident, and the controller keeps escalating until the (ground-truth)
 //! fault is actually cleared, exactly like the fail edges in Fig. 5.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_agent::{
     CkptManager, Diagnoser, DiagnosisConclusion, Monitor, OnDemandTracer, SelectiveStressTester,
 };
@@ -32,7 +30,7 @@ use byterobust_trainsim::TrainingRuntime;
 pub use byterobust_incident::ResolutionMechanism;
 
 /// The outcome of handling one incident.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncidentOutcome {
     /// The mechanism that finally resolved the incident.
     pub mechanism: ResolutionMechanism,
@@ -61,7 +59,7 @@ pub struct IncidentOutcome {
 }
 
 /// Configuration of the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Steps intentionally rolled back after manual restarts to verify
     /// bit-wise alignment of the new code (§2.1).

@@ -1,7 +1,6 @@
 //! Job reports: everything the §8.1 deployment figures and tables are
 //! derived from.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use byterobust_cluster::{FaultCategory, FaultKind, RootCause};
@@ -14,7 +13,7 @@ use crate::ettr::EttrTracker;
 use crate::ft::ResolutionMechanism;
 
 /// One resolved incident.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncidentRecord {
     /// When the incident started.
     pub at: SimTime,
@@ -43,7 +42,7 @@ impl IncidentRecord {
 }
 
 /// A point of the reported MFU / loss series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     /// Simulated time of the sample.
     pub at: SimTime,
@@ -54,7 +53,7 @@ pub struct SeriesPoint {
 }
 
 /// The full report of one simulated job run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
     /// Human-readable name of the job.
     pub job_name: String,

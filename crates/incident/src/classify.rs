@@ -11,8 +11,6 @@
 //! backlog (hardware tickets, stress-test sweeps, code audits, capacity
 //! reviews, on-call pages).
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_cluster::{FaultCategory, RootCause};
 use byterobust_sim::SimDuration;
 
@@ -21,7 +19,7 @@ use crate::mechanism::ResolutionMechanism;
 /// Severity classes, most severe first. The derived ordering makes `Sev1`
 /// compare *smallest*, so "at least Sev2" is `severity <= Severity::Sev2`;
 /// use [`Severity::is_at_least`] rather than spelling that out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Severity {
     /// Fleet-level impact or prolonged outage; a human is paged.
     Sev1,
@@ -65,7 +63,7 @@ impl Severity {
 }
 
 /// Follow-up channels an incident can escalate into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Escalation {
     /// Page the on-call operator (Sev1 only).
     PageOncall,
@@ -97,7 +95,7 @@ impl Escalation {
 }
 
 /// Everything the matrix keys on for one incident.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassificationInput {
     /// Incident category (explicit / implicit / manual restart).
     pub category: FaultCategory,
@@ -116,7 +114,7 @@ pub struct ClassificationInput {
 }
 
 /// The classification the matrix assigns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Classification {
     /// Assigned severity class.
     pub severity: Severity,
@@ -134,7 +132,7 @@ impl Classification {
 }
 
 /// The classification matrix with its escalation thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassificationMatrix {
     /// Blast radius at or above which an incident is at least Sev2.
     pub sev2_blast_radius: usize,

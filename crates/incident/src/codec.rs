@@ -1,13 +1,11 @@
 //! A small, self-describing JSON codec for the incident subsystem.
 //!
-//! The container has no registry access, so the workspace's `serde` is a
-//! no-op stand-in (`crates/compat/serde`) — the `Serialize`/`Deserialize`
-//! derives on the incident types compile but produce nothing. Persistence
-//! cannot wait for the registry: warehouse disk-spill and incident-store
-//! export both need real bytes on disk *now*. This module is the in-repo
-//! bridge: a hand-rolled JSON value model ([`JsonValue`]), a writer with
-//! full string escaping, a positioned parser, and [`Encode`]/[`Decode`]
-//! impls for every type an [`IncidentDossier`] closes over.
+//! The workspace builds from its own crates alone, so this module is its
+//! one serialization layer: warehouse disk-spill, incident-store export, and
+//! the query, trace, alert and metrics documents all go through it. It is a
+//! hand-rolled JSON value model ([`JsonValue`]), a writer with full string
+//! escaping, a positioned parser, and [`Encode`]/[`Decode`] impls for every
+//! type an [`IncidentDossier`] closes over.
 //!
 //! Design constraints, in priority order:
 //!
@@ -23,8 +21,8 @@
 //! 3. **Errors, never panics.** Parsing a corrupted segment returns a
 //!    [`CodecError`] naming the byte offset, line, and column; decoding a
 //!    well-formed but wrong-shaped document returns one naming the JSON path
-//!    (`dossiers[3].capture.window[2].event`). The swap to real serde deletes
-//!    this module wholesale; nothing outside the codec API leaks its shape.
+//!    (`dossiers[3].capture.window[2].event`). Nothing outside the codec API
+//!    leaks its shape.
 
 use std::fmt;
 

@@ -24,9 +24,10 @@
 //!    [`store::IncidentDossier`]s with a query API (by category, severity,
 //!    time window, machine, mechanism) that `JobReport` aggregations and the
 //!    bench tables read instead of recomputing from raw records.
-//! 5. [`codec`] — a hand-rolled, self-describing JSON codec (the offline
-//!    stand-in for real serde) with [`codec::Encode`]/[`codec::Decode`] impls
-//!    for every incident type, powering `IncidentStore::export_json` /
+//! 5. [`codec`] — a hand-rolled, self-describing JSON codec (the
+//!    workspace's only serialization layer) with
+//!    [`codec::Encode`]/[`codec::Decode`] impls for every incident type,
+//!    powering `IncidentStore::export_json` /
 //!    `IncidentStore::import_json` and the fleet warehouse's disk-spill
 //!    segment files.
 //!

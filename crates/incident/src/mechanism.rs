@@ -4,10 +4,8 @@
 //! here so the classification matrix can key on it without a dependency
 //! cycle. The core crate re-exports it from its old path.
 
-use serde::{Deserialize, Serialize};
-
 /// Which mechanism finally resolved an incident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResolutionMechanism {
     /// Real-time checks identified the machine; evicted immediately
     /// (AutoFT-ER fast path).

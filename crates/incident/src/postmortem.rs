@@ -11,8 +11,6 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_cluster::{FaultCategory, FaultKind, MachineId, RootCause};
 use byterobust_recovery::FailoverCost;
 use byterobust_sim::{SimDuration, SimTime};
@@ -23,7 +21,7 @@ use crate::recorder::{RecorderEntry, RecoveryPhase};
 use crate::store::IncidentDossier;
 
 /// Unproductive time charged to one recovery phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseCost {
     /// The phase.
     pub phase: RecoveryPhase,
@@ -65,7 +63,7 @@ impl PhaseCost {
 }
 
 /// A structured postmortem for one closed incident.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Postmortem {
     /// Incident sequence number.
     pub seq: u64,

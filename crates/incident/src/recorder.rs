@@ -14,8 +14,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_agent::DiagnosisConclusion;
 use byterobust_cluster::{FaultKind, MachineId};
 use byterobust_sim::{SimDuration, SimTime};
@@ -23,7 +21,7 @@ use byterobust_telemetry::{EventKind, SystemEvent};
 
 /// The recovery phases an incident's unproductive time is charged to, in
 /// chronological order (the Fig. 3 decomposition).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RecoveryPhase {
     /// Fault occurred → system noticed it.
     Detection,
@@ -65,7 +63,7 @@ impl RecoveryPhase {
 
 /// Which subsystem produced a recorded event; used to label evidence in the
 /// postmortem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvidenceSource {
     /// The telemetry substrate (dmesg/DCGM/switch-telemetry analogues).
     Telemetry,
@@ -82,7 +80,7 @@ pub enum EvidenceSource {
 }
 
 /// One event captured by the flight recorder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RecorderEvent {
     /// A raw system event surfaced by the telemetry tap.
     Telemetry(SystemEvent),
@@ -289,7 +287,7 @@ impl fmt::Display for RecorderEvent {
 }
 
 /// A timestamped recorder entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecorderEntry {
     /// When the event happened (simulated time).
     pub at: SimTime,
@@ -305,7 +303,7 @@ impl fmt::Display for RecorderEntry {
 
 /// The frozen capture of one incident: pre-incident context plus the incident
 /// window, immutable once the incident closes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncidentCapture {
     /// Incident sequence number (matches the fault injector's `seq`).
     pub seq: u64,
@@ -388,7 +386,7 @@ impl IncidentCapture {
 }
 
 /// Flight-recorder sizing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightRecorderConfig {
     /// Maximum background entries kept in the ring.
     pub capacity: usize,
@@ -411,7 +409,7 @@ impl Default for FlightRecorderConfig {
 }
 
 /// The currently-open incident.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ActiveIncident {
     seq: u64,
     kind: FaultKind,
@@ -422,7 +420,7 @@ struct ActiveIncident {
 }
 
 /// The flight recorder. One lives inside each `RobustController`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecorder {
     config: FlightRecorderConfig,
     ring: VecDeque<RecorderEntry>,

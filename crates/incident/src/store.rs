@@ -12,8 +12,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_cluster::{FaultCategory, FaultKind, MachineId, RootCause};
 use byterobust_recovery::FailoverCost;
 use byterobust_sim::{SimDuration, SimTime};
@@ -33,7 +31,7 @@ pub fn category_label(category: FaultCategory) -> &'static str {
 }
 
 /// Everything the system durably knows about one closed incident.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncidentDossier {
     /// Incident sequence number (the injector's `seq`).
     pub seq: u64,
@@ -82,7 +80,7 @@ impl IncidentDossier {
 }
 
 /// A conjunctive filter over the store; `None` fields match everything.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IncidentQuery {
     /// Match this incident category.
     pub category: Option<FaultCategory>,
@@ -152,7 +150,7 @@ impl IncidentQuery {
 /// *and* in the fleet warehouse shard (and any epoch snapshot of it) as one
 /// shared allocation — at mega-drill scale the second copy per incident was
 /// both the dominant insert cost and a third of resident memory.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IncidentStore {
     dossiers: Vec<Arc<IncidentDossier>>,
 }

@@ -10,7 +10,6 @@
 //! (e.g. pure ZeRO data parallelism) no such peer exists, and the strategy
 //! falls back to the neighbouring machine as described in the paper.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use byterobust_cluster::MachineId;
@@ -19,7 +18,7 @@ use crate::groups::ParallelTopology;
 use crate::rank::{Rank, RankCoords};
 
 /// The backup peer assignment for every rank of a job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BackupAssignment {
     peer_of: HashMap<Rank, Rank>,
     /// Whether the cross-group property could be satisfied (false means the

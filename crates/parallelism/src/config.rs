@@ -1,10 +1,8 @@
 //! Parallelism configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Sizes of each parallelism dimension for a training job, plus the machine
 /// packing (GPUs per machine) needed to map ranks onto hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelismConfig {
     /// Tensor-parallel group size.
     pub tp: usize,

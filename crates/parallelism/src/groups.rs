@@ -5,15 +5,13 @@
 //! its checkpoint backup strategy must place replicas outside all of a rank's
 //! groups (§6.3). This module provides those group computations.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_cluster::MachineId;
 
 use crate::config::ParallelismConfig;
 use crate::rank::{Rank, RankMapping};
 
 /// The kind of a parallel communication group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupKind {
     /// Tensor-parallel group: ranks sharing (dp, pp), varying tp.
     Tensor,
@@ -32,7 +30,7 @@ impl GroupKind {
 
 /// A concrete parallel group: its kind, its index among groups of that kind,
 /// and its member ranks (ascending).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelGroup {
     /// The dimension this group communicates over.
     pub kind: GroupKind,
@@ -55,7 +53,7 @@ impl ParallelGroup {
 }
 
 /// Group-level view over a [`RankMapping`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParallelTopology {
     mapping: RankMapping,
 }

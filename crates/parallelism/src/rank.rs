@@ -1,6 +1,5 @@
 //! Ranks, rank coordinates, and the rank ↔ machine mapping.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use byterobust_cluster::MachineId;
@@ -8,7 +7,7 @@ use byterobust_cluster::MachineId;
 use crate::config::ParallelismConfig;
 
 /// A global training rank (one GPU worker process).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rank(pub u32);
 
 impl Rank {
@@ -25,7 +24,7 @@ impl fmt::Display for Rank {
 }
 
 /// Position of a rank in the (tp, dp, pp) grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RankCoords {
     /// Tensor-parallel index, `0..tp`.
     pub tp: usize,
@@ -44,7 +43,7 @@ impl RankCoords {
 }
 
 /// Maps ranks to grid coordinates and to hosting machines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankMapping {
     config: ParallelismConfig,
 }

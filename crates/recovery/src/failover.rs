@@ -7,12 +7,10 @@
 //! checkpoint. This module aggregates those pieces so the lifecycle driver
 //! and the Fig. 3 bench can report the same breakdown the paper shows.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_sim::SimDuration;
 
 /// Breakdown of one incident's unproductive time.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FailoverCost {
     /// Time from the fault occurring to the system noticing it.
     pub detection: SimDuration,

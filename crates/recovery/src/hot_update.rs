@@ -9,13 +9,11 @@
 //! applied change is persisted so it can be rolled back when the stop-time
 //! checks implicate recent user code.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_sim::{SimDuration, SimTime};
 use byterobust_trainsim::CodeVersion;
 
 /// How urgently an update must be applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UpdateUrgency {
     /// Bug fix or algorithm correction: halt training and apply now.
     Critical,
@@ -25,7 +23,7 @@ pub enum UpdateUrgency {
 }
 
 /// A requested code/data change.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateRequest {
     /// When the request was filed.
     pub requested_at: SimTime,
@@ -40,7 +38,7 @@ pub struct UpdateRequest {
 
 /// A record of an applied update (the persistence the paper requires for
 /// traceability and reproducibility).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppliedUpdate {
     /// The original request.
     pub request: UpdateRequest,
@@ -53,7 +51,7 @@ pub struct AppliedUpdate {
 }
 
 /// Manages pending and applied hot updates and the resulting code version.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HotUpdateManager {
     /// Window after which a pending non-critical update is force-applied.
     pub trigger_window: SimDuration,

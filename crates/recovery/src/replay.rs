@@ -9,14 +9,13 @@
 //! and vertical groups pinpoints the faulty machine(s) in just two replay
 //! rounds instead of `O(z)` per-machine tests.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 use byterobust_cluster::MachineId;
 use byterobust_sim::SimDuration;
 
 /// Parameters of the replay procedure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayConfig {
     /// Group size `m`. Recommended to be a multiple of the PP size so each
     /// group can host complete pipelines with the original TP/PP layout.
@@ -45,7 +44,7 @@ impl ReplayConfig {
 }
 
 /// Result of running the dual-phase replay.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayOutcome {
     /// Suspect machines (the solution set `S` of Algorithm 1). Empty when no
     /// group failed in either phase.
@@ -66,7 +65,7 @@ impl ReplayOutcome {
 }
 
 /// The dual-phase replay procedure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DualPhaseReplay {
     /// Configuration.
     pub config: ReplayConfig,

@@ -14,14 +14,12 @@
 //! The in-place hot-update path (code changes with no machine change) is also
 //! modelled here because Table 7 compares it against a full requeue.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_sim::{SimDuration, SimTime};
 
 use crate::standby::WarmStandbyPool;
 
 /// What a [`StandbyScheduler`] did to cover one eviction batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulingOutcome {
     /// Scheduling time charged to the incident (the slowest covering path).
     pub duration: SimDuration,
@@ -96,7 +94,7 @@ impl StandbyScheduler for WarmStandbyPool {
 }
 
 /// Which restart strategy is used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RestartStrategy {
     /// Kill and requeue the entire job.
     Requeue,
@@ -129,7 +127,7 @@ impl RestartStrategy {
 }
 
 /// Scale-dependent scheduling-cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RestartCostModel {
     /// Machines in the job.
     pub job_machines: usize,

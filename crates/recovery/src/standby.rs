@@ -8,15 +8,13 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_cluster::MachineId;
 use byterobust_sim::{SimDuration, SimTime};
 
 use crate::binomial::binomial_quantile;
 
 /// Sizing and timing parameters for the pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StandbyPoolConfig {
     /// Machines in the training job.
     pub job_machines: usize,
@@ -57,7 +55,7 @@ impl StandbyPoolConfig {
 }
 
 /// The result of asking the pool to cover an eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StandbyGrant {
     /// Standbys awakened immediately.
     pub granted: usize,
@@ -67,7 +65,7 @@ pub struct StandbyGrant {
 }
 
 /// The warm-standby pool state machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WarmStandbyPool {
     config: StandbyPoolConfig,
     target_size: usize,

@@ -6,9 +6,9 @@
 //! per experiment keeps every run reproducible from its seed, which is how we
 //! regenerate the paper's tables deterministically.
 //!
-//! The ChaCha12 block function is implemented inline (the build environment
-//! has no registry access for `rand_chacha`); the stream is deterministic per
-//! seed but makes no compatibility claim with any external crate's stream.
+//! The ChaCha12 block function is implemented inline (the workspace depends
+//! on no registry crate, `rand_chacha` included); the stream is deterministic
+//! per seed but makes no compatibility claim with any external crate's stream.
 
 use crate::time::SimDuration;
 

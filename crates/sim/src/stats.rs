@@ -4,11 +4,10 @@
 //! experiment harnesses (P99 standby sizing, weighted-average scheduling time,
 //! ETTR series) all need small, allocation-light statistics helpers.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Streaming mean / variance / min / max (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -110,7 +109,7 @@ impl OnlineStats {
 
 /// A fixed-capacity sliding window over recent samples, used by the monitor
 /// for windowed anomaly checks (e.g. "MFU over the last N iterations").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlidingWindow {
     capacity: usize,
     values: VecDeque<f64>,

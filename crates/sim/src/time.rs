@@ -6,14 +6,11 @@
 //! years of simulated time, which is more than enough, while keeping all time
 //! arithmetic exact and `Copy`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// A span of simulated time with millisecond resolution.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -171,9 +168,7 @@ impl fmt::Display for SimDuration {
 
 /// An absolute instant on the simulated timeline (milliseconds since job
 /// submission time zero).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -7,14 +7,12 @@
 //! * persistently low TensorCore utilization,
 //! * MFU decline relative to the recent window (fail-slow indicator).
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_sim::{SimDuration, SimTime};
 
 use crate::metrics::{MetricKind, MetricStore};
 
 /// An anomaly derived from workload metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Anomaly {
     /// Loss or gradient norm became NaN.
     NanValue,
@@ -33,7 +31,7 @@ pub enum Anomaly {
 }
 
 /// Thresholds for the anomaly rules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnomalyDetectorConfig {
     /// Spike factor treated as anomalous for loss and gradient norm (paper: 5×).
     pub spike_factor: f64,
@@ -61,7 +59,7 @@ impl Default for AnomalyDetectorConfig {
 }
 
 /// Stateless detector applying the rules to a [`MetricStore`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AnomalyDetector {
     /// Rule thresholds.
     pub config: AnomalyDetectorConfig,

@@ -2,13 +2,11 @@
 //! inspection infrastructure (dmesg Xid entries, DCGM alerts, switch telemetry,
 //! storage client errors).
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_cluster::MachineId;
 use byterobust_sim::SimTime;
 
 /// Kinds of system events the monitor consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// NVIDIA Xid error reported in dmesg.
     XidError,
@@ -62,7 +60,7 @@ impl EventKind {
 }
 
 /// A timestamped system event attributed to a machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemEvent {
     /// When the event was observed.
     pub at: SimTime,
@@ -80,7 +78,7 @@ impl SystemEvent {
 }
 
 /// A bounded in-memory event log with windowed queries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EventLog {
     events: Vec<SystemEvent>,
 }

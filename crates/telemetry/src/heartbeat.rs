@@ -5,14 +5,13 @@
 //! unreachable — a strong explicit-failure signal independent of the training
 //! process's own logs.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use byterobust_cluster::MachineId;
 use byterobust_sim::{SimDuration, SimTime};
 
 /// Tracks the last heartbeat received from each machine's agent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeartbeatTracker {
     timeout: SimDuration,
     last_seen: HashMap<MachineId, SimTime>,

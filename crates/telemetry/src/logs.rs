@@ -7,13 +7,11 @@
 //! rollback) from infrastructure-looking errors (CUDA/NCCL errors — triggering
 //! stop-time checks), which is exactly what [`classify_log`] does.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_cluster::MachineId;
 use byterobust_sim::SimTime;
 
 /// Severity of a log line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogLevel {
     /// Informational output.
     Info,
@@ -24,7 +22,7 @@ pub enum LogLevel {
 }
 
 /// A captured log line from a training process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogLine {
     /// When the line was emitted.
     pub at: SimTime,
@@ -49,7 +47,7 @@ impl LogLine {
 }
 
 /// A process exit code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExitCode(pub i32);
 
 impl ExitCode {
@@ -72,7 +70,7 @@ impl ExitCode {
 
 /// Coarse classification of an error indication, driving the controller's
 /// first routing decision (Fig. 5 steps 2 and 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogClass {
     /// User-space error clearly traceable to user code (TypeError, IndexError,
     /// assertion in model code, shape mismatch) — triggers a code rollback.

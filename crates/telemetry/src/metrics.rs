@@ -1,12 +1,11 @@
 //! Workload and system metric series.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use byterobust_sim::SimTime;
 
 /// The metrics the monitor collects continuously (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// Training loss.
     Loss,
@@ -38,7 +37,7 @@ impl MetricKind {
 }
 
 /// A single timestamped metric sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricPoint {
     /// When the sample was taken.
     pub at: SimTime,
@@ -47,7 +46,7 @@ pub struct MetricPoint {
 }
 
 /// In-memory metric store (the reproduction's stand-in for wandb).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricStore {
     series: HashMap<MetricKind, Vec<MetricPoint>>,
 }

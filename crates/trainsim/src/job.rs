@@ -1,14 +1,12 @@
 //! Job specifications: a model, a parallelism layout, batch sizes, and the
 //! hardware characteristics of the machines the job runs on.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_parallelism::ParallelismConfig;
 
 use crate::model::ModelSpec;
 
 /// Hardware characteristics relevant to step timing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareSpec {
     /// Peak dense BF16 throughput per GPU, in TFLOPs.
     pub peak_tflops: f64,
@@ -49,7 +47,7 @@ impl HardwareSpec {
 }
 
 /// Full specification of a training job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Model being trained.
     pub model: ModelSpec,

@@ -8,11 +8,9 @@
 //! loss curve with controllable spike / NaN / divergence injection so both
 //! behaviours can be reproduced.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic loss and gradient-norm curves as a function of the training
 /// step, with fault-injection hooks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LossModel {
     /// Irreducible loss floor.
     pub floor: f64,

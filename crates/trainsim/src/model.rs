@@ -1,10 +1,8 @@
 //! Model specifications: parameter counts, architecture, and the FLOPs /
 //! state-size arithmetic the step-time and checkpoint models need.
 
-use serde::{Deserialize, Serialize};
-
 /// Transformer architecture variant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Architecture {
     /// Dense decoder-only transformer (the paper's Llama-like 70+B job).
     Dense,
@@ -19,7 +17,7 @@ pub enum Architecture {
 }
 
 /// A model to be trained.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Human-readable name.
     pub name: String,

@@ -7,10 +7,8 @@
 //! restarts and code updates, which is why ByteRobust folds code evolution
 //! into its fault-tolerance design.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of a pretraining stage, in the order of Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageKind {
     /// Small-scale pure-text pretraining that validates algorithmic changes.
     Warmup,
@@ -47,7 +45,7 @@ impl StageKind {
 }
 
 /// One stage of the recipe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecipeStage {
     /// Which stage this is.
     pub kind: StageKind,
@@ -64,7 +62,7 @@ pub struct RecipeStage {
 }
 
 /// A full pretraining recipe: an ordered list of stages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PretrainRecipe {
     /// Stages in execution order.
     pub stages: Vec<RecipeStage>,

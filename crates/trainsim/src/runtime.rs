@@ -7,7 +7,6 @@
 //! corrupts the loss — and it can capture the per-rank stack traces the
 //! on-demand tracer would collect in each of those situations.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 use byterobust_cluster::MachineId;
@@ -21,7 +20,7 @@ use crate::step::{CodeVersion, StepBreakdown, StepModel, TrainPhase};
 
 /// What condition an individual rank is in, as far as the workload model is
 /// concerned.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RankCondition {
     /// Executing normally.
     Normal,
@@ -32,7 +31,7 @@ pub enum RankCondition {
 }
 
 /// Aggregate status of the job as the workload model sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeStatus {
     /// Making normal progress.
     Running,
@@ -48,7 +47,7 @@ pub enum RuntimeStatus {
 }
 
 /// Fault effect currently applied to the runtime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum ActiveFault {
     None,
     Hang {
@@ -65,7 +64,7 @@ enum ActiveFault {
 }
 
 /// One step's observable metrics, as collected by the monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepMetrics {
     /// Optimizer step index this sample belongs to.
     pub step: u64,

@@ -8,7 +8,6 @@
 //! list a real Megatron-style trainer would show, so the aggregation logic
 //! downstream operates on faithful inputs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use byterobust_parallelism::Rank;
@@ -19,7 +18,7 @@ use crate::step::TrainPhase;
 /// subprocesses (data fetching, checkpointing), so the tracer captures all of
 /// them, not just the main trainer (§5.1). Ordered so it can key sorted maps
 /// directly (the analyzer groups stacks per process kind).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProcessKind {
     /// The main training worker process (one per GPU rank).
     Trainer,
@@ -50,7 +49,7 @@ impl ProcessKind {
 /// capture of tens of thousands of process stacks copies pointers instead of
 /// allocating two strings per frame. (If frames ever need to be parsed from
 /// external data, switch these to `Cow<'static, str>`.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StackFrame {
     /// Function name.
     pub func: &'static str,
@@ -74,7 +73,7 @@ impl fmt::Display for StackFrame {
 }
 
 /// A captured stack trace for one process of one rank.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StackTrace {
     /// The rank whose process was traced.
     pub rank: Rank,

@@ -7,15 +7,13 @@
 //! that checkpoint traffic can hide (Fig. 8, Table 8), not about absolute
 //! hardware numbers.
 
-use serde::{Deserialize, Serialize};
-
 use byterobust_sim::SimDuration;
 
 use crate::job::JobSpec;
 
 /// A phase of a training step. Used both for the step-time breakdown and to
 /// label which phase each rank is in when a stack trace is captured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrainPhase {
     /// Waiting on the data loader.
     DataLoading,
@@ -43,7 +41,7 @@ pub enum TrainPhase {
 /// from one code version to the next; each version changes efficiency (Fig. 11
 /// shows MFU leaps with each deployment) and carries some risk of introducing
 /// a bug that later needs a rollback.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodeVersion {
     /// Monotonically increasing version number.
     pub version: u32,
@@ -95,7 +93,7 @@ impl CodeVersion {
 }
 
 /// Per-step time breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepBreakdown {
     /// Data loading time (usually overlapped; exposed portion only).
     pub data_loading: SimDuration,
@@ -134,7 +132,7 @@ impl StepBreakdown {
 }
 
 /// Analytic step-time model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepModel {
     job: JobSpec,
 }
