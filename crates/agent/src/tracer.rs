@@ -2,12 +2,13 @@
 //!
 //! The tracer does nothing until the controller requests an aggregation
 //! analysis; it then samples the stacks of every training-related process and
-//! ships them to the Runtime Analyzer. Capturing is not free — py-spy attaches
-//! to every process on every pod — so the capture latency is tracked and
-//! charged to the incident's localization time.
+//! ships them to the Runtime Analyzer as one [`StackCapture`]: ranks grouped
+//! by stack template, with no per-rank stack materialized. Capturing is not
+//! free — py-spy attaches to every process on every pod — so the capture
+//! latency is tracked and charged to the incident's localization time.
 
 use byterobust_sim::SimDuration;
-use byterobust_trainsim::{StackTrace, TrainingRuntime};
+use byterobust_trainsim::{StackCapture, TrainingRuntime};
 
 /// The on-demand tracer sub-module of the Robust Agent.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,27 +35,26 @@ impl OnDemandTracer {
     }
 
     /// Captures the stacks of every training-related process in the job.
-    /// Returns the stacks and the time the capture took.
-    pub fn capture(&mut self, runtime: &TrainingRuntime) -> (Vec<StackTrace>, SimDuration) {
+    /// Returns the capture and the time it took.
+    pub fn capture(&mut self, runtime: &TrainingRuntime) -> (StackCapture, SimDuration) {
         self.captures_taken += 1;
-        (runtime.capture_stacks(), self.capture_latency)
+        (runtime.capture(), self.capture_latency)
     }
 
     /// Captures repeatedly for fail-slow analysis: `rounds` captures spaced
-    /// `interval` apart. Returns the captures and the total elapsed time.
+    /// `interval` apart. The runtime does not change between rounds, so every
+    /// round would capture the same stacks: one capture is taken and stands
+    /// for all of them, while `captures_taken` and the elapsed time still
+    /// count every round.
     pub fn capture_rounds(
         &mut self,
         runtime: &TrainingRuntime,
         rounds: usize,
         interval: SimDuration,
-    ) -> (Vec<Vec<StackTrace>>, SimDuration) {
-        let mut captures = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            captures.push(runtime.capture_stacks());
-        }
+    ) -> (StackCapture, SimDuration) {
         self.captures_taken += rounds as u64;
         let elapsed = self.capture_latency + interval.mul(rounds as u64);
-        (captures, elapsed)
+        (runtime.capture(), elapsed)
     }
 }
 
@@ -67,8 +67,8 @@ mod tests {
     fn capture_returns_all_stacks_and_counts() {
         let runtime = TrainingRuntime::new(JobSpec::small_test());
         let mut tracer = OnDemandTracer::new();
-        let (stacks, latency) = tracer.capture(&runtime);
-        assert!(!stacks.is_empty());
+        let (capture, latency) = tracer.capture(&runtime);
+        assert!(!capture.groups.is_empty());
         assert_eq!(latency, SimDuration::from_secs(25));
         assert_eq!(tracer.captures_taken, 1);
     }
@@ -77,8 +77,8 @@ mod tests {
     fn capture_rounds_accumulates_time() {
         let runtime = TrainingRuntime::new(JobSpec::small_test());
         let mut tracer = OnDemandTracer::new();
-        let (captures, elapsed) = tracer.capture_rounds(&runtime, 5, SimDuration::from_secs(10));
-        assert_eq!(captures.len(), 5);
+        let (capture, elapsed) = tracer.capture_rounds(&runtime, 5, SimDuration::from_secs(10));
+        assert_eq!(capture, runtime.capture());
         assert_eq!(elapsed, SimDuration::from_secs(25 + 50));
         assert_eq!(tracer.captures_taken, 5);
     }

@@ -4,11 +4,18 @@
 //! process kind. Under a single implicit failure most healthy ranks show the
 //! identical stack, so the dominant group(s) are deemed healthy and every
 //! remaining group is an outlier.
+//!
+//! The production path, [`AggregationResult::from_capture`], starts from a
+//! [`StackCapture`] whose ranks are already grouped by stack template, and
+//! renders each cluster's fingerprint string once. The per-rank path,
+//! [`AggregationResult::aggregate`], matches the fingerprint string of every
+//! captured [`StackTrace`] and is kept as its oracle: both yield equal
+//! results for the same runtime.
 
 use std::collections::BTreeMap;
 
 use byterobust_parallelism::Rank;
-use byterobust_trainsim::{ProcessKind, StackTrace};
+use byterobust_trainsim::{stacktrace, ProcessKind, StackCapture, StackTrace};
 
 use crate::process_tree::ProcessTree;
 
@@ -33,7 +40,7 @@ impl StackCluster {
 /// The outcome of aggregating one trace capture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggregationResult {
-    /// All clusters, largest first.
+    /// All clusters, largest first (ties by fingerprint).
     pub clusters: Vec<StackCluster>,
     /// Fraction of the largest same-process cluster below which a cluster is
     /// considered an outlier.
@@ -45,42 +52,56 @@ impl AggregationResult {
     /// largest cluster of the same process kind is considered healthy.
     pub const DEFAULT_DOMINANCE_RATIO: f64 = 0.5;
 
-    /// Aggregates captured stacks. Only training-related processes are
-    /// considered (the robust daemon is excluded per the process-tree parse).
-    pub fn aggregate(stacks: &[StackTrace]) -> Self {
-        Self::aggregate_with_ratio(stacks, Self::DEFAULT_DOMINANCE_RATIO)
+    /// Aggregates a grouped capture with the default dominance ratio.
+    pub fn from_capture(capture: &StackCapture) -> Self {
+        Self::from_capture_with_ratio(capture, Self::DEFAULT_DOMINANCE_RATIO)
     }
 
-    /// Aggregates with an explicit dominance ratio.
-    ///
-    /// Grouping happens on the 64-bit interned fingerprint
-    /// ([`StackTrace::fingerprint_hash`]), so the per-capture hot path hashes
-    /// each stack without allocating; the display fingerprint string is
-    /// rendered once per *cluster* from a representative stack, not once per
-    /// rank.
-    pub fn aggregate_with_ratio(stacks: &[StackTrace], dominance_ratio: f64) -> Self {
-        let relevant = ProcessTree::filter_training_stacks(stacks);
-        let mut groups: BTreeMap<(ProcessKind, u64), (&StackTrace, Vec<Rank>)> = BTreeMap::new();
-        for stack in relevant {
-            let key = (stack.process, stack.fingerprint_hash());
+    /// Aggregates a grouped capture: each training-related (process,
+    /// template) group becomes one cluster, its fingerprint rendered once.
+    pub fn from_capture_with_ratio(capture: &StackCapture, dominance_ratio: f64) -> Self {
+        let clusters = capture
+            .groups
+            .iter()
+            .filter(|group| ProcessTree::is_training_related(group.process))
+            .map(|group| StackCluster {
+                process: group.process,
+                fingerprint: stacktrace::fingerprint(group.frames),
+                ranks: group.ranks.clone(),
+            })
+            .collect();
+        Self::from_clusters(clusters, dominance_ratio)
+    }
+
+    /// Aggregates per-rank stacks with the default dominance ratio, grouping
+    /// every stack by the literal string match of its fingerprint. Only
+    /// training-related processes are considered (the robust daemon is
+    /// excluded per the process-tree parse).
+    pub fn aggregate(stacks: &[StackTrace]) -> Self {
+        let mut groups: BTreeMap<(ProcessKind, String), Vec<Rank>> = BTreeMap::new();
+        for stack in ProcessTree::filter_training_stacks(stacks) {
             groups
-                .entry(key)
-                .or_insert_with(|| (stack, Vec::new()))
-                .1
+                .entry((stack.process, stack.fingerprint()))
+                .or_default()
                 .push(stack.rank);
         }
-        let mut clusters: Vec<StackCluster> = groups
-            .into_values()
-            .map(|(representative, mut ranks)| {
+        let clusters = groups
+            .into_iter()
+            .map(|((process, fingerprint), mut ranks)| {
                 ranks.sort();
                 ranks.dedup();
                 StackCluster {
-                    process: representative.process,
-                    fingerprint: representative.fingerprint(),
+                    process,
+                    fingerprint,
                     ranks,
                 }
             })
             .collect();
+        Self::from_clusters(clusters, Self::DEFAULT_DOMINANCE_RATIO)
+    }
+
+    /// Orders clusters largest first, ties by fingerprint.
+    fn from_clusters(mut clusters: Vec<StackCluster>, dominance_ratio: f64) -> Self {
         clusters.sort_by(|a, b| {
             b.size()
                 .cmp(&a.size())
@@ -152,7 +173,7 @@ mod tests {
     #[test]
     fn healthy_job_has_no_outliers() {
         let rt = TrainingRuntime::new(JobSpec::small_test());
-        let result = AggregationResult::aggregate(&rt.capture_stacks());
+        let result = AggregationResult::from_capture(&rt.capture());
         assert!(!result.has_outliers());
         assert!(result.outlier_ranks().is_empty());
         // One trainer cluster + one dataloader cluster + one ckpt cluster.
@@ -163,7 +184,7 @@ mod tests {
     fn hang_produces_outlier_clusters() {
         let mut rt = TrainingRuntime::new(JobSpec::small_test());
         rt.inject_hang(vec![MachineId(5)]);
-        let result = AggregationResult::aggregate(&rt.capture_stacks());
+        let result = AggregationResult::from_capture(&rt.capture());
         assert!(result.has_outliers());
         let outliers = result.outlier_ranks();
         // The victim machine's ranks must be among the outliers.
@@ -185,7 +206,7 @@ mod tests {
         };
         let mut rt = TrainingRuntime::new(job);
         rt.inject_hang(vec![MachineId(15)]);
-        let result = AggregationResult::aggregate(&rt.capture_stacks());
+        let result = AggregationResult::from_capture(&rt.capture());
         let trainer_clusters: Vec<&StackCluster> = result
             .clusters
             .iter()
@@ -219,11 +240,11 @@ mod tests {
     fn dominance_ratio_controls_sensitivity() {
         let mut rt = TrainingRuntime::new(JobSpec::small_test());
         rt.inject_hang(vec![MachineId(2)]);
-        let stacks = rt.capture_stacks();
+        let capture = rt.capture();
         // With a ratio of 0.0 every non-empty cluster is dominant → no outliers.
-        let lenient = AggregationResult::aggregate_with_ratio(&stacks, 0.0);
+        let lenient = AggregationResult::from_capture_with_ratio(&capture, 0.0);
         assert!(!lenient.has_outliers());
-        let strict = AggregationResult::aggregate_with_ratio(&stacks, 0.5);
+        let strict = AggregationResult::from_capture_with_ratio(&capture, 0.5);
         assert!(strict.has_outliers());
     }
 
@@ -231,7 +252,7 @@ mod tests {
     fn clusters_sorted_largest_first() {
         let mut rt = TrainingRuntime::new(JobSpec::small_test());
         rt.inject_hang(vec![MachineId(0)]);
-        let result = AggregationResult::aggregate(&rt.capture_stacks());
+        let result = AggregationResult::from_capture(&rt.capture());
         for pair in result.clusters.windows(2) {
             assert!(pair[0].size() >= pair[1].size());
         }

@@ -13,7 +13,7 @@
 
 use byterobust_parallelism::ParallelTopology;
 use byterobust_sim::SimDuration;
-use byterobust_trainsim::StackTrace;
+use byterobust_trainsim::StackCapture;
 
 use crate::aggregation::AggregationResult;
 use crate::eviction::EvictionDecision;
@@ -75,10 +75,10 @@ impl RuntimeAnalyzer {
     pub fn analyze_hang(
         &self,
         topology: &ParallelTopology,
-        stacks: &[StackTrace],
+        capture: &StackCapture,
     ) -> AnalysisOutcome {
         let aggregation =
-            AggregationResult::aggregate_with_ratio(stacks, self.config.dominance_ratio);
+            AggregationResult::from_capture_with_ratio(capture, self.config.dominance_ratio);
         let decision = EvictionDecision::from_outliers(topology, &aggregation.outlier_ranks());
         AnalysisOutcome {
             aggregation,
@@ -87,28 +87,30 @@ impl RuntimeAnalyzer {
         }
     }
 
-    /// Repeated-round fail-slow analysis: each element of `round_captures` is
-    /// one stack capture taken 10 s apart; the verdict is the group with the
-    /// most cumulative flags.
+    /// Repeated-round fail-slow analysis: `rounds` aggregation rounds taken
+    /// 10 s apart of a runtime that does not change between them, so one
+    /// capture stands for every round and is aggregated once; the voter
+    /// still records each round. The verdict is the group with the most
+    /// cumulative flags.
     pub fn analyze_fail_slow(
         &self,
         topology: &ParallelTopology,
-        round_captures: &[Vec<StackTrace>],
+        capture: &StackCapture,
+        rounds: usize,
     ) -> AnalysisOutcome {
+        let aggregation =
+            AggregationResult::from_capture_with_ratio(capture, self.config.dominance_ratio);
+        let outliers = aggregation.outlier_ranks();
         let mut voter = FailSlowVoter::new();
-        let mut last_aggregation = AggregationResult::aggregate(&[]);
-        for capture in round_captures {
-            let aggregation =
-                AggregationResult::aggregate_with_ratio(capture, self.config.dominance_ratio);
-            voter.record_round(topology, &aggregation.outlier_ranks());
-            last_aggregation = aggregation;
+        for _ in 0..rounds {
+            voter.record_round(topology, &outliers);
         }
         let decision = voter.verdict(topology);
         let duration = self.config.capture_latency
-            + voter.round_interval.mul(round_captures.len() as u64)
+            + voter.round_interval.mul(rounds as u64)
             + self.config.aggregation_latency;
         AnalysisOutcome {
-            aggregation: last_aggregation,
+            aggregation,
             decision,
             duration,
         }
@@ -127,7 +129,7 @@ mod tests {
         let victim = MachineId(7);
         rt.inject_hang(vec![victim]);
         let analyzer = RuntimeAnalyzer::new();
-        let outcome = analyzer.analyze_hang(rt.topology(), &rt.capture_stacks());
+        let outcome = analyzer.analyze_hang(rt.topology(), &rt.capture());
         assert!(!outcome.decision.is_empty());
         assert!(
             outcome.decision.machines.contains(&victim),
@@ -142,7 +144,7 @@ mod tests {
     fn healthy_capture_evicts_nothing() {
         let rt = TrainingRuntime::new(JobSpec::small_test());
         let analyzer = RuntimeAnalyzer::new();
-        let outcome = analyzer.analyze_hang(rt.topology(), &rt.capture_stacks());
+        let outcome = analyzer.analyze_hang(rt.topology(), &rt.capture());
         assert!(outcome.decision.is_empty());
     }
 
@@ -152,8 +154,7 @@ mod tests {
         let victim = MachineId(2);
         rt.inject_fail_slow(vec![victim], 3.0);
         let analyzer = RuntimeAnalyzer::new();
-        let captures: Vec<Vec<_>> = (0..5).map(|_| rt.capture_stacks()).collect();
-        let outcome = analyzer.analyze_fail_slow(rt.topology(), &captures);
+        let outcome = analyzer.analyze_fail_slow(rt.topology(), &rt.capture(), 5);
         assert!(outcome.decision.machines.contains(&victim));
         // 5 rounds at 10s plus capture and aggregation latency.
         assert!(outcome.duration >= SimDuration::from_secs(50));
@@ -161,9 +162,10 @@ mod tests {
 
     #[test]
     fn fail_slow_with_no_rounds_evicts_nothing() {
-        let rt = TrainingRuntime::new(JobSpec::small_test());
+        let mut rt = TrainingRuntime::new(JobSpec::small_test());
+        rt.inject_fail_slow(vec![MachineId(2)], 3.0);
         let analyzer = RuntimeAnalyzer::new();
-        let outcome = analyzer.analyze_fail_slow(rt.topology(), &[]);
+        let outcome = analyzer.analyze_fail_slow(rt.topology(), &rt.capture(), 0);
         assert!(outcome.decision.is_empty());
     }
 }

@@ -6,7 +6,7 @@
 //! (§5.1). The repeated vote filters out transient stragglers that a single
 //! snapshot would misattribute.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use byterobust_parallelism::{GroupKind, ParallelTopology, Rank};
 use byterobust_sim::SimDuration;
@@ -59,7 +59,8 @@ impl FailSlowVoter {
 
     /// Records one aggregation round: flags the parallel group containing the
     /// most outlier ranks this round (ties broken toward the smaller group
-    /// kind ordering TP < PP < DP for determinism).
+    /// kind ordering TP < PP < DP, then toward the smaller group index, for
+    /// determinism).
     pub fn record_round(&mut self, topology: &ParallelTopology, outliers: &[Rank]) {
         self.rounds_done += 1;
         if outliers.is_empty() {
@@ -68,7 +69,7 @@ impl FailSlowVoter {
         // Count outliers per group across all dense group kinds; flag the max.
         let mut best: Option<((GroupKind, usize), usize)> = None;
         for &kind in &GroupKind::DENSE {
-            let mut counts: HashMap<usize, usize> = HashMap::new();
+            let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
             for &r in outliers {
                 *counts.entry(topology.group_index_of(r, kind)).or_insert(0) += 1;
             }
@@ -175,6 +176,19 @@ mod tests {
         }
         assert!(voter.is_complete());
         assert!(voter.verdict(&topo).is_empty());
+    }
+
+    #[test]
+    fn tied_groups_of_one_kind_flag_the_smaller_index() {
+        let topo = topo();
+        // Ranks 0 and 11 share no group, so every group holds at most one
+        // outlier and each round ties; TP groups 0 and 5 tie first.
+        let mut voter = FailSlowVoter::new();
+        for _ in 0..5 {
+            voter.record_round(&topo, &[Rank(0), Rank(11)]);
+        }
+        assert_eq!(voter.flags.len(), 1);
+        assert_eq!(voter.flags.get(&(GroupKind::Tensor, 0)), Some(&5));
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl ProcessTree {
 mod tests {
     use super::*;
     use byterobust_parallelism::Rank;
-    use byterobust_trainsim::{StackTraceGenerator, TrainPhase};
+    use byterobust_trainsim::{stacktrace, TrainPhase};
 
     #[test]
     fn canonical_tree_shape() {
@@ -118,12 +118,21 @@ mod tests {
 
     #[test]
     fn filter_drops_daemon_stacks() {
-        let g = StackTraceGenerator::new();
+        let stack = |process, frames| StackTrace::from_template(Rank(0), process, frames);
         let stacks = vec![
-            g.trainer_stack(Rank(0), TrainPhase::GradReduceScatter),
-            g.dataloader_stack(Rank(0), false),
-            g.daemon_stack(Rank(0)),
-            g.checkpoint_worker_stack(Rank(0), false),
+            stack(
+                ProcessKind::Trainer,
+                stacktrace::trainer_frames(TrainPhase::GradReduceScatter),
+            ),
+            stack(
+                ProcessKind::DataLoader,
+                stacktrace::dataloader_frames(false),
+            ),
+            stack(ProcessKind::RobustDaemon, stacktrace::daemon_frames()),
+            stack(
+                ProcessKind::CheckpointWorker,
+                stacktrace::checkpoint_worker_frames(false),
+            ),
         ];
         let filtered = ProcessTree::filter_training_stacks(&stacks);
         assert_eq!(filtered.len(), 3);

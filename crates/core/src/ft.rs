@@ -334,7 +334,6 @@ impl RobustController {
                         fault,
                         now,
                         cluster,
-                        runtime,
                         root,
                         &mut cost,
                         &mut evicted,
@@ -419,7 +418,6 @@ impl RobustController {
                             fault,
                             now,
                             cluster,
-                            runtime,
                             root,
                             &mut cost,
                             &mut evicted,
@@ -602,15 +600,16 @@ impl RobustController {
         cost: &mut FailoverCost,
     ) -> byterobust_analyzer::EvictionDecision {
         let decision = if fault.kind == FaultKind::MfuDecline {
-            let (captures, capture_time) =
+            let rounds = 5;
+            let (capture, capture_time) =
                 self.tracer
-                    .capture_rounds(runtime, 5, SimDuration::from_secs(10));
-            let outcome = self.analyzer.analyze_fail_slow(topology, &captures);
+                    .capture_rounds(runtime, rounds, SimDuration::from_secs(10));
+            let outcome = self.analyzer.analyze_fail_slow(topology, &capture, rounds);
             cost.localization += capture_time + self.analyzer.config.aggregation_latency;
             outcome.decision
         } else {
-            let (stacks, capture_time) = self.tracer.capture(runtime);
-            let outcome = self.analyzer.analyze_hang(topology, &stacks);
+            let (capture, capture_time) = self.tracer.capture(runtime);
+            let outcome = self.analyzer.analyze_hang(topology, &capture);
             cost.localization += capture_time + outcome.duration;
             outcome.decision
         };
@@ -637,13 +636,11 @@ impl RobustController {
         fault: &FaultEvent,
         now: SimTime,
         cluster: &mut Cluster,
-        runtime: &TrainingRuntime,
         root: SpanId,
         cost: &mut FailoverCost,
         evicted: &mut Vec<MachineId>,
         rolled_back: &mut bool,
     ) -> ResolutionMechanism {
-        let _ = runtime;
         let log_class = Self::log_class_for(fault);
         // Stop-time suites only ever implicate non-nominal machines, and the
         // per-machine RNG draws fire only for SDC-prone (thus non-nominal)
@@ -1001,6 +998,35 @@ mod tests {
         );
         // Detection waited for the zero-RDMA-traffic window (10 minutes).
         assert_eq!(outcome.cost.detection, SimDuration::from_mins(10));
+    }
+
+    #[test]
+    fn aggregation_localization_charges_are_pinned() {
+        let victim = MachineId(6);
+        let mut f = fixture();
+        train_some_steps(&mut f, 8);
+        f.runtime.inject_hang(vec![victim]);
+        let event = fault(FaultKind::JobHang, RootCause::Infrastructure, vec![victim]);
+        let outcome = f.handle(&event, SimTime::from_hours(2));
+        assert_eq!(outcome.mechanism, ResolutionMechanism::AnalyzerEviction);
+        // Tracer capture 25 s + analyzer capture 30 s + aggregation 5 s.
+        assert_eq!(outcome.cost.localization, SimDuration::from_secs(60));
+        assert_eq!(f.controller.tracer.captures_taken, 1);
+
+        let mut f = fixture();
+        train_some_steps(&mut f, 8);
+        f.runtime.inject_fail_slow(vec![victim], 3.0);
+        let event = fault(
+            FaultKind::MfuDecline,
+            RootCause::Infrastructure,
+            vec![victim],
+        );
+        let outcome = f.handle(&event, SimTime::from_hours(2));
+        assert_eq!(outcome.mechanism, ResolutionMechanism::AnalyzerEviction);
+        assert!(outcome.evicted.contains(&victim));
+        // Tracer capture 25 s + 5 rounds × 10 s + aggregation 5 s.
+        assert_eq!(outcome.cost.localization, SimDuration::from_secs(80));
+        assert_eq!(f.controller.tracer.captures_taken, 5);
     }
 
     #[test]

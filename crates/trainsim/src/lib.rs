@@ -12,9 +12,9 @@
 //! * [`StepModel`] — per-step time breakdown and MFU given the cluster's
 //!   health and the code version's efficiency,
 //! * [`LossModel`] — smooth power-law loss curves with spike and NaN hooks,
-//! * [`stacktrace`] — synthetic per-rank Python-style stack traces for normal
-//!   execution, hangs, and fail-slow scenarios (the input to §5's aggregation
-//!   analysis),
+//! * [`stacktrace`] — the static catalogue of Python-style stack templates for
+//!   normal execution, hangs, and fail-slow scenarios, and the grouped
+//!   [`StackCapture`] that is the input to §5's aggregation analysis,
 //! * [`TrainingRuntime`] — step-by-step simulation of a running job, including
 //!   the effect of injected faults on progress, metrics and stacks.
 
@@ -31,7 +31,7 @@ pub use loss::LossModel;
 pub use model::{Architecture, ModelSpec};
 pub use recipe::{PretrainRecipe, RecipeStage, StageKind};
 pub use runtime::{RankCondition, RuntimeStatus, StepMetrics, TrainingRuntime};
-pub use stacktrace::{ProcessKind, StackFrame, StackTrace, StackTraceGenerator};
+pub use stacktrace::{ProcessKind, StackCapture, StackFrame, StackGroup, StackTrace};
 pub use step::{CodeVersion, StepBreakdown, StepModel, TrainPhase};
 
 /// Convenience prelude for downstream crates.
@@ -41,6 +41,6 @@ pub mod prelude {
     pub use crate::model::{Architecture, ModelSpec};
     pub use crate::recipe::{PretrainRecipe, RecipeStage, StageKind};
     pub use crate::runtime::{RankCondition, RuntimeStatus, StepMetrics, TrainingRuntime};
-    pub use crate::stacktrace::{ProcessKind, StackFrame, StackTrace, StackTraceGenerator};
+    pub use crate::stacktrace::{ProcessKind, StackCapture, StackFrame, StackGroup, StackTrace};
     pub use crate::step::{CodeVersion, StepBreakdown, StepModel, TrainPhase};
 }

@@ -4,8 +4,8 @@
 //! monitor observes: it advances optimizer steps, exposes workload metrics
 //! (loss, gradient norm, MFU, RDMA traffic, TensorCore utilization), and
 //! reflects injected faults — hangs stop progress, fail-slow reduces MFU, NaN
-//! corrupts the loss — and it can capture the per-rank stack traces the
-//! on-demand tracer would collect in each of those situations.
+//! corrupts the loss — and it yields the stack capture the on-demand tracer
+//! would collect in each of those situations.
 
 use std::collections::HashSet;
 
@@ -15,7 +15,7 @@ use byterobust_sim::SimDuration;
 
 use crate::job::JobSpec;
 use crate::loss::LossModel;
-use crate::stacktrace::{StackTrace, StackTraceGenerator};
+use crate::stacktrace::{self, ProcessKind, StackCapture, StackFrame, StackGroup, StackTrace};
 use crate::step::{CodeVersion, StepBreakdown, StepModel, TrainPhase};
 
 /// What condition an individual rank is in, as far as the workload model is
@@ -89,7 +89,6 @@ pub struct TrainingRuntime {
     step_model: StepModel,
     loss_model: LossModel,
     topology: ParallelTopology,
-    tracer: StackTraceGenerator,
     code: CodeVersion,
     step: u64,
     fault: ActiveFault,
@@ -105,7 +104,6 @@ impl TrainingRuntime {
             step_model,
             loss_model: LossModel::pretraining(),
             topology,
-            tracer: StackTraceGenerator::new(),
             code: CodeVersion::initial(),
             step: 0,
             fault: ActiveFault::None,
@@ -324,37 +322,92 @@ impl TrainingRuntime {
         phases
     }
 
-    /// Captures the stack traces of all training-related processes across all
-    /// ranks — the output of the on-demand tracer (§3, §5.1). For each rank
-    /// this includes the trainer process, one data-loader worker and the
-    /// asynchronous checkpoint worker; the robust daemon is included once per
-    /// machine.
+    /// The stack template of the trainer on `rank` in `phase`. Pipeline
+    /// P2P outliers split between `irecv` (even pipeline stages) and `isend`
+    /// (odd ones), mirroring the Fig. 7 example where different stages block
+    /// on different P2P directions.
+    fn trainer_frames(&self, rank: Rank, phase: TrainPhase) -> &'static [StackFrame] {
+        if phase == TrainPhase::PipelineComm
+            && self.topology.mapping().coords(rank).pp.is_multiple_of(2)
+        {
+            stacktrace::trainer_pp_recv_frames()
+        } else {
+            stacktrace::trainer_frames(phase)
+        }
+    }
+
+    /// One on-demand capture (§3, §5.1), grouped by stack template in a
+    /// single pass over [`TrainingRuntime::rank_phases`]: every rank's
+    /// trainer joins the group of its phase's template, and every rank's
+    /// data-loader and checkpoint workers sit in their idle templates. The
+    /// robust daemon (one per machine) is counted but not grouped, as it
+    /// takes no part in the aggregation. Nothing is materialized per rank
+    /// beyond its place in one rank list.
+    pub fn capture(&self) -> StackCapture {
+        let phases = self.rank_phases();
+        let mut groups: Vec<StackGroup> = Vec::new();
+        let mut ranks = Vec::with_capacity(phases.len());
+        for &(rank, phase) in &phases {
+            let frames = self.trainer_frames(rank, phase);
+            // Each template is its own `static`, so its address names it.
+            match groups.iter_mut().find(|g| std::ptr::eq(g.frames, frames)) {
+                Some(group) => group.ranks.push(rank),
+                None => groups.push(StackGroup {
+                    process: ProcessKind::Trainer,
+                    frames,
+                    ranks: vec![rank],
+                }),
+            }
+            ranks.push(rank);
+        }
+        groups.push(StackGroup {
+            process: ProcessKind::DataLoader,
+            frames: stacktrace::dataloader_frames(false),
+            ranks: ranks.clone(),
+        });
+        groups.push(StackGroup {
+            process: ProcessKind::CheckpointWorker,
+            frames: stacktrace::checkpoint_worker_frames(false),
+            ranks,
+        });
+        StackCapture {
+            groups,
+            process_count: phases.len() * 3 + self.topology.mapping().machine_count(),
+        }
+    }
+
+    /// The same capture as [`TrainingRuntime::capture`], materialized as one
+    /// [`StackTrace`] per process: for each rank the trainer, one data-loader
+    /// worker and the asynchronous checkpoint worker, then the robust daemon
+    /// once per machine. The per-rank oracle for the grouped capture.
     pub fn capture_stacks(&self) -> Vec<StackTrace> {
         let mapping = self.topology.mapping();
         let mut stacks = Vec::new();
-        let phases = self.rank_phases();
-        for (rank, phase) in &phases {
-            // Split pipeline-communication outliers between isend and irecv to
-            // mirror the Fig. 7 example (different stages block on different
-            // P2P directions).
-            let trainer = if *phase == TrainPhase::PipelineComm {
-                let coords = mapping.coords(*rank);
-                if coords.pp.is_multiple_of(2) {
-                    self.tracer.trainer_stack_pp_recv(*rank)
-                } else {
-                    self.tracer.trainer_stack(*rank, TrainPhase::PipelineComm)
-                }
-            } else {
-                self.tracer.trainer_stack(*rank, *phase)
-            };
-            stacks.push(trainer);
-            stacks.push(self.tracer.dataloader_stack(*rank, false));
-            stacks.push(self.tracer.checkpoint_worker_stack(*rank, false));
+        for (rank, phase) in self.rank_phases() {
+            stacks.push(StackTrace::from_template(
+                rank,
+                ProcessKind::Trainer,
+                self.trainer_frames(rank, phase),
+            ));
+            stacks.push(StackTrace::from_template(
+                rank,
+                ProcessKind::DataLoader,
+                stacktrace::dataloader_frames(false),
+            ));
+            stacks.push(StackTrace::from_template(
+                rank,
+                ProcessKind::CheckpointWorker,
+                stacktrace::checkpoint_worker_frames(false),
+            ));
         }
         // One robust daemon per machine (attached to its first rank).
         for machine_idx in 0..mapping.machine_count() {
             let first_rank = mapping.ranks_on_machine(MachineId(machine_idx as u32))[0];
-            stacks.push(self.tracer.daemon_stack(first_rank));
+            stacks.push(StackTrace::from_template(
+                first_rank,
+                ProcessKind::RobustDaemon,
+                stacktrace::daemon_frames(),
+            ));
         }
         stacks
     }
@@ -469,6 +522,40 @@ mod tests {
         let machines = rt.job().machines();
         // trainer + dataloader + ckpt worker per rank, one daemon per machine.
         assert_eq!(stacks.len(), world * 3 + machines);
+        assert_eq!(rt.capture().process_count, stacks.len());
+    }
+
+    #[test]
+    fn capture_groups_every_rank_once_per_process() {
+        let mut rt = runtime();
+        rt.inject_hang(vec![MachineId(5)]);
+        let capture = rt.capture();
+        let world = rt.job().world_size();
+        for process in [
+            ProcessKind::Trainer,
+            ProcessKind::DataLoader,
+            ProcessKind::CheckpointWorker,
+        ] {
+            let mut ranks: Vec<Rank> = capture
+                .groups
+                .iter()
+                .filter(|g| g.process == process)
+                .flat_map(|g| g.ranks.iter().copied())
+                .collect();
+            ranks.sort();
+            assert_eq!(
+                ranks,
+                rt.topology().mapping().all_ranks().collect::<Vec<_>>()
+            );
+            assert_eq!(ranks.len(), world);
+        }
+        assert!(capture
+            .groups
+            .iter()
+            .all(|g| g.process != ProcessKind::RobustDaemon));
+        for group in &capture.groups {
+            assert!(group.ranks.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]

@@ -32,11 +32,11 @@ fn drill_hang_aggregation() {
     let victim = MachineId(15);
     runtime.inject_hang(vec![victim]);
 
-    let stacks = runtime.capture_stacks();
-    let aggregation = AggregationResult::aggregate(&stacks);
+    let capture = runtime.capture();
+    let aggregation = AggregationResult::from_capture(&capture);
     println!(
         "captured {} stacks, {} distinct clusters",
-        stacks.len(),
+        capture.process_count,
         aggregation.clusters.len()
     );
     for cluster in aggregation.outlier_clusters() {

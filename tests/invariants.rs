@@ -245,11 +245,11 @@ fn fault_injector_events_are_well_formed() {
 fn aggregation_flags_exactly_the_anomalous_side() {
     for victim_index in 0u32..16 {
         let mut runtime = TrainingRuntime::new(JobSpec::small_test());
-        let healthy = AggregationResult::aggregate(&runtime.capture_stacks());
+        let healthy = AggregationResult::from_capture(&runtime.capture());
         assert!(!healthy.has_outliers(), "victim: {victim_index}");
         let victim = MachineId(victim_index);
         runtime.inject_hang(vec![victim]);
-        let hung = AggregationResult::aggregate(&runtime.capture_stacks());
+        let hung = AggregationResult::from_capture(&runtime.capture());
         assert!(hung.has_outliers(), "victim: {victim_index}");
         let outliers = hung.outlier_ranks();
         for rank in runtime.topology().mapping().ranks_on_machine(victim) {
