@@ -301,7 +301,7 @@ impl RobustController {
                 self.hot_update.submit(UpdateRequest {
                     requested_at: now,
                     urgency: UpdateUrgency::NonCritical,
-                    description: "manual code/data adjustment".to_string(),
+                    description: "manual code/data adjustment",
                     bug_risk: 0.05,
                 });
                 mechanism = ResolutionMechanism::HotUpdate;
@@ -951,7 +951,7 @@ mod tests {
         f.controller.hot_update_mut().submit(UpdateRequest {
             requested_at: SimTime::ZERO,
             urgency: UpdateUrgency::NonCritical,
-            description: "new fused kernel".to_string(),
+            description: "new fused kernel",
             bug_risk: 0.9,
         });
         f.controller

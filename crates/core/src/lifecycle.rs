@@ -238,7 +238,6 @@ impl JobExecution {
     }
 
     /// Advances one segment using the job's own standby pool (solo runs).
-    /// TEMPORARY advance-phase profiling counters (nanoseconds).
     pub fn advance(&mut self) -> SegmentOutcome {
         let mut pool = self
             .solo_pool

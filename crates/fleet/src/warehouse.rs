@@ -613,7 +613,7 @@ impl IncidentWarehouse {
                     dossier.over_evicted,
                     dossier.resumed_step,
                 );
-                for entry in &dossier.capture.context {
+                for entry in dossier.capture.context.iter() {
                     let _ = writeln!(out, "    ctx {entry}");
                 }
                 for entry in &dossier.capture.window {

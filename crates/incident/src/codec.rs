@@ -25,6 +25,7 @@
 //!    leaks its shape.
 
 use std::fmt;
+use std::sync::Arc;
 
 use byterobust_agent::DiagnosisConclusion;
 use byterobust_cluster::{FaultCategory, FaultKind, MachineId, RootCause};
@@ -806,6 +807,18 @@ impl<T: Decode> Decode for Vec<T> {
     }
 }
 
+impl<T: Encode> Encode for Arc<[T]> {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Array(self.iter().map(Encode::encode).collect())
+    }
+}
+
+impl<T: Decode> Decode for Arc<[T]> {
+    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
+        Vec::decode(value).map(Arc::from)
+    }
+}
+
 impl<T: Encode> Encode for Option<T> {
     fn encode(&self) -> JsonValue {
         match self {
@@ -1455,14 +1468,14 @@ mod tests {
             });
         let mut capture = IncidentCapture::empty(seq, FaultKind::JobHang, SimTime::from_hours(3));
         capture.closed_at = capture.opened_at + cost.total();
-        capture.context.push(RecorderEntry {
+        capture.context = Arc::from([RecorderEntry {
             at: SimTime::from_hours(3),
             event: RecorderEvent::Telemetry(SystemEvent::new(
                 SimTime::from_hours(3),
                 EventKind::XidError,
                 MachineId(7),
             )),
-        });
+        }]);
         for event in every_recorder_event() {
             capture.window.push(RecorderEntry {
                 at: capture.opened_at,

@@ -152,7 +152,7 @@ impl Postmortem {
             mechanism: dossier.mechanism,
             opened_at: dossier.capture.opened_at,
             closed_at: dossier.capture.closed_at,
-            context: dossier.capture.context.clone(),
+            context: dossier.capture.context.to_vec(),
             timeline,
             phase_costs: PhaseCost::breakdown(&dossier.cost),
             total_cost: dossier.cost.total(),

@@ -10,9 +10,18 @@
 //! while the incident is active lands in that window. Closing the incident
 //! freezes context + window into an immutable [`IncidentCapture`] that the
 //! postmortem generator and the incident store consume.
+//!
+//! The context is one shared snapshot per ring state: the recorder caches the
+//! `Arc<[RecorderEntry]>` it last handed out and drops the cache whenever a
+//! background entry is pushed, so every incident opened while the ring is
+//! unchanged shares one allocation instead of carrying its own copy of the
+//! same stale entries. Window entries accumulate in one buffer per
+//! recorder, reused across incidents, and close copies them out exactly
+//! sized.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use byterobust_agent::DiagnosisConclusion;
 use byterobust_cluster::{FaultKind, MachineId};
@@ -314,8 +323,10 @@ pub struct IncidentCapture {
     /// When the incident closed.
     pub closed_at: SimTime,
     /// Background entries captured *before* the incident opened (most recent
-    /// last), snapshotted at open time.
-    pub context: Vec<RecorderEntry>,
+    /// last), snapshotted at open time. The snapshot is shared: every capture
+    /// opened while the recorder's ring was unchanged holds the same
+    /// allocation.
+    pub context: Arc<[RecorderEntry]>,
     /// Every entry recorded while the incident was active, in order.
     pub window: Vec<RecorderEntry>,
 }
@@ -337,7 +348,7 @@ impl IncidentCapture {
             kind,
             opened_at: at,
             closed_at: at,
-            context: Vec::new(),
+            context: Arc::from([]),
             window: Vec::new(),
         }
     }
@@ -408,15 +419,14 @@ impl Default for FlightRecorderConfig {
     }
 }
 
-/// The currently-open incident.
+/// The currently-open incident; its window entries live in
+/// [`FlightRecorder::window`].
 #[derive(Debug, Clone, PartialEq)]
 struct ActiveIncident {
     seq: u64,
     kind: FaultKind,
     opened_at: SimTime,
-    context: Vec<RecorderEntry>,
-    window: Vec<RecorderEntry>,
-    dropped: usize,
+    context: Arc<[RecorderEntry]>,
 }
 
 /// The flight recorder. One lives inside each `RobustController`.
@@ -424,6 +434,12 @@ struct ActiveIncident {
 pub struct FlightRecorder {
     config: FlightRecorderConfig,
     ring: VecDeque<RecorderEntry>,
+    /// The context snapshot of the ring as it stands, shared by every
+    /// incident opened until the next background push drops it.
+    context: Option<Arc<[RecorderEntry]>>,
+    /// The open incident's window entries. Reused across incidents: close
+    /// moves them out into an exactly sized `Vec` and keeps the buffer.
+    window: Vec<RecorderEntry>,
     active: Option<ActiveIncident>,
     /// Total entries ever dropped from incident windows at capacity.
     dropped_total: usize,
@@ -435,6 +451,8 @@ impl FlightRecorder {
         FlightRecorder {
             config,
             ring: VecDeque::with_capacity(config.capacity.min(1024)),
+            context: None,
+            window: Vec::new(),
             active: None,
             dropped_total: 0,
         }
@@ -466,12 +484,11 @@ impl FlightRecorder {
     /// in the open window (dropped, and counted, once the window is full).
     pub fn record(&mut self, at: SimTime, event: RecorderEvent) {
         let entry = RecorderEntry { at, event };
-        match &mut self.active {
-            Some(active) => {
-                if active.window.len() < self.config.window_capacity {
-                    active.window.push(entry);
+        match self.active {
+            Some(_) => {
+                if self.window.len() < self.config.window_capacity {
+                    self.window.push(entry);
                 } else {
-                    active.dropped += 1;
                     self.dropped_total += 1;
                 }
             }
@@ -483,26 +500,29 @@ impl FlightRecorder {
                     self.ring.pop_front();
                 }
                 self.ring.push_back(entry);
+                self.context = None;
             }
         }
     }
 
     /// Opens an incident: snapshots the most recent background entries as
     /// context and starts routing subsequent events into the incident window.
+    /// The snapshot is built once per ring state and shared by every incident
+    /// opened before the next background entry lands.
     /// Returns `false` (and changes nothing) if an incident is already open.
     pub fn open_incident(&mut self, seq: u64, kind: FaultKind, at: SimTime) -> bool {
         if self.active.is_some() {
             return false;
         }
-        let skip = self.ring.len().saturating_sub(self.config.context_entries);
-        let context: Vec<RecorderEntry> = self.ring.iter().skip(skip).cloned().collect();
+        let context = self.context.get_or_insert_with(|| {
+            let skip = self.ring.len().saturating_sub(self.config.context_entries);
+            self.ring.iter().skip(skip).cloned().collect()
+        });
         self.active = Some(ActiveIncident {
             seq,
             kind,
             opened_at: at,
-            context,
-            window: Vec::new(),
-            dropped: 0,
+            context: Arc::clone(context),
         });
         true
     }
@@ -528,8 +548,9 @@ impl FlightRecorder {
         machines
     }
 
-    /// Closes the open incident, freezing its capture. Returns `None` if no
-    /// incident is open.
+    /// Closes the open incident, freezing its capture: the window entries
+    /// move out of the recorder's window buffer into one exactly sized
+    /// allocation. Returns `None` if no incident is open.
     pub fn close_incident(&mut self, at: SimTime) -> Option<IncidentCapture> {
         let active = self.active.take()?;
         Some(IncidentCapture {
@@ -538,7 +559,7 @@ impl FlightRecorder {
             opened_at: active.opened_at,
             closed_at: at,
             context: active.context,
-            window: active.window,
+            window: self.window.drain(..).collect(),
         })
     }
 }
@@ -710,6 +731,79 @@ mod tests {
         assert_eq!(capture.evidence_from(EvidenceSource::Diagnoser).len(), 1);
         assert_eq!(capture.evidence_from(EvidenceSource::Telemetry).len(), 1);
         assert_eq!(capture.evidence_from(EvidenceSource::Replay).len(), 0);
+    }
+
+    fn detected(secs: u64) -> RecorderEvent {
+        RecorderEvent::Detected {
+            kind: FaultKind::JobHang,
+            latency: SimDuration::from_secs(secs),
+        }
+    }
+
+    #[test]
+    fn incidents_with_no_background_record_between_share_one_context() {
+        let mut recorder = FlightRecorder::default();
+        recorder.record(t(1), telemetry_event(1, 4));
+        recorder.open_incident(1, FaultKind::JobHang, t(2));
+        recorder.record(t(2), detected(1));
+        let first = recorder.close_incident(t(3)).unwrap();
+        recorder.open_incident(2, FaultKind::JobHang, t(4));
+        recorder.record(t(4), detected(2));
+        let second = recorder.close_incident(t(5)).unwrap();
+        assert_eq!(first.context.len(), 1);
+        assert!(Arc::ptr_eq(&first.context, &second.context));
+    }
+
+    #[test]
+    fn a_background_record_breaks_context_sharing() {
+        let mut recorder = FlightRecorder::default();
+        recorder.record(t(1), telemetry_event(1, 4));
+        recorder.open_incident(1, FaultKind::JobHang, t(2));
+        let first = recorder.close_incident(t(3)).unwrap();
+        recorder.record(t(4), telemetry_event(4, 5));
+        recorder.open_incident(2, FaultKind::CudaError, t(4));
+        let second = recorder.close_incident(t(5)).unwrap();
+        assert!(!Arc::ptr_eq(&first.context, &second.context));
+        assert_eq!(first.context.len(), 1);
+        assert_eq!(second.context.len(), 2);
+        assert_eq!(second.context[1].at, t(4));
+        assert_eq!(second.context[1].event, telemetry_event(4, 5));
+        assert_eq!(second.machines_mentioned(), vec![MachineId(5)]);
+    }
+
+    #[test]
+    fn closed_windows_are_exactly_sized() {
+        let mut recorder = FlightRecorder::default();
+        for (seq, entries) in [(1, 6), (2, 1), (3, 0), (4, 9)] {
+            recorder.open_incident(seq, FaultKind::JobHang, t(seq));
+            for i in 0..entries {
+                recorder.record(t(seq), detected(i));
+            }
+            let capture = recorder.close_incident(t(seq + 1)).unwrap();
+            assert_eq!(capture.window.len() as u64, entries);
+            assert_eq!(capture.window.capacity(), capture.window.len());
+        }
+    }
+
+    #[test]
+    fn shared_context_capture_is_a_codec_fixed_point() {
+        use crate::codec::{from_json, to_json};
+        let mut recorder = FlightRecorder::default();
+        recorder.record(t(1), telemetry_event(1, 4));
+        recorder.record(t(2), telemetry_event(2, 6));
+        let mut captures = Vec::new();
+        for seq in 1..=2 {
+            recorder.open_incident(seq, FaultKind::JobHang, t(2));
+            recorder.record(t(2), detected(seq));
+            captures.push(recorder.close_incident(t(3)).unwrap());
+        }
+        assert!(Arc::ptr_eq(&captures[0].context, &captures[1].context));
+        for capture in &captures {
+            let exported = to_json(capture);
+            let imported: IncidentCapture = from_json(&exported).expect("export decodes");
+            assert_eq!(&imported, capture);
+            assert_eq!(to_json(&imported), exported);
+        }
     }
 
     #[test]

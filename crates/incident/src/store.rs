@@ -171,10 +171,17 @@ impl IncidentStore {
     }
 
     /// [`insert`](IncidentStore::insert) for an already-shared dossier: the
-    /// store keeps a reference, not a copy.
+    /// store keeps a reference, not a copy. A job run produces dossiers in
+    /// `seq` order, so the common case is an append; only an out-of-order
+    /// dossier pays for the binary search.
     pub fn insert_shared(&mut self, dossier: Arc<IncidentDossier>) {
-        let pos = self.dossiers.partition_point(|d| d.seq <= dossier.seq);
-        self.dossiers.insert(pos, dossier);
+        match self.dossiers.last() {
+            Some(last) if last.seq > dossier.seq => {
+                let pos = self.dossiers.partition_point(|d| d.seq <= dossier.seq);
+                self.dossiers.insert(pos, dossier);
+            }
+            _ => self.dossiers.push(dossier),
+        }
     }
 
     /// Number of stored incidents.
@@ -658,6 +665,31 @@ mod tests {
         let mut fallback_store = IncidentStore::new();
         fallback_store.insert(synthetic);
         assert_eq!(fallback_store.eviction_stats(), (4, 4));
+    }
+
+    #[test]
+    fn appends_and_out_of_order_inserts_keep_the_store_sorted_by_seq() {
+        let make = |seq| {
+            dossier(
+                seq,
+                seq,
+                FaultKind::CudaError,
+                ResolutionMechanism::Reattempt,
+                vec![],
+            )
+        };
+        let mut store = IncidentStore::new();
+        // In-order appends (the fast path), including a repeated seq...
+        for seq in [2, 4, 4, 7] {
+            store.insert(make(seq));
+        }
+        // ...then inserts that land before, between and at existing seqs.
+        for seq in [1, 5, 4, 3, 9, 0] {
+            store.insert(make(seq));
+        }
+        let seqs: Vec<u64> = store.all().iter().map(|d| d.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4, 4, 4, 5, 7, 9]);
+        assert_eq!(store.get(5).map(|d| d.seq), Some(5));
     }
 
     #[test]

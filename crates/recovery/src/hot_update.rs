@@ -30,7 +30,7 @@ pub struct UpdateRequest {
     /// Urgency class.
     pub urgency: UpdateUrgency,
     /// Human-readable description (persisted for traceability).
-    pub description: String,
+    pub description: &'static str,
     /// Probability the change introduces a bug that later surfaces as a
     /// user-code failure.
     pub bug_risk: f64,
@@ -188,7 +188,7 @@ mod tests {
         UpdateRequest {
             requested_at: SimTime::from_hours(at_hours),
             urgency,
-            description: "fused kernel rollout".to_string(),
+            description: "fused kernel rollout",
             bug_risk: risk,
         }
     }
