@@ -1,9 +1,12 @@
-//! The data plane: the Robust Agent and its four sub-modules (§3).
+//! The data plane: the four sub-modules of the Robust Agent (§3).
 //!
-//! One Robust Agent daemon runs in every training pod. It hosts:
+//! In the paper one Robust Agent daemon runs in every training pod. This
+//! reproduction models no daemon state machine; the lifecycle driver and the
+//! controller call these sub-modules directly:
 //!
-//! * the [`Monitor`] — second-level system inspections plus
-//!   workload-metric collection and anomaly rules (§4.1),
+//! * the [`Monitor`] — the per-category inspection intervals (Table 3) that
+//!   give every incident its detection latency, plus inspection sweeps over
+//!   machine health (§4.1),
 //! * the [`Diagnoser`] — stop-time test suites (EUD,
 //!   NCCL intra/inter tests, the MiniGPT bit-wise alignment suite) run after
 //!   job suspension (§4.2, §4.3),
@@ -18,14 +21,12 @@
 pub mod ckpt_manager;
 pub mod diagnoser;
 pub mod monitor;
-pub mod robust_agent;
 pub mod stress;
 pub mod tracer;
 
 pub use ckpt_manager::CkptManager;
 pub use diagnoser::{Diagnoser, DiagnoserConfig, DiagnosisConclusion, DiagnosisOutcome};
 pub use monitor::{InspectionCategory, InspectionFinding, Monitor, MonitorConfig};
-pub use robust_agent::{AgentState, RobustAgent};
 pub use stress::SelectiveStressTester;
 pub use tracer::OnDemandTracer;
 
@@ -34,7 +35,6 @@ pub mod prelude {
     pub use crate::ckpt_manager::CkptManager;
     pub use crate::diagnoser::{Diagnoser, DiagnoserConfig, DiagnosisConclusion, DiagnosisOutcome};
     pub use crate::monitor::{InspectionCategory, InspectionFinding, Monitor, MonitorConfig};
-    pub use crate::robust_agent::{AgentState, RobustAgent};
     pub use crate::stress::SelectiveStressTester;
     pub use crate::tracer::OnDemandTracer;
 }

@@ -136,12 +136,6 @@ impl JobReport {
         self.incident_store.resolution_time_by_symptom()
     }
 
-    /// Incident counts per symptom (Table 1-style distribution), computed as
-    /// an incident-store query.
-    pub fn incident_counts_by_symptom(&self) -> BTreeMap<FaultKind, usize> {
-        self.incident_store.counts_by_symptom()
-    }
-
     /// Total number of machines evicted over the run, and how many of those
     /// evictions were over-evictions (the §9 false-positive discussion),
     /// computed as an incident-store query.

@@ -1,6 +1,6 @@
 //! The observability plane: what the reproduction can see about *itself*.
 //!
-//! `crates/telemetry` observes the simulated workload (the stand-in for
+//! `crates/telemetry` holds the simulated workload's signals (the stand-in for
 //! wandb/DCGM/dmesg); this crate observes the machinery that reacts to it —
 //! recovery phases, broker decisions, scheduler behavior, warehouse activity.
 //! It is split into two strictly separated domains:

@@ -1,4 +1,4 @@
-//! Discrete-event simulation substrate for the ByteRobust reproduction.
+//! Deterministic simulation substrate for the ByteRobust reproduction.
 //!
 //! The original ByteRobust system runs against a physical GPU cluster and
 //! wall-clock time. This crate provides the deterministic replacement used by
@@ -6,29 +6,20 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — millisecond-resolution simulated time,
 //! * [`SimRng`] — a seeded, reproducible random-number generator with the
-//!   distribution helpers the fault injector and schedulers need,
-//! * [`EventQueue`] — a monotonic future-event list,
-//! * [`stats`] — summary statistics and sliding windows used by detectors and
-//!   by the experiment harnesses.
+//!   distribution helpers the fault injector and schedulers need.
 //!
 //! All experiments in the repository are bit-for-bit reproducible given the
 //! same seed because every source of randomness flows through [`SimRng`] and
 //! every notion of "now" flows through [`SimTime`].
 
-pub mod event;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, Scheduled};
 pub use rng::SimRng;
-pub use stats::{percentile, OnlineStats, SlidingWindow};
 pub use time::{SimDuration, SimTime};
 
 /// Convenience prelude for downstream crates.
 pub mod prelude {
-    pub use crate::event::{EventQueue, Scheduled};
     pub use crate::rng::SimRng;
-    pub use crate::stats::{percentile, OnlineStats, SlidingWindow};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -5,7 +5,7 @@
 use byterobust_cluster::MachineId;
 use byterobust_sim::SimTime;
 
-/// Kinds of system events the monitor consumes.
+/// Kinds of system events the lifecycle driver taps into the flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// NVIDIA Xid error reported in dmesg.
@@ -77,124 +77,9 @@ impl SystemEvent {
     }
 }
 
-/// A bounded in-memory event log with windowed queries.
-#[derive(Debug, Clone, Default)]
-pub struct EventLog {
-    events: Vec<SystemEvent>,
-}
-
-impl EventLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends an event (must be in non-decreasing time order).
-    pub fn push(&mut self, event: SystemEvent) {
-        if let Some(last) = self.events.last() {
-            assert!(event.at >= last.at, "events must be appended in time order");
-        }
-        self.events.push(event);
-    }
-
-    /// All events.
-    pub fn all(&self) -> &[SystemEvent] {
-        &self.events
-    }
-
-    /// Events on a machine within `(since, until]`.
-    pub fn for_machine_in_window(
-        &self,
-        machine: MachineId,
-        since: SimTime,
-        until: SimTime,
-    ) -> Vec<SystemEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.machine == machine && e.at > since && e.at <= until)
-            .copied()
-            .collect()
-    }
-
-    /// Number of events of a kind on a machine within `(since, until]`.
-    pub fn count_kind_in_window(
-        &self,
-        machine: MachineId,
-        kind: EventKind,
-        since: SimTime,
-        until: SimTime,
-    ) -> usize {
-        self.for_machine_in_window(machine, since, until)
-            .iter()
-            .filter(|e| e.kind == kind)
-            .count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn push_and_query() {
-        let mut log = EventLog::new();
-        let m = MachineId(1);
-        log.push(SystemEvent::new(
-            SimTime::from_secs(10),
-            EventKind::NicFlapping,
-            m,
-        ));
-        log.push(SystemEvent::new(
-            SimTime::from_secs(20),
-            EventKind::NicFlapping,
-            m,
-        ));
-        log.push(SystemEvent::new(
-            SimTime::from_secs(30),
-            EventKind::XidError,
-            MachineId(2),
-        ));
-        assert_eq!(log.all().len(), 3);
-        assert_eq!(
-            log.count_kind_in_window(
-                m,
-                EventKind::NicFlapping,
-                SimTime::ZERO,
-                SimTime::from_secs(60)
-            ),
-            2
-        );
-        assert_eq!(
-            log.count_kind_in_window(
-                m,
-                EventKind::NicFlapping,
-                SimTime::from_secs(15),
-                SimTime::from_secs(60)
-            ),
-            1
-        );
-        assert_eq!(
-            log.for_machine_in_window(MachineId(2), SimTime::ZERO, SimTime::from_secs(60))
-                .len(),
-            1
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "time order")]
-    fn out_of_order_push_panics() {
-        let mut log = EventLog::new();
-        log.push(SystemEvent::new(
-            SimTime::from_secs(10),
-            EventKind::OomKill,
-            MachineId(0),
-        ));
-        log.push(SystemEvent::new(
-            SimTime::from_secs(5),
-            EventKind::OomKill,
-            MachineId(0),
-        ));
-    }
 
     #[test]
     fn classification_flags() {

@@ -1,31 +1,21 @@
-//! Telemetry substrate: metrics, system events, logs/exit codes, anomaly
-//! detection, and heartbeats.
+//! Telemetry substrate: system events and the coarse log class.
 //!
-//! The paper's monitor (§4.1) gathers three classes of data — workload
-//! training metrics (loss, gradient norm, MFU), stdout/stderr logs and exit
-//! codes, and system events (CUDA, RDMA, host, storage) — and derives fault
-//! signals from them: NaN values, 5× loss/grad-norm jumps, zero RDMA traffic
-//! for ten minutes, low TensorCore utilization, MFU decline. This crate
-//! provides the in-memory replacements for wandb/DCGM/dmesg that those rules
-//! read, plus the rules themselves.
+//! The paper's monitor (§4.1) gathers workload metrics, stdout/stderr logs
+//! and system events (CUDA, RDMA, host, storage). This reproduction keeps two
+//! of those signals as data: the [`SystemEvent`] the lifecycle driver taps
+//! into the flight recorder at fault time, and the [`LogClass`] the
+//! controller routes an incident by. Detection latency itself is a table,
+//! not a pipeline: `Monitor::detection_time_with_inspection` in the agent
+//! crate (Table 3).
 
-pub mod anomaly;
 pub mod events;
-pub mod heartbeat;
 pub mod logs;
-pub mod metrics;
 
-pub use anomaly::{Anomaly, AnomalyDetector, AnomalyDetectorConfig};
-pub use events::{EventKind, EventLog, SystemEvent};
-pub use heartbeat::HeartbeatTracker;
-pub use logs::{classify_log, ExitCode, LogClass, LogLine};
-pub use metrics::{MetricKind, MetricPoint, MetricStore};
+pub use events::{EventKind, SystemEvent};
+pub use logs::LogClass;
 
 /// Convenience prelude for downstream crates.
 pub mod prelude {
-    pub use crate::anomaly::{Anomaly, AnomalyDetector, AnomalyDetectorConfig};
-    pub use crate::events::{EventKind, EventLog, SystemEvent};
-    pub use crate::heartbeat::HeartbeatTracker;
-    pub use crate::logs::{classify_log, ExitCode, LogClass, LogLine};
-    pub use crate::metrics::{MetricKind, MetricPoint, MetricStore};
+    pub use crate::events::{EventKind, SystemEvent};
+    pub use crate::logs::LogClass;
 }

@@ -15,8 +15,8 @@
 //! * [`stacktrace`] — the static catalogue of Python-style stack templates for
 //!   normal execution, hangs, and fail-slow scenarios, and the grouped
 //!   [`StackCapture`] that is the input to §5's aggregation analysis,
-//! * [`TrainingRuntime`] — step-by-step simulation of a running job, including
-//!   the effect of injected faults on progress, metrics and stacks.
+//! * [`TrainingRuntime`] — the running job's step counter, code version and
+//!   active fault, and the effect of that fault on the stacks.
 
 pub mod job;
 pub mod loss;
@@ -30,7 +30,7 @@ pub use job::{HardwareSpec, JobSpec};
 pub use loss::LossModel;
 pub use model::{Architecture, ModelSpec};
 pub use recipe::{PretrainRecipe, RecipeStage, StageKind};
-pub use runtime::{RankCondition, RuntimeStatus, StepMetrics, TrainingRuntime};
+pub use runtime::{RuntimeStatus, TrainingRuntime};
 pub use stacktrace::{ProcessKind, StackCapture, StackFrame, StackGroup, StackTrace};
 pub use step::{CodeVersion, StepBreakdown, StepModel, TrainPhase};
 
@@ -40,7 +40,7 @@ pub mod prelude {
     pub use crate::loss::LossModel;
     pub use crate::model::{Architecture, ModelSpec};
     pub use crate::recipe::{PretrainRecipe, RecipeStage, StageKind};
-    pub use crate::runtime::{RankCondition, RuntimeStatus, StepMetrics, TrainingRuntime};
+    pub use crate::runtime::{RuntimeStatus, TrainingRuntime};
     pub use crate::stacktrace::{ProcessKind, StackCapture, StackFrame, StackGroup, StackTrace};
     pub use crate::step::{CodeVersion, StepBreakdown, StepModel, TrainPhase};
 }

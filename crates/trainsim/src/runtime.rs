@@ -1,11 +1,12 @@
-//! Step-by-step simulation of a running training job.
+//! The simulated state of a running training job.
 //!
-//! [`TrainingRuntime`] is the data-plane view of the job the robust agent's
-//! monitor observes: it advances optimizer steps, exposes workload metrics
-//! (loss, gradient norm, MFU, RDMA traffic, TensorCore utilization), and
-//! reflects injected faults — hangs stop progress, fail-slow reduces MFU, NaN
-//! corrupts the loss — and it yields the stack capture the on-demand tracer
-//! would collect in each of those situations.
+//! [`TrainingRuntime`] is the data-plane view of a running job: its step
+//! counter and code version, the fault currently applied to it (hang,
+//! fail-slow, NaN, crash) with the machines it is rooted at, and the stack
+//! capture the on-demand tracer would collect in each of those situations.
+//! The lifecycle driver moves the step counter in whole productive intervals
+//! with [`TrainingRuntime::restore_to_step`]; the runtime emits no per-step
+//! metrics.
 
 use std::collections::HashSet;
 
@@ -14,21 +15,8 @@ use byterobust_parallelism::{GroupKind, ParallelTopology, Rank};
 use byterobust_sim::SimDuration;
 
 use crate::job::JobSpec;
-use crate::loss::LossModel;
 use crate::stacktrace::{self, ProcessKind, StackCapture, StackFrame, StackGroup, StackTrace};
-use crate::step::{CodeVersion, StepBreakdown, StepModel, TrainPhase};
-
-/// What condition an individual rank is in, as far as the workload model is
-/// concerned.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RankCondition {
-    /// Executing normally.
-    Normal,
-    /// Blocked forever in the given phase.
-    Hung(TrainPhase),
-    /// Running but slowed by the given factor (> 1 means slower).
-    Slow(f64),
-}
+use crate::step::{CodeVersion, StepModel, TrainPhase};
 
 /// Aggregate status of the job as the workload model sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,31 +51,11 @@ enum ActiveFault {
     Crash,
 }
 
-/// One step's observable metrics, as collected by the monitor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepMetrics {
-    /// Optimizer step index this sample belongs to.
-    pub step: u64,
-    /// Training loss (NaN under an active NaN fault).
-    pub loss: f64,
-    /// Gradient norm.
-    pub grad_norm: f64,
-    /// Model FLOPs utilization in `[0, 1]`.
-    pub mfu: f64,
-    /// Aggregate RDMA traffic as a fraction of nominal (0.0 when hung).
-    pub rdma_traffic: f64,
-    /// TensorCore utilization as a fraction of nominal (0.0 when hung).
-    pub tensorcore_util: f64,
-    /// Wall-clock duration of the step.
-    pub duration: SimDuration,
-}
-
 /// The simulated training job runtime.
 #[derive(Debug, Clone)]
 pub struct TrainingRuntime {
     job: JobSpec,
     step_model: StepModel,
-    loss_model: LossModel,
     topology: ParallelTopology,
     code: CodeVersion,
     step: u64,
@@ -102,7 +70,6 @@ impl TrainingRuntime {
         TrainingRuntime {
             job,
             step_model,
-            loss_model: LossModel::pretraining(),
             topology,
             code: CodeVersion::initial(),
             step: 0,
@@ -146,8 +113,9 @@ impl TrainingRuntime {
         }
     }
 
-    /// Machines currently implicated by the active fault (ground truth, used
-    /// by the experiment harness to score isolation decisions).
+    /// Machines the active fault is rooted at: the ground truth behind
+    /// [`TrainingRuntime::rank_phases`]. Empty when no fault is active or
+    /// the processes crashed.
     pub fn fault_victims(&self) -> Vec<MachineId> {
         match &self.fault {
             ActiveFault::Hang { victims }
@@ -194,60 +162,6 @@ impl TrainingRuntime {
     /// Restores progress to an absolute step (loading a checkpoint).
     pub fn restore_to_step(&mut self, step: u64) {
         self.step = step;
-    }
-
-    /// Executes one training step under the current conditions and returns
-    /// its observable metrics. When the job is hung or crashed no progress is
-    /// made; the returned metrics reflect that (zero traffic, unchanged step).
-    pub fn execute_step(
-        &mut self,
-        cluster_throughput: f64,
-        checkpoint_stall: SimDuration,
-    ) -> StepMetrics {
-        match &self.fault {
-            ActiveFault::Hang { .. } | ActiveFault::Crash => {
-                return StepMetrics {
-                    step: self.step,
-                    loss: self.loss_model.loss_at(self.step),
-                    grad_norm: self.loss_model.grad_norm_at(self.step),
-                    mfu: 0.0,
-                    rdma_traffic: 0.0,
-                    tensorcore_util: 0.0,
-                    duration: SimDuration::from_secs(0),
-                };
-            }
-            _ => {}
-        }
-
-        let slowdown = match &self.fault {
-            ActiveFault::FailSlow { slowdown, .. } => *slowdown,
-            _ => 1.0,
-        };
-        let effective_throughput = (cluster_throughput / slowdown).clamp(0.01, 1.0);
-        let breakdown: StepBreakdown =
-            self.step_model
-                .step(&self.code, effective_throughput, checkpoint_stall);
-
-        let loss = match &self.fault {
-            ActiveFault::Nan { .. } => LossModel::nan_loss(),
-            _ => self.loss_model.loss_at(self.step),
-        };
-        let grad_norm = match &self.fault {
-            ActiveFault::Nan { .. } => f64::NAN,
-            _ => self.loss_model.grad_norm_at(self.step),
-        };
-
-        let metrics = StepMetrics {
-            step: self.step,
-            loss,
-            grad_norm,
-            mfu: breakdown.mfu,
-            rdma_traffic: effective_throughput,
-            tensorcore_util: breakdown.mfu / 0.6,
-            duration: breakdown.total(),
-        };
-        self.step += 1;
-        metrics
     }
 
     /// Duration of a nominal step under the current code version at full
@@ -422,42 +336,20 @@ mod tests {
     }
 
     #[test]
-    fn healthy_steps_make_progress() {
-        let mut rt = runtime();
-        let m0 = rt.execute_step(1.0, SimDuration::ZERO);
-        let m1 = rt.execute_step(1.0, SimDuration::ZERO);
-        assert_eq!(rt.current_step(), 2);
-        assert_eq!(m0.step, 0);
-        assert_eq!(m1.step, 1);
-        assert!(m0.mfu > 0.0);
-        assert!(m0.loss.is_finite());
-        assert!(!m0.duration.is_zero());
-        assert_eq!(rt.status(), RuntimeStatus::Running);
-    }
-
-    #[test]
     fn hang_stops_progress_and_zeroes_traffic() {
         let mut rt = runtime();
-        rt.execute_step(1.0, SimDuration::ZERO);
         rt.inject_hang(vec![MachineId(3)]);
         assert_eq!(rt.status(), RuntimeStatus::Hung);
-        let before = rt.current_step();
-        let m = rt.execute_step(1.0, SimDuration::ZERO);
-        assert_eq!(rt.current_step(), before);
-        assert_eq!(m.rdma_traffic, 0.0);
-        assert_eq!(m.mfu, 0.0);
+        assert_eq!(rt.fault_victims(), vec![MachineId(3)]);
         rt.clear_fault();
         assert_eq!(rt.status(), RuntimeStatus::Running);
+        assert!(rt.fault_victims().is_empty());
     }
 
     #[test]
     fn nan_fault_produces_nan_loss_but_progresses() {
         let mut rt = runtime();
         rt.inject_nan(vec![MachineId(1)]);
-        let m = rt.execute_step(1.0, SimDuration::ZERO);
-        assert!(m.loss.is_nan());
-        assert!(m.grad_norm.is_nan());
-        assert_eq!(rt.current_step(), 1);
         assert_eq!(rt.status(), RuntimeStatus::NanLoss);
         assert_eq!(rt.fault_victims(), vec![MachineId(1)]);
     }
@@ -465,20 +357,15 @@ mod tests {
     #[test]
     fn fail_slow_reduces_mfu() {
         let mut rt = runtime();
-        let healthy = rt.execute_step(1.0, SimDuration::ZERO);
         rt.inject_fail_slow(vec![MachineId(2)], 2.5);
-        let slow = rt.execute_step(1.0, SimDuration::ZERO);
-        assert!(slow.mfu < healthy.mfu);
-        assert!(slow.duration > healthy.duration);
         assert_eq!(rt.status(), RuntimeStatus::Degraded);
+        assert_eq!(rt.fault_victims(), vec![MachineId(2)]);
     }
 
     #[test]
     fn rollback_and_restore() {
         let mut rt = runtime();
-        for _ in 0..10 {
-            rt.execute_step(1.0, SimDuration::ZERO);
-        }
+        rt.restore_to_step(10);
         rt.rollback_steps(3);
         assert_eq!(rt.current_step(), 7);
         rt.restore_to_step(2);
@@ -563,8 +450,7 @@ mod tests {
         let mut rt = runtime();
         rt.inject_crash();
         assert_eq!(rt.status(), RuntimeStatus::Crashed);
-        let m = rt.execute_step(1.0, SimDuration::ZERO);
-        assert_eq!(m.tensorcore_util, 0.0);
+        assert!(rt.fault_victims().is_empty());
     }
 
     #[test]

@@ -28,6 +28,7 @@ fn store_holds_one_dossier_per_incident_in_order() {
 #[test]
 fn every_capture_is_a_frozen_coherent_window() {
     let report = run_small(22);
+    let monitor = Monitor::new();
     for dossier in report.incident_store.all() {
         let capture = &dossier.capture;
         assert_eq!(capture.seq, dossier.seq);
@@ -36,15 +37,26 @@ fn every_capture_is_a_frozen_coherent_window() {
         // The window closes exactly when the incident's unproductive time
         // ends.
         assert_eq!(capture.closed_at, dossier.at + dossier.cost.total());
-        // Every incident at least detects and resumes.
-        assert!(
-            capture
-                .window
-                .iter()
-                .any(|entry| matches!(entry.event, RecorderEvent::Detected { .. })),
-            "no detection event in capture of incident #{}",
+        // Every incident detects exactly once, after the Table 3 latency of
+        // its symptom: the one detection model. The charged cost and the
+        // recorded detection both carry it.
+        let table = monitor.detection_time_with_inspection(dossier.kind);
+        assert_eq!(dossier.cost.detection, table, "incident #{}", dossier.seq);
+        let detected: Vec<_> = capture
+            .window
+            .iter()
+            .filter_map(|entry| match entry.event {
+                RecorderEvent::Detected { kind, latency } => Some((kind, latency)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            detected,
+            [(dossier.kind, table)],
+            "detection events in capture of incident #{}",
             dossier.seq
         );
+        // Every incident resumes.
         assert!(
             capture
                 .window
