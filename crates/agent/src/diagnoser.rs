@@ -92,11 +92,6 @@ impl Diagnoser {
         }
     }
 
-    /// Creates a diagnoser with custom timing/accuracy parameters.
-    pub fn with_config(config: DiagnoserConfig, rng: SimRng) -> Self {
-        Diagnoser { config, rng }
-    }
-
     /// EUD over the given machines: returns machines with outright GPU faults
     /// plus (with limited recall) SDC-prone machines.
     pub fn run_eud(&mut self, cluster: &Cluster, machines: &[MachineId]) -> Vec<MachineId> {

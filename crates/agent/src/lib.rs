@@ -12,8 +12,11 @@
 //!   job suspension (§4.2, §4.3),
 //! * the [`OnDemandTracer`] — stack-trace capture
 //!   feeding the Runtime Analyzer (§5),
-//! * the [`CkptManager`] — per-step asynchronous
-//!   checkpointing with cross-parallel-group backups (§6.3).
+//! * the [`CkptManager`] — records the recovery point of each storage tier
+//!   (in-memory with cross-parallel-group backups, local disk, remote) as the
+//!   checkpoint plan schedules them, and answers recovery queries (§6.3).
+//!   Checkpoint stalls are modelled only by the Table 8 comparison; a run is
+//!   never charged one.
 //!
 //! The [`stress`] module implements the *selective stress testing* baseline
 //! that Table 6 compares the automated fault-tolerance framework against.
@@ -26,7 +29,7 @@ pub mod tracer;
 
 pub use ckpt_manager::CkptManager;
 pub use diagnoser::{Diagnoser, DiagnoserConfig, DiagnosisConclusion, DiagnosisOutcome};
-pub use monitor::{InspectionCategory, InspectionFinding, Monitor, MonitorConfig};
+pub use monitor::{InspectionFinding, Monitor, MonitorConfig};
 pub use stress::SelectiveStressTester;
 pub use tracer::OnDemandTracer;
 
@@ -34,7 +37,7 @@ pub use tracer::OnDemandTracer;
 pub mod prelude {
     pub use crate::ckpt_manager::CkptManager;
     pub use crate::diagnoser::{Diagnoser, DiagnoserConfig, DiagnosisConclusion, DiagnosisOutcome};
-    pub use crate::monitor::{InspectionCategory, InspectionFinding, Monitor, MonitorConfig};
+    pub use crate::monitor::{InspectionFinding, Monitor, MonitorConfig};
     pub use crate::stress::SelectiveStressTester;
     pub use crate::tracer::OnDemandTracer;
 }

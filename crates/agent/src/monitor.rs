@@ -18,32 +18,6 @@ use std::sync::Arc;
 use byterobust_cluster::{FaultKind, HealthIssue, HealthReport, Machine, MachineId};
 use byterobust_sim::{SimDuration, SimTime};
 
-/// The inspection category an item belongs to, each with its own interval and
-/// alert threshold (Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InspectionCategory {
-    /// NIC / switch / link items, inspected every 30 s.
-    Network,
-    /// GPU items (DCGM status, temperature, PCIe, row remapping), every 10 s.
-    Gpu,
-    /// Host items (dmesg / Xid / kernel events), every 2 s.
-    Host,
-}
-
-impl InspectionCategory {
-    /// The category covering a given health issue.
-    pub fn of(issue: HealthIssue) -> Self {
-        use HealthIssue::*;
-        match issue {
-            NicDown | NicFlapping => InspectionCategory::Network,
-            DcgmUnresponsive | GpuHighTemperature | GpuLost | GpuFaulty | PcieBandwidthLow
-            | MemoryRowRemapping => InspectionCategory::Gpu,
-            KernelPanic | FilesystemUnmounted | DiskAlmostFull | HostMemoryPressure
-            | HostCpuOverload => InspectionCategory::Host,
-        }
-    }
-}
-
 /// Monitor configuration: inspection intervals and alert thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
@@ -74,17 +48,6 @@ impl Default for MonitorConfig {
             switch_alerts_required: 2,
             baseline_timeout: SimDuration::from_mins(10),
             baseline_monitor_interval: SimDuration::from_mins(5),
-        }
-    }
-}
-
-impl MonitorConfig {
-    /// Inspection interval for a category.
-    pub fn interval(&self, category: InspectionCategory) -> SimDuration {
-        match category {
-            InspectionCategory::Network => self.network_interval,
-            InspectionCategory::Gpu => self.gpu_interval,
-            InspectionCategory::Host => self.host_interval,
         }
     }
 }
@@ -124,15 +87,6 @@ impl Monitor {
         }
     }
 
-    /// Replaces the repeat-offender set the fleet ledger derived from
-    /// cross-job incident history. The set is sorted and deduplicated so
-    /// membership checks can binary-search.
-    pub fn set_repeat_offenders(&mut self, mut machines: Vec<MachineId>) {
-        machines.sort();
-        machines.dedup();
-        self.repeat_offenders = Arc::from(machines);
-    }
-
     /// Adopts an already-shared offender set (sorted, deduplicated) without
     /// copying it — the fleet runner's per-incident publish path.
     ///
@@ -145,11 +99,6 @@ impl Monitor {
             "shared repeat-offender set must be sorted and deduplicated"
         );
         self.repeat_offenders = machines;
-    }
-
-    /// The current repeat-offender set, sorted.
-    pub fn repeat_offenders(&self) -> &[MachineId] {
-        &self.repeat_offenders
     }
 
     /// Whether a machine has been flagged as a repeat offender.
@@ -300,44 +249,14 @@ mod tests {
     fn repeat_offender_set_is_sorted_and_queryable() {
         let mut monitor = Monitor::new();
         assert!(!monitor.is_repeat_offender(MachineId(3)));
-        monitor.set_repeat_offenders(vec![MachineId(9), MachineId(3), MachineId(9)]);
-        assert_eq!(
-            monitor.repeat_offenders(),
-            &[MachineId(3), MachineId(9)],
-            "set must be sorted and deduplicated"
-        );
-        assert!(monitor.is_repeat_offender(MachineId(3)));
-        assert!(monitor.is_repeat_offender(MachineId(9)));
-        assert!(!monitor.is_repeat_offender(MachineId(4)));
-        monitor.set_repeat_offenders(Vec::new());
-        assert!(!monitor.is_repeat_offender(MachineId(3)));
-
         // The fleet publish path: adopt an already-shared sorted set.
         let shared: Arc<[MachineId]> = vec![MachineId(1), MachineId(7)].into();
         monitor.set_repeat_offenders_shared(shared.clone());
-        assert_eq!(monitor.repeat_offenders(), shared.as_ref());
+        assert_eq!(monitor.repeat_offenders.as_ref(), shared.as_ref());
+        assert!(monitor.is_repeat_offender(MachineId(1)));
         assert!(monitor.is_repeat_offender(MachineId(7)));
         assert!(!monitor.is_repeat_offender(MachineId(2)));
-    }
-
-    #[test]
-    fn category_mapping() {
-        assert_eq!(
-            InspectionCategory::of(HealthIssue::NicDown),
-            InspectionCategory::Network
-        );
-        assert_eq!(
-            InspectionCategory::of(HealthIssue::GpuHighTemperature),
-            InspectionCategory::Gpu
-        );
-        assert_eq!(
-            InspectionCategory::of(HealthIssue::KernelPanic),
-            InspectionCategory::Host
-        );
-        let cfg = MonitorConfig::default();
-        assert_eq!(
-            cfg.interval(InspectionCategory::Gpu),
-            SimDuration::from_secs(10)
-        );
+        monitor.set_repeat_offenders_shared(Arc::from(Vec::new()));
+        assert!(!monitor.is_repeat_offender(MachineId(7)));
     }
 }

@@ -130,14 +130,6 @@ impl AggregationResult {
         max > 0 && cluster.size() as f64 >= self.dominance_ratio * max as f64
     }
 
-    /// Clusters deemed healthy.
-    pub fn dominant_clusters(&self) -> Vec<&StackCluster> {
-        self.clusters
-            .iter()
-            .filter(|c| self.is_dominant(c))
-            .collect()
-    }
-
     /// Clusters deemed outliers.
     pub fn outlier_clusters(&self) -> Vec<&StackCluster> {
         self.clusters

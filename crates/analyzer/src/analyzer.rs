@@ -65,11 +65,6 @@ impl RuntimeAnalyzer {
         Self::default()
     }
 
-    /// Creates an analyzer with a custom configuration.
-    pub fn with_config(config: AnalyzerConfig) -> Self {
-        RuntimeAnalyzer { config }
-    }
-
     /// One-shot hang analysis: aggregate one stack capture and over-evict the
     /// shared parallel group of the outliers.
     pub fn analyze_hang(

@@ -73,11 +73,6 @@ impl EvictionDecision {
             }
         }
     }
-
-    /// Number of machines evicted.
-    pub fn eviction_count(&self) -> usize {
-        self.machines.len()
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +105,7 @@ mod tests {
         );
         // Machine 3 hosted no outlier: this is an over-eviction.
         assert!(d.over_evicts);
-        assert_eq!(d.eviction_count(), 4);
+        assert_eq!(d.machines.len(), 4);
     }
 
     #[test]

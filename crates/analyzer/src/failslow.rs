@@ -18,9 +18,6 @@ use crate::eviction::EvictionDecision;
 pub struct FailSlowVoter {
     /// Interval between aggregation rounds (paper: 10 seconds).
     pub round_interval: SimDuration,
-    /// Number of rounds before a verdict (paper: 5).
-    pub rounds_required: u32,
-    rounds_done: u32,
     /// Cumulative flag count per (group kind, group index).
     flags: HashMap<(GroupKind, usize), u32>,
 }
@@ -32,29 +29,12 @@ impl Default for FailSlowVoter {
 }
 
 impl FailSlowVoter {
-    /// Creates a voter with the paper's parameters (10 s × 5 rounds).
+    /// Creates a voter with the paper's 10 s round interval.
     pub fn new() -> Self {
         FailSlowVoter {
             round_interval: SimDuration::from_secs(10),
-            rounds_required: 5,
-            rounds_done: 0,
             flags: HashMap::new(),
         }
-    }
-
-    /// Number of rounds recorded so far.
-    pub fn rounds_done(&self) -> u32 {
-        self.rounds_done
-    }
-
-    /// Whether enough rounds have been recorded to produce a verdict.
-    pub fn is_complete(&self) -> bool {
-        self.rounds_done >= self.rounds_required
-    }
-
-    /// Total diagnosis time once complete.
-    pub fn total_duration(&self) -> SimDuration {
-        self.round_interval.mul(self.rounds_required as u64)
     }
 
     /// Records one aggregation round: flags the parallel group containing the
@@ -62,7 +42,6 @@ impl FailSlowVoter {
     /// kind ordering TP < PP < DP, then toward the smaller group index, for
     /// determinism).
     pub fn record_round(&mut self, topology: &ParallelTopology, outliers: &[Rank]) {
-        self.rounds_done += 1;
         if outliers.is_empty() {
             return;
         }
@@ -131,13 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn five_rounds_complete_in_50_seconds() {
-        let voter = FailSlowVoter::new();
-        assert_eq!(voter.total_duration(), SimDuration::from_secs(50));
-        assert!(!voter.is_complete());
-    }
-
-    #[test]
     fn consistent_straggler_gets_its_group_evicted() {
         let topo = topo();
         let mut voter = FailSlowVoter::new();
@@ -145,7 +117,6 @@ mod tests {
         for _ in 0..5 {
             voter.record_round(&topo, &[Rank(8), Rank(9)]);
         }
-        assert!(voter.is_complete());
         let verdict = voter.verdict(&topo);
         assert!(!verdict.is_empty());
         assert!(verdict.machines.contains(&MachineId(4)));
@@ -174,7 +145,6 @@ mod tests {
         for _ in 0..5 {
             voter.record_round(&topo, &[]);
         }
-        assert!(voter.is_complete());
         assert!(voter.verdict(&topo).is_empty());
     }
 

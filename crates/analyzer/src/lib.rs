@@ -31,7 +31,7 @@ pub use aggregation::{AggregationResult, StackCluster};
 pub use analyzer::{AnalyzerConfig, RuntimeAnalyzer};
 pub use eviction::EvictionDecision;
 pub use failslow::FailSlowVoter;
-pub use process_tree::{ProcessNode, ProcessTree};
+pub use process_tree::ProcessTree;
 
 /// Convenience prelude for downstream crates.
 pub mod prelude {
@@ -39,5 +39,5 @@ pub mod prelude {
     pub use crate::analyzer::{AnalyzerConfig, RuntimeAnalyzer};
     pub use crate::eviction::EvictionDecision;
     pub use crate::failslow::FailSlowVoter;
-    pub use crate::process_tree::{ProcessNode, ProcessTree};
+    pub use crate::process_tree::ProcessTree;
 }

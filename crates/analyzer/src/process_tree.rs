@@ -8,60 +8,14 @@
 
 use byterobust_trainsim::{ProcessKind, StackTrace};
 
-/// A node in the reconstructed per-pod process tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcessNode {
-    /// Kind of process.
-    pub kind: ProcessKind,
-    /// Command line as it would appear in the process table.
-    pub command: String,
-    /// Child processes.
-    pub children: Vec<ProcessNode>,
-}
-
-impl ProcessNode {
-    fn leaf(kind: ProcessKind) -> Self {
-        ProcessNode {
-            kind,
-            command: kind.command().to_string(),
-            children: Vec::new(),
-        }
-    }
-
-    /// Total number of nodes in this subtree (including self).
-    pub fn size(&self) -> usize {
-        1 + self.children.iter().map(ProcessNode::size).sum::<usize>()
-    }
-}
-
-/// The canonical per-pod process tree: the launch script forks the robust
-/// daemon and spawns the training worker, which in turn forks data-I/O and
-/// checkpoint workers (Fig. 7, step 1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcessTree {
-    /// Root of the tree (the pod's launch script).
-    pub root: ProcessNode,
-}
+/// The per-pod process tree: the launch script forks the robust daemon and
+/// spawns the training worker, which in turn forks data-I/O and checkpoint
+/// workers (Fig. 7, step 1). Aggregation needs only which of those processes
+/// are training-related.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProcessTree;
 
 impl ProcessTree {
-    /// Builds the canonical pod process tree.
-    pub fn canonical() -> Self {
-        let trainer = ProcessNode {
-            kind: ProcessKind::Trainer,
-            command: ProcessKind::Trainer.command().to_string(),
-            children: vec![
-                ProcessNode::leaf(ProcessKind::DataLoader),
-                ProcessNode::leaf(ProcessKind::CheckpointWorker),
-            ],
-        };
-        let root = ProcessNode {
-            kind: ProcessKind::RobustDaemon,
-            command: "python3 launch.sh".to_string(),
-            children: vec![ProcessNode::leaf(ProcessKind::RobustDaemon), trainer],
-        };
-        ProcessTree { root }
-    }
-
     /// The process kinds whose stacks participate in aggregation analysis:
     /// everything training-related, excluding the robust daemon.
     pub fn training_related_kinds() -> [ProcessKind; 3] {
@@ -85,11 +39,6 @@ impl ProcessTree {
             .filter(|s| Self::is_training_related(s.process))
             .collect()
     }
-
-    /// Total number of processes in the canonical tree.
-    pub fn process_count(&self) -> usize {
-        self.root.size()
-    }
 }
 
 #[cfg(test)]
@@ -97,14 +46,6 @@ mod tests {
     use super::*;
     use byterobust_parallelism::Rank;
     use byterobust_trainsim::{stacktrace, TrainPhase};
-
-    #[test]
-    fn canonical_tree_shape() {
-        let tree = ProcessTree::canonical();
-        // launch.sh + daemon + trainer + dataloader + ckpt worker = 5 nodes.
-        assert_eq!(tree.process_count(), 5);
-        assert_eq!(tree.root.children.len(), 2);
-    }
 
     #[test]
     fn daemon_excluded_from_training_related() {

@@ -65,11 +65,6 @@ impl PerfRecorder {
         });
     }
 
-    /// The recorded sections, in record order.
-    pub fn sections(&self) -> &[Section] {
-        &self.sections
-    }
-
     /// Renders the `BENCH_reproduce.json` document. `total_wall_secs` is the
     /// whole run's wall time (under a parallel harness it is less than the
     /// sum of the per-section times — that difference *is* the speedup).
@@ -144,11 +139,6 @@ impl FleetBenchStats {
     /// Naive-scan wall time over heap wall time.
     pub fn scheduler_speedup(&self) -> f64 {
         self.naive_wall_secs / self.heap_wall_secs.max(1e-9)
-    }
-
-    /// Renders the `BENCH_fleet.json` document (large drill only).
-    pub fn render_json(&self) -> String {
-        self.render_json_with_mega(None)
     }
 
     /// Renders the `BENCH_fleet.json` document, appending the mega-drill
@@ -474,7 +464,7 @@ mod tests {
         };
         assert!((stats.events_per_sec() - 1048.0).abs() < 1e-9);
         assert!((stats.scheduler_speedup() - 2.0).abs() < 1e-9);
-        let doc = parse(&stats.render_json());
+        let doc = parse(&stats.render_json_with_mega(None));
         assert_eq!(number(&doc, "events"), 524.0);
         assert_eq!(number(&doc, "scheduler_speedup"), 2.0);
         let mega = MegaBenchStats {

@@ -29,22 +29,6 @@ impl Table {
         self
     }
 
-    /// Convenience for rows of string slices.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table as fixed-width text.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -100,19 +84,19 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new("Demo", &["name", "value"]);
-        t.row_str(&["a", "1"]).row_str(&["longer-name", "2"]);
+        t.row(&["a".to_string(), "1".to_string()])
+            .row(&["longer-name".to_string(), "2".to_string()]);
         let out = t.render();
         assert!(out.contains("== Demo =="));
         assert!(out.contains("longer-name"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
         let mut t = Table::new("Demo", &["a", "b"]);
-        t.row_str(&["only-one"]);
+        t.row(&["only-one".to_string()]);
     }
 
     #[test]

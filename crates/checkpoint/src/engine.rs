@@ -51,13 +51,6 @@ pub struct SaveOutcome {
     pub background: SimDuration,
 }
 
-impl SaveOutcome {
-    /// Total latency until the checkpoint is durable.
-    pub fn total_latency(&self) -> SimDuration {
-        self.blocking + self.background
-    }
-}
-
 /// A checkpoint engine: computes save outcomes for a job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointEngine {
@@ -86,16 +79,6 @@ impl CheckpointEngine {
             rdma_bandwidth_gbps: job.hardware.rdma_bandwidth_gbps,
             remote_efficiency: 0.25,
         }
-    }
-
-    /// The approach this engine implements.
-    pub fn approach(&self) -> CheckpointApproach {
-        self.approach
-    }
-
-    /// The state sizing used by this engine.
-    pub fn state(&self) -> &CheckpointState {
-        &self.state
     }
 
     /// Duration of moving one machine's full checkpoint state from GPU to
@@ -247,7 +230,6 @@ mod tests {
         let (memory, step) = engine(CheckpointApproach::MemorySave);
         let outcome = memory.save(&step);
         assert!(!outcome.background.is_zero());
-        assert!(outcome.total_latency() > outcome.blocking);
     }
 
     #[test]

@@ -1,6 +1,4 @@
-//! Checkpointing plans: approach, frequency per storage tier.
-
-use crate::engine::CheckpointApproach;
+//! Checkpointing plans: frequency per storage tier.
 
 /// How often checkpoints are taken at each storage tier.
 ///
@@ -11,8 +9,6 @@ use crate::engine::CheckpointApproach;
 /// 100-step intervals).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPlan {
-    /// Approach used for the hot path.
-    pub approach: CheckpointApproach,
     /// Save to CPU memory (and peer backup) every N steps.
     pub memory_every_steps: u64,
     /// Flush to local SSD every N steps.
@@ -26,53 +22,35 @@ impl CheckpointPlan {
     /// SSD flush every 10 steps, remote upload every 250 steps.
     pub fn byterobust_default() -> Self {
         CheckpointPlan {
-            approach: CheckpointApproach::ByteRobustSave,
             memory_every_steps: 1,
             disk_every_steps: 10,
             remote_every_steps: 250,
         }
     }
 
-    /// The conventional baseline: blocking remote checkpointing every 100
-    /// steps (no in-memory tier).
-    pub fn megatron_baseline() -> Self {
-        CheckpointPlan {
-            approach: CheckpointApproach::MegatronSave,
-            memory_every_steps: u64::MAX,
-            disk_every_steps: u64::MAX,
-            remote_every_steps: 100,
+    /// The latest step in `(from_step, to_step]` at which a tier saved every
+    /// `every` steps is due, if any. `0` and `u64::MAX` disable the tier.
+    fn due(every: u64, from_step: u64, to_step: u64) -> Option<u64> {
+        if every == 0 || every == u64::MAX {
+            return None;
         }
+        let latest = (to_step / every) * every;
+        (latest > from_step && latest > 0).then_some(latest)
     }
 
-    /// Gemini-style in-memory checkpointing every 5 steps with remote uploads
-    /// every 500.
-    pub fn memory_baseline() -> Self {
-        CheckpointPlan {
-            approach: CheckpointApproach::MemorySave,
-            memory_every_steps: 5,
-            disk_every_steps: 50,
-            remote_every_steps: 500,
-        }
+    /// The latest in-memory (+ peer backup) save due in `(from_step, to_step]`.
+    pub fn memory_due(&self, from_step: u64, to_step: u64) -> Option<u64> {
+        Self::due(self.memory_every_steps, from_step, to_step)
     }
 
-    /// Whether a save at the given tier should happen at `step`.
-    fn due(step: u64, every: u64) -> bool {
-        every != u64::MAX && every > 0 && step > 0 && step.is_multiple_of(every)
+    /// The latest local-disk flush due in `(from_step, to_step]`.
+    pub fn disk_due(&self, from_step: u64, to_step: u64) -> Option<u64> {
+        Self::due(self.disk_every_steps, from_step, to_step)
     }
 
-    /// Whether an in-memory (+ peer backup) save is due at `step`.
-    pub fn memory_due(&self, step: u64) -> bool {
-        Self::due(step, self.memory_every_steps)
-    }
-
-    /// Whether a local-disk flush is due at `step`.
-    pub fn disk_due(&self, step: u64) -> bool {
-        Self::due(step, self.disk_every_steps)
-    }
-
-    /// Whether a remote upload is due at `step`.
-    pub fn remote_due(&self, step: u64) -> bool {
-        Self::due(step, self.remote_every_steps)
+    /// The latest remote upload due in `(from_step, to_step]`.
+    pub fn remote_due(&self, from_step: u64, to_step: u64) -> Option<u64> {
+        Self::due(self.remote_every_steps, from_step, to_step)
     }
 }
 
@@ -83,27 +61,42 @@ mod tests {
     #[test]
     fn byterobust_plan_checkpoints_every_step() {
         let plan = CheckpointPlan::byterobust_default();
-        assert!(plan.memory_due(1));
-        assert!(plan.memory_due(7));
-        assert!(!plan.memory_due(0));
-        assert!(plan.disk_due(10));
-        assert!(!plan.disk_due(11));
-        assert!(plan.remote_due(250));
+        assert_eq!(plan.memory_due(0, 1), Some(1));
+        assert_eq!(plan.memory_due(6, 7), Some(7));
+        assert_eq!(plan.memory_due(0, 0), None);
+        assert_eq!(plan.disk_due(9, 10), Some(10));
+        assert_eq!(plan.disk_due(10, 11), None);
+        assert_eq!(
+            plan.disk_due(0, 37),
+            Some(30),
+            "latest flush in the interval"
+        );
+        assert_eq!(plan.remote_due(249, 250), Some(250));
     }
 
     #[test]
     fn megatron_plan_has_no_memory_tier() {
-        let plan = CheckpointPlan::megatron_baseline();
-        assert!(!plan.memory_due(1));
-        assert!(!plan.memory_due(1_000_000));
-        assert!(plan.remote_due(100));
-        assert!(!plan.remote_due(150));
+        // The conventional baseline shape: remote uploads every 100 steps.
+        let plan = CheckpointPlan {
+            memory_every_steps: u64::MAX,
+            disk_every_steps: u64::MAX,
+            remote_every_steps: 100,
+        };
+        assert_eq!(plan.memory_due(0, 1), None);
+        assert_eq!(plan.memory_due(0, 1_000_000), None);
+        assert_eq!(plan.remote_due(99, 100), Some(100));
+        assert_eq!(plan.remote_due(100, 150), None);
     }
 
     #[test]
     fn memory_baseline_period() {
-        let plan = CheckpointPlan::memory_baseline();
-        assert!(plan.memory_due(5));
-        assert!(!plan.memory_due(6));
+        // Gemini-style in-memory checkpointing every 5 steps.
+        let plan = CheckpointPlan {
+            memory_every_steps: 5,
+            disk_every_steps: 50,
+            remote_every_steps: 500,
+        };
+        assert_eq!(plan.memory_due(4, 5), Some(5));
+        assert_eq!(plan.memory_due(5, 6), None);
     }
 }

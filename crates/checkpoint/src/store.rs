@@ -73,11 +73,6 @@ impl CheckpointStore {
         }
     }
 
-    /// The backup assignment in use.
-    pub fn backup_assignment(&self) -> &BackupAssignment {
-        &self.backup
-    }
-
     /// Records a completed in-memory (+ peer backup) checkpoint at `step`.
     pub fn record_memory(&mut self, step: u64) {
         self.memory_step = Some(self.memory_step.map_or(step, |s| s.max(step)));
@@ -91,11 +86,6 @@ impl CheckpointStore {
     /// Records a completed remote upload at `step`.
     pub fn record_remote(&mut self, step: u64) {
         self.remote_step = Some(self.remote_step.map_or(step, |s| s.max(step)));
-    }
-
-    /// Latest step recorded at each tier (memory, disk, remote).
-    pub fn latest_steps(&self) -> (Option<u64>, Option<u64>, Option<u64>) {
-        (self.memory_step, self.disk_step, self.remote_step)
     }
 
     /// Loading time if restoring from host CPU memory: evicted machines'
@@ -245,9 +235,7 @@ mod tests {
         let topo = ParallelTopology::new(JobSpec::small_test().parallelism);
         let victim = MachineId(0);
         let victim_rank = topo.mapping().ranks_on_machine(victim)[0];
-        let peer_machine = topo
-            .mapping()
-            .machine_of(s.backup_assignment().backup_peer(victim_rank));
+        let peer_machine = topo.mapping().machine_of(s.backup.backup_peer(victim_rank));
         let evicted = vec![victim, peer_machine];
         let rp = s.best_recovery_point(&evicted).unwrap();
         assert_eq!(rp.tier, StorageTier::Remote);
@@ -259,6 +247,6 @@ mod tests {
         let mut s = store();
         s.record_memory(10);
         s.record_memory(5);
-        assert_eq!(s.latest_steps().0, Some(10));
+        assert_eq!(s.memory_step, Some(10));
     }
 }

@@ -170,12 +170,6 @@ impl FaultKind {
             GpuUnavailable | DiskFault | OsKernelPanic | GpuMemoryError
         )
     }
-
-    /// Whether the symptom is network-related; the controller tolerates a few
-    /// alerts before eviction because NIC/switch flaps often self-recover.
-    pub fn is_network_fault(self) -> bool {
-        matches!(self, FaultKind::InfinibandError)
-    }
 }
 
 /// Root cause classes from Table 2.
@@ -332,16 +326,6 @@ impl FaultInjector {
         injector
     }
 
-    /// Machines that were seeded as latently SDC-prone.
-    pub fn sdc_prone_machines(&self) -> &[MachineId] {
-        &self.sdc_prone_machines
-    }
-
-    /// Injector configuration.
-    pub fn config(&self) -> &FaultInjectorConfig {
-        &self.config
-    }
-
     fn sample_infra_gap(&mut self) -> SimDuration {
         let mean = self.config.scaled_mtbf();
         // Infrastructure + implicit incidents are ~82.7% of the Table 1 mix;
@@ -351,11 +335,6 @@ impl FaultInjector {
 
     fn sample_manual_gap(&mut self) -> SimDuration {
         self.rng.exponential(self.config.manual_restart_interval)
-    }
-
-    /// Time of the next incident of either kind.
-    pub fn peek_next(&self) -> SimTime {
-        self.next_infra_at.min(self.next_manual_at)
     }
 
     /// Produces the next incident at or after `now`. The injector maintains
@@ -626,7 +605,7 @@ mod tests {
                     "infrastructure fault without culprits: {e:?}"
                 );
                 for m in &e.culprits {
-                    assert!(m.index() < inj.config().machines);
+                    assert!(m.index() < inj.config.machines);
                 }
             }
             if e.root_cause == RootCause::UserCode {
@@ -640,7 +619,7 @@ mod tests {
         let inj = injector(19);
         let expected =
             (1200f64 * FaultInjectorConfig::default().sdc_prone_machine_fraction).round() as usize;
-        assert_eq!(inj.sdc_prone_machines().len(), expected);
+        assert_eq!(inj.sdc_prone_machines.len(), expected);
     }
 
     #[test]
@@ -671,8 +650,6 @@ mod tests {
         assert!(FaultKind::GpuUnavailable.is_high_confidence_machine_fault());
         assert!(FaultKind::DiskFault.is_high_confidence_machine_fault());
         assert!(!FaultKind::CudaError.is_high_confidence_machine_fault());
-        assert!(FaultKind::InfinibandError.is_network_fault());
-        assert!(!FaultKind::JobHang.is_network_fault());
     }
 
     #[test]

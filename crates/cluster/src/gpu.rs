@@ -116,15 +116,6 @@ impl Gpu {
         }
     }
 
-    /// Restores nominal temperature and, if the GPU was merely degraded,
-    /// returns it to healthy.
-    pub fn cool_down(&mut self) {
-        self.temperature_c = Self::NOMINAL_TEMP_C;
-        if self.state == GpuState::Degraded {
-            self.state = GpuState::Healthy;
-        }
-    }
-
     /// Marks the GPU as having fallen off the bus.
     pub fn mark_lost(&mut self) {
         self.state = GpuState::Lost;
@@ -161,9 +152,6 @@ mod tests {
         assert!(g.is_overheated());
         assert!(g.is_usable());
         assert!(g.relative_throughput() < 0.7);
-        g.cool_down();
-        assert_eq!(g.state, GpuState::Healthy);
-        assert!((g.relative_throughput() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -41,14 +41,6 @@ pub enum HealthIssue {
 }
 
 impl HealthIssue {
-    /// Whether this finding by itself confidently identifies the machine as
-    /// faulty, allowing immediate eviction without stop-time diagnostics
-    /// (§4.1 step 1).
-    pub fn is_high_confidence(self) -> bool {
-        use HealthIssue::*;
-        matches!(self, GpuLost | GpuFaulty | KernelPanic | DcgmUnresponsive)
-    }
-
     /// Whether this finding is network-related; network alerts are tolerated
     /// a few times before eviction because they often self-recover.
     pub fn is_network(self) -> bool {
@@ -127,16 +119,6 @@ impl HealthReport {
     pub fn is_clean(&self) -> bool {
         self.issues.is_empty()
     }
-
-    /// Whether any finding is high-confidence (justifies immediate eviction).
-    pub fn has_high_confidence_issue(&self) -> bool {
-        self.issues.iter().any(|i| i.is_high_confidence())
-    }
-
-    /// Whether all findings are network-related.
-    pub fn is_network_only(&self) -> bool {
-        !self.issues.is_empty() && self.issues.iter().all(|i| i.is_network())
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +135,6 @@ mod tests {
     fn healthy_machine_is_clean() {
         let report = HealthReport::inspect(&machine());
         assert!(report.is_clean());
-        assert!(!report.has_high_confidence_issue());
     }
 
     #[test]
@@ -162,7 +143,6 @@ mod tests {
         m.gpu_mut(2).mark_lost();
         let report = HealthReport::inspect(&m);
         assert!(report.issues.contains(&HealthIssue::GpuLost));
-        assert!(report.has_high_confidence_issue());
     }
 
     #[test]
@@ -170,12 +150,10 @@ mod tests {
         let mut m = machine();
         m.nic = NicState::Flapping;
         let report = HealthReport::inspect(&m);
-        assert!(report.is_network_only());
-        assert!(!report.has_high_confidence_issue());
+        assert_eq!(report.issues, vec![HealthIssue::NicFlapping]);
         m.nic = NicState::Down;
         let report = HealthReport::inspect(&m);
-        assert!(report.issues.contains(&HealthIssue::NicDown));
-        assert!(report.is_network_only());
+        assert_eq!(report.issues, vec![HealthIssue::NicDown]);
     }
 
     #[test]
@@ -184,7 +162,6 @@ mod tests {
         m.gpu_mut(0).overheat(90.0);
         let report = HealthReport::inspect(&m);
         assert!(report.issues.contains(&HealthIssue::GpuHighTemperature));
-        assert!(!report.has_high_confidence_issue());
     }
 
     #[test]
@@ -197,7 +174,6 @@ mod tests {
         assert!(report.issues.contains(&HealthIssue::KernelPanic));
         assert!(report.issues.contains(&HealthIssue::DiskAlmostFull));
         assert!(report.issues.contains(&HealthIssue::HostCpuOverload));
-        assert!(report.has_high_confidence_issue());
     }
 
     #[test]

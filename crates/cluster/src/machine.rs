@@ -103,11 +103,6 @@ impl Machine {
         }
     }
 
-    /// Number of GPUs installed.
-    pub fn gpu_count(&self) -> usize {
-        self.gpus.len()
-    }
-
     /// Whether every GPU, the NIC and the host are in nominal condition.
     /// This is the predicate warm-standby self-checks verify before a machine
     /// is delivered to a job (§6.2).
@@ -175,26 +170,6 @@ impl Machine {
         self.eviction_count += 1;
     }
 
-    /// Resets all transient fault state, as a repair/replacement would.
-    /// GPUs become healthy, the NIC comes up, and host conditions return to
-    /// defaults. SDC-proneness is cleared (the faulty part is replaced).
-    pub fn repair(&mut self) {
-        for gpu in &mut self.gpus {
-            *gpu = Gpu::healthy(gpu.id);
-        }
-        self.nic = NicState::Up;
-        self.host = HostCondition::default();
-        self.state = MachineState::Free;
-    }
-
-    /// GPU at the given slot.
-    ///
-    /// # Panics
-    /// Panics if the slot is out of range.
-    pub fn gpu(&self, slot: u8) -> &Gpu {
-        &self.gpus[slot as usize]
-    }
-
     /// Mutable GPU at the given slot.
     ///
     /// # Panics
@@ -215,7 +190,7 @@ mod tests {
     #[test]
     fn healthy_machine_passes_self_check() {
         let m = machine();
-        assert_eq!(m.gpu_count(), 8);
+        assert_eq!(m.gpus.len(), 8);
         assert!(m.passes_self_check());
         assert!(m.is_operational());
         assert!((m.relative_throughput() - 1.0).abs() < 1e-9);
@@ -267,14 +242,11 @@ mod tests {
     #[test]
     fn evict_and_repair_cycle() {
         let mut m = machine();
-        m.gpu_mut(0).sdc_prone = true;
         m.evict();
         assert_eq!(m.state, MachineState::Evicted);
         assert_eq!(m.eviction_count, 1);
-        m.repair();
-        assert_eq!(m.state, MachineState::Free);
-        assert!(!m.has_sdc_prone_gpu());
-        assert!(m.passes_self_check());
+        m.evict();
+        assert_eq!(m.eviction_count, 2);
     }
 
     #[test]

@@ -5,11 +5,8 @@
 //! and the shared standby pool was an anonymous counter. The registry lifts
 //! that per-job state to fleet level: it tracks, per machine id, which job's
 //! cluster currently holds it, which of those machines are donatable warm
-//! spares, the machine's fleet-wide incident history, and every cross-job
-//! migration — so a broker can plan a migration from pure bookkeeping
-//! (without touching any job's cluster) and the machine's repeat-offender
-//! history demonstrably survives the move (history is keyed by `MachineId`,
-//! and the id never changes).
+//! spares, and every cross-job migration — so a broker can plan a migration
+//! from pure bookkeeping (without touching any job's cluster).
 //!
 //! Note on namespaces: concurrent jobs deliberately share one fleet-wide
 //! `MachineId` namespace (see the fleet crate docs), so two jobs' *built*
@@ -17,7 +14,7 @@
 //! per-job set rather than a single machine → job map, and a migration is
 //! only planned when the receiving job does not already hold the id.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use byterobust_sim::SimTime;
 
@@ -43,9 +40,6 @@ pub struct FleetMachineRegistry {
     members: Vec<BTreeSet<MachineId>>,
     /// Per-job: the subset that is a donatable warm spare right now.
     spares: Vec<BTreeSet<MachineId>>,
-    /// Fleet-wide per-machine incident involvement (evictions recorded
-    /// against the machine across every job, before and after migrations).
-    incident_counts: BTreeMap<MachineId, usize>,
     /// Every migration performed, in grant order.
     migrations: Vec<MigrationRecord>,
 }
@@ -64,25 +58,10 @@ impl FleetMachineRegistry {
         self.spares.push(spares.iter().copied().collect());
     }
 
-    /// Number of registered jobs.
-    pub fn job_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Replaces a job's donatable-spare set (called after the job activated
     /// standbys of its own).
     pub fn sync_spares(&mut self, job: usize, spares: &[MachineId]) {
         self.spares[job] = spares.iter().copied().collect();
-    }
-
-    /// Donatable spares a job currently holds.
-    pub fn spare_count(&self, job: usize) -> usize {
-        self.spares[job].len()
-    }
-
-    /// Whether a job's cluster currently holds a machine id.
-    pub fn job_has(&self, job: usize, machine: MachineId) -> bool {
-        self.members[job].contains(&machine)
     }
 
     /// Plans the best donation for `to_job`: among the `allowed` donor jobs,
@@ -148,20 +127,6 @@ impl FleetMachineRegistry {
         });
     }
 
-    /// Records an incident's evicted machines against their fleet-wide
-    /// history.
-    pub fn note_incident(&mut self, machines: &[MachineId]) {
-        for &machine in machines {
-            *self.incident_counts.entry(machine).or_insert(0) += 1;
-        }
-    }
-
-    /// Fleet-wide incidents recorded against a machine, across every job it
-    /// has served (unchanged by migration — the id is the identity).
-    pub fn incident_count(&self, machine: MachineId) -> usize {
-        self.incident_counts.get(&machine).copied().unwrap_or(0)
-    }
-
     /// Every migration performed so far, in grant order.
     pub fn migrations(&self) -> &[MigrationRecord] {
         &self.migrations
@@ -208,16 +173,11 @@ mod tests {
     #[test]
     fn migration_moves_membership_and_keeps_history() {
         let mut reg = registry();
-        reg.note_incident(&[MachineId(8)]);
-        assert_eq!(reg.incident_count(MachineId(8)), 1);
         let (donor, machine) = reg.best_donor(0, &[1], 1).unwrap();
         reg.migrate(machine, donor, 0, SimTime::from_secs(60));
-        assert!(reg.job_has(0, machine));
-        assert!(!reg.job_has(1, machine));
-        assert_eq!(reg.spare_count(1), 3);
-        // The machine's fleet-wide incident history survives the move.
-        reg.note_incident(&[machine]);
-        assert_eq!(reg.incident_count(machine), 2);
+        assert!(reg.members[0].contains(&machine));
+        assert!(!reg.members[1].contains(&machine));
+        assert_eq!(reg.spares[1].len(), 3);
         assert_eq!(
             reg.migrations(),
             &[MigrationRecord {
@@ -237,7 +197,7 @@ mod tests {
     fn sync_spares_replaces_the_donatable_set() {
         let mut reg = registry();
         reg.sync_spares(1, &ids(8..9));
-        assert_eq!(reg.spare_count(1), 1);
+        assert_eq!(reg.spares[1].len(), 1);
         assert_eq!(
             reg.best_donor(0, &[1], 1),
             None,

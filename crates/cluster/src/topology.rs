@@ -32,28 +32,6 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// The production deployment scale from §8.1: 1,200 machines × 8 Hopper
-    /// GPUs (9,600 GPUs) with a small standby pool.
-    pub fn production_dense() -> Self {
-        ClusterSpec {
-            active_machines: 1_200,
-            standby_machines: 8,
-            gpus_per_machine: 8,
-            machines_per_switch: 32,
-        }
-    }
-
-    /// The evaluation testbed from §8.2: 1,024 machines × 16 L20 GPUs
-    /// (16,384 GPUs).
-    pub fn eval_l20(active_machines: usize) -> Self {
-        ClusterSpec {
-            active_machines,
-            standby_machines: 4,
-            gpus_per_machine: 16,
-            machines_per_switch: 32,
-        }
-    }
-
     /// A small scale suitable for unit tests and the quickstart example.
     pub fn small_test() -> Self {
         ClusterSpec {
@@ -68,17 +46,11 @@ impl ClusterSpec {
     pub fn total_machines(&self) -> usize {
         self.active_machines + self.standby_machines
     }
-
-    /// Total GPUs across active machines.
-    pub fn active_gpus(&self) -> usize {
-        self.active_machines * self.gpus_per_machine as usize
-    }
 }
 
 /// The live cluster: machine objects, switch attachment, and the blacklist.
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    spec: ClusterSpec,
     machines: Vec<Machine>,
     /// Slot index of each machine id currently in this cluster. Membership
     /// changes (release/adopt) keep this in sync with `machines`.
@@ -133,28 +105,12 @@ impl Cluster {
             .collect();
         let throughput_cache = machines.iter().map(Machine::relative_throughput).collect();
         Cluster {
-            spec,
             machines,
             index_of,
             dirty: BTreeSet::new(),
             throughput_cache,
             blacklist: Blacklist::new(),
         }
-    }
-
-    /// The spec this cluster was built from.
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
-    }
-
-    /// Total machines (active + standby + evicted).
-    pub fn total_machines(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Whether a machine id is currently a member of this cluster.
-    pub fn has_machine(&self, id: MachineId) -> bool {
-        self.index_of.contains_key(&id)
     }
 
     /// Immutable access to a machine.
@@ -201,22 +157,6 @@ impl Cluster {
         self.machines_in_state(MachineState::WarmStandby)
     }
 
-    /// Machines attached to the given leaf switch.
-    pub fn machines_under_switch(&self, switch: SwitchId) -> Vec<MachineId> {
-        self.machines
-            .iter()
-            .filter(|m| m.switch == switch)
-            .map(|m| m.id)
-            .collect()
-    }
-
-    /// Number of leaf switches in the topology.
-    pub fn switch_count(&self) -> usize {
-        self.spec
-            .total_machines()
-            .div_ceil(self.spec.machines_per_switch)
-    }
-
     /// Evicts a machine: marks it evicted and blacklists it.
     pub fn evict_machine(
         &mut self,
@@ -238,26 +178,6 @@ impl Cluster {
         }
         machine.state = MachineState::Active;
         true
-    }
-
-    /// Adds a freshly provisioned machine to the standby pool (replenishment,
-    /// §6.2). The new machine gets the next free id.
-    pub fn add_standby_machine(&mut self) -> MachineId {
-        let next = self
-            .machines
-            .iter()
-            .map(|m| m.id.0 + 1)
-            .max()
-            .unwrap_or_default();
-        let id = MachineId(next);
-        let switch = SwitchId((id.index() / self.spec.machines_per_switch) as u32);
-        let mut m = Machine::healthy(id, switch, self.spec.gpus_per_machine);
-        m.state = MachineState::WarmStandby;
-        let throughput = m.relative_throughput();
-        self.index_of.insert(id, self.machines.len());
-        self.machines.push(m);
-        self.throughput_cache.push(throughput);
-        id
     }
 
     /// Releases a warm-standby machine to another job (fleet machine
@@ -382,38 +302,24 @@ impl Cluster {
         }
         active.iter().map(|m| m.relative_throughput()).sum::<f64>() / active.len() as f64
     }
-
-    /// Whether every active machine is operational (training can progress).
-    pub fn all_active_operational(&self) -> bool {
-        self.machines
-            .iter()
-            .filter(|m| m.state == MachineState::Active)
-            .all(|m| m.is_operational())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu::{Gpu, GpuState};
     use crate::machine::NicState;
 
     #[test]
     fn build_assigns_states_and_switches() {
         let cluster = Cluster::build(ClusterSpec::small_test());
-        assert_eq!(cluster.total_machines(), 18);
+        assert_eq!(cluster.machines.len(), 18);
         assert_eq!(cluster.active_machines().len(), 16);
         assert_eq!(cluster.standby_machines().len(), 2);
         // 18 machines / 8 per switch => 3 switches.
-        assert_eq!(cluster.switch_count(), 3);
-        assert_eq!(cluster.machines_under_switch(SwitchId(0)).len(), 8);
-    }
-
-    #[test]
-    fn production_spec_scale() {
-        let spec = ClusterSpec::production_dense();
-        assert_eq!(spec.active_gpus(), 9_600);
-        let spec = ClusterSpec::eval_l20(1024);
-        assert_eq!(spec.active_gpus(), 16_384);
+        assert_eq!(cluster.machine(MachineId(7)).switch, SwitchId(0));
+        assert_eq!(cluster.machine(MachineId(8)).switch, SwitchId(1));
+        assert_eq!(cluster.machine(MachineId(17)).switch, SwitchId(2));
     }
 
     #[test]
@@ -422,7 +328,6 @@ mod tests {
         let victim = MachineId(3);
         cluster.evict_machine(victim, SimTime::from_secs(60), FaultKind::CudaError, false);
         assert_eq!(cluster.machine(victim).state, MachineState::Evicted);
-        assert!(cluster.blacklist.contains(victim));
         assert_eq!(cluster.active_machines().len(), 15);
     }
 
@@ -441,15 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn add_standby_machine_grows_pool() {
-        let mut cluster = Cluster::build(ClusterSpec::small_test());
-        let before = cluster.standby_machines().len();
-        let id = cluster.add_standby_machine();
-        assert_eq!(cluster.standby_machines().len(), before + 1);
-        assert_eq!(cluster.machine(id).state, MachineState::WarmStandby);
-    }
-
-    #[test]
     fn release_and_adopt_move_machine_state_between_clusters() {
         let mut donor = Cluster::build(ClusterSpec::small_test());
         let mut receiver = Cluster::build(ClusterSpec {
@@ -462,23 +358,23 @@ mod tests {
         let spare = *donor
             .standby_machines()
             .iter()
-            .find(|id| !receiver.has_machine(**id))
+            .find(|id| !receiver.index_of.contains_key(id))
             .expect("small_test spares (16, 17) are outside the 5-machine receiver");
         // Leave a (benign, below the 85C alarm) hardware trace so we can see
         // the state travel without failing the standby self-check.
         donor.machine_mut(spare).gpu_mut(1).temperature_c = 80.0;
         let machine = donor.release_machine(spare);
-        assert!(!donor.has_machine(spare));
-        assert_eq!(donor.total_machines(), 17);
+        assert!(!donor.index_of.contains_key(&spare));
+        assert_eq!(donor.machines.len(), 17);
         // Remaining donor machines are still addressable after the removal.
         assert_eq!(donor.machine(MachineId(0)).id, MachineId(0));
         assert_eq!(donor.active_machines().len(), 16);
 
         receiver.adopt_machine(machine);
-        assert!(receiver.has_machine(spare));
+        assert!(receiver.index_of.contains_key(&spare));
         assert_eq!(receiver.machine(spare).state, MachineState::WarmStandby);
         assert!(
-            receiver.machine(spare).gpu(1).temperature_c > 75.0,
+            receiver.machine(spare).gpus[1].temperature_c > 75.0,
             "hardware history must travel with the machine"
         );
         assert_eq!(receiver.standby_machines().len(), 2);
@@ -509,9 +405,7 @@ mod tests {
     fn throughput_reflects_degradation() {
         let mut cluster = Cluster::build(ClusterSpec::small_test());
         assert!((cluster.active_relative_throughput() - 1.0).abs() < 1e-9);
-        assert!(cluster.all_active_operational());
         cluster.machine_mut(MachineId(0)).gpu_mut(0).mark_lost();
-        assert!(!cluster.all_active_operational());
         assert!(cluster.active_relative_throughput() < 1.0);
     }
 
@@ -551,7 +445,9 @@ mod tests {
             cluster.active_relative_throughput()
         );
         // Repairing back to nominal drains the dirty set and stays identical.
-        cluster.machine_mut(MachineId(0)).gpu_mut(0).cool_down();
+        let gpu = cluster.machine_mut(MachineId(0)).gpu_mut(0);
+        gpu.temperature_c = Gpu::NOMINAL_TEMP_C;
+        gpu.state = GpuState::Healthy;
         cluster.machine_mut(MachineId(5)).nic = NicState::Up;
         assert_eq!(
             cluster.active_relative_throughput_cached(),

@@ -9,9 +9,7 @@
 //! incident, and the controller keeps escalating until the (ground-truth)
 //! fault is actually cleared, exactly like the fail edges in Fig. 5.
 
-use byterobust_agent::{
-    CkptManager, Diagnoser, DiagnosisConclusion, Monitor, OnDemandTracer, SelectiveStressTester,
-};
+use byterobust_agent::{CkptManager, Diagnoser, DiagnosisConclusion, Monitor, OnDemandTracer};
 use byterobust_analyzer::RuntimeAnalyzer;
 use byterobust_cluster::{Cluster, FaultCategory, FaultEvent, FaultKind, MachineId, RootCause};
 use byterobust_incident::{FlightRecorder, IncidentCapture, RecorderEvent, RecoveryPhase};
@@ -88,7 +86,6 @@ pub struct RobustController {
     tracer: OnDemandTracer,
     hot_update: HotUpdateManager,
     restart_model: RestartCostModel,
-    stress_baseline: SelectiveStressTester,
     recorder: FlightRecorder,
     trace: TraceRecorder,
 }
@@ -110,7 +107,6 @@ impl RobustController {
             tracer: OnDemandTracer::new(),
             hot_update: HotUpdateManager::new(),
             restart_model: RestartCostModel::for_job(job_machines),
-            stress_baseline: SelectiveStressTester::new(),
             recorder: FlightRecorder::default(),
             trace: TraceRecorder::new(),
         }
@@ -143,13 +139,6 @@ impl RobustController {
         ]
     }
 
-    /// The flight recorder (frozen captures are returned inside each
-    /// [`IncidentOutcome`]; background telemetry is tapped through
-    /// [`RobustController::recorder_mut`]).
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
     /// Mutable recorder access, used by the telemetry tap to feed background
     /// system events into the ring between incidents.
     pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
@@ -162,13 +151,6 @@ impl RobustController {
         &mut self.trace
     }
 
-    /// The sim-time trace recorder. Spans accumulate across every incident
-    /// this controller handles; all timestamps are simulated time, so the
-    /// recording is a pure function of the seed.
-    pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
-    }
-
     /// Freezes the controller's sim-time trace under `scope` (the job
     /// label). See [`byterobust_obs::Trace::merge`] for combining per-job
     /// traces with fleet-level spans.
@@ -176,34 +158,14 @@ impl RobustController {
         self.trace.snapshot(scope)
     }
 
-    /// The monitor (for detection-time queries).
-    pub fn monitor(&self) -> &Monitor {
-        &self.monitor
-    }
-
     /// Mutable monitor access (metric recording).
     pub fn monitor_mut(&mut self) -> &mut Monitor {
         &mut self.monitor
     }
 
-    /// The hot-update manager.
-    pub fn hot_update(&self) -> &HotUpdateManager {
-        &self.hot_update
-    }
-
-    /// Mutable access to the hot-update manager (to file update requests).
-    pub fn hot_update_mut(&mut self) -> &mut HotUpdateManager {
-        &mut self.hot_update
-    }
-
     /// The restart-cost model.
     pub fn restart_model(&self) -> &RestartCostModel {
         &self.restart_model
-    }
-
-    /// The selective stress-testing baseline (Table 6 comparisons).
-    pub fn stress_baseline(&self) -> &SelectiveStressTester {
-        &self.stress_baseline
     }
 
     /// Log class the collected logs would show for a fault, derived from its
@@ -299,9 +261,7 @@ impl RobustController {
                 // §6.1: code/data adjustments are folded into an in-place hot
                 // update; no machines change.
                 self.hot_update.submit(UpdateRequest {
-                    requested_at: now,
                     urgency: UpdateUrgency::NonCritical,
-                    description: "manual code/data adjustment",
                     bug_risk: 0.05,
                 });
                 mechanism = ResolutionMechanism::HotUpdate;
@@ -529,7 +489,7 @@ impl RobustController {
         );
 
         let applied_hot_update = mechanism == ResolutionMechanism::HotUpdate
-            || (self.hot_update.history().last().map(|h| h.applied_at) == Some(now));
+            || (self.hot_update.last_applied_at() == Some(now));
 
         // Record the recovery-phase transitions (chronological end times) and
         // the resume marker, then freeze the capture.
@@ -855,7 +815,7 @@ impl RobustController {
 mod tests {
     use super::*;
     use byterobust_agent::CkptManager;
-    use byterobust_cluster::ClusterSpec;
+    use byterobust_cluster::{ClusterSpec, MachineState};
     use byterobust_trainsim::JobSpec;
 
     struct Fixture {
@@ -898,12 +858,7 @@ mod tests {
     fn train_some_steps(f: &mut Fixture, steps: u64) {
         for s in 1..=steps {
             f.runtime.restore_to_step(s);
-            let breakdown = byterobust_trainsim::StepModel::new(f.runtime.job().clone()).step(
-                f.runtime.code_version(),
-                1.0,
-                SimDuration::ZERO,
-            );
-            f.ckpt.on_step(s, &breakdown);
+            f.ckpt.advance_steps(s - 1, s);
         }
     }
 
@@ -933,7 +888,7 @@ mod tests {
         let outcome = f.handle(&event, SimTime::from_hours(1));
         assert_eq!(outcome.mechanism, ResolutionMechanism::ImmediateEviction);
         assert_eq!(outcome.evicted, vec![victim]);
-        assert!(f.cluster.blacklist.contains(victim));
+        assert_eq!(f.cluster.machine(victim).state, MachineState::Evicted);
         // Detection at the GPU inspection interval (10 s).
         assert_eq!(outcome.cost.detection, SimDuration::from_secs(10));
         // Recovery resumed from the latest in-memory checkpoint.
@@ -947,14 +902,12 @@ mod tests {
         let mut f = fixture();
         train_some_steps(&mut f, 5);
         // Deploy an update first so there is something to roll back.
-        f.controller.hot_update_mut().submit(UpdateRequest {
-            requested_at: SimTime::ZERO,
+        f.controller.hot_update.submit(UpdateRequest {
             urgency: UpdateUrgency::NonCritical,
-            description: "new fused kernel",
             bug_risk: 0.9,
         });
         f.controller
-            .hot_update_mut()
+            .hot_update
             .apply_pending(SimTime::from_secs(1800));
         let event = fault(FaultKind::CudaError, RootCause::UserCode, vec![]);
         let outcome = f.handle(&event, SimTime::from_hours(1));
@@ -991,10 +944,11 @@ mod tests {
         // Over-eviction is bounded: at most one machine per pipeline stage.
         assert!(outcome.evicted.len() <= f.runtime.job().parallelism.pp);
         // The job resumes from the latest checkpoint and the fault is cleared.
-        assert_eq!(
-            f.runtime.status(),
-            byterobust_trainsim::RuntimeStatus::Running
-        );
+        assert!(f
+            .runtime
+            .rank_phases()
+            .iter()
+            .all(|(_, phase)| *phase == byterobust_trainsim::TrainPhase::GradReduceScatter));
         // Detection waited for the zero-RDMA-traffic window (10 minutes).
         assert_eq!(outcome.cost.detection, SimDuration::from_mins(10));
     }
@@ -1071,7 +1025,7 @@ mod tests {
             if flag_offender {
                 f.controller
                     .monitor_mut()
-                    .set_repeat_offenders(vec![victim]);
+                    .set_repeat_offenders_shared(vec![victim].into());
             }
             // The lifecycle's telemetry tap fires at fault time.
             let now = SimTime::from_hours(1);
@@ -1160,6 +1114,6 @@ mod tests {
         // Whatever path was taken, the culprit ends up evicted and training
         // resumes.
         assert!(outcome.evicted.contains(&victim), "outcome: {outcome:?}");
-        assert!(f.cluster.blacklist.contains(victim));
+        assert_eq!(f.cluster.machine(victim).state, MachineState::Evicted);
     }
 }

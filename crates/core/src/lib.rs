@@ -22,8 +22,8 @@
 //! resolved, through the `byterobust-incident` subsystem:
 //!
 //! * the controller owns a flight recorder
-//!   ([`RobustController::recorder`](ft::RobustController::recorder)); the
-//!   lifecycle driver taps telemetry signatures into its background ring, and
+//!   ([`RobustController::recorder_mut`](ft::RobustController::recorder_mut));
+//!   the lifecycle driver taps telemetry signatures into its background ring, and
 //!   `handle_incident` opens an incident window, records monitor verdicts,
 //!   diagnoser/analyzer decisions, replay verdicts, evictions, rollbacks,
 //!   hot-update merges and recovery-phase transitions into it, and freezes
@@ -32,8 +32,7 @@
 //!   `REC-*` classification matrix and appends a dossier (record + capture +
 //!   classification) to the [`report::JobReport`]'s incident store;
 //! * [`report::JobReport`]'s incident aggregations (Table 4 resolution
-//!   counts, mechanism shares, per-symptom resolution times, eviction stats)
-//!   are computed as incident-store queries, and
+//!   counts, eviction stats) are computed as incident-store queries, and
 //!   `JobReport::incident_store.postmortem(seq)` renders any incident into a
 //!   full postmortem artifact.
 

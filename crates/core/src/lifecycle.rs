@@ -38,11 +38,6 @@ impl JobLifecycle {
         JobLifecycle { config, seed }
     }
 
-    /// The configuration this driver will run.
-    pub fn config(&self) -> &JobConfig {
-        &self.config
-    }
-
     /// Runs the job to completion and returns its report.
     pub fn run(&self) -> JobReport {
         let mut execution = JobExecution::new(self.config.clone(), self.seed);
@@ -142,16 +137,6 @@ impl JobExecution {
         }
     }
 
-    /// The configuration this execution runs.
-    pub fn config(&self) -> &JobConfig {
-        &self.config
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// When this job's next event fires: its next injected fault, or the job
     /// end if that comes first. A fleet scheduler advances the job whose next
     /// event is earliest, which keeps shared-pool draws in global time order.
@@ -191,11 +176,6 @@ impl JobExecution {
     pub fn hold(&mut self) {
         assert_eq!(self.now, SimTime::ZERO, "hold() before the first advance");
         self.held = true;
-    }
-
-    /// Whether the job is parked in an admission queue.
-    pub fn is_held(&self) -> bool {
-        self.held
     }
 
     /// Releases a held job: it starts at `at` and runs for its configured
@@ -277,7 +257,7 @@ impl JobExecution {
             let steps = (interval.as_millis() / step_time.as_millis().max(1)).max(1);
             let to_step = from_step + steps;
             self.runtime.restore_to_step(to_step);
-            self.ckpt.advance_steps(from_step, to_step, &breakdown);
+            self.ckpt.advance_steps(from_step, to_step);
 
             self.ettr.record_productive(interval);
             self.mfu_series.push(SeriesPoint {
@@ -515,13 +495,13 @@ mod tests {
         let mut execution = JobExecution::new(JobConfig::small_test(), 21);
         let immediate_first_event = execution.next_event_at();
         execution.hold();
-        assert!(execution.is_held());
+        assert!(execution.held);
         assert_eq!(execution.next_event_at(), SimTime::MAX);
         // Released two simulated days in: the job runs its full duration
         // from the admission time.
         let admitted_at = SimTime::ZERO + SimDuration::from_days(2);
         execution.release_at(admitted_at);
-        assert!(!execution.is_held());
+        assert!(!execution.held);
         assert!(execution.next_event_at() >= admitted_at);
         assert!(execution.next_event_at() < SimTime::MAX);
         while !execution.is_finished() {

@@ -7,7 +7,7 @@ use byterobust_cluster::{FaultCategory, FaultKind, RootCause};
 use byterobust_incident::codec::{check_format, CodecError, Decode, Encode, JsonValue};
 use byterobust_incident::IncidentStore;
 use byterobust_recovery::FailoverCost;
-use byterobust_sim::{SimDuration, SimTime};
+use byterobust_sim::SimTime;
 
 use crate::ettr::EttrTracker;
 use crate::ft::ResolutionMechanism;
@@ -31,14 +31,6 @@ pub struct IncidentRecord {
     pub evicted_count: usize,
     /// Whether the eviction over-evicted healthy machines.
     pub over_evicted: bool,
-}
-
-impl IncidentRecord {
-    /// The "resolution time" Table 6 measures: from failure localization to
-    /// successful restart (scheduling + pod rebuild + checkpoint load).
-    pub fn resolution_time(&self) -> SimDuration {
-        self.cost.scheduling + self.cost.pod_build + self.cost.checkpoint_load
-    }
 }
 
 /// A point of the reported MFU / loss series.
@@ -102,13 +94,6 @@ impl JobReport {
         self.incident_store.resolution_counts()
     }
 
-    /// Share of incidents resolved by each concrete mechanism (the §4.2
-    /// "lesson" percentages: eviction, reattempt, rollback, dual-phase
-    /// replay, ...), computed as an incident-store query.
-    pub fn mechanism_shares(&self) -> BTreeMap<&'static str, f64> {
-        self.incident_store.mechanism_shares()
-    }
-
     /// Mean unproductive-time breakdown per incident category (Fig. 3):
     /// (detection, localization, failover) means in seconds.
     pub fn unproductive_breakdown(&self) -> BTreeMap<&'static str, (f64, f64, f64)> {
@@ -128,12 +113,6 @@ impl JobReport {
         sums.into_iter()
             .map(|(k, (d, l, f, n))| (k, (d / n as f64, l / n as f64, f / n as f64)))
             .collect()
-    }
-
-    /// Mean and max resolution time (Table 6 "ours" columns) per symptom, in
-    /// seconds, computed as an incident-store query.
-    pub fn resolution_time_by_symptom(&self) -> BTreeMap<FaultKind, (f64, f64)> {
-        self.incident_store.resolution_time_by_symptom()
     }
 
     /// Total number of machines evicted over the run, and how many of those
@@ -251,6 +230,7 @@ mod tests {
     use byterobust_incident::{
         ClassificationInput, ClassificationMatrix, IncidentCapture, IncidentDossier,
     };
+    use byterobust_sim::SimDuration;
 
     fn record(kind: FaultKind, mechanism: ResolutionMechanism) -> IncidentRecord {
         IncidentRecord {
@@ -361,7 +341,7 @@ mod tests {
     #[test]
     fn mechanism_shares_sum_to_one() {
         let r = report();
-        let shares = r.mechanism_shares();
+        let shares = r.incident_store.mechanism_shares();
         let total: f64 = shares.values().sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
@@ -369,10 +349,16 @@ mod tests {
     #[test]
     fn resolution_time_is_scheduling_plus_load() {
         let r = report();
-        let by_symptom = r.resolution_time_by_symptom();
-        let (mean, max) = by_symptom[&FaultKind::CudaError];
-        assert!((mean - 80.0).abs() < 1e-9);
-        assert!((max - 80.0).abs() < 1e-9);
+        let cuda: Vec<_> = r
+            .incident_store
+            .all()
+            .iter()
+            .filter(|d| d.kind == FaultKind::CudaError)
+            .collect();
+        assert_eq!(cuda.len(), 2);
+        for dossier in cuda {
+            assert_eq!(dossier.resolution_time(), SimDuration::from_secs(80));
+        }
     }
 
     #[test]

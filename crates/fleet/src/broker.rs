@@ -253,13 +253,6 @@ impl FleetBroker {
         }
     }
 
-    /// Records an incident's evicted machines in the fleet-wide history.
-    pub fn note_incident(&mut self, machines: &[MachineId]) {
-        if self.enabled() {
-            self.registry.note_incident(machines);
-        }
-    }
-
     /// Returns a swept machine to the shared pool (deduplicated on identity).
     pub fn restock(&mut self, machine: MachineId) -> bool {
         self.pool.restock(machine)
@@ -340,11 +333,6 @@ impl FleetBroker {
     /// to the donor and receiver clusters.
     pub fn take_pending_migrations(&mut self) -> Vec<MigrationRecord> {
         std::mem::take(&mut self.pending_migrations)
-    }
-
-    /// The broker's event log.
-    pub fn events(&self) -> &[BrokerEvent] {
-        &self.events
     }
 
     /// Replays the event log into `recorder` as instant trace spans, one per
@@ -666,7 +654,7 @@ mod tests {
             assert_eq!(got, expected, "round {round}");
         }
         assert!(broker.summary().is_none());
-        assert!(broker.events().is_empty());
+        assert!(broker.events.is_empty());
     }
 
     #[test]
@@ -726,7 +714,7 @@ mod tests {
             starved.duration
         );
         assert!(matches!(
-            broker.events().last(),
+            broker.events.last(),
             Some(BrokerEvent::Preempted {
                 job: 0,
                 victim: 1,
@@ -759,7 +747,7 @@ mod tests {
         assert_eq!(held.granted, 0);
         assert_eq!(held.shortfall, 1);
         assert!(matches!(
-            broker.events().first(),
+            broker.events.first(),
             Some(BrokerEvent::ReserveHeld {
                 job: 1,
                 machines: 1,
@@ -797,7 +785,5 @@ mod tests {
         assert_eq!(pending[0].from_job, 1);
         assert_eq!(pending[0].to_job, 0);
         assert_eq!(broker.registry().migrations().len(), 2);
-        // The donor's spare set shrank accordingly.
-        assert_eq!(broker.registry().spare_count(1), 4);
     }
 }

@@ -53,13 +53,6 @@ pub struct CompletedSweep {
     pub completed_at: SimTime,
 }
 
-impl CompletedSweep {
-    /// Total machines the sweep exercised.
-    pub fn machines_swept(&self) -> usize {
-        self.passed.len() + self.failed.len()
-    }
-}
-
 /// Consumes the escalation backlog as incidents close.
 #[derive(Debug, Clone, Default)]
 pub struct BacklogDrainer {
@@ -162,11 +155,6 @@ impl BacklogDrainer {
         self.sweeps_dispatched
     }
 
-    /// Sweeps still in flight.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Every completed sweep, in completion order.
     pub fn completed(&self) -> &[CompletedSweep] {
         &self.completed
@@ -248,7 +236,7 @@ mod tests {
         let closed_at = dossier.at + dossier.cost.total();
         drainer.dispatch("alpha", &dossier, closed_at);
         assert_eq!(drainer.sweeps_dispatched(), 1);
-        assert_eq!(drainer.pending_len(), 1);
+        assert_eq!(drainer.pending.len(), 1);
 
         // Not due yet.
         assert!(drainer.tick(closed_at).is_empty());
@@ -263,8 +251,8 @@ mod tests {
             "hostages pass the sweep"
         );
         assert_eq!(sweep.failed, vec![MachineId(2)], "the culprit fails");
-        assert_eq!(sweep.machines_swept(), 4);
-        assert_eq!(drainer.pending_len(), 0);
+        assert_eq!(sweep.passed.len() + sweep.failed.len(), 4);
+        assert_eq!(drainer.pending.len(), 0);
         assert_eq!(drainer.completed().len(), 1);
     }
 

@@ -68,16 +68,6 @@ impl RepeatOffenderLedger {
         Arc::from(self.offenders())
     }
 
-    /// Incidents recorded against a machine so far.
-    pub fn count(&self, machine: MachineId) -> usize {
-        self.counts.get(&machine).copied().unwrap_or(0)
-    }
-
-    /// All per-machine counts.
-    pub fn counts(&self) -> &BTreeMap<MachineId, usize> {
-        &self.counts
-    }
-
     /// Machines at or above the threshold, sorted — the set pushed into each
     /// job's monitor.
     pub fn offenders(&self) -> Vec<MachineId> {
@@ -149,7 +139,7 @@ mod tests {
             "one incident is below the threshold — the set did not change"
         );
         assert!(ledger.offenders().is_empty());
-        assert_eq!(ledger.count(MachineId(3)), 1);
+        assert_eq!(ledger.counts[&MachineId(3)], 1);
         // Second incident (in another job, same fleet machine).
         assert!(
             ledger.observe(&dossier(1, vec![MachineId(3), MachineId(5)])),
@@ -157,7 +147,7 @@ mod tests {
         );
         assert_eq!(ledger.offenders(), vec![MachineId(3)]);
         assert_eq!(ledger.offender_counts(), vec![(MachineId(3), 2)]);
-        assert_eq!(ledger.count(MachineId(5)), 1);
+        assert_eq!(ledger.counts[&MachineId(5)], 1);
         assert_eq!(ledger.offenders_shared().as_ref(), &[MachineId(3)]);
         // A third incident on an existing offender leaves the set unchanged.
         assert!(!ledger.observe(&dossier(2, vec![MachineId(3)])));
@@ -176,6 +166,6 @@ mod tests {
             },
         });
         ledger.observe(&d);
-        assert_eq!(ledger.count(MachineId(4)), 1);
+        assert_eq!(ledger.counts[&MachineId(4)], 1);
     }
 }

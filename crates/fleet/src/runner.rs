@@ -563,7 +563,6 @@ impl LoopState<'_> {
                     .expect("closed incident is stored");
                 let closed_at = dossier.at + dossier.cost.total();
                 let offenders_changed = self.ledger.observe(&dossier);
-                self.broker.note_incident(&dossier.evicted);
                 self.drainer.dispatch(label, &dossier, closed_at);
                 self.warehouse.insert_shared(label, Arc::clone(&dossier));
                 // Publish the post-insert epoch: a handful of Arc clones

@@ -191,11 +191,6 @@ impl ShardCache {
         }
     }
 
-    /// The configured dossier budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         let resident = {

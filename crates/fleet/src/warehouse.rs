@@ -243,11 +243,6 @@ impl IncidentWarehouse {
         self.bucket_width
     }
 
-    /// The disk-spill policy, if one is attached.
-    pub fn storage(&self) -> Option<&WarehouseStorage> {
-        self.storage.as_ref()
-    }
-
     /// What the spill layer has done so far.
     pub fn spill_stats(&self) -> SpillStats {
         let reads = self.cache.stats();
@@ -1020,7 +1015,7 @@ mod tests {
         let copy = original.clone();
         let baseline = copy.render_digest();
         // The clone is fully resident and detached from disk.
-        assert_eq!(copy.storage(), None);
+        assert!(copy.storage.is_none());
         assert_eq!(copy.spill_stats().spilled_dossiers, 0);
         // Mutating the original rewrites its segment files; the clone must
         // not notice — it reads nothing from disk.

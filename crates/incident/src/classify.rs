@@ -124,13 +124,6 @@ pub struct Classification {
     pub escalations: Vec<Escalation>,
 }
 
-impl Classification {
-    /// Whether this classification demands any follow-up at all.
-    pub fn needs_follow_up(&self) -> bool {
-        !self.escalations.is_empty()
-    }
-}
-
 /// The classification matrix with its escalation thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassificationMatrix {
@@ -264,14 +257,14 @@ mod tests {
         });
         assert_eq!(hot.severity, Severity::Sev4);
         assert_eq!(hot.rec_code, "REC-HU");
-        assert!(!hot.needs_follow_up());
+        assert!(hot.escalations.is_empty());
 
         let reattempt = matrix.classify(&ClassificationInput {
             root_cause: RootCause::Transient,
             ..input(ResolutionMechanism::Reattempt, 0)
         });
         assert_eq!(reattempt.severity, Severity::Sev4);
-        assert!(!reattempt.needs_follow_up());
+        assert!(reattempt.escalations.is_empty());
     }
 
     #[test]

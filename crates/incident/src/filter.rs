@@ -14,20 +14,16 @@
 //! * [`implicated_machines_into`] — the "involves" machine set (evicted plus
 //!   capture-mentioned, sorted and deduped), exactly the semantics of
 //!   [`IncidentQuery::machine`] and of the warehouse's machine index.
-//! * [`canonical_key`] — the fleet-wide canonical result ordering
-//!   `(start time, job label, seq)` every multi-shard query surface sorts by.
 //!
 //! Keeping these here means an index can only ever disagree with a scan
 //! through a bug in the index, never through predicate drift.
 
 use byterobust_cluster::MachineId;
-use byterobust_sim::SimTime;
 
 use crate::store::{IncidentDossier, IncidentQuery};
 
 /// Whether a dossier satisfies every bound field of the query. This is the
-/// one predicate all query surfaces share; `IncidentQuery::matches` is a
-/// method-syntax wrapper over it.
+/// one predicate all query surfaces share.
 pub fn matches(query: &IncidentQuery, dossier: &IncidentDossier) -> bool {
     if let Some(category) = query.category {
         if dossier.category != category {
@@ -85,12 +81,4 @@ pub fn implicated_machines_into(dossier: &IncidentDossier, out: &mut Vec<Machine
     dossier.capture.machines_mentioned_into(out);
     out.sort_unstable();
     out.dedup();
-}
-
-/// The canonical fleet-wide result ordering: `(start time, job label, seq)`.
-/// Every multi-shard query surface — indexed, snapshot, or brute-force —
-/// returns hits sorted by this key, which is what makes results independent
-/// of shard insertion order.
-pub fn canonical_key<'a>(job: &'a str, dossier: &IncidentDossier) -> (SimTime, &'a str, u64) {
-    (dossier.at, job, dossier.seq)
 }

@@ -68,8 +68,8 @@ pub use classify::{
 pub use mechanism::ResolutionMechanism;
 pub use postmortem::{PhaseCost, Postmortem};
 pub use recorder::{
-    telemetry_signature, EvidenceSource, FlightRecorder, FlightRecorderConfig, IncidentCapture,
-    RecorderEntry, RecorderEvent, RecoveryPhase,
+    telemetry_signature, FlightRecorder, FlightRecorderConfig, IncidentCapture, RecorderEntry,
+    RecorderEvent, RecoveryPhase,
 };
 pub use store::{IncidentDossier, IncidentQuery, IncidentStore};
 
@@ -83,8 +83,8 @@ pub mod prelude {
     pub use crate::mechanism::ResolutionMechanism;
     pub use crate::postmortem::{PhaseCost, Postmortem};
     pub use crate::recorder::{
-        telemetry_signature, EvidenceSource, FlightRecorder, FlightRecorderConfig, IncidentCapture,
-        RecorderEntry, RecorderEvent, RecoveryPhase,
+        telemetry_signature, FlightRecorder, FlightRecorderConfig, IncidentCapture, RecorderEntry,
+        RecorderEvent, RecoveryPhase,
     };
     pub use crate::store::{IncidentDossier, IncidentQuery, IncidentStore};
 }

@@ -52,17 +52,6 @@ impl ResolutionMechanism {
             ResolutionMechanism::HotUpdate => "Hot update",
         }
     }
-
-    /// Whether resolving through this mechanism evicted machines.
-    pub fn evicts_machines(self) -> bool {
-        matches!(
-            self,
-            ResolutionMechanism::ImmediateEviction
-                | ResolutionMechanism::StopTimeEviction
-                | ResolutionMechanism::DualPhaseReplay
-                | ResolutionMechanism::AnalyzerEviction
-        )
-    }
 }
 
 #[cfg(test)]
@@ -81,12 +70,5 @@ mod tests {
             "Analyzer-ER"
         );
         assert_eq!(ResolutionMechanism::Rollback.table4_label(), "Rollback");
-    }
-
-    #[test]
-    fn eviction_mechanisms_are_flagged() {
-        assert!(ResolutionMechanism::DualPhaseReplay.evicts_machines());
-        assert!(!ResolutionMechanism::Reattempt.evicts_machines());
-        assert!(!ResolutionMechanism::HotUpdate.evicts_machines());
     }
 }

@@ -70,24 +70,6 @@ impl RecoveryPhase {
     }
 }
 
-/// Which subsystem produced a recorded event; used to label evidence in the
-/// postmortem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EvidenceSource {
-    /// The telemetry substrate (dmesg/DCGM/switch-telemetry analogues).
-    Telemetry,
-    /// The monitor's real-time inspections.
-    Monitor,
-    /// The stop-time diagnoser.
-    Diagnoser,
-    /// The Runtime Analyzer's aggregation analysis.
-    Analyzer,
-    /// Dual-phase replay.
-    Replay,
-    /// The controller itself (phase transitions, evictions, recovery actions).
-    Controller,
-}
-
 /// One event captured by the flight recorder.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecorderEvent {
@@ -179,25 +161,6 @@ pub enum RecorderEvent {
 }
 
 impl RecorderEvent {
-    /// The subsystem that produced this event.
-    pub fn source(&self) -> EvidenceSource {
-        match self {
-            RecorderEvent::Telemetry(_) => EvidenceSource::Telemetry,
-            RecorderEvent::Detected { .. } | RecorderEvent::MonitorVerdict { .. } => {
-                EvidenceSource::Monitor
-            }
-            RecorderEvent::DiagnosisDecision { .. } => EvidenceSource::Diagnoser,
-            RecorderEvent::AnalyzerDecision { .. } => EvidenceSource::Analyzer,
-            RecorderEvent::ReplayVerdict { .. } => EvidenceSource::Replay,
-            RecorderEvent::PhaseTransition { .. }
-            | RecorderEvent::Eviction { .. }
-            | RecorderEvent::Rollback { .. }
-            | RecorderEvent::HotUpdateApplied { .. }
-            | RecorderEvent::Resumed { .. }
-            | RecorderEvent::CapacityStarvation { .. } => EvidenceSource::Controller,
-        }
-    }
-
     /// Machines this event mentions (used by the store's per-machine query).
     pub fn machines(&self) -> Vec<MachineId> {
         self.machines_ref().to_vec()
@@ -353,11 +316,6 @@ impl IncidentCapture {
         }
     }
 
-    /// Wall-clock span of the incident window.
-    pub fn span(&self) -> SimDuration {
-        self.closed_at.saturating_since(self.opened_at)
-    }
-
     /// All machines mentioned in the capture: the incident window, plus the
     /// context entries recorded at or after the incident opened. The latter
     /// matters because the telemetry tap fires at fault time, just before the
@@ -385,14 +343,6 @@ impl IncidentCapture {
                 .flat_map(|entry| entry.event.machines_ref())
                 .copied(),
         );
-    }
-
-    /// Entries produced by a given subsystem.
-    pub fn evidence_from(&self, source: EvidenceSource) -> Vec<&RecorderEntry> {
-        self.window
-            .iter()
-            .filter(|entry| entry.event.source() == source)
-            .collect()
     }
 }
 
@@ -441,8 +391,6 @@ pub struct FlightRecorder {
     /// moves them out into an exactly sized `Vec` and keeps the buffer.
     window: Vec<RecorderEntry>,
     active: Option<ActiveIncident>,
-    /// Total entries ever dropped from incident windows at capacity.
-    dropped_total: usize,
 }
 
 impl FlightRecorder {
@@ -454,42 +402,18 @@ impl FlightRecorder {
             context: None,
             window: Vec::new(),
             active: None,
-            dropped_total: 0,
         }
-    }
-
-    /// The sizing in effect.
-    pub fn config(&self) -> FlightRecorderConfig {
-        self.config
-    }
-
-    /// Whether an incident window is currently open.
-    pub fn is_recording_incident(&self) -> bool {
-        self.active.is_some()
-    }
-
-    /// Number of background entries currently in the ring.
-    pub fn background_len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Total entries dropped from incident windows because they hit
-    /// `window_capacity`.
-    pub fn dropped_total(&self) -> usize {
-        self.dropped_total
     }
 
     /// Records an event. Outside an incident it lands in the background ring
     /// (evicting the oldest entry at capacity); inside an incident it lands
-    /// in the open window (dropped, and counted, once the window is full).
+    /// in the open window (dropped once the window is full).
     pub fn record(&mut self, at: SimTime, event: RecorderEvent) {
         let entry = RecorderEntry { at, event };
         match self.active {
             Some(_) => {
                 if self.window.len() < self.config.window_capacity {
                     self.window.push(entry);
-                } else {
-                    self.dropped_total += 1;
                 }
             }
             None => {
@@ -619,7 +543,7 @@ mod tests {
         for i in 0..10 {
             recorder.record(t(i), telemetry_event(i, i as u32));
         }
-        assert_eq!(recorder.background_len(), 4);
+        assert_eq!(recorder.ring.len(), 4);
     }
 
     #[test]
@@ -633,7 +557,7 @@ mod tests {
             recorder.record(t(i), telemetry_event(i, i as u32));
         }
         assert!(recorder.open_incident(1, FaultKind::CudaError, t(10)));
-        assert!(recorder.is_recording_incident());
+        assert!(recorder.active.is_some());
         recorder.record(
             t(10),
             RecorderEvent::Detected {
@@ -649,13 +573,16 @@ mod tests {
             },
         );
         let capture = recorder.close_incident(t(12)).expect("incident was open");
-        assert!(!recorder.is_recording_incident());
+        assert!(recorder.active.is_none());
         // Context is the *last two* background entries.
         assert_eq!(capture.context.len(), 2);
         assert_eq!(capture.context[1].at, t(4));
         // Window holds exactly the events recorded while open.
         assert_eq!(capture.window.len(), 2);
-        assert_eq!(capture.span(), SimDuration::from_secs(2));
+        assert_eq!(
+            capture.closed_at.since(capture.opened_at),
+            SimDuration::from_secs(2)
+        );
         // Context telemetry (machines 3 and 4, recorded at t=3/t=4) predates
         // the open at t=10 — ring carryover from before this incident — so
         // only the window's eviction of machine 3 counts as a mention.
@@ -711,26 +638,6 @@ mod tests {
         }
         let capture = recorder.close_incident(t(10)).unwrap();
         assert_eq!(capture.window.len(), 3);
-        assert_eq!(recorder.dropped_total(), 7);
-    }
-
-    #[test]
-    fn evidence_is_filtered_by_source() {
-        let mut recorder = FlightRecorder::default();
-        recorder.open_incident(1, FaultKind::NanValue, t(0));
-        recorder.record(t(0), telemetry_event(0, 1));
-        recorder.record(
-            t(1),
-            RecorderEvent::DiagnosisDecision {
-                conclusion: DiagnosisConclusion::FaultyMachines,
-                suspects: vec![MachineId(1)],
-                duration: SimDuration::from_mins(8),
-            },
-        );
-        let capture = recorder.close_incident(t(2)).unwrap();
-        assert_eq!(capture.evidence_from(EvidenceSource::Diagnoser).len(), 1);
-        assert_eq!(capture.evidence_from(EvidenceSource::Telemetry).len(), 1);
-        assert_eq!(capture.evidence_from(EvidenceSource::Replay).len(), 0);
     }
 
     fn detected(secs: u64) -> RecorderEvent {

@@ -137,11 +137,6 @@ impl IncidentQuery {
         self.mechanism = Some(mechanism);
         self
     }
-
-    /// Whether a dossier matches every set filter.
-    pub fn matches(&self, dossier: &IncidentDossier) -> bool {
-        crate::filter::matches(self, dossier)
-    }
 }
 
 /// The durable, queryable collection of incident dossiers for one job.
@@ -229,15 +224,6 @@ impl IncidentStore {
         self.get(seq).map(Postmortem::for_dossier)
     }
 
-    /// Generates postmortems for every incident at least as severe as
-    /// `floor`, in time order.
-    pub fn postmortems_at_least(&self, floor: Severity) -> Vec<Postmortem> {
-        self.query(&IncidentQuery::any().at_least(floor))
-            .into_iter()
-            .map(Postmortem::for_dossier)
-            .collect()
-    }
-
     /// Incident counts grouped by (Table 4 mechanism label, category label).
     pub fn resolution_counts(&self) -> BTreeMap<(&'static str, &'static str), usize> {
         let mut counts = BTreeMap::new();
@@ -282,24 +268,6 @@ impl IncidentStore {
             *counts.entry(dossier.classification.severity).or_insert(0) += 1;
         }
         counts
-    }
-
-    /// Mean and max resolution time per symptom, in seconds (Table 6 "ours"
-    /// columns).
-    pub fn resolution_time_by_symptom(&self) -> BTreeMap<FaultKind, (f64, f64)> {
-        let mut acc: BTreeMap<FaultKind, Vec<f64>> = BTreeMap::new();
-        for dossier in &self.dossiers {
-            acc.entry(dossier.kind)
-                .or_default()
-                .push(dossier.resolution_time().as_secs_f64());
-        }
-        acc.into_iter()
-            .map(|(kind, values)| {
-                let mean = values.iter().sum::<f64>() / values.len() as f64;
-                let max = values.iter().copied().fold(0.0, f64::max);
-                (kind, (mean, max))
-            })
-            .collect()
     }
 
     /// Total machines evicted, and how many of those evictions were
@@ -350,19 +318,6 @@ impl IncidentStore {
             entry.1 += 1;
         }
         stats
-    }
-
-    /// Overall attribution accuracy in `[0, 1]` (1.0 for an empty store).
-    pub fn attribution_accuracy(&self) -> f64 {
-        if self.dossiers.is_empty() {
-            return 1.0;
-        }
-        let matching = self
-            .dossiers
-            .iter()
-            .filter(|dossier| dossier.concluded_cause == dossier.root_cause)
-            .count();
-        matching as f64 / self.dossiers.len() as f64
     }
 
     /// The operational backlog this job generated: every (incident, follow-up
@@ -558,7 +513,11 @@ mod tests {
     #[test]
     fn attribution_stats_score_concluded_vs_ground_truth() {
         let mut store = store();
-        assert!((store.attribution_accuracy() - 1.0).abs() < 1e-12);
+        let (matching, total) = store.attribution_stats()[&FaultCategory::Explicit];
+        assert_eq!(
+            matching, total,
+            "every seeded dossier is attributed correctly"
+        );
         // A transient fault the control plane wrongly pinned on hardware.
         let mut wrong = dossier(
             9,
@@ -575,7 +534,6 @@ mod tests {
         // the misattributed InfiniBand transient.
         let (matching, total) = stats[&FaultCategory::Explicit];
         assert_eq!((matching, total), (2, 3));
-        assert!(store.attribution_accuracy() < 1.0);
     }
 
     #[test]

@@ -131,21 +131,6 @@ impl SignalBus {
         self.names.iter().position(|n| n == name).map(SignalId)
     }
 
-    /// The registered name of `id`.
-    pub fn name(&self, id: SignalId) -> &str {
-        &self.names[id.0]
-    }
-
-    /// Number of registered signals.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether no signals are registered.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
     /// Publishes a sample. Samples must arrive in nondecreasing `at` order
     /// (the event loop guarantees this); the call never allocates.
     pub fn publish(&mut self, id: SignalId, at: SimTime, value: f64) {

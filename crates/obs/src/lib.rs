@@ -46,8 +46,7 @@ pub use alert::{
     SignalBus, SignalId, SCORECARD_FORMAT, SIGNAL_RING_SLOTS, TIMELINE_FORMAT,
 };
 pub use metrics::{
-    Counter, HistogramSnapshot, LatencyHistogram, MetricsRegistry, HISTOGRAM_BUCKETS,
-    METRICS_FORMAT,
+    HistogramSnapshot, LatencyHistogram, MetricsRegistry, HISTOGRAM_BUCKETS, METRICS_FORMAT,
 };
 pub use query::{trace_diagnose, trace_diagnose_all, trace_get, CauseChain, TraceQuery};
 pub use rules::{signals, Aggregate, AlertRule, AlertSeverity, Detector, RuleSet, RULES_FORMAT};

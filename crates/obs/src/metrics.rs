@@ -7,12 +7,9 @@
 //! is that none of it ever reaches a deterministic rendering: registries are
 //! exported to telemetry sinks (`BENCH_obs.json`, stderr) only.
 //!
-//! The live instruments ([`Counter`], [`LatencyHistogram`]) are lock-free
-//! atomics so the parallel harness can share them across worker threads.
-//! Snapshots are plain data with a *deterministic merge*: merging histogram
-//! snapshots is bucket-wise addition, so the merged result is independent of
-//! merge order and of how work was sharded across threads — the counts are
-//! reproducible even though the latencies inside them are not.
+//! The live instrument ([`LatencyHistogram`]) is lock-free atomics so the
+//! parallel harness can share it across worker threads. Snapshots are plain
+//! data: bucket counts that round-trip through the codec.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,39 +25,6 @@ pub const METRICS_FORMAT: &str = "byterobust-metrics";
 /// boundaries are powers of two, so a u64 value always lands in one of 64
 /// buckets.
 pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// A monotonically increasing event count. Relaxed atomics: totals are
-/// exact, interleavings are not observable.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current total.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl Clone for Counter {
-    fn clone(&self) -> Counter {
-        Counter(AtomicU64::new(self.get()))
-    }
-}
 
 /// A fixed-bucket log₂-scale histogram of u64 samples (latencies in
 /// nanoseconds, sizes in bytes). Recording is a single relaxed atomic add.
@@ -120,7 +84,7 @@ impl Clone for LatencyHistogram {
     }
 }
 
-/// A frozen histogram: plain bucket counts, mergeable and encodable.
+/// A frozen histogram: plain bucket counts, encodable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Exactly [`HISTOGRAM_BUCKETS`] counts; bucket `i` covers values with
@@ -140,20 +104,6 @@ impl HistogramSnapshot {
     /// Total number of samples.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
-    }
-
-    /// Bucket-wise addition. Commutative and associative, so a merge tree of
-    /// per-thread snapshots yields the same result regardless of shape or
-    /// order — the deterministic-merge guarantee the parallel harness needs.
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&other.buckets)
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
     }
 
     /// Upper bound (exclusive) of the bucket containing the `q`-quantile
@@ -224,32 +174,11 @@ impl MetricsRegistry {
         Self::upsert(&mut self.gauges, name, value);
     }
 
-    /// Records (or overwrites) a histogram snapshot.
-    pub fn set_histogram(&mut self, name: &str, snapshot: HistogramSnapshot) {
-        Self::upsert(&mut self.histograms, name, snapshot);
-    }
-
     fn upsert<T>(entries: &mut Vec<(String, T)>, name: &str, value: T) {
         match entries.iter_mut().find(|(n, _)| n == name) {
             Some((_, slot)) => *slot = value,
             None => entries.push((name.to_string(), value)),
         }
-    }
-
-    /// Looks up a counter total.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Looks up a histogram snapshot.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
     }
 
     /// Exports the registry as a self-describing JSON document.
@@ -337,27 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_is_order_independent() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        let c = LatencyHistogram::new();
-        for v in [0u64, 1, 5, 900, 1_000_000] {
-            a.record(v);
-        }
-        for v in [7u64, 7, 7, u64::MAX] {
-            b.record(v);
-        }
-        c.record(1 << 40);
-        let (sa, sb, sc) = (a.snapshot(), b.snapshot(), c.snapshot());
-        let left = sa.merge(&sb).merge(&sc);
-        let right = sc.merge(&sb.merge(&sa));
-        assert_eq!(left, right, "merge is commutative and associative");
-        assert_eq!(left.count(), 10);
-        // Merging with an empty snapshot is the identity.
-        assert_eq!(left.merge(&HistogramSnapshot::default()), left);
-    }
-
-    #[test]
     fn quantile_reports_bucket_upper_bounds() {
         let h = LatencyHistogram::new();
         for _ in 0..99 {
@@ -423,39 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_with_an_empty_snapshot_is_the_identity_both_ways() {
-        let h = LatencyHistogram::new();
-        for v in [0u64, 3, 700, 1 << 50, u64::MAX] {
-            h.record(v);
-        }
-        let snap = h.snapshot();
-        let empty = HistogramSnapshot::default();
-        assert_eq!(snap.merge(&empty), snap);
-        assert_eq!(empty.merge(&snap), snap);
-        assert_eq!(empty.merge(&empty), empty);
-        assert_eq!(snap.merge(&empty).count(), snap.count());
-    }
-
-    #[test]
-    fn counters_are_shareable_and_exact() {
-        let counter = std::sync::Arc::new(Counter::new());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let counter = counter.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        counter.incr();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(counter.get(), 4000);
-    }
-
-    #[test]
     fn registry_roundtrips_exactly() {
         let mut registry = MetricsRegistry::new();
         registry.set_counter("scheduler/heap/picks", 1234);
@@ -465,14 +340,16 @@ mod tests {
         h.record(0);
         h.record(512);
         h.record(1 << 33);
-        registry.set_histogram("warehouse/query/hot", h.snapshot());
+        registry
+            .histograms
+            .push(("warehouse/query/hot".to_string(), h.snapshot()));
 
         let text = registry.export_json();
         let back = MetricsRegistry::import_json(&text).expect("import succeeds");
         assert_eq!(back, registry);
         assert_eq!(back.export_json(), text);
-        assert_eq!(back.counter("scheduler/heap/picks"), Some(1234));
-        assert_eq!(back.histogram("warehouse/query/hot").unwrap().count(), 3);
+        assert_eq!(back.counters[0], ("scheduler/heap/picks".to_string(), 1234));
+        assert_eq!(back.histograms[0].1.count(), 3);
     }
 
     #[test]
@@ -492,7 +369,7 @@ mod tests {
         let mut registry = MetricsRegistry::new();
         let h = LatencyHistogram::new();
         h.record(42);
-        registry.set_histogram("h", h.snapshot());
+        registry.histograms.push(("h".to_string(), h.snapshot()));
         let good = registry.export_json();
 
         let truncated = &good[..good.len() - 10];

@@ -203,11 +203,6 @@ impl TraceRecorder {
         self.enabled = false;
     }
 
-    /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Opens a span at `start` (its end is `start` until closed via
     /// `TraceRecorder::close`).
     pub fn open(
@@ -275,16 +270,6 @@ impl TraceRecorder {
             return;
         }
         self.spans[span.0 as usize].value = value;
-    }
-
-    /// Number of spans recorded so far.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
     }
 
     /// Freezes the recording into the owned document form, labelling every
@@ -700,6 +685,6 @@ mod tests {
         }
         // No reallocation happened while recording within capacity.
         assert_eq!(recorder.spans.capacity(), capacity);
-        assert_eq!(recorder.len(), 16);
+        assert_eq!(recorder.spans.len(), 16);
     }
 }

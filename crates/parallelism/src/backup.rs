@@ -21,9 +21,6 @@ use crate::rank::{Rank, RankCoords};
 #[derive(Debug, Clone)]
 pub struct BackupAssignment {
     peer_of: HashMap<Rank, Rank>,
-    /// Whether the cross-group property could be satisfied (false means the
-    /// neighbour-machine fallback was used).
-    cross_group: bool,
 }
 
 impl BackupAssignment {
@@ -54,10 +51,7 @@ impl BackupAssignment {
                 });
                 peer_of.insert(rank, peer);
             }
-            BackupAssignment {
-                peer_of,
-                cross_group: true,
-            }
+            BackupAssignment { peer_of }
         } else {
             // Single-dimension parallelism (e.g. ZeRO): back up on the next
             // machine's corresponding rank.
@@ -67,10 +61,7 @@ impl BackupAssignment {
                 let peer = Rank(((rank.index() + ranks_per_machine) % world) as u32);
                 peer_of.insert(rank, peer);
             }
-            BackupAssignment {
-                peer_of,
-                cross_group: false,
-            }
+            BackupAssignment { peer_of }
         }
     }
 
@@ -84,34 +75,6 @@ impl BackupAssignment {
             .peer_of
             .get(&rank)
             .expect("rank not in backup assignment")
-    }
-
-    /// Ranks whose backups are stored on `rank` (the inverse relation).
-    pub fn backed_up_on(&self, rank: Rank) -> Vec<Rank> {
-        let mut sources: Vec<Rank> = self
-            .peer_of
-            .iter()
-            .filter(|(_, &p)| p == rank)
-            .map(|(&s, _)| s)
-            .collect();
-        sources.sort();
-        sources
-    }
-
-    /// Whether the cross-parallel-group property holds (vs. the neighbour
-    /// fallback).
-    pub fn is_cross_group(&self) -> bool {
-        self.cross_group
-    }
-
-    /// Number of ranks covered.
-    pub fn len(&self) -> usize {
-        self.peer_of.len()
-    }
-
-    /// Whether the assignment is empty.
-    pub fn is_empty(&self) -> bool {
-        self.peer_of.is_empty()
     }
 
     /// Checks whether, after evicting `evicted_machines`, every rank hosted on
@@ -154,7 +117,6 @@ mod tests {
     fn fig9_property_no_shared_groups() {
         let topo = ParallelTopology::new(ParallelismConfig::fig9_example());
         let assignment = BackupAssignment::compute(&topo);
-        assert!(assignment.is_cross_group());
         for rank in topo.mapping().all_ranks() {
             let peer = assignment.backup_peer(rank);
             assert_ne!(rank, peer);
@@ -197,10 +159,6 @@ mod tests {
             topo.config().world_size(),
             "peers must be distinct"
         );
-        // Every rank stores exactly one other rank's backup.
-        for rank in topo.mapping().all_ranks() {
-            assert_eq!(assignment.backed_up_on(rank).len(), 1);
-        }
     }
 
     #[test]
@@ -237,7 +195,6 @@ mod tests {
         // used instead (§6.3).
         let topo = ParallelTopology::new(ParallelismConfig::new_3d(1, 1, 16, 8));
         let assignment = BackupAssignment::compute(&topo);
-        assert!(!assignment.is_cross_group());
         let mapping = topo.mapping();
         for rank in mapping.all_ranks() {
             let peer = assignment.backup_peer(rank);

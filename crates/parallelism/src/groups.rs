@@ -45,11 +45,6 @@ impl ParallelGroup {
     pub fn size(&self) -> usize {
         self.ranks.len()
     }
-
-    /// Whether the group contains the given rank.
-    pub fn contains(&self, rank: Rank) -> bool {
-        self.ranks.binary_search(&rank).is_ok()
-    }
 }
 
 /// Group-level view over a [`RankMapping`].
@@ -339,6 +334,6 @@ mod tests {
         }
         // EP groups of one DP row tile the DP group.
         let dp_group = topo.group_of(Rank(0), GroupKind::Data);
-        assert!(g.ranks.iter().all(|r| dp_group.contains(*r)));
+        assert!(g.ranks.iter().all(|r| dp_group.ranks.contains(r)));
     }
 }

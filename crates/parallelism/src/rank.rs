@@ -34,14 +34,6 @@ pub struct RankCoords {
     pub pp: usize,
 }
 
-impl RankCoords {
-    /// Expert-parallel index for the given EP size (EP groups are sub-groups
-    /// of the DP dimension).
-    pub fn ep(&self, ep_size: usize) -> usize {
-        self.dp % ep_size.max(1)
-    }
-}
-
 /// Maps ranks to grid coordinates and to hosting machines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankMapping {
@@ -137,17 +129,6 @@ impl RankMapping {
         machines.dedup();
         machines
     }
-
-    /// Whether the rank is in the last pipeline stage (the stage that computes
-    /// the loss and starts backward propagation).
-    pub fn is_last_pipeline_stage(&self, rank: Rank) -> bool {
-        self.coords(rank).pp == self.config.pp - 1
-    }
-
-    /// Whether the rank is in the first pipeline stage.
-    pub fn is_first_pipeline_stage(&self, rank: Rank) -> bool {
-        self.coords(rank).pp == 0
-    }
 }
 
 #[cfg(test)]
@@ -213,8 +194,6 @@ mod tests {
                 pp: 3
             }
         );
-        assert!(mapping.is_last_pipeline_stage(Rank(30)));
-        assert!(mapping.is_first_pipeline_stage(Rank(0)));
     }
 
     #[test]
@@ -229,17 +208,6 @@ mod tests {
     fn out_of_range_rank_panics() {
         let mapping = RankMapping::new(ParallelismConfig::fig9_example());
         let _ = mapping.coords(Rank(999));
-    }
-
-    #[test]
-    fn ep_index_derived_from_dp() {
-        let coords = RankCoords {
-            tp: 0,
-            dp: 5,
-            pp: 0,
-        };
-        assert_eq!(coords.ep(4), 1);
-        assert_eq!(coords.ep(1), 0);
     }
 
     #[test]

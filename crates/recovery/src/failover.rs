@@ -45,19 +45,6 @@ impl FailoverCost {
     pub fn failover_only(&self) -> SimDuration {
         self.scheduling + self.pod_build + self.checkpoint_load + self.recompute
     }
-
-    /// Merges two cost records (e.g. a failed recovery attempt followed by a
-    /// successful one) by summing each component.
-    pub fn merge(&self, other: &FailoverCost) -> FailoverCost {
-        FailoverCost {
-            detection: self.detection + other.detection,
-            localization: self.localization + other.localization,
-            scheduling: self.scheduling + other.scheduling,
-            pod_build: self.pod_build + other.pod_build,
-            checkpoint_load: self.checkpoint_load + other.checkpoint_load,
-            recompute: self.recompute + other.recompute,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -84,12 +71,5 @@ mod tests {
     #[test]
     fn default_is_zero() {
         assert_eq!(FailoverCost::default().total(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn merge_sums_components() {
-        let merged = cost().merge(&cost());
-        assert_eq!(merged.total(), SimDuration::from_secs(900));
-        assert_eq!(merged.detection, SimDuration::from_secs(60));
     }
 }

@@ -114,16 +114,6 @@ impl RestartStrategy {
         RestartStrategy::Oracle,
         RestartStrategy::WarmStandby,
     ];
-
-    /// Label used in figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            RestartStrategy::Requeue => "Requeue",
-            RestartStrategy::Reschedule => "Reschedule",
-            RestartStrategy::Oracle => "Oracle",
-            RestartStrategy::WarmStandby => "ByteRobust",
-        }
-    }
 }
 
 /// Scale-dependent scheduling-cost model.
@@ -322,7 +312,6 @@ mod tests {
 
     #[test]
     fn strategy_names() {
-        assert_eq!(RestartStrategy::WarmStandby.name(), "ByteRobust");
         assert_eq!(RestartStrategy::ALL.len(), 4);
     }
 

@@ -208,13 +208,6 @@ impl WarmStandbyPool {
         }
     }
 
-    /// Completion times of in-flight replenishments (sorted ascending).
-    pub fn provisioning_times(&self) -> Vec<SimTime> {
-        let mut times = self.provisioning.clone();
-        times.sort_unstable();
-        times
-    }
-
     /// Requests that could not be fully covered by ready standbys so far.
     pub fn shortfall_events(&self) -> usize {
         self.shortfall_events
@@ -223,11 +216,6 @@ impl WarmStandbyPool {
     /// Total machines across all requests that the pool could not cover.
     pub fn shortfall_machines(&self) -> usize {
         self.shortfall_machines
-    }
-
-    /// Time for granted standbys to join the job (wake from sleep + barrier).
-    pub fn awaken_time(&self) -> SimDuration {
-        self.config.awaken_time
     }
 
     /// Time for the caller to reschedule a shortfall machine from scratch.
@@ -387,7 +375,7 @@ mod tests {
         let mut p = pool();
         p.request(2, SimTime::ZERO);
         assert_eq!(p.in_flight(), 2);
-        let completes = p.provisioning_times()[0];
+        let completes = *p.provisioning.iter().min().unwrap();
         assert!(p.cancel_provisioning(completes));
         assert_eq!(p.in_flight(), 1);
         // Cancelling a time with no matching slot is a no-op.

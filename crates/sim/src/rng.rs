@@ -163,12 +163,6 @@ impl SimRng {
         self.bounded_u64(len as u64) as usize
     }
 
-    /// Uniform float in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo < hi, "range_f64: lo must be < hi");
-        lo + self.uniform() * (hi - lo)
-    }
-
     /// Bernoulli trial with probability `p` of returning `true`.
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
@@ -192,31 +186,6 @@ impl SimRng {
         };
         let sample = -u.ln() * mean.as_millis() as f64;
         SimDuration::from_millis(sample.round() as u64)
-    }
-
-    /// Gaussian sample with the given mean and standard deviation
-    /// (Box–Muller; no external distribution crates needed).
-    pub fn gaussian(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev >= 0.0, "gaussian: std_dev must be non-negative");
-        if std_dev == 0.0 {
-            return mean;
-        }
-        let u1: f64 = loop {
-            let v = self.uniform();
-            if v > 0.0 {
-                break v;
-            }
-        };
-        let u2 = self.uniform();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        mean + std_dev * z
-    }
-
-    /// Log-normal-ish positive jitter multiplier centred at 1.0 with the
-    /// given relative spread; used to perturb modelled durations.
-    pub fn jitter(&mut self, relative_std: f64) -> f64 {
-        let v = self.gaussian(1.0, relative_std);
-        v.max(0.05)
     }
 
     /// Samples an index from a set of non-negative weights.
@@ -250,47 +219,6 @@ impl SimRng {
         weights.iter().rposition(|&w| w > 0.0).unwrap()
     }
 
-    /// Binomial sample: number of successes in `n` trials with probability `p`.
-    pub fn binomial(&mut self, n: u64, p: f64) -> u64 {
-        if p <= 0.0 || n == 0 {
-            return 0;
-        }
-        if p >= 1.0 {
-            return n;
-        }
-        // Direct simulation is fine at the n (<= a few thousand machines) we use.
-        let mut successes = 0;
-        for _ in 0..n {
-            if self.chance(p) {
-                successes += 1;
-            }
-        }
-        successes
-    }
-
-    /// Poisson sample with the given mean (Knuth's algorithm; the means we use
-    /// are small, e.g. expected failures per day).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        assert!(mean >= 0.0, "poisson: mean must be non-negative");
-        if mean == 0.0 {
-            return 0;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            k += 1;
-            p *= self.uniform();
-            if p <= l {
-                return k - 1;
-            }
-            if k > 10_000 {
-                // Guard against pathological means; fall back to the mean.
-                return mean.round() as u64;
-            }
-        }
-    }
-
     /// Chooses one element of a slice uniformly at random.
     ///
     /// # Panics
@@ -310,14 +238,6 @@ impl SimRng {
         }
         idx.truncate(k);
         idx
-    }
-
-    /// Shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
     }
 }
 
@@ -375,17 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_mean_and_spread() {
-        let mut rng = SimRng::new(11);
-        let n = 10_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.gaussian(5.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.2, "mean = {mean}");
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((var.sqrt() - 2.0).abs() < 0.2, "std = {}", var.sqrt());
-    }
-
-    #[test]
     fn weighted_index_respects_weights() {
         let mut rng = SimRng::new(13);
         let weights = [0.0, 1.0, 9.0];
@@ -398,25 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn binomial_bounds() {
-        let mut rng = SimRng::new(17);
-        assert_eq!(rng.binomial(0, 0.5), 0);
-        assert_eq!(rng.binomial(10, 0.0), 0);
-        assert_eq!(rng.binomial(10, 1.0), 10);
-        let s = rng.binomial(1000, 0.1);
-        assert!(s > 50 && s < 170, "s = {s}");
-    }
-
-    #[test]
-    fn poisson_mean() {
-        let mut rng = SimRng::new(19);
-        let n = 5_000;
-        let total: u64 = (0..n).map(|_| rng.poisson(3.0)).sum();
-        let avg = total as f64 / n as f64;
-        assert!((avg - 3.0).abs() < 0.15, "avg = {avg}");
-    }
-
-    #[test]
     fn sample_indices_are_distinct_and_in_range() {
         let mut rng = SimRng::new(23);
         let sampled = rng.sample_indices(50, 10);
@@ -426,24 +316,6 @@ mod tests {
         unique.dedup();
         assert_eq!(unique.len(), 10);
         assert!(sampled.iter().all(|&i| i < 50));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(29);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn jitter_is_positive() {
-        let mut rng = SimRng::new(31);
-        for _ in 0..1_000 {
-            assert!(rng.jitter(0.5) > 0.0);
-        }
     }
 
     #[test]

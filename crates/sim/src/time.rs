@@ -94,29 +94,6 @@ impl SimDuration {
         );
         SimDuration((self.0 as f64 * factor).round() as u64)
     }
-
-    /// Integer division of the duration.
-    pub const fn div(self, divisor: u64) -> SimDuration {
-        SimDuration(self.0 / divisor)
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl Add for SimDuration {
@@ -205,11 +182,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// Hours since the origin, as a float.
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3_600_000.0
-    }
-
     /// Elapsed duration since `earlier`.
     ///
     /// # Panics
@@ -288,7 +260,6 @@ mod tests {
         assert_eq!(a + b, SimDuration::from_secs(14));
         assert_eq!(a - b, SimDuration::from_secs(6));
         assert_eq!(a.mul(3), SimDuration::from_secs(30));
-        assert_eq!(a.div(2), SimDuration::from_secs(5));
         assert_eq!(a.mul_f64(0.5), SimDuration::from_secs(5));
         assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
         assert_eq!(a.max(b), a);
@@ -315,7 +286,6 @@ mod tests {
     fn conversions_to_float() {
         assert!((SimDuration::from_hours(2).as_hours_f64() - 2.0).abs() < 1e-9);
         assert!((SimDuration::from_mins(3).as_mins_f64() - 3.0).abs() < 1e-9);
-        assert!((SimTime::from_hours(5).as_hours_f64() - 5.0).abs() < 1e-9);
     }
 
     #[test]

@@ -36,29 +36,6 @@ pub enum EventKind {
     ContainerFailure,
 }
 
-impl EventKind {
-    /// Whether the event is network-related (tolerated a few times before
-    /// eviction because links/switches often self-recover, §4.1).
-    pub fn is_network(self) -> bool {
-        matches!(
-            self,
-            EventKind::NicDown | EventKind::NicFlapping | EventKind::SwitchUnresponsive
-        )
-    }
-
-    /// Whether the event by itself identifies the machine as faulty with high
-    /// confidence.
-    pub fn is_high_confidence(self) -> bool {
-        matches!(
-            self,
-            EventKind::XidError
-                | EventKind::DcgmQueryFailure
-                | EventKind::KernelPanic
-                | EventKind::EccRowRemap
-        )
-    }
-}
-
 /// A timestamped system event attributed to a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemEvent {
@@ -74,19 +51,5 @@ impl SystemEvent {
     /// Creates an event.
     pub fn new(at: SimTime, kind: EventKind, machine: MachineId) -> Self {
         SystemEvent { at, kind, machine }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classification_flags() {
-        assert!(EventKind::NicDown.is_network());
-        assert!(EventKind::SwitchUnresponsive.is_network());
-        assert!(!EventKind::XidError.is_network());
-        assert!(EventKind::KernelPanic.is_high_confidence());
-        assert!(!EventKind::NicFlapping.is_high_confidence());
     }
 }

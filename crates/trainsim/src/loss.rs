@@ -60,31 +60,6 @@ impl LossModel {
         let base = self.floor + self.scale * (step as f64 + self.offset).powf(-self.alpha);
         base + self.noise_amplitude * Self::noise(step) * base
     }
-
-    /// Gradient norm at a given step (decays more slowly than the loss).
-    pub fn grad_norm_at(&self, step: u64) -> f64 {
-        let base = 1.0 + 12.0 * (step as f64 + self.offset).powf(-0.22);
-        base + 0.05 * Self::noise(step.wrapping_add(1)) * base
-    }
-
-    /// Loss at a step when a loss spike is being injected (e.g. a bad data
-    /// batch or an SDC-corrupted gradient): `factor` times the nominal value.
-    /// The monitor's rule flags >5× increases.
-    pub fn spiked_loss_at(&self, step: u64, factor: f64) -> f64 {
-        self.loss_at(step) * factor.max(1.0)
-    }
-
-    /// Loss under an active NaN fault.
-    pub fn nan_loss() -> f64 {
-        f64::NAN
-    }
-
-    /// Whether two loss values are bit-wise identical — the criterion used
-    /// after manual restarts to verify that engineering changes preserved
-    /// numerics (§2.1, Fig. 2).
-    pub fn bitwise_equal(a: f64, b: f64) -> bool {
-        a.to_bits() == b.to_bits()
-    }
 }
 
 #[cfg(test)]
@@ -106,28 +81,8 @@ mod tests {
     fn loss_is_deterministic_and_bitwise_reproducible() {
         let m = LossModel::pretraining();
         for step in [0u64, 17, 1_000, 123_456] {
-            assert!(LossModel::bitwise_equal(m.loss_at(step), m.loss_at(step)));
+            assert_eq!(m.loss_at(step).to_bits(), m.loss_at(step).to_bits());
         }
-    }
-
-    #[test]
-    fn spike_is_detectable_by_5x_rule() {
-        let m = LossModel::pretraining();
-        let normal = m.loss_at(10_000);
-        let spiked = m.spiked_loss_at(10_000, 8.0);
-        assert!(spiked / normal >= 5.0);
-    }
-
-    #[test]
-    fn nan_loss_is_nan() {
-        assert!(LossModel::nan_loss().is_nan());
-    }
-
-    #[test]
-    fn grad_norm_positive_and_decaying() {
-        let m = LossModel::pretraining();
-        assert!(m.grad_norm_at(10) > m.grad_norm_at(100_000));
-        assert!(m.grad_norm_at(100_000) > 0.0);
     }
 
     #[test]

@@ -113,21 +113,6 @@ impl ModelSpec {
     pub fn optimizer_bytes(&self) -> f64 {
         self.weight_bytes() * 6.0
     }
-
-    /// Whether this is a mixture-of-experts model.
-    pub fn is_moe(&self) -> bool {
-        matches!(self.architecture, Architecture::MoE { .. })
-    }
-
-    /// A copy with the layer count reduced by `factor` (at least one layer).
-    /// Dual-phase replay (§4.2) replays a reduced-layer job to cut cost.
-    pub fn with_reduced_layers(&self, factor: u32) -> ModelSpec {
-        let mut reduced = self.clone();
-        reduced.layers = (self.layers / factor.max(1)).max(1);
-        reduced.params_b = self.params_b * reduced.layers as f64 / self.layers as f64;
-        reduced.name = format!("{}-reduced{}", self.name, factor);
-        reduced
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +129,7 @@ mod tests {
     #[test]
     fn moe_activates_fraction_of_params() {
         let m = ModelSpec::moe_256b();
-        assert!(m.is_moe());
+        assert!(matches!(m.architecture, Architecture::MoE { .. }));
         let active = m.active_params();
         assert!(active < m.total_params() * 0.6, "active = {active}");
         assert!(active > m.total_params() * 0.2, "active = {active}");
@@ -159,20 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn reduced_layers_shrinks_model() {
-        let m = ModelSpec::dense_70b();
-        let r = m.with_reduced_layers(4);
-        assert_eq!(r.layers, 20);
-        assert!((r.params_b - 17.5).abs() < 1e-9);
-        // Never reduce below one layer.
-        let tiny = m.with_reduced_layers(1000);
-        assert_eq!(tiny.layers, 1);
-    }
-
-    #[test]
     fn tiny_model_is_dense() {
         let m = ModelSpec::tiny_test();
-        assert!(!m.is_moe());
+        assert_eq!(m.architecture, Architecture::Dense);
         assert!(m.flops_per_token() > 0.0);
     }
 }

@@ -18,22 +18,6 @@ use crate::job::JobSpec;
 use crate::stacktrace::{self, ProcessKind, StackCapture, StackFrame, StackGroup, StackTrace};
 use crate::step::{CodeVersion, StepModel, TrainPhase};
 
-/// Aggregate status of the job as the workload model sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeStatus {
-    /// Making normal progress.
-    Running,
-    /// No forward progress: one or more ranks are blocked and collectives
-    /// never complete.
-    Hung,
-    /// Progressing but slower than nominal (fail-slow / MFU decline).
-    Degraded,
-    /// Producing NaN losses.
-    NanLoss,
-    /// The training processes have crashed (explicit failure).
-    Crashed,
-}
-
 /// Fault effect currently applied to the runtime.
 #[derive(Debug, Clone, PartialEq)]
 enum ActiveFault {
@@ -102,29 +86,6 @@ impl TrainingRuntime {
         self.code = code;
     }
 
-    /// Current aggregate status.
-    pub fn status(&self) -> RuntimeStatus {
-        match &self.fault {
-            ActiveFault::None => RuntimeStatus::Running,
-            ActiveFault::Hang { .. } => RuntimeStatus::Hung,
-            ActiveFault::FailSlow { .. } => RuntimeStatus::Degraded,
-            ActiveFault::Nan { .. } => RuntimeStatus::NanLoss,
-            ActiveFault::Crash => RuntimeStatus::Crashed,
-        }
-    }
-
-    /// Machines the active fault is rooted at: the ground truth behind
-    /// [`TrainingRuntime::rank_phases`]. Empty when no fault is active or
-    /// the processes crashed.
-    pub fn fault_victims(&self) -> Vec<MachineId> {
-        match &self.fault {
-            ActiveFault::Hang { victims }
-            | ActiveFault::FailSlow { victims, .. }
-            | ActiveFault::Nan { victims } => victims.clone(),
-            _ => Vec::new(),
-        }
-    }
-
     /// Injects a job hang rooted at the given machines.
     pub fn inject_hang(&mut self, victims: Vec<MachineId>) {
         self.fault = ActiveFault::Hang { victims };
@@ -151,12 +112,6 @@ impl TrainingRuntime {
     /// Clears any active fault (after recovery).
     pub fn clear_fault(&mut self) {
         self.fault = ActiveFault::None;
-    }
-
-    /// Rolls training progress back by `steps` (checkpoint restore /
-    /// intentional rollback after a manual restart).
-    pub fn rollback_steps(&mut self, steps: u64) {
-        self.step = self.step.saturating_sub(steps);
     }
 
     /// Restores progress to an absolute step (loading a checkpoint).
@@ -339,39 +294,48 @@ mod tests {
     fn hang_stops_progress_and_zeroes_traffic() {
         let mut rt = runtime();
         rt.inject_hang(vec![MachineId(3)]);
-        assert_eq!(rt.status(), RuntimeStatus::Hung);
-        assert_eq!(rt.fault_victims(), vec![MachineId(3)]);
+        assert_eq!(
+            rt.fault,
+            ActiveFault::Hang {
+                victims: vec![MachineId(3)]
+            }
+        );
         rt.clear_fault();
-        assert_eq!(rt.status(), RuntimeStatus::Running);
-        assert!(rt.fault_victims().is_empty());
+        assert_eq!(rt.fault, ActiveFault::None);
     }
 
     #[test]
     fn nan_fault_produces_nan_loss_but_progresses() {
         let mut rt = runtime();
         rt.inject_nan(vec![MachineId(1)]);
-        assert_eq!(rt.status(), RuntimeStatus::NanLoss);
-        assert_eq!(rt.fault_victims(), vec![MachineId(1)]);
+        assert_eq!(
+            rt.fault,
+            ActiveFault::Nan {
+                victims: vec![MachineId(1)]
+            }
+        );
     }
 
     #[test]
     fn fail_slow_reduces_mfu() {
         let mut rt = runtime();
         rt.inject_fail_slow(vec![MachineId(2)], 2.5);
-        assert_eq!(rt.status(), RuntimeStatus::Degraded);
-        assert_eq!(rt.fault_victims(), vec![MachineId(2)]);
+        assert_eq!(
+            rt.fault,
+            ActiveFault::FailSlow {
+                victims: vec![MachineId(2)],
+                slowdown: 2.5
+            }
+        );
     }
 
     #[test]
     fn rollback_and_restore() {
         let mut rt = runtime();
         rt.restore_to_step(10);
-        rt.rollback_steps(3);
-        assert_eq!(rt.current_step(), 7);
+        assert_eq!(rt.current_step(), 10);
         rt.restore_to_step(2);
         assert_eq!(rt.current_step(), 2);
-        rt.rollback_steps(100);
-        assert_eq!(rt.current_step(), 0);
     }
 
     #[test]
@@ -449,8 +413,7 @@ mod tests {
     fn crash_status() {
         let mut rt = runtime();
         rt.inject_crash();
-        assert_eq!(rt.status(), RuntimeStatus::Crashed);
-        assert!(rt.fault_victims().is_empty());
+        assert_eq!(rt.fault, ActiveFault::Crash);
     }
 
     #[test]

@@ -33,18 +33,6 @@ pub enum ProcessKind {
     RobustDaemon,
 }
 
-impl ProcessKind {
-    /// Command-line name shown in the process tree.
-    pub fn command(self) -> &'static str {
-        match self {
-            ProcessKind::Trainer => "python3 -m torch.distributed.run train.py",
-            ProcessKind::DataLoader => "python3 dataloader_worker.py",
-            ProcessKind::CheckpointWorker => "python3 ckpt_io_worker.py",
-            ProcessKind::RobustDaemon => "python3 robust_agent_daemon.py",
-        }
-    }
-}
-
 /// One stack frame: function, file, line.
 ///
 /// The function and file names are `&'static str`: every frame comes from a
@@ -111,11 +99,6 @@ impl StackTrace {
     /// This stack's [`fingerprint`].
     pub fn fingerprint(&self) -> String {
         fingerprint(&self.frames)
-    }
-
-    /// The innermost (currently executing) frame, if any.
-    pub fn leaf(&self) -> Option<&StackFrame> {
-        self.frames.last()
     }
 }
 
@@ -426,23 +409,6 @@ mod tests {
     #[test]
     fn leaf_frame_is_innermost() {
         let s = trainer(Rank(0), TrainPhase::OptimizerStep);
-        assert_eq!(s.leaf().unwrap().func, "adamw");
-    }
-
-    #[test]
-    fn process_commands_are_distinct() {
-        let commands: Vec<&str> = [
-            ProcessKind::Trainer,
-            ProcessKind::DataLoader,
-            ProcessKind::CheckpointWorker,
-            ProcessKind::RobustDaemon,
-        ]
-        .iter()
-        .map(|p| p.command())
-        .collect();
-        let mut unique = commands.clone();
-        unique.sort();
-        unique.dedup();
-        assert_eq!(unique.len(), commands.len());
+        assert_eq!(s.frames.last().unwrap().func, "adamw");
     }
 }

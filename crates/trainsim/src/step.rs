@@ -143,11 +143,6 @@ impl StepModel {
         StepModel { job }
     }
 
-    /// The job this model describes.
-    pub fn job(&self) -> &JobSpec {
-        &self.job
-    }
-
     /// Ideal per-GPU compute time for one step at 100% of peak.
     fn ideal_compute(&self) -> SimDuration {
         let total_flops = self.job.model.flops_per_token() * self.job.tokens_per_step();
@@ -224,11 +219,6 @@ impl StepModel {
         breakdown.mfu = mfu.clamp(0.0, 1.0);
         breakdown
     }
-
-    /// Convenience: MFU of a step under the given conditions.
-    pub fn mfu(&self, code: &CodeVersion, cluster_throughput: f64) -> f64 {
-        self.step(code, cluster_throughput, SimDuration::ZERO).mfu
-    }
 }
 
 #[cfg(test)]
@@ -242,7 +232,7 @@ mod tests {
     #[test]
     fn healthy_step_has_reasonable_mfu() {
         let m = model();
-        let mfu = m.mfu(&CodeVersion::initial(), 1.0);
+        let mfu = m.step(&CodeVersion::initial(), 1.0, SimDuration::ZERO).mfu;
         assert!(mfu > 0.2 && mfu < 0.6, "mfu = {mfu}");
     }
 
@@ -254,8 +244,8 @@ mod tests {
         for _ in 0..6 {
             v = v.improved(0.02);
         }
-        let mfu0 = m.mfu(&v0, 1.0);
-        let mfu6 = m.mfu(&v, 1.0);
+        let mfu0 = m.step(&v0, 1.0, SimDuration::ZERO).mfu;
+        let mfu6 = m.step(&v, 1.0, SimDuration::ZERO).mfu;
         assert!(mfu6 > mfu0 * 1.15, "mfu0 = {mfu0}, mfu6 = {mfu6}");
     }
 
@@ -309,7 +299,7 @@ mod tests {
     #[test]
     fn moe_job_step_also_sane() {
         let m = StepModel::new(JobSpec::table5_256b_small());
-        let mfu = m.mfu(&CodeVersion::initial(), 1.0);
+        let mfu = m.step(&CodeVersion::initial(), 1.0, SimDuration::ZERO).mfu;
         assert!(mfu > 0.1 && mfu < 0.7, "mfu = {mfu}");
     }
 }

@@ -84,9 +84,8 @@ fn drill_backup_survives_over_eviction() {
         ..JobSpec::small_test()
     };
     let mut ckpt = CkptManager::byterobust_default(&job);
-    let step = StepModel::new(job.clone()).step(&CodeVersion::initial(), 1.0, SimDuration::ZERO);
     for s in 1..=100 {
-        ckpt.on_step(s, &step);
+        ckpt.advance_steps(s - 1, s);
     }
 
     let topology = ParallelTopology::new(job.parallelism);

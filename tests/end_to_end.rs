@@ -140,3 +140,69 @@ fn moe_jobs_see_more_rollbacks_and_restarts_than_dense() {
         manual(&dense)
     );
 }
+
+/// One header line per production job and one line per dossier: when, what,
+/// how it was resolved, what the analyzer concluded, and what it cost.
+fn render_production_history(report: &JobReport) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    let dossiers = report.incident_store.all();
+    writeln!(
+        out,
+        "== {} | incidents {} | final step {} | ETTR {:.9}",
+        report.job_name,
+        dossiers.len(),
+        report.final_step,
+        report.ettr.cumulative_ettr()
+    )
+    .unwrap();
+    for d in dossiers {
+        let evicted: Vec<String> = d.evicted.iter().map(|m| m.to_string()).collect();
+        writeln!(
+            out,
+            "{} {:?} {:?} {:?}->{:?} {} [{}] over={} cost_ms={}",
+            d.at.as_millis(),
+            d.kind,
+            d.mechanism,
+            d.root_cause,
+            d.concluded_cause,
+            d.classification.rec_code,
+            evicted.join(","),
+            d.over_evicted,
+            d.cost.total().as_millis()
+        )
+        .unwrap();
+    }
+    out
+}
+
+#[test]
+fn production_histories_match_the_pinned_fixture() {
+    // The two 9,600-GPU production jobs at seed 11, pinned across commits:
+    // this is the only tier-1 check that the production-scale analyzer path
+    // (stack aggregation over hundreds of machines) still concludes and
+    // evicts exactly as before. If a change moves it on purpose, regenerate
+    // the fixture from this rendering and say why in the commit.
+    let expected = include_str!("fixtures/production_seed11.txt");
+    let mut rendered = String::new();
+    for config in [
+        JobConfig::production_dense_three_months(),
+        JobConfig::production_moe_one_month(),
+    ] {
+        rendered.push_str(&render_production_history(
+            &JobLifecycle::new(config, 11).run(),
+        ));
+    }
+    if let Some((line, (got, want))) = rendered
+        .lines()
+        .zip(expected.lines())
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!(
+            "production history diverged from the fixture at line {}:\n  got:  {got}\n  want: {want}",
+            line + 1
+        );
+    }
+    assert_eq!(rendered, expected, "production history length changed");
+}
