@@ -8,7 +8,6 @@
 //! plane actually consumes: which machines exist, how they are wired, whether
 //! their GPUs/NICs/hosts are healthy, and what incidents occur over time.
 
-pub mod blacklist;
 pub mod fault;
 pub mod gpu;
 pub mod health;
@@ -17,7 +16,6 @@ pub mod machine;
 pub mod registry;
 pub mod topology;
 
-pub use blacklist::Blacklist;
 pub use fault::{
     FaultCategory, FaultEvent, FaultInjector, FaultInjectorConfig, FaultKind, RootCause,
 };
@@ -30,7 +28,6 @@ pub use topology::{Cluster, ClusterSpec};
 
 /// Convenience prelude for downstream crates.
 pub mod prelude {
-    pub use crate::blacklist::Blacklist;
     pub use crate::fault::{
         FaultCategory, FaultEvent, FaultInjector, FaultInjectorConfig, FaultKind, RootCause,
     };

@@ -18,7 +18,7 @@ pub enum MachineState {
     WarmStandby,
     /// A standby machine whose pod environment is still being initialized.
     Provisioning,
-    /// Evicted from the job and blacklisted pending repair.
+    /// Evicted from the job pending repair.
     Evicted,
     /// Not allocated to this job at all.
     Free,
@@ -80,9 +80,6 @@ pub struct Machine {
     pub host: HostCondition,
     /// Controller-visible lifecycle state.
     pub state: MachineState,
-    /// Number of times this machine has been evicted over the job lifetime
-    /// (repeat offenders feed the blacklist heuristics).
-    pub eviction_count: u32,
 }
 
 impl Machine {
@@ -99,7 +96,6 @@ impl Machine {
             nic: NicState::Up,
             host: HostCondition::default(),
             state: MachineState::Free,
-            eviction_count: 0,
         }
     }
 
@@ -164,10 +160,9 @@ impl Machine {
             && crate::health::HealthReport::inspect(self).is_clean()
     }
 
-    /// Marks the machine evicted and increments its eviction counter.
+    /// Marks the machine evicted.
     pub fn evict(&mut self) {
         self.state = MachineState::Evicted;
-        self.eviction_count += 1;
     }
 
     /// Mutable GPU at the given slot.
@@ -244,9 +239,6 @@ mod tests {
         let mut m = machine();
         m.evict();
         assert_eq!(m.state, MachineState::Evicted);
-        assert_eq!(m.eviction_count, 1);
-        m.evict();
-        assert_eq!(m.eviction_count, 2);
     }
 
     #[test]

@@ -11,10 +11,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use byterobust_sim::SimTime;
-
-use crate::blacklist::Blacklist;
-use crate::fault::FaultKind;
 use crate::ids::{MachineId, SwitchId};
 use crate::machine::{Machine, MachineState};
 
@@ -48,7 +44,7 @@ impl ClusterSpec {
     }
 }
 
-/// The live cluster: machine objects, switch attachment, and the blacklist.
+/// The live cluster: machine objects and their switch attachment.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     machines: Vec<Machine>,
@@ -66,8 +62,6 @@ pub struct Cluster {
     /// throughput scan is O(machines) adds instead of O(machines × GPUs)
     /// recomputes.
     throughput_cache: Vec<f64>,
-    /// Machines blocked from scheduling.
-    pub blacklist: Blacklist,
 }
 
 impl Cluster {
@@ -109,7 +103,6 @@ impl Cluster {
             index_of,
             dirty: BTreeSet::new(),
             throughput_cache,
-            blacklist: Blacklist::new(),
         }
     }
 
@@ -157,16 +150,10 @@ impl Cluster {
         self.machines_in_state(MachineState::WarmStandby)
     }
 
-    /// Evicts a machine: marks it evicted and blacklists it.
-    pub fn evict_machine(
-        &mut self,
-        id: MachineId,
-        at: SimTime,
-        reason: FaultKind,
-        over_evicted: bool,
-    ) {
+    /// Evicts a machine: marks it evicted, so no step or standby draw uses
+    /// it again.
+    pub fn evict_machine(&mut self, id: MachineId) {
         self.machine_mut(id).evict();
-        self.blacklist.block(id, at, reason, over_evicted);
     }
 
     /// Promotes a warm-standby machine into the active set. Returns `false`
@@ -323,10 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn evict_blacklists_and_marks_machine() {
+    fn evict_marks_machine_evicted() {
         let mut cluster = Cluster::build(ClusterSpec::small_test());
         let victim = MachineId(3);
-        cluster.evict_machine(victim, SimTime::from_secs(60), FaultKind::CudaError, false);
+        cluster.evict_machine(victim);
         assert_eq!(cluster.machine(victim).state, MachineState::Evicted);
         assert_eq!(cluster.active_machines().len(), 15);
     }
@@ -432,12 +419,7 @@ mod tests {
             cluster.active_relative_throughput_cached(),
             cluster.active_relative_throughput()
         );
-        cluster.evict_machine(
-            MachineId(7),
-            SimTime::from_secs(9),
-            FaultKind::CudaError,
-            false,
-        );
+        cluster.evict_machine(MachineId(7));
         let standby = cluster.standby_machines()[0];
         assert!(cluster.activate_standby(standby));
         assert_eq!(
@@ -475,12 +457,7 @@ mod tests {
             assert_eq!(!nominal, suspect, "machine {id}");
         }
         // Evicted machines drop out of the active suspect set.
-        cluster.evict_machine(
-            MachineId(3),
-            SimTime::from_secs(1),
-            FaultKind::CudaError,
-            false,
-        );
+        cluster.evict_machine(MachineId(3));
         assert_eq!(cluster.suspect_active_machines(), vec![MachineId(11)]);
     }
 

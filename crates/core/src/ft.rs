@@ -17,7 +17,7 @@ use byterobust_obs::{names, SpanId, SpanKind, Trace, TraceRecorder};
 use byterobust_parallelism::ParallelTopology;
 use byterobust_recovery::{
     DualPhaseReplay, FailoverCost, HotUpdateManager, ReplayConfig, RestartCostModel,
-    StandbyPoolConfig, StandbyScheduler, UpdateRequest, UpdateUrgency, WarmStandbyPool,
+    StandbyPoolConfig, StandbyScheduler, UpdateRequest, WarmStandbyPool,
 };
 use byterobust_sim::{SimDuration, SimRng, SimTime};
 use byterobust_telemetry::LogClass;
@@ -163,11 +163,6 @@ impl RobustController {
         &mut self.monitor
     }
 
-    /// The restart-cost model.
-    pub fn restart_model(&self) -> &RestartCostModel {
-        &self.restart_model
-    }
-
     /// Log class the collected logs would show for a fault, derived from its
     /// symptom and ground-truth root cause.
     fn log_class_for(fault: &FaultEvent) -> LogClass {
@@ -260,10 +255,7 @@ impl RobustController {
             FaultCategory::ManualRestart => {
                 // §6.1: code/data adjustments are folded into an in-place hot
                 // update; no machines change.
-                self.hot_update.submit(UpdateRequest {
-                    urgency: UpdateUrgency::NonCritical,
-                    bug_risk: 0.05,
-                });
+                self.hot_update.submit(UpdateRequest { bug_risk: 0.05 });
                 mechanism = ResolutionMechanism::HotUpdate;
             }
             FaultCategory::Implicit
@@ -672,10 +664,10 @@ impl RobustController {
         );
         self.trace.set_incident(restore_span, fault.seq);
 
-        // Evict and blacklist.
+        // Evict.
         for &m in evicted {
             let over = !fault.culprits.contains(&m);
-            cluster.evict_machine(m, now, fault.kind, over);
+            cluster.evict_machine(m);
             self.recorder.record(
                 now + cost.total(),
                 RecorderEvent::Eviction {
@@ -902,10 +894,9 @@ mod tests {
         let mut f = fixture();
         train_some_steps(&mut f, 5);
         // Deploy an update first so there is something to roll back.
-        f.controller.hot_update.submit(UpdateRequest {
-            urgency: UpdateUrgency::NonCritical,
-            bug_risk: 0.9,
-        });
+        f.controller
+            .hot_update
+            .submit(UpdateRequest { bug_risk: 0.9 });
         f.controller
             .hot_update
             .apply_pending(SimTime::from_secs(1800));

@@ -154,22 +154,6 @@ impl JobExecution {
         self.finished
     }
 
-    /// When the job's configured duration elapses (moves when a held job is
-    /// released). An event at or past this instant is the job-end event.
-    pub fn end_at(&self) -> SimTime {
-        self.end
-    }
-
-    /// A provable lower bound on the unproductive time any incident adds
-    /// before this job's next event: every recovery charges at least the
-    /// in-place restart time (no evictions) or one standby awakening
-    /// (evictions), whichever is smaller. The fleet event loop uses the
-    /// fleet-wide minimum as its offender-publication quantum.
-    pub fn scheduling_time_floor(&self) -> SimDuration {
-        let model = self.controller.restart_model();
-        model.hot_update_time().min(model.standby_awaken)
-    }
-
     /// Parks the job in a fleet admission queue: it keeps its cluster and
     /// seeds but reports no next event until [`JobExecution::release_at`].
     /// Only valid before the first advance.

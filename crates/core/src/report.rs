@@ -4,7 +4,8 @@
 use std::collections::BTreeMap;
 
 use byterobust_cluster::{FaultCategory, FaultKind, RootCause};
-use byterobust_incident::codec::{check_format, CodecError, Decode, Encode, JsonValue};
+use byterobust_incident::codec::{parse_document, render_document, CodecError, Decode, Encode};
+use byterobust_incident::struct_codec;
 use byterobust_incident::IncidentStore;
 use byterobust_recovery::FailoverCost;
 use byterobust_sim::SimTime;
@@ -130,98 +131,41 @@ impl JobReport {
     /// (pinned by the persistence tests and the `persistence-roundtrip` CI
     /// job).
     pub fn export_json(&self) -> String {
-        JsonValue::object(vec![
-            ("format", JsonValue::Str(JOB_REPORT_FORMAT.to_string())),
-            (
-                "version",
-                JsonValue::U64(byterobust_incident::codec::FORMAT_VERSION),
-            ),
-            ("job_name", self.job_name.encode()),
-            ("ettr", self.ettr.encode()),
-            ("mfu_series", self.mfu_series.encode()),
-            ("loss_series", self.loss_series.encode()),
-            ("incidents", self.incidents.encode()),
-            ("incident_store", self.incident_store.encode()),
-            ("final_step", self.final_step.encode()),
-            (
-                "code_versions_deployed",
-                self.code_versions_deployed.encode(),
-            ),
-        ])
-        .render()
+        render_document(JOB_REPORT_FORMAT, &self.encode())
     }
 
     /// Imports a report previously written by [`JobReport::export_json`].
     /// Corruption and shape mismatches come back as a positioned
     /// [`CodecError`], never a panic.
     pub fn import_json(text: &str) -> Result<JobReport, CodecError> {
-        let document = JsonValue::parse(text)?;
-        check_format(&document, JOB_REPORT_FORMAT)?;
-        Ok(JobReport {
-            job_name: document.field("job_name")?,
-            ettr: document.field("ettr")?,
-            mfu_series: document.field("mfu_series")?,
-            loss_series: document.field("loss_series")?,
-            incidents: document.field("incidents")?,
-            incident_store: document.field("incident_store")?,
-            final_step: document.field("final_step")?,
-            code_versions_deployed: document.field("code_versions_deployed")?,
-        })
+        JobReport::decode(&parse_document(text, JOB_REPORT_FORMAT)?)
     }
 }
 
 /// Format header written by [`JobReport::export_json`].
 pub const JOB_REPORT_FORMAT: &str = "byterobust-job-report";
 
-impl Encode for SeriesPoint {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("at", self.at.encode()),
-            ("step", self.step.encode()),
-            ("value", self.value.encode()),
-        ])
-    }
-}
-
-impl Decode for SeriesPoint {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(SeriesPoint {
-            at: value.field("at")?,
-            step: value.field("step")?,
-            value: value.field("value")?,
-        })
-    }
-}
-
-impl Encode for IncidentRecord {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("at", self.at.encode()),
-            ("kind", self.kind.encode()),
-            ("category", self.category.encode()),
-            ("root_cause", self.root_cause.encode()),
-            ("mechanism", self.mechanism.encode()),
-            ("cost", self.cost.encode()),
-            ("evicted_count", self.evicted_count.encode()),
-            ("over_evicted", self.over_evicted.encode()),
-        ])
-    }
-}
-
-impl Decode for IncidentRecord {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(IncidentRecord {
-            at: value.field("at")?,
-            kind: value.field("kind")?,
-            category: value.field("category")?,
-            root_cause: value.field("root_cause")?,
-            mechanism: value.field("mechanism")?,
-            cost: value.field("cost")?,
-            evicted_count: value.field("evicted_count")?,
-            over_evicted: value.field("over_evicted")?,
-        })
-    }
-}
+struct_codec!(SeriesPoint { at, step, value });
+struct_codec!(IncidentRecord {
+    at,
+    kind,
+    category,
+    root_cause,
+    mechanism,
+    cost,
+    evicted_count,
+    over_evicted,
+});
+struct_codec!(JobReport {
+    job_name,
+    ettr,
+    mfu_series,
+    loss_series,
+    incidents,
+    incident_store,
+    final_step,
+    code_versions_deployed,
+});
 
 #[cfg(test)]
 mod tests {

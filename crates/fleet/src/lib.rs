@@ -56,7 +56,7 @@
 //! *recorded incident history* — what the warehouse's machine index and the
 //! repeat-offender ledger aggregate — composes across jobs, which is the
 //! cross-job feedback loop this crate exists for. This is a deliberate
-//! modelling simplification: per-job cluster state (GPU damage, blacklists,
+//! modelling simplification: per-job cluster state (GPU damage, evictions,
 //! standby activation) stays private to each job rather than flowing through
 //! a single shared hardware model, and concurrent jobs may implicate the
 //! same machine id independently.

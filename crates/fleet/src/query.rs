@@ -27,8 +27,9 @@ use std::fmt::Write as _;
 
 use byterobust_cluster::{FaultCategory, FaultKind};
 use byterobust_incident::codec::{
-    check_format, CodecError, Decode, Encode, JsonValue, FORMAT_VERSION,
+    parse_document, render_document, CodecError, Decode, Encode, JsonValue,
 };
+use byterobust_incident::struct_codec;
 use byterobust_incident::{IncidentDossier, IncidentQuery, ResolutionMechanism, Severity};
 use byterobust_obs::{Alert, AlertSeverity, AlertTimeline, SpanKind, TraceQuery, TraceSpan};
 use byterobust_sim::SimTime;
@@ -140,19 +141,15 @@ impl FleetQuery {
 
     /// Exports the query as a self-describing codec document.
     pub fn export_json(&self) -> String {
-        JsonValue::object(vec![
-            ("format", JsonValue::Str(QUERY_FORMAT.to_string())),
-            ("version", JsonValue::U64(FORMAT_VERSION)),
-            ("query", self.encode()),
-        ])
-        .render()
+        render_document(
+            QUERY_FORMAT,
+            &JsonValue::object(vec![("query", self.encode())]),
+        )
     }
 
     /// Imports a query document written by [`FleetQuery::export_json`].
     pub fn import_json(text: &str) -> Result<FleetQuery, CodecError> {
-        let document = JsonValue::parse(text)?;
-        check_format(&document, QUERY_FORMAT)?;
-        document.field("query")
+        parse_document(text, QUERY_FORMAT)?.field("query")
     }
 }
 
@@ -352,20 +349,16 @@ impl QueryResponse {
 
     /// Exports the response as a self-describing codec document.
     pub fn export_json(&self) -> String {
-        JsonValue::object(vec![
-            ("format", JsonValue::Str(RESPONSE_FORMAT.to_string())),
-            ("version", JsonValue::U64(FORMAT_VERSION)),
-            ("response", self.encode()),
-        ])
-        .render()
+        render_document(
+            RESPONSE_FORMAT,
+            &JsonValue::object(vec![("response", self.encode())]),
+        )
     }
 
     /// Imports a response document written by
     /// [`QueryResponse::export_json`].
     pub fn import_json(text: &str) -> Result<QueryResponse, CodecError> {
-        let document = JsonValue::parse(text)?;
-        check_format(&document, RESPONSE_FORMAT)?;
-        document.field("response")
+        parse_document(text, RESPONSE_FORMAT)?.field("response")
     }
 }
 
@@ -392,18 +385,11 @@ fn opt_field<T: Decode>(value: &JsonValue, name: &str) -> Result<Option<T>, Code
     }
 }
 
-fn encode_opt<T: Encode>(value: &Option<T>) -> JsonValue {
-    match value {
-        Some(inner) => inner.encode(),
-        None => JsonValue::Null,
-    }
-}
-
 impl Encode for AlertQuery {
     fn encode(&self) -> JsonValue {
         JsonValue::object(vec![
-            ("rule", encode_opt(&self.rule)),
-            ("severity", encode_opt(&self.severity)),
+            ("rule", self.rule.encode()),
+            ("severity", self.severity.encode()),
             ("escalated_only", self.escalated_only.encode()),
             ("unresolved_only", self.unresolved_only.encode()),
         ])
@@ -425,16 +411,13 @@ impl Decode for AlertQuery {
 /// itself codec-free; the wire shape is owned by the fleet vocabulary).
 fn encode_incident_query(query: &IncidentQuery) -> JsonValue {
     JsonValue::object(vec![
-        ("category", encode_opt(&query.category)),
-        ("kind", encode_opt(&query.kind)),
-        ("min_severity", encode_opt(&query.min_severity)),
-        (
-            "window_from",
-            encode_opt(&query.window.map(|(from, _)| from)),
-        ),
-        ("window_to", encode_opt(&query.window.map(|(_, to)| to))),
-        ("machine", encode_opt(&query.machine)),
-        ("mechanism", encode_opt(&query.mechanism)),
+        ("category", query.category.encode()),
+        ("kind", query.kind.encode()),
+        ("min_severity", query.min_severity.encode()),
+        ("window_from", query.window.map(|(from, _)| from).encode()),
+        ("window_to", query.window.map(|(_, to)| to).encode()),
+        ("machine", query.machine.encode()),
+        ("mechanism", query.mechanism.encode()),
     ])
 }
 
@@ -462,12 +445,12 @@ fn decode_incident_query(value: &JsonValue) -> Result<IncidentQuery, CodecError>
 
 fn encode_trace_query(query: &TraceQuery) -> JsonValue {
     JsonValue::object(vec![
-        ("scope", encode_opt(&query.scope)),
-        ("kind", encode_opt(&query.kind)),
-        ("incident", encode_opt(&query.incident)),
-        ("machine", encode_opt(&query.machine)),
-        ("from", encode_opt(&query.from)),
-        ("until", encode_opt(&query.until)),
+        ("scope", query.scope.encode()),
+        ("kind", query.kind.encode()),
+        ("incident", query.incident.encode()),
+        ("machine", query.machine.encode()),
+        ("from", query.from.encode()),
+        ("until", query.until.encode()),
     ])
 }
 
@@ -515,35 +498,16 @@ impl Decode for FleetQuery {
     }
 }
 
-impl Encode for IncidentRow {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("job", self.job.encode()),
-            ("seq", self.seq.encode()),
-            ("at", self.at.encode()),
-            ("kind", self.kind.encode()),
-            ("category", self.category.encode()),
-            ("severity", self.severity.encode()),
-            ("mechanism", self.mechanism.encode()),
-            ("evicted", self.evicted.encode()),
-        ])
-    }
-}
-
-impl Decode for IncidentRow {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(IncidentRow {
-            job: value.field("job")?,
-            seq: value.field("seq")?,
-            at: value.field("at")?,
-            kind: value.field("kind")?,
-            category: value.field("category")?,
-            severity: value.field("severity")?,
-            mechanism: value.field("mechanism")?,
-            evicted: value.field("evicted")?,
-        })
-    }
-}
+struct_codec!(IncidentRow {
+    job,
+    seq,
+    at,
+    kind,
+    category,
+    severity,
+    mechanism,
+    evicted,
+});
 
 impl Encode for WarehouseDigest {
     fn encode(&self) -> JsonValue {

@@ -14,8 +14,8 @@
 //!
 //! After every incident the runner feeds the closed dossier to the
 //! [`IncidentWarehouse`], the [`RepeatOffenderLedger`] (whose offender set is
-//! re-published to every job's monitor behind an `Arc` — only when the set
-//! actually changed, and in broker-less runs once per quantum window), and
+//! re-published to every job's monitor behind an `Arc`, inside the event,
+//! only when the set actually changed), and
 //! the [`BacklogDrainer`] (whose completed stress-test sweeps return cleared
 //! machines to the shared pool).
 
@@ -328,8 +328,8 @@ impl FleetConfig {
 
     /// The scaled-down mega drill for tests: the same job shapes and event
     /// mix at 60 jobs (40×64 + 20×128 = 5,120 machines) over six days —
-    /// big enough that many events share each offender-publication quantum,
-    /// small enough for a test suite.
+    /// big enough for thousands of fleet events, small enough for a test
+    /// suite.
     pub fn mega_smoke() -> Self {
         Self::mega_fleet(40, 20, SimDuration::from_days(6))
     }
@@ -501,21 +501,13 @@ struct LoopState<'a> {
     events_processed: usize,
     fleet_trace: TraceRecorder,
     alert_tap: Option<AlertTap>,
-    /// Set when the offender set changed under deferred publication; the
-    /// event loop flushes it when a pick falls past the current quantum
-    /// window.
-    offenders_dirty: bool,
 }
 
 impl LoopState<'_> {
     /// Commits one event: drainer sweeps due at the event time, the job's
     /// advance, incident bookkeeping, admission/migration follow-ups, alert
-    /// evaluation, and the scheduler re-registration.
-    ///
-    /// A changed offender set reaches the monitors on one of two schedules.
-    /// Brokered runs republish it inside the event. Broker-less runs defer
-    /// it (`offenders_dirty`) until the event loop's next
-    /// [`LoopState::flush_offender_publish`], once per quantum window.
+    /// evaluation, and the scheduler re-registration. A changed offender set
+    /// reaches every monitor inside the event that changed it.
     fn commit_event(
         &mut self,
         executions: &mut [JobExecution],
@@ -587,16 +579,12 @@ impl LoopState<'_> {
                 // actually crossed the threshold; each monitor receives an
                 // Arc pointer copy, not a vector clone.
                 if offenders_changed {
-                    if self.broker.enabled() {
-                        let offenders = self.ledger.offenders_shared();
-                        for execution in executions.iter_mut() {
-                            execution
-                                .controller_mut()
-                                .monitor_mut()
-                                .set_repeat_offenders_shared(offenders.clone());
-                        }
-                    } else {
-                        self.offenders_dirty = true;
+                    let offenders = self.ledger.offenders_shared();
+                    for execution in executions.iter_mut() {
+                        execution
+                            .controller_mut()
+                            .monitor_mut()
+                            .set_repeat_offenders_shared(offenders.clone());
                     }
                 }
             }
@@ -633,23 +621,6 @@ impl LoopState<'_> {
             tap.observe_gauges_and_evaluate(event_at, &self.broker);
         }
         scheduler.reschedule(index, executions);
-    }
-
-    /// Publishes the offender set to every job's monitor if a deferred
-    /// change is pending. The event loop calls this once per quantum window,
-    /// so in broker-less runs offender visibility advances in quanta.
-    fn flush_offender_publish(&mut self, executions: &mut [JobExecution]) {
-        if !self.offenders_dirty {
-            return;
-        }
-        self.offenders_dirty = false;
-        let offenders = self.ledger.offenders_shared();
-        for execution in executions.iter_mut() {
-            execution
-                .controller_mut()
-                .monitor_mut()
-                .set_repeat_offenders_shared(offenders.clone());
-        }
     }
 }
 
@@ -783,40 +754,18 @@ impl FleetRunner {
                 .alert_rules
                 .as_ref()
                 .map(|rules| AlertTap::new(rules, &self.config.jobs)),
-            offenders_dirty: false,
         };
 
         // The event loop: the unfinished job with the earliest next event
         // advances; simultaneous events are broken by the interleave stream
-        // inside the scheduler. Broker-less runs publish offender-set changes
-        // once per quantum window (see `LoopState::commit_event`). A window
-        // opens at the first pick at or past the previous window's end and
-        // spans the fleet-wide scheduling floor: no recovery completes
-        // faster, so a job advanced inside the window cannot produce another
-        // event inside it. The one exception is a job's own configured end,
-        // so the window end is clamped to any end that falls inside it.
-        let quantum = executions
-            .iter()
-            .map(JobExecution::scheduling_time_floor)
-            .min()
-            .unwrap_or(SimDuration::from_secs(1));
-        let mut window_end = SimTime::ZERO;
+        // inside the scheduler.
         while let Some((event_at, index)) = scheduler.next(&executions, &mut tie_rng) {
             assert!(
                 event_at < SimTime::MAX,
                 "scheduler picked a job still held in the admission queue"
             );
-            if event_at >= window_end {
-                state.flush_offender_publish(&mut executions);
-                window_end = event_at + quantum;
-            }
-            let end = executions[index].end_at();
-            if event_at < end && end < window_end {
-                window_end = end;
-            }
             state.commit_event(&mut executions, &mut scheduler, event_at, index);
         }
-        state.flush_offender_publish(&mut executions);
 
         let LoopState {
             mut broker,

@@ -57,7 +57,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use byterobust_incident::codec::{check_format, CodecError, Encode, JsonValue, FORMAT_VERSION};
+use byterobust_incident::codec::{parse_document, render_document, CodecError, Encode, JsonValue};
 use byterobust_incident::{IncidentDossier, IncidentStore};
 use byterobust_sim::SimDuration;
 
@@ -491,16 +491,14 @@ impl IncidentWarehouse {
                 ])
             })
             .collect();
-        JsonValue::object(vec![
-            ("format", JsonValue::Str(WAREHOUSE_FORMAT.to_string())),
-            ("version", JsonValue::U64(FORMAT_VERSION)),
+        let body = JsonValue::object(vec![
             (
                 "bucket_width_ms",
                 JsonValue::U64(self.bucket_width.as_millis()),
             ),
             ("shards", JsonValue::Array(shards)),
-        ])
-        .render()
+        ]);
+        render_document(WAREHOUSE_FORMAT, &body)
     }
 
     /// Imports a warehouse previously written by
@@ -512,8 +510,7 @@ impl IncidentWarehouse {
     /// naming the shard (and the offending seq), since either would break
     /// the append-only prefix contract snapshots rely on.
     pub fn import_json(text: &str) -> Result<IncidentWarehouse, CodecError> {
-        let document = JsonValue::parse(text)?;
-        check_format(&document, WAREHOUSE_FORMAT)?;
+        let document = parse_document(text, WAREHOUSE_FORMAT)?;
         let bucket_ms: u64 = document.field("bucket_width_ms")?;
         if bucket_ms == 0 {
             return Err(CodecError::other(
@@ -629,13 +626,11 @@ impl Default for IncidentWarehouse {
 
 /// Renders one shard's segment document.
 fn render_segment(job: &str, store: &IncidentStore) -> String {
-    JsonValue::object(vec![
-        ("format", JsonValue::Str(SEGMENT_FORMAT.to_string())),
-        ("version", JsonValue::U64(FORMAT_VERSION)),
+    let body = JsonValue::object(vec![
         ("job", JsonValue::Str(job.to_string())),
         ("store", store.encode()),
-    ])
-    .render()
+    ]);
+    render_document(SEGMENT_FORMAT, &body)
 }
 
 /// Loads and validates one shard's segment document, which must hold
@@ -670,8 +665,7 @@ pub(crate) fn load_segment_at_least(
 ) -> Result<(IncidentStore, u64), CodecError> {
     let text = std::fs::read_to_string(path)
         .map_err(|err| CodecError::other(format!("cannot read segment: {err}")))?;
-    let document = JsonValue::parse(&text)?;
-    check_format(&document, SEGMENT_FORMAT)?;
+    let document = parse_document(&text, SEGMENT_FORMAT)?;
     let segment_job: String = document.field("job")?;
     if segment_job != job {
         return Err(CodecError::other(format!(
@@ -1073,13 +1067,11 @@ mod tests {
                 ])
             })
             .collect();
-        JsonValue::object(vec![
-            ("format", JsonValue::Str(WAREHOUSE_FORMAT.to_string())),
-            ("version", JsonValue::U64(FORMAT_VERSION)),
+        let body = JsonValue::object(vec![
             ("bucket_width_ms", JsonValue::U64(3_600_000)),
             ("shards", JsonValue::Array(shards)),
-        ])
-        .render()
+        ]);
+        render_document(WAREHOUSE_FORMAT, &body)
     }
 
     #[test]

@@ -23,6 +23,32 @@
 //!    well-formed but wrong-shaped document returns one naming the JSON path
 //!    (`dossiers[3].capture.window[2].event`). Nothing outside the codec API
 //!    leaks its shape.
+//!
+//! # One wire schema per type
+//!
+//! Each wire shape is declared once.
+//! [`struct_codec!`](crate::struct_codec) generates both impls for a struct
+//! whose wire form is one member per field, keyed by the field name, in the
+//! listed order. [`string_enum_codec!`](crate::string_enum_codec) does the
+//! same for unit enums, keyed by variant name or by `label()`. Every
+//! top-level document goes through [`render_document`], which writes the
+//! `format`/`version` header, and [`parse_document`], which checks it.
+//!
+//! The impls still written by hand are the ones whose wire shape differs
+//! from the in-memory type:
+//!
+//! - primitives, `Vec`, `Arc<[T]>`, `Option`, `SimTime`, `SimDuration` and
+//!   `MachineId`: they are the leaves the macros build on;
+//! - tagged enums (`RecorderEvent`, `Detector`, `FleetQuery`,
+//!   `QueryResponse`): a `type` or `arm` tag selects the payload;
+//! - `Classification`: `rec_code` is a `&'static str` that decodes back onto
+//!   the canonical `REC-*` constant;
+//! - `IncidentStore`: it holds shared dossiers and re-indexes them on decode;
+//! - `HistogramSnapshot`: decode checks the bucket count;
+//! - `EttrTracker`: segments travel without their start times, which decode
+//!   rederives;
+//! - `WarehouseDigest`: its count pairs travel as named objects;
+//! - `AlertQuery`: absent optional fields decode as `None`.
 
 use std::fmt;
 use std::sync::Arc;
@@ -35,7 +61,6 @@ use byterobust_telemetry::{EventKind, SystemEvent};
 
 use crate::classify::{Classification, Escalation, Severity};
 use crate::mechanism::ResolutionMechanism;
-use crate::postmortem::{PhaseCost, Postmortem};
 use crate::recorder::{IncidentCapture, RecorderEntry, RecorderEvent, RecoveryPhase};
 use crate::store::{IncidentDossier, IncidentStore};
 
@@ -83,17 +108,11 @@ pub struct CodecError {
 }
 
 impl CodecError {
-    /// A free-form error at the document root, for callers layering their
-    /// own validation on top of the codec (e.g. segment-file headers).
+    /// A decode error at the current (relative) path root: the document
+    /// root, until a caller up the decode stack prefixes its field or index.
+    /// Callers layering their own validation on top of the codec (e.g.
+    /// segment-file headers) use it too.
     pub fn other(message: impl Into<String>) -> CodecError {
-        CodecError {
-            at: ErrorPosition::Path(String::new()),
-            message: message.into(),
-        }
-    }
-
-    /// A decode error at the current (relative) path root.
-    fn decode(message: impl Into<String>) -> CodecError {
         CodecError {
             at: ErrorPosition::Path(String::new()),
             message: message.into(),
@@ -219,8 +238,8 @@ impl JsonValue {
         match self.get(key) {
             Some(value) => T::decode(value).map_err(|err| err.in_field(key)),
             None => match self {
-                JsonValue::Object(_) => Err(CodecError::decode(format!("missing field `{key}`"))),
-                other => Err(CodecError::decode(format!(
+                JsonValue::Object(_) => Err(CodecError::other(format!("missing field `{key}`"))),
+                other => Err(CodecError::other(format!(
                     "expected an object with field `{key}`, found {}",
                     other.kind()
                 ))),
@@ -232,7 +251,7 @@ impl JsonValue {
     pub fn as_str(&self) -> Result<&str, CodecError> {
         match self {
             JsonValue::Str(s) => Ok(s),
-            other => Err(CodecError::decode(format!(
+            other => Err(CodecError::other(format!(
                 "expected a string, found {}",
                 other.kind()
             ))),
@@ -243,7 +262,7 @@ impl JsonValue {
     pub fn as_u64(&self) -> Result<u64, CodecError> {
         match self {
             JsonValue::U64(n) => Ok(*n),
-            other => Err(CodecError::decode(format!(
+            other => Err(CodecError::other(format!(
                 "expected an unsigned integer, found {}",
                 other.kind()
             ))),
@@ -301,9 +320,7 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(key, out);
-                    out.push(':');
-                    value.render_into(out);
+                    render_member(key, value, out);
                 }
                 out.push('}');
             }
@@ -325,6 +342,13 @@ impl JsonValue {
         }
         Ok(value)
     }
+}
+
+/// Writes one `"key":value` object member.
+fn render_member(key: &str, value: &JsonValue, out: &mut String) {
+    render_string(key, out);
+    out.push(':');
+    value.render_into(out);
 }
 
 /// Writes a string literal with JSON escaping: quotes, backslashes, and all
@@ -653,23 +677,48 @@ pub fn from_json<T: Decode>(text: &str) -> Result<T, CodecError> {
     T::decode(&JsonValue::parse(text)?)
 }
 
-/// Checks a document's `format`/`version` header against the expected pair.
-pub fn check_format(document: &JsonValue, format: &str) -> Result<(), CodecError> {
+/// Renders a top-level document: the `format`/`version` header, then the
+/// members of `body` in order. [`parse_document`] reads it back.
+///
+/// # Panics
+///
+/// If `body` is not an object. Every body is a
+/// [`struct_codec!`](crate::struct_codec) encoding or a member list built in
+/// code, so that is a caller bug, not bad input.
+pub fn render_document(format: &str, body: &JsonValue) -> String {
+    let JsonValue::Object(members) = body else {
+        panic!("a document body must be an object, found {}", body.kind());
+    };
+    let mut out = String::from("{\"format\":");
+    render_string(format, &mut out);
+    let _ = fmt::Write::write_fmt(&mut out, format_args!(",\"version\":{FORMAT_VERSION}"));
+    for (key, value) in members {
+        out.push(',');
+        render_member(key, value, &mut out);
+    }
+    out.push('}');
+    out
+}
+
+/// Parses a document written by [`render_document`] and checks its
+/// `format`/`version` header against `format` and [`FORMAT_VERSION`].
+pub fn parse_document(text: &str, format: &str) -> Result<JsonValue, CodecError> {
+    let document = JsonValue::parse(text)?;
     let found: String = document.field("format")?;
     if found != format {
-        return Err(CodecError::decode(format!(
+        return Err(CodecError::other(format!(
             "unexpected format `{found}` (expected `{format}`)"
         ))
         .in_field("format"));
     }
     let version: u64 = document.field("version")?;
     if version != FORMAT_VERSION {
-        return Err(CodecError::decode(format!(
+        return Err(CodecError::other(format!(
             "unsupported version {version} (this build reads version {FORMAT_VERSION})"
         ))
         .in_field("version"));
     }
-    Ok(())
+    Ok(document)
 }
 
 impl Encode for bool {
@@ -682,7 +731,7 @@ impl Decode for bool {
     fn decode(value: &JsonValue) -> Result<Self, CodecError> {
         match value {
             JsonValue::Bool(b) => Ok(*b),
-            other => Err(CodecError::decode(format!(
+            other => Err(CodecError::other(format!(
                 "expected a bool, found {}",
                 other.kind()
             ))),
@@ -711,7 +760,7 @@ impl Encode for u32 {
 impl Decode for u32 {
     fn decode(value: &JsonValue) -> Result<Self, CodecError> {
         u32::try_from(value.as_u64()?)
-            .map_err(|_| CodecError::decode("integer out of range for u32"))
+            .map_err(|_| CodecError::other("integer out of range for u32"))
     }
 }
 
@@ -724,7 +773,7 @@ impl Encode for usize {
 impl Decode for usize {
     fn decode(value: &JsonValue) -> Result<Self, CodecError> {
         usize::try_from(value.as_u64()?)
-            .map_err(|_| CodecError::decode("integer out of range for usize"))
+            .map_err(|_| CodecError::other("integer out of range for usize"))
     }
 }
 
@@ -743,9 +792,9 @@ impl Decode for i64 {
         match value {
             JsonValue::I64(n) => Ok(*n),
             JsonValue::U64(n) => {
-                i64::try_from(*n).map_err(|_| CodecError::decode("integer out of range for i64"))
+                i64::try_from(*n).map_err(|_| CodecError::other("integer out of range for i64"))
             }
-            other => Err(CodecError::decode(format!(
+            other => Err(CodecError::other(format!(
                 "expected an integer, found {}",
                 other.kind()
             ))),
@@ -765,7 +814,7 @@ impl Decode for f64 {
             JsonValue::F64(x) => Ok(*x),
             JsonValue::U64(n) => Ok(*n as f64),
             JsonValue::I64(n) => Ok(*n as f64),
-            other => Err(CodecError::decode(format!(
+            other => Err(CodecError::other(format!(
                 "expected a number, found {}",
                 other.kind()
             ))),
@@ -799,7 +848,7 @@ impl<T: Decode> Decode for Vec<T> {
                 .enumerate()
                 .map(|(i, item)| T::decode(item).map_err(|err| err.in_index(i)))
                 .collect(),
-            other => Err(CodecError::decode(format!(
+            other => Err(CodecError::other(format!(
                 "expected an array, found {}",
                 other.kind()
             ))),
@@ -877,14 +926,20 @@ impl Decode for MachineId {
     }
 }
 
-/// Generates string-tagged [`Encode`]/[`Decode`] impls for a unit enum: the
-/// variant name is the wire form, unknown names are decode errors naming the
-/// expected type.
+/// Generates [`Encode`]/[`Decode`] impls for a unit enum that travels as a
+/// string.
+///
+/// - `string_enum_codec!(Type { A, B })`: the variant name is the wire form;
+///   an unknown name fails with ``unknown Type variant `name` ``.
+/// - `string_enum_codec!(Type by label)`: the wire form is `Type::label()`,
+///   and decoding searches `Type::ALL`; an unknown label fails with
+///   ``unknown Type `label` ``.
+#[macro_export]
 macro_rules! string_enum_codec {
     ($ty:ident { $($variant:ident),+ $(,)? }) => {
-        impl Encode for $ty {
-            fn encode(&self) -> JsonValue {
-                JsonValue::Str(
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self) -> $crate::codec::JsonValue {
+                $crate::codec::JsonValue::Str(
                     match self {
                         $($ty::$variant => stringify!($variant),)+
                     }
@@ -893,15 +948,89 @@ macro_rules! string_enum_codec {
             }
         }
 
-        impl Decode for $ty {
-            fn decode(value: &JsonValue) -> Result<Self, CodecError> {
+        impl $crate::codec::Decode for $ty {
+            fn decode(
+                value: &$crate::codec::JsonValue,
+            ) -> Result<Self, $crate::codec::CodecError> {
                 match value.as_str()? {
                     $(stringify!($variant) => Ok($ty::$variant),)+
-                    other => Err(CodecError::decode(format!(
+                    other => Err($crate::codec::CodecError::other(format!(
                         concat!("unknown ", stringify!($ty), " variant `{}`"),
                         other
                     ))),
                 }
+            }
+        }
+    };
+    ($ty:ident by label) => {
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self) -> $crate::codec::JsonValue {
+                $crate::codec::JsonValue::Str(self.label().to_string())
+            }
+        }
+
+        impl $crate::codec::Decode for $ty {
+            fn decode(
+                value: &$crate::codec::JsonValue,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                let text = value.as_str()?;
+                $ty::ALL
+                    .iter()
+                    .find(|variant| variant.label() == text)
+                    .copied()
+                    .ok_or_else(|| {
+                        $crate::codec::CodecError::other(format!(
+                            concat!("unknown ", stringify!($ty), " `{}`"),
+                            text
+                        ))
+                    })
+            }
+        }
+    };
+}
+
+/// Generates [`Encode`]/[`Decode`] impls for a struct whose wire form is an
+/// object with one member per listed field: the key is the field name, in
+/// the listed order. Decoding reads the same keys in the same order, so a
+/// missing or mistyped member fails with an error naming its path, and the
+/// struct literal makes the compiler reject a list that omits a field.
+///
+/// ```
+/// use byterobust_incident::codec::{from_json, to_json};
+/// use byterobust_incident::struct_codec;
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Point {
+///     x: u64,
+///     label: String,
+/// }
+/// struct_codec!(Point { x, label });
+///
+/// let point = Point { x: 3, label: "a".to_string() };
+/// assert_eq!(to_json(&point), r#"{"x":3,"label":"a"}"#);
+/// assert_eq!(from_json::<Point>(r#"{"x":3,"label":"a"}"#).unwrap(), point);
+/// ```
+#[macro_export]
+macro_rules! struct_codec {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self) -> $crate::codec::JsonValue {
+                $crate::codec::JsonValue::Object(vec![
+                    $((
+                        stringify!($field).to_string(),
+                        $crate::codec::Encode::encode(&self.$field),
+                    ),)+
+                ])
+            }
+        }
+
+        impl $crate::codec::Decode for $ty {
+            fn decode(
+                value: &$crate::codec::JsonValue,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok($ty {
+                    $($field: value.field(stringify!($field))?,)+
+                })
             }
         }
     };
@@ -1002,58 +1131,22 @@ fn decode_rec_code(value: &JsonValue) -> Result<&'static str, CodecError> {
         .iter()
         .find(|code| **code == text)
         .copied()
-        .ok_or_else(|| CodecError::decode(format!("unknown REC code `{text}`")))
+        .ok_or_else(|| CodecError::other(format!("unknown REC code `{text}`")))
 }
 
 // ---------------------------------------------------------------------------
 // Structs
 // ---------------------------------------------------------------------------
 
-impl Encode for FailoverCost {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("detection", self.detection.encode()),
-            ("localization", self.localization.encode()),
-            ("scheduling", self.scheduling.encode()),
-            ("pod_build", self.pod_build.encode()),
-            ("checkpoint_load", self.checkpoint_load.encode()),
-            ("recompute", self.recompute.encode()),
-        ])
-    }
-}
-
-impl Decode for FailoverCost {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(FailoverCost {
-            detection: value.field("detection")?,
-            localization: value.field("localization")?,
-            scheduling: value.field("scheduling")?,
-            pod_build: value.field("pod_build")?,
-            checkpoint_load: value.field("checkpoint_load")?,
-            recompute: value.field("recompute")?,
-        })
-    }
-}
-
-impl Encode for SystemEvent {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("at", self.at.encode()),
-            ("kind", self.kind.encode()),
-            ("machine", self.machine.encode()),
-        ])
-    }
-}
-
-impl Decode for SystemEvent {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(SystemEvent {
-            at: value.field("at")?,
-            kind: value.field("kind")?,
-            machine: value.field("machine")?,
-        })
-    }
-}
+struct_codec!(FailoverCost {
+    detection,
+    localization,
+    scheduling,
+    pod_build,
+    checkpoint_load,
+    recompute,
+});
+struct_codec!(SystemEvent { at, kind, machine });
 
 impl Encode for Classification {
     fn encode(&self) -> JsonValue {
@@ -1071,7 +1164,7 @@ impl Decode for Classification {
             severity: value.field("severity")?,
             rec_code: value
                 .get("rec_code")
-                .ok_or_else(|| CodecError::decode("missing field `rec_code`"))
+                .ok_or_else(|| CodecError::other("missing field `rec_code`"))
                 .and_then(decode_rec_code)
                 .map_err(|err| err.in_field("rec_code"))?,
             escalations: value.field("escalations")?,
@@ -1217,170 +1310,37 @@ impl Decode for RecorderEvent {
                 shortfall: value.field("shortfall")?,
             }),
             other => Err(
-                CodecError::decode(format!("unknown RecorderEvent variant `{other}`"))
+                CodecError::other(format!("unknown RecorderEvent variant `{other}`"))
                     .in_field("type"),
             ),
         }
     }
 }
 
-impl Encode for RecorderEntry {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("at", self.at.encode()),
-            ("event", self.event.encode()),
-        ])
-    }
-}
-
-impl Decode for RecorderEntry {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(RecorderEntry {
-            at: value.field("at")?,
-            event: value.field("event")?,
-        })
-    }
-}
-
-impl Encode for IncidentCapture {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("seq", self.seq.encode()),
-            ("kind", self.kind.encode()),
-            ("opened_at", self.opened_at.encode()),
-            ("closed_at", self.closed_at.encode()),
-            ("context", self.context.encode()),
-            ("window", self.window.encode()),
-        ])
-    }
-}
-
-impl Decode for IncidentCapture {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(IncidentCapture {
-            seq: value.field("seq")?,
-            kind: value.field("kind")?,
-            opened_at: value.field("opened_at")?,
-            closed_at: value.field("closed_at")?,
-            context: value.field("context")?,
-            window: value.field("window")?,
-        })
-    }
-}
-
-impl Encode for IncidentDossier {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("seq", self.seq.encode()),
-            ("at", self.at.encode()),
-            ("kind", self.kind.encode()),
-            ("category", self.category.encode()),
-            ("root_cause", self.root_cause.encode()),
-            ("concluded_cause", self.concluded_cause.encode()),
-            ("mechanism", self.mechanism.encode()),
-            ("cost", self.cost.encode()),
-            ("evicted", self.evicted.encode()),
-            ("over_evicted", self.over_evicted.encode()),
-            ("resumed_step", self.resumed_step.encode()),
-            ("classification", self.classification.encode()),
-            ("capture", self.capture.encode()),
-        ])
-    }
-}
-
-impl Decode for IncidentDossier {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(IncidentDossier {
-            seq: value.field("seq")?,
-            at: value.field("at")?,
-            kind: value.field("kind")?,
-            category: value.field("category")?,
-            root_cause: value.field("root_cause")?,
-            concluded_cause: value.field("concluded_cause")?,
-            mechanism: value.field("mechanism")?,
-            cost: value.field("cost")?,
-            evicted: value.field("evicted")?,
-            over_evicted: value.field("over_evicted")?,
-            resumed_step: value.field("resumed_step")?,
-            classification: value.field("classification")?,
-            capture: value.field("capture")?,
-        })
-    }
-}
-
-impl Encode for PhaseCost {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("phase", self.phase.encode()),
-            ("duration", self.duration.encode()),
-        ])
-    }
-}
-
-impl Decode for PhaseCost {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(PhaseCost {
-            phase: value.field("phase")?,
-            duration: value.field("duration")?,
-        })
-    }
-}
-
-impl Encode for Postmortem {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("seq", self.seq.encode()),
-            ("title", self.title.encode()),
-            ("severity", self.severity.encode()),
-            ("rec_code", JsonValue::Str(self.rec_code.to_string())),
-            ("kind", self.kind.encode()),
-            ("category", self.category.encode()),
-            ("root_cause", self.root_cause.encode()),
-            ("concluded_cause", self.concluded_cause.encode()),
-            ("mechanism", self.mechanism.encode()),
-            ("opened_at", self.opened_at.encode()),
-            ("closed_at", self.closed_at.encode()),
-            ("context", self.context.encode()),
-            ("timeline", self.timeline.encode()),
-            ("phase_costs", self.phase_costs.encode()),
-            ("total_cost", self.total_cost.encode()),
-            ("evicted", self.evicted.encode()),
-            ("over_evicted", self.over_evicted.encode()),
-            ("resumed_step", self.resumed_step.encode()),
-            ("follow_ups", self.follow_ups.encode()),
-        ])
-    }
-}
-
-impl Decode for Postmortem {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(Postmortem {
-            seq: value.field("seq")?,
-            title: value.field("title")?,
-            severity: value.field("severity")?,
-            rec_code: value
-                .get("rec_code")
-                .ok_or_else(|| CodecError::decode("missing field `rec_code`"))
-                .and_then(decode_rec_code)
-                .map_err(|err| err.in_field("rec_code"))?,
-            kind: value.field("kind")?,
-            category: value.field("category")?,
-            root_cause: value.field("root_cause")?,
-            concluded_cause: value.field("concluded_cause")?,
-            mechanism: value.field("mechanism")?,
-            opened_at: value.field("opened_at")?,
-            closed_at: value.field("closed_at")?,
-            context: value.field("context")?,
-            timeline: value.field("timeline")?,
-            phase_costs: value.field("phase_costs")?,
-            total_cost: value.field("total_cost")?,
-            evicted: value.field("evicted")?,
-            over_evicted: value.field("over_evicted")?,
-            resumed_step: value.field("resumed_step")?,
-            follow_ups: value.field("follow_ups")?,
-        })
-    }
-}
+struct_codec!(RecorderEntry { at, event });
+struct_codec!(IncidentCapture {
+    seq,
+    kind,
+    opened_at,
+    closed_at,
+    context,
+    window,
+});
+struct_codec!(IncidentDossier {
+    seq,
+    at,
+    kind,
+    category,
+    root_cause,
+    concluded_cause,
+    mechanism,
+    cost,
+    evicted,
+    over_evicted,
+    resumed_step,
+    classification,
+    capture,
+});
 
 impl Encode for IncidentStore {
     fn encode(&self) -> JsonValue {
@@ -1407,29 +1367,14 @@ impl IncidentStore {
     /// plus every dossier). Deterministic: equal stores export byte-identical
     /// text.
     pub fn export_json(&self) -> String {
-        JsonValue::object(vec![
-            ("format", JsonValue::Str(STORE_FORMAT.to_string())),
-            ("version", JsonValue::U64(FORMAT_VERSION)),
-            (
-                "dossiers",
-                JsonValue::Array(self.all().iter().map(|d| d.as_ref().encode()).collect()),
-            ),
-        ])
-        .render()
+        render_document(STORE_FORMAT, &self.encode())
     }
 
     /// Imports a store previously written by [`IncidentStore::export_json`].
     /// Never panics: corruption and shape mismatches come back as a
     /// positioned [`CodecError`].
     pub fn import_json(text: &str) -> Result<IncidentStore, CodecError> {
-        let document = JsonValue::parse(text)?;
-        check_format(&document, STORE_FORMAT)?;
-        let dossiers: Vec<IncidentDossier> = document.field("dossiers")?;
-        let mut store = IncidentStore::new();
-        for dossier in dossiers {
-            store.insert(dossier);
-        }
-        Ok(store)
+        IncidentStore::decode(&parse_document(text, STORE_FORMAT)?)
     }
 }
 
@@ -1648,7 +1593,6 @@ mod tests {
     fn dossier_postmortem_and_store_round_trip() {
         let dossier = sample_dossier(42);
         roundtrip(&dossier);
-        roundtrip(&Postmortem::for_dossier(&dossier));
 
         let mut store = IncidentStore::new();
         store.insert(sample_dossier(1));

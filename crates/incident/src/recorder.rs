@@ -124,7 +124,7 @@ pub enum RecorderEvent {
         /// incident sum to its `FailoverCost::total()`.
         duration: SimDuration,
     },
-    /// A machine was evicted and blacklisted.
+    /// A machine was evicted.
     Eviction {
         /// The machine.
         machine: MachineId,

@@ -28,9 +28,8 @@
 //! Everything here lives in the deterministic sim-time domain of the
 //! two-domain observability contract — no wall-clock reads anywhere.
 
-use byterobust_incident::codec::{
-    check_format, CodecError, Decode, Encode, JsonValue, FORMAT_VERSION,
-};
+use byterobust_incident::codec::{parse_document, render_document, CodecError, Decode, Encode};
+use byterobust_incident::struct_codec;
 use byterobust_sim::{SimDuration, SimTime};
 
 use crate::rules::{Aggregate, AlertRule, AlertSeverity, Detector, RuleSet};
@@ -302,24 +301,13 @@ impl AlertTimeline {
     /// [`TIMELINE_FORMAT`]). Deterministic; an import re-exports to the
     /// exact same bytes.
     pub fn export_json(&self) -> String {
-        JsonValue::object(vec![
-            ("format", JsonValue::Str(TIMELINE_FORMAT.to_string())),
-            ("version", JsonValue::U64(FORMAT_VERSION)),
-            ("rule_set", self.rule_set.encode()),
-            ("alerts", self.alerts.encode()),
-        ])
-        .render()
+        render_document(TIMELINE_FORMAT, &self.encode())
     }
 
     /// Imports a document written by [`AlertTimeline::export_json`]. Never
     /// panics; corruption comes back as a positioned [`CodecError`].
     pub fn import_json(text: &str) -> Result<AlertTimeline, CodecError> {
-        let document = JsonValue::parse(text)?;
-        check_format(&document, TIMELINE_FORMAT)?;
-        Ok(AlertTimeline {
-            rule_set: document.field("rule_set")?,
-            alerts: document.field("alerts")?,
-        })
+        AlertTimeline::decode(&parse_document(text, TIMELINE_FORMAT)?)
     }
 }
 
@@ -536,35 +524,12 @@ pub struct AlertScorecard {
 impl AlertScorecard {
     /// Exports the scorecard as a self-describing JSON document.
     pub fn export_json(&self) -> String {
-        let mut members = vec![
-            ("format", JsonValue::Str(SCORECARD_FORMAT.to_string())),
-            ("version", JsonValue::U64(FORMAT_VERSION)),
-        ];
-        members.extend(self.members());
-        JsonValue::object(members).render()
+        render_document(SCORECARD_FORMAT, &self.encode())
     }
 
     /// Imports a document written by [`AlertScorecard::export_json`].
     pub fn import_json(text: &str) -> Result<AlertScorecard, CodecError> {
-        let document = JsonValue::parse(text)?;
-        check_format(&document, SCORECARD_FORMAT)?;
-        AlertScorecard::decode(&document)
-    }
-
-    fn members(&self) -> Vec<(&'static str, JsonValue)> {
-        vec![
-            ("rule_set", self.rule_set.encode()),
-            ("faults", self.faults.encode()),
-            ("covered_faults", self.covered_faults.encode()),
-            ("alerts", self.alerts.encode()),
-            ("escalated", self.escalated.encode()),
-            ("unresolved", self.unresolved.encode()),
-            ("recall", self.recall.encode()),
-            ("precision", self.precision.encode()),
-            ("median_lead_secs", self.median_lead_secs.encode()),
-            ("mean_lead_secs", self.mean_lead_secs.encode()),
-            ("max_lead_secs", self.max_lead_secs.encode()),
-        ]
+        AlertScorecard::decode(&parse_document(text, SCORECARD_FORMAT)?)
     }
 }
 
@@ -705,59 +670,30 @@ fn intersect_millis(a: &[(SimTime, SimTime)], b: &[(SimTime, SimTime)]) -> u64 {
 // Codec impls
 // ---------------------------------------------------------------------------
 
-impl Encode for Alert {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("seq", self.seq.encode()),
-            ("rule", self.rule.encode()),
-            ("signal", self.signal.encode()),
-            ("severity", self.severity.encode()),
-            ("fired_at", self.fired_at.encode()),
-            ("escalated_at", self.escalated_at.encode()),
-            ("resolved_at", self.resolved_at.encode()),
-            ("peak", self.peak.encode()),
-        ])
-    }
-}
-
-impl Decode for Alert {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(Alert {
-            seq: value.field("seq")?,
-            rule: value.field("rule")?,
-            signal: value.field("signal")?,
-            severity: value.field("severity")?,
-            fired_at: value.field("fired_at")?,
-            escalated_at: value.field("escalated_at")?,
-            resolved_at: value.field("resolved_at")?,
-            peak: value.field("peak")?,
-        })
-    }
-}
-
-impl Encode for AlertScorecard {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(self.members())
-    }
-}
-
-impl Decode for AlertScorecard {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(AlertScorecard {
-            rule_set: value.field("rule_set")?,
-            faults: value.field("faults")?,
-            covered_faults: value.field("covered_faults")?,
-            alerts: value.field("alerts")?,
-            escalated: value.field("escalated")?,
-            unresolved: value.field("unresolved")?,
-            recall: value.field("recall")?,
-            precision: value.field("precision")?,
-            median_lead_secs: value.field("median_lead_secs")?,
-            mean_lead_secs: value.field("mean_lead_secs")?,
-            max_lead_secs: value.field("max_lead_secs")?,
-        })
-    }
-}
+struct_codec!(Alert {
+    seq,
+    rule,
+    signal,
+    severity,
+    fired_at,
+    escalated_at,
+    resolved_at,
+    peak,
+});
+struct_codec!(AlertTimeline { rule_set, alerts });
+struct_codec!(AlertScorecard {
+    rule_set,
+    faults,
+    covered_faults,
+    alerts,
+    escalated,
+    unresolved,
+    recall,
+    precision,
+    median_lead_secs,
+    mean_lead_secs,
+    max_lead_secs,
+});
 
 #[cfg(test)]
 mod tests {

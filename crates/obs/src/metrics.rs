@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use byterobust_incident::codec::{
-    check_format, CodecError, Decode, Encode, JsonValue, FORMAT_VERSION,
+    parse_document, render_document, CodecError, Decode, Encode, JsonValue,
 };
 
 /// Format header written by [`MetricsRegistry::export_json`].
@@ -183,48 +183,30 @@ impl MetricsRegistry {
 
     /// Exports the registry as a self-describing JSON document.
     pub fn export_json(&self) -> String {
-        let named = |entries: &[(String, JsonValue)]| {
+        fn named<T: Encode>(entries: &[(String, T)]) -> JsonValue {
             JsonValue::Array(
                 entries
                     .iter()
                     .map(|(name, value)| {
                         JsonValue::object(vec![
                             ("name", JsonValue::Str(name.clone())),
-                            ("value", value.clone()),
+                            ("value", value.encode()),
                         ])
                     })
                     .collect(),
             )
-        };
-        let counters: Vec<(String, JsonValue)> = self
-            .counters
-            .iter()
-            .map(|(n, v)| (n.clone(), v.encode()))
-            .collect();
-        let gauges: Vec<(String, JsonValue)> = self
-            .gauges
-            .iter()
-            .map(|(n, v)| (n.clone(), v.encode()))
-            .collect();
-        let histograms: Vec<(String, JsonValue)> = self
-            .histograms
-            .iter()
-            .map(|(n, v)| (n.clone(), v.encode()))
-            .collect();
-        JsonValue::object(vec![
-            ("format", JsonValue::Str(METRICS_FORMAT.to_string())),
-            ("version", JsonValue::U64(FORMAT_VERSION)),
-            ("counters", named(&counters)),
-            ("gauges", named(&gauges)),
-            ("histograms", named(&histograms)),
-        ])
-        .render()
+        }
+        let body = JsonValue::object(vec![
+            ("counters", named(&self.counters)),
+            ("gauges", named(&self.gauges)),
+            ("histograms", named(&self.histograms)),
+        ]);
+        render_document(METRICS_FORMAT, &body)
     }
 
     /// Imports a registry written by [`MetricsRegistry::export_json`].
     pub fn import_json(text: &str) -> Result<MetricsRegistry, CodecError> {
-        let document = JsonValue::parse(text)?;
-        check_format(&document, METRICS_FORMAT)?;
+        let document = parse_document(text, METRICS_FORMAT)?;
         fn named<T: Decode>(
             document: &JsonValue,
             key: &str,

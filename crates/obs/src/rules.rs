@@ -22,8 +22,9 @@
 //!   before the rule fires, which suppresses one-sample blips.
 
 use byterobust_incident::codec::{
-    check_format, CodecError, Decode, Encode, JsonValue, FORMAT_VERSION,
+    parse_document, render_document, CodecError, Decode, Encode, JsonValue,
 };
+use byterobust_incident::{string_enum_codec, struct_codec};
 use byterobust_sim::SimDuration;
 
 /// Format header written by [`RuleSet::export_json`] and checked by
@@ -309,25 +310,14 @@ impl RuleSet {
     /// equal sets export byte-identical text, and an imported set re-exports
     /// to the exact input bytes.
     pub fn export_json(&self) -> String {
-        JsonValue::object(vec![
-            ("format", JsonValue::Str(RULES_FORMAT.to_string())),
-            ("version", JsonValue::U64(FORMAT_VERSION)),
-            ("name", self.name.encode()),
-            ("rules", self.rules.encode()),
-        ])
-        .render()
+        render_document(RULES_FORMAT, &self.encode())
     }
 
     /// Imports a set written by [`RuleSet::export_json`]. Never panics:
     /// corruption, truncation, and future versions come back as positioned
     /// [`CodecError`]s.
     pub fn import_json(text: &str) -> Result<RuleSet, CodecError> {
-        let document = JsonValue::parse(text)?;
-        check_format(&document, RULES_FORMAT)?;
-        Ok(RuleSet {
-            name: document.field("name")?,
-            rules: document.field("rules")?,
-        })
+        RuleSet::decode(&parse_document(text, RULES_FORMAT)?)
     }
 }
 
@@ -335,39 +325,8 @@ impl RuleSet {
 // Codec impls
 // ---------------------------------------------------------------------------
 
-impl Encode for AlertSeverity {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Str(self.label().to_string())
-    }
-}
-
-impl Decode for AlertSeverity {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        let text = value.as_str()?;
-        AlertSeverity::ALL
-            .iter()
-            .find(|severity| severity.label() == text)
-            .copied()
-            .ok_or_else(|| CodecError::other(format!("unknown AlertSeverity `{text}`")))
-    }
-}
-
-impl Encode for Aggregate {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Str(self.label().to_string())
-    }
-}
-
-impl Decode for Aggregate {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        let text = value.as_str()?;
-        Aggregate::ALL
-            .iter()
-            .find(|aggregate| aggregate.label() == text)
-            .copied()
-            .ok_or_else(|| CodecError::other(format!("unknown Aggregate `{text}`")))
-    }
-}
+string_enum_codec!(AlertSeverity by label);
+string_enum_codec!(Aggregate by label);
 
 impl Encode for Detector {
     fn encode(&self) -> JsonValue {
@@ -427,31 +386,15 @@ impl Decode for Detector {
     }
 }
 
-impl Encode for AlertRule {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("name", self.name.encode()),
-            ("signal", self.signal.encode()),
-            ("detector", self.detector.encode()),
-            ("severity", self.severity.encode()),
-            ("escalate_after", self.escalate_after.encode()),
-            ("clear_after", self.clear_after.encode()),
-        ])
-    }
-}
-
-impl Decode for AlertRule {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(AlertRule {
-            name: value.field("name")?,
-            signal: value.field("signal")?,
-            detector: value.field("detector")?,
-            severity: value.field("severity")?,
-            escalate_after: value.field("escalate_after")?,
-            clear_after: value.field("clear_after")?,
-        })
-    }
-}
+struct_codec!(AlertRule {
+    name,
+    signal,
+    detector,
+    severity,
+    escalate_after,
+    clear_after,
+});
+struct_codec!(RuleSet { name, rules });
 
 #[cfg(test)]
 mod tests {

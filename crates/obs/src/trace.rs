@@ -21,8 +21,9 @@ use std::collections::HashMap;
 
 use byterobust_cluster::MachineId;
 use byterobust_incident::codec::{
-    check_format, CodecError, Decode, Encode, JsonValue, FORMAT_VERSION,
+    parse_document, render_document, CodecError, Decode, Encode, JsonValue,
 };
+use byterobust_incident::{string_enum_codec, struct_codec};
 use byterobust_sim::SimTime;
 
 /// Format header written by [`Trace::export_json`] and checked by
@@ -383,23 +384,14 @@ impl Trace {
     /// equal traces export byte-identical text, and an imported trace
     /// re-exports to the exact input bytes.
     pub fn export_json(&self) -> String {
-        JsonValue::object(vec![
-            ("format", JsonValue::Str(TRACE_FORMAT.to_string())),
-            ("version", JsonValue::U64(FORMAT_VERSION)),
-            ("spans", self.spans.encode()),
-        ])
-        .render()
+        render_document(TRACE_FORMAT, &self.encode())
     }
 
     /// Imports a trace written by [`Trace::export_json`]. Never panics:
     /// corruption, truncation, and future versions come back as positioned
     /// [`CodecError`]s.
     pub fn import_json(text: &str) -> Result<Trace, CodecError> {
-        let document = JsonValue::parse(text)?;
-        check_format(&document, TRACE_FORMAT)?;
-        Ok(Trace {
-            spans: document.field("spans")?,
-        })
+        Trace::decode(&parse_document(text, TRACE_FORMAT)?)
     }
 
     /// Renders the trace in the Chrome trace-event JSON format, loadable in
@@ -470,70 +462,20 @@ impl Trace {
 // Codec impls
 // ---------------------------------------------------------------------------
 
-impl Encode for SpanKind {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Str(self.label().to_string())
-    }
-}
-
-impl Decode for SpanKind {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        let text = value.as_str()?;
-        SpanKind::ALL
-            .iter()
-            .find(|kind| kind.label() == text)
-            .copied()
-            .ok_or_else(|| CodecError::other(format!("unknown SpanKind `{text}`")))
-    }
-}
-
-impl Encode for TraceSpan {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("id", self.id.encode()),
-            ("parent", self.parent.encode()),
-            ("kind", self.kind.encode()),
-            ("name", self.name.encode()),
-            ("scope", self.scope.encode()),
-            ("start", self.start.encode()),
-            ("end", self.end.encode()),
-            ("incident", self.incident.encode()),
-            ("machine", self.machine.encode()),
-            ("value", self.value.encode()),
-        ])
-    }
-}
-
-impl Decode for TraceSpan {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(TraceSpan {
-            id: value.field("id")?,
-            parent: value.field("parent")?,
-            kind: value.field("kind")?,
-            name: value.field("name")?,
-            scope: value.field("scope")?,
-            start: value.field("start")?,
-            end: value.field("end")?,
-            incident: value.field("incident")?,
-            machine: value.field("machine")?,
-            value: value.field("value")?,
-        })
-    }
-}
-
-impl Encode for Trace {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![("spans", self.spans.encode())])
-    }
-}
-
-impl Decode for Trace {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(Trace {
-            spans: value.field("spans")?,
-        })
-    }
-}
+string_enum_codec!(SpanKind by label);
+struct_codec!(TraceSpan {
+    id,
+    parent,
+    kind,
+    name,
+    scope,
+    start,
+    end,
+    incident,
+    machine,
+    value,
+});
+struct_codec!(Trace { spans });
 
 #[cfg(test)]
 mod tests {

@@ -11,20 +11,9 @@
 use byterobust_sim::SimTime;
 use byterobust_trainsim::CodeVersion;
 
-/// How urgently an update must be applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UpdateUrgency {
-    /// Bug fix or algorithm correction: halt training and apply now.
-    Critical,
-    /// Optimization / version bump: apply at the next restart.
-    NonCritical,
-}
-
-/// A requested code/data change.
+/// A requested code/data change, applied at the next restart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateRequest {
-    /// Urgency class.
-    pub urgency: UpdateUrgency,
     /// Probability the change introduces a bug that later surfaces as a
     /// user-code failure.
     pub bug_risk: f64,
@@ -55,12 +44,9 @@ impl HotUpdateManager {
         self.last_applied_at
     }
 
-    /// Files an update request. Returns `true` if the update is critical and
-    /// the caller should halt training to apply it immediately.
-    pub fn submit(&mut self, request: UpdateRequest) -> bool {
-        let critical = request.urgency == UpdateUrgency::Critical;
+    /// Files an update request for the next lazy merge.
+    pub fn submit(&mut self, request: UpdateRequest) {
         self.pending.push(request);
-        critical
     }
 
     /// Whether there is anything to apply.
@@ -109,25 +95,15 @@ impl Default for HotUpdateManager {
 mod tests {
     use super::*;
 
-    fn request(urgency: UpdateUrgency, risk: f64) -> UpdateRequest {
-        UpdateRequest {
-            urgency,
-            bug_risk: risk,
-        }
-    }
-
-    #[test]
-    fn critical_updates_demand_immediate_apply() {
-        let mut mgr = HotUpdateManager::new();
-        assert!(mgr.submit(request(UpdateUrgency::Critical, 0.1)));
-        assert!(!mgr.submit(request(UpdateUrgency::NonCritical, 0.1)));
+    fn request(risk: f64) -> UpdateRequest {
+        UpdateRequest { bug_risk: risk }
     }
 
     #[test]
     fn lazy_apply_merges_all_pending() {
         let mut mgr = HotUpdateManager::new();
-        mgr.submit(request(UpdateUrgency::NonCritical, 0.05));
-        mgr.submit(request(UpdateUrgency::NonCritical, 0.10));
+        mgr.submit(request(0.05));
+        mgr.submit(request(0.10));
         let v0 = CodeVersion::initial();
         let v1 = mgr.apply_pending(SimTime::from_hours(2)).unwrap();
         assert_eq!(v1.version, v0.version + 1);
@@ -149,7 +125,7 @@ mod tests {
     fn rollback_restores_previous_efficiency_and_marks_history() {
         let mut mgr = HotUpdateManager::new();
         let original = CodeVersion::initial();
-        mgr.submit(request(UpdateUrgency::NonCritical, 0.9));
+        mgr.submit(request(0.9));
         mgr.apply_pending(SimTime::from_hours(1)).unwrap();
         let rolled = mgr.rollback().unwrap();
         assert!((rolled.kernel_efficiency - original.kernel_efficiency).abs() < 1e-12);
@@ -162,7 +138,7 @@ mod tests {
     #[test]
     fn version_counter_moves_forward_across_rollbacks() {
         let mut mgr = HotUpdateManager::new();
-        mgr.submit(request(UpdateUrgency::NonCritical, 0.5));
+        mgr.submit(request(0.5));
         let v1 = mgr.apply_pending(SimTime::from_hours(1)).unwrap();
         let v2 = mgr.rollback().unwrap();
         assert!(v2.version > v1.version);

@@ -15,7 +15,7 @@ pub mod standby;
 
 pub use binomial::binomial_quantile;
 pub use failover::FailoverCost;
-pub use hot_update::{HotUpdateManager, UpdateRequest, UpdateUrgency};
+pub use hot_update::{HotUpdateManager, UpdateRequest};
 pub use replay::{DualPhaseReplay, ReplayConfig, ReplayOutcome};
 pub use restart::{RestartCostModel, RestartStrategy, SchedulingOutcome, StandbyScheduler};
 pub use standby::{StandbyPoolConfig, WarmStandbyPool};
@@ -24,7 +24,7 @@ pub use standby::{StandbyPoolConfig, WarmStandbyPool};
 pub mod prelude {
     pub use crate::binomial::binomial_quantile;
     pub use crate::failover::FailoverCost;
-    pub use crate::hot_update::{HotUpdateManager, UpdateRequest, UpdateUrgency};
+    pub use crate::hot_update::{HotUpdateManager, UpdateRequest};
     pub use crate::replay::{DualPhaseReplay, ReplayConfig, ReplayOutcome};
     pub use crate::restart::{
         RestartCostModel, RestartStrategy, SchedulingOutcome, StandbyScheduler,

@@ -89,8 +89,8 @@ fn mega_smoke() -> &'static FleetReport {
 
 #[test]
 fn mega_smoke_heap_scheduler_matches_the_naive_scan_oracle() {
-    // Sixty broker-less jobs: many events share each quantum window, so this
-    // exercises quantum-deferred offender publication under both schedulers.
+    // Sixty broker-less jobs with thousands of events: many simultaneous
+    // picks and in-event offender publication under both schedulers.
     let heap = mega_smoke();
     let naive =
         FleetRunner::new(FleetConfig::mega_smoke(), 20250916).run_with(SchedulerKind::NaiveScan);
