@@ -14,7 +14,7 @@
 //!    [`scheduler`] — an O(log J) binary heap by default, with the O(J)
 //!    linear scan retained as an oracle reference pinned byte-identical.
 //! 2. [`warehouse::IncidentWarehouse`] — a write-only log of append-only
-//!    per-job incident-store shards (with disk spill). Every read goes
+//!    per-job incident-store shards (with write-once disk-spill segments). Every read goes
 //!    through one [`EpochSnapshot`] type: the planner builds posting lists
 //!    (by machine, severity, category, time bucket) only for the queries
 //!    that need them, aggregates are folds over shard prefixes, and
@@ -45,7 +45,7 @@
 //! snapshots into after every insert, answering queries concurrently with
 //! fleet execution under snapshot isolation, through a selectivity-based
 //! planner checked against the `oracle_answer` linear scan, with spilled
-//! shards faulted in through a capacity-bounded LRU. A finished run's
+//! segments faulted in through a capacity-bounded LRU. A finished run's
 //! [`FleetReport::answer`] reads the warehouse's own snapshot — the same
 //! type, so live, replayed and post-run answers share one read path.
 //!

@@ -85,8 +85,8 @@ pub struct FleetConfig {
     /// degrades to the slow reschedule path when it runs dry.
     pub broker: Option<BrokerConfig>,
     /// Warehouse disk-spill policy. `None` keeps every shard in memory;
-    /// `Some` spills cold shards to segment files under the given run
-    /// directory. Query results and the rendered report are byte-identical
+    /// `Some` spills the unspilled tails of cold shards to write-once
+    /// segment files under the given run directory. Query results and the rendered report are byte-identical
     /// either way (pinned by the spill oracles).
     pub warehouse_storage: Option<WarehouseStorage>,
     /// Declarative alert rules evaluated in sim time during the run. `None`
@@ -172,9 +172,10 @@ impl FleetConfig {
         self
     }
 
-    /// Attaches a warehouse disk-spill policy: cold incident shards are
-    /// written to segment files under `storage.spill_dir` once the resident
-    /// dossier count exceeds `storage.budget`.
+    /// Attaches a warehouse disk-spill policy: the resident tails of cold
+    /// incident shards are written to new segment files under
+    /// `storage.spill_dir` once the resident dossier count exceeds
+    /// `storage.budget`.
     pub fn with_warehouse_storage(mut self, storage: WarehouseStorage) -> Self {
         self.warehouse_storage = Some(storage);
         self

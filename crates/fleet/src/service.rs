@@ -15,10 +15,11 @@
 //! * A reader pins an [`EpochSnapshot`] once and sees that epoch's exact
 //!   content for as long as it holds the pin — bytes-identical before and
 //!   after later inserts and spills (the snapshot-isolation oracle).
-//! * Shard heads are copy-on-write: a publish captures each resident shard's
-//!   `Arc` head; the runner's next insert to that shard copies it
-//!   ([`Arc::make_mut`]) and the snapshot keeps the old head. Readers never
-//!   block the writer and vice versa.
+//! * Shard heads are copy-on-write: a publish captures each shard's segment
+//!   list and resident tail as `Arc`s; the runner's next insert to that
+//!   shard copies the tail ([`Arc::make_mut`]) and the snapshot keeps the
+//!   old one. Segments are never rewritten. Readers never block the writer
+//!   and vice versa.
 //! * Per-shard insertion is strictly append-ordered, so epoch `N`'s shard
 //!   content is a *prefix* of every later capture. That is what lets
 //!   [`WarehouseService::snapshot_at`] re-derive **any** historical epoch
@@ -51,15 +52,17 @@
 //!
 //! # Segment cache (LRU)
 //!
-//! A snapshot head for a spilled shard names its segment file. Reads fault
-//! segments in through a **capacity-bounded LRU** ([`ShardCache`]) shared by
-//! all snapshots of a service (or of a warehouse), which evicts
-//! least-recently-used shards once its dossier budget is exceeded, so
-//! resident memory stays flat under scans over cold history. Eviction just
+//! A snapshot head names its shard's spilled segment files; its resident
+//! tail is read in place. Reads fault segments in through a
+//! **capacity-bounded LRU** ([`ShardCache`]) shared by all snapshots of a
+//! service (or of a warehouse), which evicts least-recently-used shards once
+//! its dossier budget is exceeded, so resident memory stays flat under scans
+//! over cold history. Segments never change once written, so a shard's
+//! cache entry is the concatenation of its first few segments: a head with
+//! more segments than the entry holds *extends* the entry with the ones it
+//! lacks, and an older epoch reads its exact prefix of it. Eviction just
 //! drops an `Arc`: in-flight readers holding the store keep it alive until
-//! they finish. A segment rewritten with more appended dossiers since an
-//! epoch was published is detected by length and reloaded; the epoch reads
-//! its exact prefix either way.
+//! they finish.
 //!
 //! # Determinism
 //!
@@ -70,7 +73,7 @@
 //! self-profiling — exported to `BENCH_query.json`, never rendered.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -81,7 +84,7 @@ use byterobust_obs::{HistogramSnapshot, LatencyHistogram};
 use byterobust_sim::{SimDuration, SimRng, SimTime};
 
 use crate::query::{FleetQuery, QueryResponse, WarehouseDigest};
-use crate::warehouse::{load_segment_at_least, IncidentWarehouse, ShardContent, ShardHead};
+use crate::warehouse::{load_segment, IncidentWarehouse, ShardHead};
 
 /// The time-bucket index of a start time under a bucket width.
 fn bucket_index_of(bucket_width: SimDuration, at: SimTime) -> u64 {
@@ -130,8 +133,8 @@ impl PlanChoice {
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Segment loads (cold shard, or stale entry superseded by a longer
-    /// rewrite).
+    /// Segment files read (each into the entry of a cold shard, or
+    /// extending a cached shard by a segment written since).
     pub faults: u64,
     /// Entries dropped to keep the resident total under budget.
     pub evictions: u64,
@@ -141,9 +144,10 @@ pub struct CacheStats {
     pub resident_dossiers: u64,
 }
 
-/// One cached faulted-in segment.
+/// One shard's cached spilled prefix: its first `segments` segments.
 struct CacheEntry {
     store: Arc<IncidentStore>,
+    segments: usize,
     touch: u64,
 }
 
@@ -210,41 +214,49 @@ impl ShardCache {
         }
     }
 
-    /// The store behind a spilled shard head, faulted in and cached. The
-    /// returned store holds at least `min_len` dossiers (the epoch's exact
-    /// content is its first `min_len`). The load happens under the cache
-    /// lock — coarse, but segment faults are the cold path by design.
-    fn fetch(&self, shard: usize, path: &Path, label: &str, min_len: usize) -> Arc<IncidentStore> {
+    /// The first `need` spilled dossiers of one shard, faulted in from its
+    /// `segments` and cached. The returned store may hold more (a later
+    /// epoch's segments); the caller reads its first `need`. Segment loads
+    /// happen under the cache lock — coarse, but faults are the cold path
+    /// by design.
+    fn fetch(
+        &self,
+        shard: usize,
+        label: &str,
+        segments: &[(PathBuf, usize)],
+        need: usize,
+    ) -> Arc<IncidentStore> {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.clock += 1;
         let clock = inner.clock;
-        if let Some(entry) = inner.entries.get_mut(&shard) {
-            if entry.store.len() >= min_len {
-                entry.touch = clock;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.store);
-            }
-            // The segment was rewritten with more appended dossiers since
-            // this entry was cached; reload the longer version.
-            inner.entries.remove(&shard);
-        }
-        self.faults.fetch_add(1, Ordering::Relaxed);
-        let (store, bytes) = load_segment_at_least(path, label, min_len).unwrap_or_else(|err| {
-            panic!(
-                "query-plane segment {} for shard `{label}` is unreadable: {err}",
-                path.display()
-            )
+        let entry = inner.entries.entry(shard).or_insert_with(|| CacheEntry {
+            store: Arc::default(),
+            segments: 0,
+            touch: clock,
         });
-        self.fault_bytes.fetch_add(bytes, Ordering::Relaxed);
-        let store = Arc::new(store);
-        inner.entries.insert(
-            shard,
-            CacheEntry {
-                store: Arc::clone(&store),
-                touch: clock,
-            },
-        );
-        // Evict least-recently-used entries (never the one just loaded)
+        entry.touch = clock;
+        if entry.store.len() >= need {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(&entry.store);
+        }
+        let store = Arc::make_mut(&mut entry.store);
+        while store.len() < need {
+            let (path, len) = &segments[entry.segments];
+            let (segment, bytes) = load_segment(path, label, *len).unwrap_or_else(|err| {
+                panic!(
+                    "query-plane segment {} for shard `{label}` is unreadable: {err}",
+                    path.display()
+                )
+            });
+            self.faults.fetch_add(1, Ordering::Relaxed);
+            self.fault_bytes.fetch_add(bytes, Ordering::Relaxed);
+            for dossier in segment.all() {
+                store.insert_shared(Arc::clone(dossier));
+            }
+            entry.segments += 1;
+        }
+        let store = Arc::clone(&entry.store);
+        // Evict least-recently-used entries (never the one just extended)
         // until the resident total fits the budget again. Dropping the Arc
         // is all eviction is: readers mid-query keep their pin alive.
         loop {
@@ -295,8 +307,29 @@ struct SnapshotIndex {
     by_bucket: BTreeMap<u64, Vec<SnapKey>>,
 }
 
+/// One shard's content at one epoch, read in place: the cached spilled
+/// prefix, then the resident tail, each cut to the epoch's length.
+struct ShardView<'a> {
+    spilled: Option<Arc<IncidentStore>>,
+    spilled_len: usize,
+    tail: &'a [Arc<IncidentDossier>],
+}
+
+impl ShardView<'_> {
+    fn prefix(&self) -> &[Arc<IncidentDossier>] {
+        self.spilled
+            .as_deref()
+            .map_or(&[], |store| &store.all()[..self.spilled_len])
+    }
+
+    /// The epoch's dossiers in append order.
+    fn dossiers(&self) -> impl Iterator<Item = &Arc<IncidentDossier>> {
+        self.prefix().iter().chain(self.tail)
+    }
+}
+
 /// One pinned epoch: an immutable, snapshot-isolated view of the warehouse
-/// as of that epoch's publish. Cheap to hold (shard heads are `Arc`s or
+/// as of that epoch's publish. Cheap to hold (shard heads are `Arc`s and
 /// segment paths), safe to query from any thread.
 pub struct EpochSnapshot {
     epoch: u64,
@@ -360,17 +393,42 @@ impl EpochSnapshot {
         &self.heads[shard].label
     }
 
-    /// The store behind one shard head (resident heads are free; spilled
-    /// heads go through the shared LRU cache). Its first
-    /// `lens[shard]` dossiers are this epoch's content.
-    pub(crate) fn store(&self, shard: usize) -> Arc<IncidentStore> {
-        match &self.heads[shard].content {
-            ShardContent::Resident(store) => Arc::clone(store),
-            ShardContent::Spilled(path) => {
-                self.cache
-                    .fetch(shard, path, &self.heads[shard].label, self.shard_len(shard))
-            }
+    /// How many of one shard's dossiers at this epoch are spilled.
+    fn spilled_len(&self, shard: usize) -> usize {
+        self.shard_len(shard).min(self.heads[shard].spilled)
+    }
+
+    /// One shard's spilled prefix through the shared LRU cache. It may hold
+    /// more than this epoch's [`spilled_len`](Self::spilled_len) dossiers.
+    fn spilled(&self, shard: usize) -> Arc<IncidentStore> {
+        let head = &self.heads[shard];
+        self.cache
+            .fetch(shard, &head.label, &head.segments, self.spilled_len(shard))
+    }
+
+    /// One shard's content at this epoch, in place: the spilled prefix
+    /// through the shared LRU cache, the tail straight from the head.
+    fn view(&self, shard: usize) -> ShardView<'_> {
+        let spilled_len = self.spilled_len(shard);
+        ShardView {
+            spilled: (spilled_len > 0).then(|| self.spilled(shard)),
+            spilled_len,
+            tail: &self.heads[shard].tail.all()[..self.shard_len(shard) - spilled_len],
         }
+    }
+
+    /// One shard's content at this epoch as one store. Free for a shard
+    /// that never spilled; otherwise assembled from its view.
+    pub(crate) fn store(&self, shard: usize) -> Arc<IncidentStore> {
+        let head = &self.heads[shard];
+        if head.spilled == 0 && head.tail.len() == self.shard_len(shard) {
+            return Arc::clone(&head.tail);
+        }
+        let mut store = IncidentStore::new();
+        for dossier in self.view(shard).dossiers() {
+            store.insert_shared(Arc::clone(dossier));
+        }
+        Arc::new(store)
     }
 
     fn canonical<'a>(&'a self, key: &SnapKey) -> (SimTime, &'a str, u64) {
@@ -384,12 +442,10 @@ impl EpochSnapshot {
     /// are folds over this.
     fn for_each_dossier(&self, mut visit: impl FnMut(usize, &IncidentDossier)) {
         for shard in 0..self.heads.len() {
-            let len = self.shard_len(shard);
-            if len == 0 {
+            if self.shard_len(shard) == 0 {
                 continue;
             }
-            let store = self.store(shard);
-            for dossier in &store.all()[..len] {
+            for dossier in self.view(shard).dossiers() {
                 visit(shard, dossier);
             }
         }
@@ -546,17 +602,19 @@ impl EpochSnapshot {
 
     /// Resolves candidate keys against the shard prefixes, applies the
     /// residual filter, and builds the response (summary rows or full
-    /// dossiers). Stores are pinned once per shard for the resolve.
+    /// dossiers). A key at or past its shard's first resident seq is read
+    /// from the tail in place; a shard's spilled prefix is fetched at most
+    /// once per resolve, and only for a key below the tail.
     fn resolve(&self, keys: &[SnapKey], query: &IncidentQuery, full: bool) -> QueryResponse {
-        let mut stores: Vec<Option<Arc<IncidentStore>>> = vec![None; self.heads.len()];
+        let mut spilled: Vec<Option<Arc<IncidentStore>>> = vec![None; self.heads.len()];
         let mut rows = Vec::new();
         let mut dossiers = Vec::new();
         for key in keys {
-            let slot = &mut stores[key.shard];
-            if slot.is_none() {
-                *slot = Some(self.store(key.shard));
-            }
-            let store = slot.as_deref().expect("slot was just filled");
+            let tail = &self.heads[key.shard].tail;
+            let store: &IncidentStore = match tail.all().first() {
+                Some(first) if first.seq <= key.seq => tail,
+                _ => spilled[key.shard].get_or_insert_with(|| self.spilled(key.shard)),
+            };
             let dossier = store
                 .get(key.seq)
                 .expect("indexed dossier is present in its shard prefix");
@@ -617,14 +675,12 @@ impl EpochSnapshot {
     /// The scan evaluator behind [`EpochSnapshot::oracle_answer`].
     fn linear_scan(&self, query: &IncidentQuery, full: bool) -> QueryResponse {
         let mut hits: Vec<(SimTime, &str, u64, &IncidentDossier)> = Vec::new();
-        let mut stores = Vec::new();
-        for shard in 0..self.heads.len() {
-            if self.shard_len(shard) > 0 {
-                stores.push((shard, self.store(shard)));
-            }
-        }
-        for (shard, store) in &stores {
-            for dossier in &store.all()[..self.shard_len(*shard)] {
+        let views: Vec<(usize, ShardView<'_>)> = (0..self.heads.len())
+            .filter(|&shard| self.shard_len(shard) > 0)
+            .map(|shard| (shard, self.view(shard)))
+            .collect();
+        for (shard, view) in &views {
+            for dossier in view.dossiers() {
                 if filter::matches(query, dossier) {
                     hits.push((dossier.at, self.label(*shard), dossier.seq, dossier));
                 }
@@ -1118,6 +1174,7 @@ mod tests {
         ClassificationInput, ClassificationMatrix, IncidentCapture, ResolutionMechanism,
     };
     use byterobust_recovery::FailoverCost;
+    use std::path::Path;
 
     fn dossier(
         seq: u64,

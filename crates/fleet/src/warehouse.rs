@@ -23,13 +23,15 @@
 //! # Disk spill
 //!
 //! With a [`WarehouseStorage`] attached, the warehouse keeps at most
-//! `budget` dossiers resident: when an insert pushes the resident total
-//! over budget, the coldest shards (least recently inserted into) are
-//! written to self-describing JSON segment files under `spill_dir`
-//! (`segment-NNNN.json`, via the in-repo codec in
-//! `byterobust_incident::codec`) and dropped from memory. An insert into a
-//! spilled shard loads it back under `&mut self`; reads never load a shard
-//! into the warehouse — snapshot reads of a spilled shard go through the
+//! `budget` dossiers resident. A shard is an immutable list of spilled
+//! *segments* followed by a resident *tail*: an insert appends to the tail
+//! and never touches disk. When an insert pushes the resident total over
+//! budget, the tails of the coldest shards (least recently inserted into)
+//! are written as new self-describing JSON segment files under `spill_dir`
+//! (`segment-SSSS-NNNN.json`: shard `SSSS`, its `NNNN`-th segment, via the
+//! in-repo codec in `byterobust_incident::codec`) and the tails are
+//! emptied. Every dossier is therefore written exactly once, and no segment
+//! is ever rewritten or read back by the writer. Reads go through the
 //! capacity-bounded [`ShardCache`], whose budget is the same
 //! `WarehouseStorage::budget`. Spill is invisible to results by
 //! construction: the codec round-trip is exact, so answers and rendered
@@ -38,19 +40,18 @@
 //!
 //! # Copy-on-write shard heads
 //!
-//! Resident shards live behind `Arc<IncidentStore>`, so a snapshot is a
-//! handful of `Arc` clones: the writer keeps appending through
-//! [`Arc::make_mut`] (which copies the shard only while a snapshot still
-//! pins the old head), readers keep the head they pinned, and neither side
-//! blocks the other. The memoized snapshot is dropped by every `&mut` call
-//! before it writes, so it never forces such a copy. Segment files are
-//! written via a temp-file + atomic rename so a concurrent snapshot reader
-//! loading a segment never observes a torn write.
+//! Tails and segment lists live behind `Arc`s, so a snapshot is a handful
+//! of `Arc` clones: the writer keeps appending through [`Arc::make_mut`]
+//! (which copies a tail only while a snapshot still pins the old head),
+//! readers keep the head they pinned, and neither side blocks the other.
+//! The memoized snapshot is dropped by every `&mut` call before it writes,
+//! so it never forces such a copy. Segment files are written to a temp file
+//! and renamed into place, so a segment path never names a torn file.
 //!
-//! The budget is enforced at insert time; the shard currently being
-//! inserted into is spilled only as a last resort, so a budget at least as
-//! large as the biggest shard keeps ingestion out of write-through (a
-//! smaller budget still works, it just re-encodes that shard per insert).
+//! The budget counts tails only and is enforced at insert time. The shard
+//! just inserted into carries the newest recency stamp, so it spills only
+//! when no other tail is left; even then it writes one segment of its tail,
+//! never its whole history.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -96,16 +97,17 @@ impl WarehouseStorage {
 /// never rendered into the deterministic report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpillStats {
-    /// Segment files written (rewrites of a grown shard count again).
+    /// Segment files written. Each holds dossiers no earlier segment holds,
+    /// so this is also the number of segment files on disk.
     pub segments_written: usize,
-    /// Segment loads: by an insert targeting a spilled shard, and by
-    /// [`IncidentWarehouse::snapshot`] reads missing the segment cache.
+    /// Segment files read by [`IncidentWarehouse::snapshot`] reads missing
+    /// the segment cache. Inserts never read a segment.
     pub fault_ins: usize,
-    /// Dossiers currently resident.
+    /// Dossiers currently resident (the shards' unspilled tails).
     pub resident_dossiers: usize,
     /// Dossiers currently only on disk.
     pub spilled_dossiers: usize,
-    /// Shards currently spilled.
+    /// Shards with at least one segment on disk.
     pub spilled_shards: usize,
     /// Bytes written to segment files over the warehouse's lifetime.
     pub spill_bytes_written: u64,
@@ -113,27 +115,34 @@ pub struct SpillStats {
     pub fault_in_bytes: u64,
 }
 
-/// Where one shard's dossiers live — in the warehouse, and in every shard
-/// head an epoch captured.
-#[derive(Debug, Clone)]
-pub(crate) enum ShardContent {
-    /// The resident store (`Arc`-shared with snapshots, copy-on-write).
-    Resident(Arc<IncidentStore>),
-    /// The segment file the shard was spilled to. A captured head's `len`
-    /// dossiers are on disk at capture time, and — because segments are
-    /// only rewritten with strictly more appended dossiers — at least `len`
-    /// at any later time.
-    Spilled(PathBuf),
-}
-
 /// One shard's head as captured for a snapshot: the label, the dossier count
-/// at capture time, and where its dossiers live. Consumed by the read path
-/// in `crate::service`.
+/// at capture time, the spilled segments and the resident tail. The shard's
+/// content is the segments' dossiers in order, then the tail's. Segments are
+/// never rewritten, so a captured head stays valid however far the shard
+/// grows afterwards. Consumed by the read path in `crate::service`.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardHead {
     pub(crate) label: String,
     pub(crate) len: usize,
-    pub(crate) content: ShardContent,
+    /// Segment files in write order, each with its dossier count.
+    pub(crate) segments: Arc<Vec<(PathBuf, usize)>>,
+    /// Dossiers in `segments`.
+    pub(crate) spilled: usize,
+    /// The dossiers after the spilled prefix (`Arc`-shared with snapshots,
+    /// copy-on-write).
+    pub(crate) tail: Arc<IncidentStore>,
+}
+
+impl ShardHead {
+    fn new(label: &str, tail: Arc<IncidentStore>) -> ShardHead {
+        ShardHead {
+            label: label.to_string(),
+            len: tail.len(),
+            segments: Arc::default(),
+            spilled: 0,
+            tail,
+        }
+    }
 }
 
 /// One per-job shard: its head plus a recency stamp, bumped on insert. The
@@ -142,12 +151,6 @@ pub(crate) struct ShardHead {
 struct Shard {
     head: ShardHead,
     last_touch: u64,
-}
-
-impl Shard {
-    fn is_resident(&self) -> bool {
-        matches!(self.head.content, ShardContent::Resident(_))
-    }
 }
 
 /// The write-only, sharded fleet incident log. Reads go through
@@ -166,9 +169,6 @@ pub struct IncidentWarehouse {
     segments_written: usize,
     /// Bytes written to segment files so far.
     spill_bytes_written: u64,
-    /// Spilled shards loaded back by inserts, and the bytes they read.
-    insert_fault_ins: usize,
-    insert_fault_in_bytes: u64,
     /// The segment cache behind [`IncidentWarehouse::snapshot`] reads.
     cache: Arc<ShardCache>,
     /// The memoized snapshot of the current content; every `&mut` call
@@ -177,11 +177,11 @@ pub struct IncidentWarehouse {
 }
 
 impl Clone for IncidentWarehouse {
-    /// A clone is a fully in-memory copy: every spilled shard is read in
+    /// A clone is a fully in-memory copy: every spilled segment is read in
     /// first, and the clone carries neither segment paths nor a storage
     /// policy. Sharing either would be corruption waiting to happen — two
-    /// warehouses writing the same `segment-NNNN.json` files would overwrite
-    /// each other's segments.
+    /// warehouses writing the same `segment-SSSS-NNNN.json` files would
+    /// overwrite each other's segments.
     fn clone(&self) -> Self {
         let snapshot = self.snapshot();
         let shards = self
@@ -189,11 +189,7 @@ impl Clone for IncidentWarehouse {
             .iter()
             .enumerate()
             .map(|(index, shard)| Shard {
-                head: ShardHead {
-                    label: shard.head.label.clone(),
-                    len: shard.head.len,
-                    content: ShardContent::Resident(snapshot.store(index)),
-                },
+                head: ShardHead::new(&shard.head.label, snapshot.store(index)),
                 last_touch: shard.last_touch,
             })
             .collect();
@@ -231,8 +227,6 @@ impl IncidentWarehouse {
             touch_clock: 0,
             segments_written: 0,
             spill_bytes_written: 0,
-            insert_fault_ins: 0,
-            insert_fault_in_bytes: 0,
             cache: Arc::new(ShardCache::new(cache_budget)),
             snapshot: OnceLock::new(),
         }
@@ -248,32 +242,29 @@ impl IncidentWarehouse {
         let reads = self.cache.stats();
         let mut stats = SpillStats {
             segments_written: self.segments_written,
-            fault_ins: self.insert_fault_ins + reads.faults as usize,
+            fault_ins: reads.faults as usize,
             spill_bytes_written: self.spill_bytes_written,
-            fault_in_bytes: self.insert_fault_in_bytes + reads.fault_bytes,
+            fault_in_bytes: reads.fault_bytes,
             ..SpillStats::default()
         };
         for shard in &self.shards {
-            if shard.is_resident() {
-                stats.resident_dossiers += shard.head.len;
-            } else {
-                stats.spilled_dossiers += shard.head.len;
-                stats.spilled_shards += 1;
-            }
+            stats.resident_dossiers += shard.head.tail.len();
+            stats.spilled_dossiers += shard.head.spilled;
+            stats.spilled_shards += usize::from(shard.head.spilled > 0);
         }
         stats
     }
 
-    /// Captures every shard's head: resident shards as `Arc` clones
-    /// (copy-on-write — later inserts copy the shard, the capture keeps
-    /// this head), spilled shards as their segment path. Never touches disk.
+    /// Captures every shard's head: its segment list and tail as `Arc`
+    /// clones (copy-on-write — a later insert copies the tail, the capture
+    /// keeps this head). Never touches disk.
     pub(crate) fn epoch_heads(&self) -> Vec<ShardHead> {
         self.shards.iter().map(|shard| shard.head.clone()).collect()
     }
 
     /// The snapshot every post-run read goes through: the current content,
     /// built once from the shard heads and memoized until the next `&mut`
-    /// call. Spilled shards are read through the segment
+    /// call. Spilled segments are read through the segment
     /// cache, never loaded into the warehouse. Its epoch number is 0: it is
     /// not part of any service's publish sequence.
     pub fn snapshot(&self) -> &EpochSnapshot {
@@ -295,11 +286,7 @@ impl IncidentWarehouse {
             return index;
         }
         self.shards.push(Shard {
-            head: ShardHead {
-                label: job.to_string(),
-                len: 0,
-                content: ShardContent::Resident(Arc::new(IncidentStore::new())),
-            },
+            head: ShardHead::new(job, Arc::default()),
             last_touch: self.touch_clock,
         });
         let index = self.shards.len() - 1;
@@ -307,100 +294,60 @@ impl IncidentWarehouse {
         index
     }
 
-    /// The path a shard's segment file lives at.
-    fn segment_path(dir: &Path, shard_index: usize) -> PathBuf {
-        dir.join(format!("segment-{shard_index:04}.json"))
-    }
-
-    /// Mutable access to one shard's store, loading it from its segment
-    /// file first if it is spilled. While a snapshot still pins the current
-    /// head, `Arc::make_mut` copies the shard and the snapshot keeps the old
-    /// head — the copy-on-write that makes snapshot reads torn-state-free.
-    fn store_mut(&mut self, index: usize) -> &mut IncidentStore {
-        let head = &mut self.shards[index].head;
-        if let ShardContent::Spilled(path) = &head.content {
-            let (store, bytes) = load_segment(path, &head.label, head.len).unwrap_or_else(|err| {
-                panic!(
-                    "warehouse segment {} for shard `{}` is unreadable: {err}",
-                    path.display(),
-                    head.label
-                )
-            });
-            self.insert_fault_ins += 1;
-            self.insert_fault_in_bytes += bytes;
-            head.content = ShardContent::Resident(Arc::new(store));
-        }
-        match &mut head.content {
-            ShardContent::Resident(store) => Arc::make_mut(store),
-            ShardContent::Spilled(_) => unreachable!("the shard was just loaded"),
-        }
-    }
-
-    /// Spills the coldest resident shards until the resident dossier total
-    /// fits the budget again. No-op without attached storage.
+    /// Spills the tails of the coldest shards until the resident dossier
+    /// total fits the budget again. No-op without attached storage.
     fn enforce_budget(&mut self) {
         let Some(storage) = self.storage.clone() else {
             return;
         };
-        let mut resident: usize = self
-            .shards
-            .iter()
-            .filter(|shard| shard.is_resident())
-            .map(|shard| shard.head.len)
-            .sum();
+        let mut resident: usize = self.shards.iter().map(|shard| shard.head.tail.len()).sum();
         while resident > storage.budget {
-            // Coldest resident, non-empty shard first (empty shards carry no
-            // dossiers, so spilling them would not reduce residency) — but
-            // the shard that was just inserted into (the one carrying the
-            // current clock stamp) only as a last resort. Evicting the
-            // insert target eagerly would turn a hot shard bigger than the
-            // budget into write-through: every insert re-decoding and
-            // re-encoding the whole segment.
-            let candidate = |exclude_current: bool| {
-                self.shards
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, shard)| shard.is_resident() && shard.head.len > 0)
-                    .filter(|(_, shard)| !exclude_current || shard.last_touch != self.touch_clock)
-                    .min_by_key(|(_, shard)| shard.last_touch)
-                    .map(|(index, _)| index)
-            };
-            let Some(victim) = candidate(true).or_else(|| candidate(false)) else {
+            let Some(victim) = self
+                .shards
+                .iter()
+                .enumerate()
+                .filter(|(_, shard)| !shard.head.tail.is_empty())
+                .min_by_key(|(_, shard)| shard.last_touch)
+                .map(|(index, _)| index)
+            else {
                 return;
             };
-            resident -= self.shards[victim].head.len;
-            self.spill_shard(victim, &storage.spill_dir);
+            resident -= self.shards[victim].head.tail.len();
+            self.spill_tail(victim, &storage.spill_dir);
         }
     }
 
-    /// Writes one resident shard's segment file and drops the store.
-    fn spill_shard(&mut self, index: usize, dir: &Path) {
-        let head = &self.shards[index].head;
-        let ShardContent::Resident(store) = &head.content else {
-            return;
-        };
+    /// Writes one shard's tail as its next segment file and empties the
+    /// tail. Earlier segments are left as they are.
+    fn spill_tail(&mut self, index: usize, dir: &Path) {
+        let head = &mut self.shards[index].head;
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|err| panic!("cannot create spill dir {}: {err}", dir.display()));
-        let path = Self::segment_path(dir, index);
-        let document = render_segment(&head.label, store);
-        self.spill_bytes_written += document.len() as u64;
-        // Temp-file + atomic rename: a snapshot reader loading this segment
-        // concurrently sees either the old complete file or the new complete
-        // file, never a torn write.
+        let path = dir.join(format!(
+            "segment-{index:04}-{:04}.json",
+            head.segments.len()
+        ));
+        let document = render_segment(&head.label, &head.tail);
+        // Temp-file + atomic rename: a crash mid-write leaves a temp file,
+        // never a torn segment under its final name.
         let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, document)
+        std::fs::write(&tmp, &document)
             .unwrap_or_else(|err| panic!("cannot write segment {}: {err}", tmp.display()));
         std::fs::rename(&tmp, &path)
             .unwrap_or_else(|err| panic!("cannot publish segment {}: {err}", path.display()));
+        let len = head.tail.len();
+        Arc::make_mut(&mut head.segments).push((path, len));
+        head.spilled += len;
+        head.tail = Arc::default();
         self.segments_written += 1;
-        self.shards[index].head.content = ShardContent::Spilled(path);
+        self.spill_bytes_written += document.len() as u64;
     }
 
-    /// Spills every non-empty resident shard to its segment file regardless
-    /// of budget, e.g. to persist a finished run's warehouse into its run
-    /// directory, or to set up a deliberately cold warehouse for latency
-    /// measurements. No-op without attached storage. Returns the number of
-    /// shards dropped from memory.
+    /// Spills every non-empty tail to a segment file regardless of budget,
+    /// e.g. to persist a finished run's warehouse into its run directory, or
+    /// to set up a deliberately cold warehouse for latency measurements.
+    /// No-op without attached storage. Returns the number of segments
+    /// written.
     pub fn flush_to_disk(&mut self) -> usize {
         self.snapshot.take();
         let Some(storage) = self.storage.clone() else {
@@ -408,8 +355,8 @@ impl IncidentWarehouse {
         };
         let mut flushed = 0;
         for index in 0..self.shards.len() {
-            if self.shards[index].is_resident() && self.shards[index].head.len > 0 {
-                self.spill_shard(index, &storage.spill_dir);
+            if !self.shards[index].head.tail.is_empty() {
+                self.spill_tail(index, &storage.spill_dir);
                 flushed += 1;
             }
         }
@@ -418,7 +365,7 @@ impl IncidentWarehouse {
 
     /// Appends one closed incident to the named job's shard. Per shard,
     /// dossiers must arrive in ascending `seq` with non-decreasing start
-    /// times (asserted).
+    /// times (debug-asserted against the resident tail).
     pub fn insert(&mut self, job: &str, dossier: IncidentDossier) {
         self.insert_shared(job, Arc::new(dossier));
     }
@@ -429,15 +376,17 @@ impl IncidentWarehouse {
     pub fn insert_shared(&mut self, job: &str, dossier: Arc<IncidentDossier>) {
         self.snapshot.take();
         let index = self.shard_index(job);
-        let store = self.store_mut(index);
+        // While a snapshot still pins the current tail, `Arc::make_mut`
+        // copies it and the snapshot keeps the old one — the copy-on-write
+        // that makes snapshot reads torn-state-free.
+        let tail = Arc::make_mut(&mut self.shards[index].head.tail);
         debug_assert!(
-            store
-                .all()
+            tail.all()
                 .last()
                 .is_none_or(|prev| prev.seq < dossier.seq && prev.at <= dossier.at),
             "per-shard insertions must be in ascending seq / non-decreasing time order"
         );
-        store.insert_shared(dossier);
+        tail.insert_shared(dossier);
         self.shards[index].head.len += 1;
         self.touch_clock += 1;
         self.shards[index].last_touch = self.touch_clock;
@@ -633,35 +582,13 @@ fn render_segment(job: &str, store: &IncidentStore) -> String {
     render_document(SEGMENT_FORMAT, &body)
 }
 
-/// Loads and validates one shard's segment document, which must hold
-/// exactly `expected_len` dossiers (the insert path's view). Returns the
-/// store and the bytes read.
-fn load_segment(
+/// Loads and validates one segment document, which must belong to `job`
+/// and hold exactly `expected_len` dossiers. Returns the store and the bytes
+/// read.
+pub(crate) fn load_segment(
     path: &Path,
     job: &str,
     expected_len: usize,
-) -> Result<(IncidentStore, u64), CodecError> {
-    let (store, bytes) = load_segment_at_least(path, job, expected_len)?;
-    if store.len() != expected_len {
-        return Err(CodecError::other(format!(
-            "segment holds {} dossiers, the shard expects {expected_len}",
-            store.len()
-        )));
-    }
-    Ok((store, bytes))
-}
-
-/// Loads one shard's segment document, requiring *at least* `min_len`
-/// dossiers instead of an exact count. The segment cache uses this: a
-/// segment may legitimately have been rewritten with more appended dossiers
-/// since the snapshot that referenced it was captured (per-shard content
-/// only ever grows), and the snapshot's exact content is the first
-/// `min_len` dossiers of whatever is on disk. Returns the store and the
-/// bytes read.
-pub(crate) fn load_segment_at_least(
-    path: &Path,
-    job: &str,
-    min_len: usize,
 ) -> Result<(IncidentStore, u64), CodecError> {
     let text = std::fs::read_to_string(path)
         .map_err(|err| CodecError::other(format!("cannot read segment: {err}")))?;
@@ -673,9 +600,9 @@ pub(crate) fn load_segment_at_least(
         )));
     }
     let store: IncidentStore = document.field("store")?;
-    if store.len() < min_len {
+    if store.len() != expected_len {
         return Err(CodecError::other(format!(
-            "segment holds {} dossiers, the snapshot expects at least {min_len}",
+            "segment holds {} dossiers, the shard expects {expected_len}",
             store.len()
         )));
     }
@@ -955,8 +882,8 @@ mod tests {
     }
 
     #[test]
-    fn a_clean_faulted_in_shard_respills_without_a_rewrite() {
-        let dir = spill_dir("clean");
+    fn an_insert_into_a_spilled_shard_reads_nothing_and_appends_one_segment() {
+        let dir = spill_dir("append");
         let mut w = IncidentWarehouse::with_storage(
             SimDuration::from_hours(1),
             WarehouseStorage::new(0, &dir),
@@ -965,35 +892,41 @@ mod tests {
             "alpha",
             dossier(1, 1, FaultKind::CudaError, vec![MachineId(3)]),
         );
-        let written_after_insert = w.spill_stats().segments_written;
-        // A read faults alpha in through the segment cache, not into the
-        // warehouse: it stays spilled…
+        let first = dir.join("segment-0000-0000.json");
+        let first_bytes = std::fs::read(&first).expect("alpha spilled its first segment");
+        // A read faults alpha's segment into the cache, not the warehouse.
         assert_eq!(ids(&w, IncidentQuery::any().machine(MachineId(3))).len(), 1);
-        assert_eq!(w.spill_stats().fault_ins, 1);
-        assert_eq!(w.spill_stats().resident_dossiers, 0);
-        // …so budget enforcement through an insert into another shard never
-        // rewrites it; only beta's new segment is written.
-        w.insert(
-            "beta",
-            dossier(1, 2, FaultKind::JobHang, vec![MachineId(4)]),
-        );
-        let stats = w.spill_stats();
-        assert_eq!(stats.resident_dossiers, 0);
-        assert_eq!(
-            stats.segments_written,
-            written_after_insert + 1,
-            "clean shard must not be rewritten"
-        );
-        // An insert into the spilled shard loads it under `&mut` and writes
-        // it again, grown by one.
+        let before = w.spill_stats();
+        assert_eq!(before.fault_ins, 1);
+        assert_eq!(before.resident_dossiers, 0);
+
+        // The insert appends to alpha's tail; the budget then spills that
+        // tail as a second segment. Nothing is read back or rewritten.
         w.insert(
             "alpha",
             dossier(2, 3, FaultKind::JobHang, vec![MachineId(3)]),
         );
-        let stats = w.spill_stats();
-        assert_eq!(stats.fault_ins, 2, "the insert loaded alpha's segment");
-        assert_eq!(stats.segments_written, written_after_insert + 2);
+        let after = w.spill_stats();
+        assert_eq!(after.fault_ins, before.fault_ins, "the insert read nothing");
+        assert_eq!(after.segments_written, before.segments_written + 1);
+        let second = dir.join("segment-0000-0001.json");
+        let second_len = std::fs::metadata(&second)
+            .expect("the tail became a new segment")
+            .len();
+        assert_eq!(
+            after.spill_bytes_written,
+            before.spill_bytes_written + second_len
+        );
+        assert_eq!(
+            std::fs::read(&first).expect("first segment is still there"),
+            first_bytes,
+            "the earlier segment is byte-identical"
+        );
+        assert_eq!((after.resident_dossiers, after.spilled_dossiers), (0, 2));
+
+        // The next read extends alpha's cache entry by the new segment only.
         assert_eq!(ids(&w, IncidentQuery::any().machine(MachineId(3))).len(), 2);
+        assert_eq!(w.spill_stats().fault_ins, after.fault_ins + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1011,8 +944,9 @@ mod tests {
         // The clone is fully resident and detached from disk.
         assert!(copy.storage.is_none());
         assert_eq!(copy.spill_stats().spilled_dossiers, 0);
-        // Mutating the original rewrites its segment files; the clone must
-        // not notice — it reads nothing from disk.
+        // Mutating the original writes new segment files, and then they are
+        // all deleted; the clone must not notice — it reads nothing from
+        // disk.
         original.insert(
             "alpha",
             dossier(9, 40, FaultKind::JobHang, vec![MachineId(8)]),
@@ -1115,16 +1049,24 @@ mod tests {
             "alpha",
             dossier(1, 1, FaultKind::CudaError, vec![MachineId(3)]),
         );
-        let segment = IncidentWarehouse::segment_path(&dir, 0);
+        w.insert(
+            "alpha",
+            dossier(2, 3, FaultKind::JobHang, vec![MachineId(3)]),
+        );
+        let head = &w.shards[0].head;
+        assert_eq!(head.segments.len(), 2, "each insert spilled one segment");
+        // Every segment is checked on its own: the second one here.
+        let (segment, len) = head.segments[1].clone();
         let text = std::fs::read_to_string(&segment).expect("segment exists");
         // Direct decode of a truncated segment is an error, not a panic.
-        assert!(load_segment(&segment, "alpha", 1).is_ok());
+        assert!(load_segment(&segment, "alpha", len).is_ok());
         std::fs::write(&segment, &text[..text.len() / 2]).unwrap();
-        assert!(load_segment(&segment, "alpha", 1).is_err());
-        // Wrong-job and wrong-length segments are rejected too.
+        assert!(load_segment(&segment, "alpha", len).is_err());
+        // Wrong-job and wrong-count segments are rejected too.
         std::fs::write(&segment, &text).unwrap();
-        assert!(load_segment(&segment, "beta", 1).is_err());
-        assert!(load_segment(&segment, "alpha", 2).is_err());
+        assert!(load_segment(&segment, "beta", len).is_err());
+        assert!(load_segment(&segment, "alpha", len + 1).is_err());
+        assert!(load_segment(&segment, "alpha", len - 1).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

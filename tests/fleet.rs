@@ -600,6 +600,53 @@ fn warehouse_spill_is_invisible_on_the_large_drill() {
 }
 
 #[test]
+fn large_drill_spill_writes_every_dossier_exactly_once() {
+    // Write-once segments: at the spill oracle's budget, every segment the
+    // warehouse wrote is still on disk under its own name (nothing was
+    // rewritten in place), and no dossier is in two segments.
+    use byterobust::fleet::warehouse::SEGMENT_FORMAT;
+    use byterobust::incident::codec::parse_document;
+
+    let dir = spill_dir("write-once");
+    let _ = std::fs::remove_dir_all(&dir);
+    let spilled = FleetRunner::new(
+        FleetConfig::large_drill().with_warehouse_storage(WarehouseStorage::new(32, &dir)),
+        20250916 + 41,
+    )
+    .run();
+    let stats = spilled.warehouse.spill_stats();
+    let mut files = 0;
+    let mut bytes = 0;
+    let mut dossiers = 0;
+    let mut seen = std::collections::BTreeSet::new();
+    for entry in std::fs::read_dir(&dir).expect("the drill spilled") {
+        let path = entry.expect("readable spill dir").path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !(name.starts_with("segment-") && name.ends_with(".json")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable segment");
+        let document = parse_document(&text, SEGMENT_FORMAT).expect("well-formed segment");
+        let job: String = document.field("job").expect("segment names its job");
+        let store: IncidentStore = document.field("store").expect("segment holds a store");
+        for dossier in store.all() {
+            assert!(
+                seen.insert((job.clone(), dossier.seq)),
+                "{job} seq {} is in more than one segment ({name})",
+                dossier.seq
+            );
+        }
+        files += 1;
+        bytes += text.len() as u64;
+        dossiers += store.len();
+    }
+    assert_eq!(files, stats.segments_written, "one file per segment write");
+    assert_eq!(bytes, stats.spill_bytes_written);
+    assert_eq!(dossiers, stats.spilled_dossiers);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn warehouse_export_import_render_round_trip_on_fleet_data() {
     let report = drill();
     let exported = report.warehouse.export_json();
