@@ -61,7 +61,17 @@ pub struct Cluster {
     /// dirty machines before each aggregate read so the per-step fleet
     /// throughput scan is O(machines) adds instead of O(machines × GPUs)
     /// recomputes.
+    ///
+    /// Above it sits `active_throughput`, the aggregate itself, so a read
+    /// with no change since the last one is O(1). The invalidation rule:
+    /// every `&mut Machine` is handed out by [`Cluster::machine_mut`], which
+    /// clears the aggregate, as do the membership changes
+    /// ([`Cluster::release_machine`], [`Cluster::adopt_machine`]). A new
+    /// mutable path to a machine must do the same.
     throughput_cache: Vec<f64>,
+    /// The last [`Cluster::active_relative_throughput_cached`] result; `None`
+    /// once a machine or the membership may have changed.
+    active_throughput: Option<f64>,
 }
 
 impl Cluster {
@@ -103,6 +113,7 @@ impl Cluster {
             index_of,
             dirty: BTreeSet::new(),
             throughput_cache,
+            active_throughput: None,
         }
     }
 
@@ -123,6 +134,7 @@ impl Cluster {
         let slot = self.index_of[&id];
         // The borrow may mutate anything; re-evaluate this machine lazily.
         self.dirty.insert(id);
+        self.active_throughput = None;
         &mut self.machines[slot]
     }
 
@@ -183,6 +195,7 @@ impl Cluster {
         );
         let machine = self.machines.remove(slot);
         self.throughput_cache.remove(slot);
+        self.active_throughput = None;
         self.index_of.remove(&id);
         self.dirty.remove(&id);
         for index in self.index_of.values_mut() {
@@ -214,6 +227,7 @@ impl Cluster {
         self.dirty.insert(machine.id);
         self.machines.push(machine);
         self.throughput_cache.push(throughput);
+        self.active_throughput = None;
     }
 
     /// Re-evaluates every dirty machine: refreshes its throughput-cache slot
@@ -257,10 +271,14 @@ impl Cluster {
     }
 
     /// Aggregate relative throughput of the active fleet, served from the
-    /// per-slot cache. Bit-identical to
+    /// aggregate cache when no machine changed since the last read (O(1)),
+    /// else from the per-slot cache. Bit-identical to
     /// [`Cluster::active_relative_throughput`]: same per-machine values
     /// summed in the same slot order, divided by the same count.
     pub fn active_relative_throughput_cached(&mut self) -> f64 {
+        if let Some(throughput) = self.active_throughput {
+            return throughput;
+        }
         self.refresh_dirty();
         let mut sum = 0.0;
         let mut active = 0usize;
@@ -270,10 +288,13 @@ impl Cluster {
                 active += 1;
             }
         }
-        if active == 0 {
-            return 0.0;
-        }
-        sum / active as f64
+        let throughput = if active == 0 {
+            0.0
+        } else {
+            sum / active as f64
+        };
+        self.active_throughput = Some(throughput);
+        throughput
     }
 
     /// Aggregate relative throughput of the active fleet (mean of per-machine
@@ -396,46 +417,79 @@ mod tests {
         assert!(cluster.active_relative_throughput() < 1.0);
     }
 
+    /// Reads the cached aggregate twice (the second read is served from the
+    /// aggregate cache) and checks both against the uncached oracle, bit for
+    /// bit.
+    fn assert_cached_matches_full_scan(cluster: &mut Cluster) {
+        let oracle = cluster.active_relative_throughput().to_bits();
+        assert_eq!(
+            cluster.active_relative_throughput_cached().to_bits(),
+            oracle
+        );
+        assert!(cluster.active_throughput.is_some());
+        assert_eq!(
+            cluster.active_relative_throughput_cached().to_bits(),
+            oracle
+        );
+    }
+
     #[test]
     fn cached_throughput_is_bit_identical_to_full_scan() {
         let mut cluster = Cluster::build(ClusterSpec::small_test());
-        assert_eq!(
-            cluster.active_relative_throughput_cached(),
-            cluster.active_relative_throughput()
-        );
+        assert_cached_matches_full_scan(&mut cluster);
         // Damage a few machines in different ways, interleaved with state
         // transitions, and keep the cached read bit-identical throughout.
         cluster.machine_mut(MachineId(0)).gpu_mut(0).overheat(92.0);
-        assert_eq!(
-            cluster.active_relative_throughput_cached(),
-            cluster.active_relative_throughput()
-        );
+        assert_cached_matches_full_scan(&mut cluster);
         cluster.machine_mut(MachineId(5)).nic = NicState::Flapping;
         cluster
             .machine_mut(MachineId(7))
             .gpu_mut(3)
             .pcie_bandwidth_frac = 0.4;
+        assert_cached_matches_full_scan(&mut cluster);
+        // A `machine_mut` that leaves the machine as it was still clears the
+        // aggregate, and the recomputed value is the same bits.
+        let before = cluster.active_relative_throughput_cached().to_bits();
+        let _ = cluster.machine_mut(MachineId(9));
+        assert!(cluster.active_throughput.is_none());
         assert_eq!(
-            cluster.active_relative_throughput_cached(),
-            cluster.active_relative_throughput()
+            cluster.active_relative_throughput_cached().to_bits(),
+            before
         );
+        assert_cached_matches_full_scan(&mut cluster);
         cluster.evict_machine(MachineId(7));
+        assert_cached_matches_full_scan(&mut cluster);
         let standby = cluster.standby_machines()[0];
         assert!(cluster.activate_standby(standby));
-        assert_eq!(
-            cluster.active_relative_throughput_cached(),
-            cluster.active_relative_throughput()
-        );
+        assert_cached_matches_full_scan(&mut cluster);
         // Repairing back to nominal drains the dirty set and stays identical.
         let gpu = cluster.machine_mut(MachineId(0)).gpu_mut(0);
         gpu.temperature_c = Gpu::NOMINAL_TEMP_C;
         gpu.state = GpuState::Healthy;
         cluster.machine_mut(MachineId(5)).nic = NicState::Up;
-        assert_eq!(
-            cluster.active_relative_throughput_cached(),
-            cluster.active_relative_throughput()
-        );
+        assert_cached_matches_full_scan(&mut cluster);
         assert!(cluster.suspect_active_machines().is_empty());
+        // Migration: a slower spare leaves for another cluster, whose cached
+        // aggregate was read before it arrives and after it is activated.
+        let mut receiver = Cluster::build(ClusterSpec {
+            active_machines: 4,
+            standby_machines: 1,
+            gpus_per_machine: 8,
+            machines_per_switch: 4,
+        });
+        receiver.machine_mut(MachineId(2)).gpu_mut(0).overheat(92.0);
+        assert_cached_matches_full_scan(&mut receiver);
+        let spare = cluster.standby_machines()[0];
+        cluster.machine_mut(spare).gpu_mut(4).pcie_bandwidth_frac = 0.5;
+        assert_cached_matches_full_scan(&mut cluster);
+        let machine = cluster.release_machine(spare);
+        assert!(cluster.active_throughput.is_none());
+        assert_cached_matches_full_scan(&mut cluster);
+        receiver.adopt_machine(machine);
+        assert!(receiver.active_throughput.is_none());
+        assert_cached_matches_full_scan(&mut receiver);
+        assert!(receiver.activate_standby(spare));
+        assert_cached_matches_full_scan(&mut receiver);
     }
 
     #[test]

@@ -161,11 +161,6 @@ pub enum RecorderEvent {
 }
 
 impl RecorderEvent {
-    /// Machines this event mentions (used by the store's per-machine query).
-    pub fn machines(&self) -> Vec<MachineId> {
-        self.machines_ref().to_vec()
-    }
-
     /// The machines an event names, as a borrow of the event's own storage —
     /// no allocation, for per-incident hot paths.
     pub fn machines_ref(&self) -> &[MachineId] {
@@ -465,7 +460,8 @@ impl FlightRecorder {
             .context
             .iter()
             .filter(|entry| entry.at >= since)
-            .flat_map(|entry| entry.event.machines())
+            .flat_map(|entry| entry.event.machines_ref())
+            .copied()
             .collect();
         machines.sort();
         machines.dedup();
@@ -602,7 +598,9 @@ mod tests {
         // culprit — it must survive into machines_mentioned().
         let mut recorder = FlightRecorder::default();
         recorder.record(t(5), telemetry_event(5, 1)); // stale carryover
+        recorder.record(t(7), telemetry_event(7, 0)); // stale carryover
         recorder.record(t(10), telemetry_event(10, 2)); // fault-time signature
+        recorder.record(t(10), telemetry_event(10, 2)); // ...repeated
         recorder.open_incident(1, FaultKind::InfinibandError, t(10));
         recorder.record(
             t(10),
@@ -611,6 +609,14 @@ mod tests {
                 latency: SimDuration::from_secs(3),
             },
         );
+        // The controller's view of the open incident: fault-time context
+        // only, sorted and deduplicated.
+        assert_eq!(recorder.context_machines_since(t(10)), vec![MachineId(2)]);
+        assert_eq!(
+            recorder.context_machines_since(t(0)),
+            vec![MachineId(0), MachineId(1), MachineId(2)]
+        );
+        assert!(recorder.context_machines_since(t(11)).is_empty());
         let capture = recorder.close_incident(t(11)).unwrap();
         assert_eq!(capture.machines_mentioned(), vec![MachineId(2)]);
     }

@@ -196,12 +196,10 @@ impl IncidentStore {
         &self.dossiers
     }
 
-    /// A shared handle to one stored dossier by sequence number.
+    /// A shared handle to one stored dossier by sequence number. O(1) for
+    /// the latest dossier, else a binary search (see [`IncidentStore::get`]).
     pub fn get_shared(&self, seq: u64) -> Option<Arc<IncidentDossier>> {
-        self.dossiers
-            .binary_search_by_key(&seq, |dossier| dossier.seq)
-            .ok()
-            .map(|index| Arc::clone(&self.dossiers[index]))
+        self.find(seq).map(Arc::clone)
     }
 
     /// Dossiers matching a query, in time order.
@@ -210,13 +208,25 @@ impl IncidentStore {
     }
 
     /// Looks up one incident by sequence number. The store is kept sorted by
-    /// seq (see [`IncidentStore::insert`]), so this is a binary search, not a
-    /// linear scan.
+    /// seq (see [`IncidentStore::insert`]), so this is O(1) for the latest
+    /// dossier — the one a job run just closed — and a binary search, not a
+    /// linear scan, for any other.
     pub fn get(&self, seq: u64) -> Option<&IncidentDossier> {
-        self.dossiers
-            .binary_search_by_key(&seq, |dossier| dossier.seq)
-            .ok()
-            .map(|index| self.dossiers[index].as_ref())
+        self.find(seq).map(Arc::as_ref)
+    }
+
+    /// The stored dossier with sequence number `seq`: the last one is checked
+    /// first, since a job run appends in seq order and looks up the dossier
+    /// it just closed.
+    fn find(&self, seq: u64) -> Option<&Arc<IncidentDossier>> {
+        match self.dossiers.last() {
+            Some(last) if last.seq == seq => Some(last),
+            _ => self
+                .dossiers
+                .binary_search_by_key(&seq, |dossier| dossier.seq)
+                .ok()
+                .map(|index| &self.dossiers[index]),
+        }
     }
 
     /// Generates the postmortem for one stored incident.
@@ -648,6 +658,43 @@ mod tests {
         let seqs: Vec<u64> = store.all().iter().map(|d| d.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4, 4, 4, 5, 7, 9]);
         assert_eq!(store.get(5).map(|d| d.seq), Some(5));
+    }
+
+    #[test]
+    fn lookups_after_an_out_of_order_shared_insert() {
+        let make = |seq| {
+            Arc::new(dossier(
+                seq,
+                seq,
+                FaultKind::CudaError,
+                ResolutionMechanism::Reattempt,
+                vec![],
+            ))
+        };
+        let shared: Vec<Arc<IncidentDossier>> = [1, 2, 4, 6, 3].into_iter().map(make).collect();
+        let mut store = IncidentStore::new();
+        for dossier in &shared {
+            store.insert_shared(Arc::clone(dossier));
+        }
+        // Seq 3 went in below the last seq, so the latest dossier (6) is
+        // still at the end and every seq is found, pointing at the
+        // allocation that was inserted.
+        assert_eq!(store.all().last().map(|d| d.seq), Some(6));
+        for dossier in &shared {
+            let found = store.get_shared(dossier.seq).expect("stored seq");
+            assert!(Arc::ptr_eq(&found, dossier), "seq {}", dossier.seq);
+            assert!(std::ptr::eq(
+                store.get(dossier.seq).expect("stored seq"),
+                dossier.as_ref()
+            ));
+        }
+        let last = store.get_shared(6).expect("last seq");
+        assert!(Arc::ptr_eq(&last, store.all().last().expect("non-empty")));
+        for missing in [0, 5, 7] {
+            assert!(store.get(missing).is_none(), "seq {missing}");
+            assert!(store.get_shared(missing).is_none(), "seq {missing}");
+        }
+        assert!(IncidentStore::new().get_shared(1).is_none());
     }
 
     #[test]

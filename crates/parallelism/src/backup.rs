@@ -87,18 +87,24 @@ impl BackupAssignment {
     /// tensor-parallel groups (`tp` divides `gpus_per_machine`) and never
     /// straddles a pipeline-stage boundary (`gpus_per_machine` divides
     /// `tp * dp`). All of Table 5 and Figs. 7/9 satisfy both conditions.
+    ///
+    /// Cost: O(evicted × GPUs per machine) — only the ranks on evicted
+    /// machines are visited, so an empty eviction set is O(1). Ids at or
+    /// beyond the job's machine count (activated standbys) host no rank and
+    /// are skipped.
     pub fn survives_eviction(
         &self,
         topology: &ParallelTopology,
         evicted_machines: &[MachineId],
     ) -> bool {
         let mapping = topology.mapping();
-        let evicted: std::collections::HashSet<MachineId> =
-            evicted_machines.iter().copied().collect();
-        for rank in mapping.all_ranks() {
-            if evicted.contains(&mapping.machine_of(rank)) {
-                let peer = self.backup_peer(rank);
-                if evicted.contains(&mapping.machine_of(peer)) {
+        for &machine in evicted_machines {
+            if machine.index() >= mapping.machine_count() {
+                continue;
+            }
+            for rank in mapping.ranks_on_machine(machine) {
+                let peer_machine = mapping.machine_of(self.backup_peer(rank));
+                if evicted_machines.contains(&peer_machine) {
                     return false;
                 }
             }
@@ -112,6 +118,108 @@ mod tests {
     use super::*;
     use crate::config::ParallelismConfig;
     use crate::groups::GroupKind;
+
+    /// The full-rank scan `survives_eviction` used to run: every rank of the
+    /// job against a hash set of the evicted machines. Kept as the oracle
+    /// the per-evicted-machine walk must agree with.
+    fn survives_eviction_full_scan(
+        assignment: &BackupAssignment,
+        topology: &ParallelTopology,
+        evicted_machines: &[MachineId],
+    ) -> bool {
+        let mapping = topology.mapping();
+        let evicted: std::collections::HashSet<MachineId> =
+            evicted_machines.iter().copied().collect();
+        for rank in mapping.all_ranks() {
+            if evicted.contains(&mapping.machine_of(rank)) {
+                let peer = assignment.backup_peer(rank);
+                if evicted.contains(&mapping.machine_of(peer)) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// SplitMix64: a seeded stream for the oracle test's eviction sets.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn evicted_machine_walk_agrees_with_full_rank_scan() {
+        for cfg in [
+            // `JobSpec::small_test`'s layout.
+            ParallelismConfig::new_3d(2, 4, 16, 8),
+            ParallelismConfig::table5_70b_small(),
+            // The mega drill's 64-machine jobs.
+            ParallelismConfig::new_3d(2, 4, 64, 8),
+            ParallelismConfig::fig9_example(),
+        ] {
+            let topo = ParallelTopology::new(cfg);
+            let assignment = BackupAssignment::compute(&topo);
+            let mapping = topo.mapping();
+            let count = mapping.machine_count();
+            let peer_machines = |machine: MachineId| -> Vec<MachineId> {
+                mapping
+                    .ranks_on_machine(machine)
+                    .into_iter()
+                    .map(|rank| mapping.machine_of(assignment.backup_peer(rank)))
+                    .collect()
+            };
+
+            let mut sets: Vec<Vec<MachineId>> = vec![Vec::new()];
+            for m in 0..count {
+                let machine = MachineId(m as u32);
+                sets.push(vec![machine]);
+                let mut with_peers = vec![machine];
+                with_peers.extend(peer_machines(machine));
+                sets.push(with_peers);
+            }
+            for kind in GroupKind::DENSE {
+                for group in topo.all_groups(kind) {
+                    sets.push(topo.machines_of_group(&group));
+                }
+            }
+            let mut state = 0x5EED ^ count as u64;
+            for _ in 0..200 {
+                let len = 1 + (splitmix(&mut state) % 6) as usize;
+                let mut set: Vec<MachineId> = (0..len)
+                    // Ids up to twice the machine count: about half name an
+                    // activated standby, which hosts no rank.
+                    .map(|_| MachineId((splitmix(&mut state) % (2 * count as u64)) as u32))
+                    .collect();
+                // Duplicates, and a standby id beside a real machine.
+                set.push(set[0]);
+                set.push(MachineId((count + len) as u32));
+                if splitmix(&mut state).is_multiple_of(2) {
+                    let machine = MachineId((splitmix(&mut state) % count as u64) as u32);
+                    set.push(machine);
+                    set.extend(peer_machines(machine));
+                }
+                sets.push(set);
+            }
+
+            let mut outcomes = [0usize; 2];
+            for set in &sets {
+                let expected = survives_eviction_full_scan(&assignment, &topo, set);
+                assert_eq!(
+                    assignment.survives_eviction(&topo, set),
+                    expected,
+                    "cfg: {cfg:?}, evicted: {set:?}"
+                );
+                outcomes[usize::from(expected)] += 1;
+            }
+            assert!(
+                outcomes[0] > 0 && outcomes[1] > 0,
+                "cfg {cfg:?}: both verdicts must be exercised, got {outcomes:?}"
+            );
+        }
+    }
 
     #[test]
     fn fig9_property_no_shared_groups() {
