@@ -104,13 +104,13 @@ fn synthetic_dossier(event: &FaultEvent) -> IncidentDossier {
         concluded_cause: event.root_cause,
         mechanism: ResolutionMechanism::Reattempt,
         cost: Default::default(),
-        evicted: Vec::new(),
+        evicted: Box::default(),
         over_evicted: false,
         resumed_step: 0,
         classification: Classification {
             severity: Severity::Sev4,
             rec_code: "REC-SYNTHETIC",
-            escalations: Vec::new(),
+            escalations: Box::default(),
         },
         capture: IncidentCapture::empty(event.seq, event.kind, event.at),
     }
@@ -1163,7 +1163,7 @@ pub fn obs_panel() -> (String, ObsStats) {
                 job.label, dossier.seq
             );
             assert_eq!(
-                chain.evicted, dossier.evicted,
+                *chain.evicted, *dossier.evicted,
                 "{}#{}: trace-reconstructed eviction set",
                 job.label, dossier.seq
             );

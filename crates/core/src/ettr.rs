@@ -8,10 +8,11 @@
 use byterobust_incident::codec::{CodecError, Decode, Encode, JsonValue};
 use byterobust_sim::{SimDuration, SimTime};
 
-/// One recorded segment of job time.
+/// One recorded segment of job time. Segments are contiguous (each starts
+/// where the previous one ended), so a segment stores no start time: readers
+/// rederive starts by prefix sum, and the tracker keeps the running end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Segment {
-    start: SimTime,
     duration: SimDuration,
     productive: bool,
 }
@@ -20,12 +21,13 @@ struct Segment {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EttrTracker {
     segments: Vec<Segment>,
+    /// End of the last segment (the sum of every duration).
+    end: SimTime,
 }
 
 impl Encode for EttrTracker {
-    /// Segments are contiguous by construction (each starts where the
-    /// previous one ended), so the wire form carries only `(duration,
-    /// productive)` pairs; start times are rederived on decode.
+    /// The wire form is the segment list itself, `(duration, productive)`
+    /// pairs; decode replays them to rederive the running end.
     fn encode(&self) -> JsonValue {
         JsonValue::Array(
             self.segments
@@ -73,22 +75,27 @@ impl EttrTracker {
 
     /// Current end of the recorded timeline.
     pub fn now(&self) -> SimTime {
-        self.segments
-            .last()
-            .map(|s| s.start + s.duration)
-            .unwrap_or(SimTime::ZERO)
+        self.end
     }
 
     fn push(&mut self, duration: SimDuration, productive: bool) {
         if duration.is_zero() {
             return;
         }
-        let start = self.now();
+        self.end += duration;
         self.segments.push(Segment {
-            start,
             duration,
             productive,
         });
+    }
+
+    /// Every segment with its start time, rederived by prefix sum.
+    fn timeline(&self) -> impl Iterator<Item = (SimTime, &Segment)> + '_ {
+        self.segments.iter().scan(SimTime::ZERO, |start, segment| {
+            let at = *start;
+            *start += segment.duration;
+            Some((at, segment))
+        })
     }
 
     /// Records a stretch of productive training.
@@ -140,9 +147,9 @@ impl EttrTracker {
         };
         let mut productive = 0u64;
         let mut total = 0u64;
-        for seg in &self.segments {
-            let seg_end = seg.start + seg.duration;
-            let overlap_start = seg.start.max(window_start);
+        for (start, seg) in self.timeline() {
+            let seg_end = start + seg.duration;
+            let overlap_start = start.max(window_start);
             let overlap_end = seg_end.min(at);
             if overlap_end > overlap_start {
                 let overlap = overlap_end.since(overlap_start).as_millis();
@@ -192,11 +199,11 @@ impl EttrTracker {
     fn cumulative_up_to(&self, at: SimTime) -> f64 {
         let mut productive = 0u64;
         let mut total = 0u64;
-        for seg in &self.segments {
-            let seg_end = seg.start + seg.duration;
+        for (start, seg) in self.timeline() {
+            let seg_end = start + seg.duration;
             let overlap_end = seg_end.min(at);
-            if overlap_end > seg.start {
-                let overlap = overlap_end.since(seg.start).as_millis();
+            if overlap_end > start {
+                let overlap = overlap_end.since(start).as_millis();
                 total += overlap;
                 if seg.productive {
                     productive += overlap;
@@ -288,6 +295,173 @@ mod tests {
         t.record_unproductive(SimDuration::ZERO);
         assert_eq!(t.total_time(), SimDuration::ZERO);
         assert_eq!(t.cumulative_ettr(), 1.0);
+    }
+
+    /// ETTR segments are kept for the whole run (about two million on the
+    /// mega drill). If this trips, keep the start out of the segment.
+    #[test]
+    fn segments_stay_compact() {
+        assert!(std::mem::size_of::<Segment>() <= 16);
+    }
+
+    /// The tracker as it was when every segment carried its start time: the
+    /// reference the start-free tracker must match bit for bit.
+    #[derive(Default)]
+    struct StartCarryingTracker {
+        segments: Vec<(SimTime, SimDuration, bool)>,
+    }
+
+    impl StartCarryingTracker {
+        fn now(&self) -> SimTime {
+            self.segments
+                .last()
+                .map(|&(start, duration, _)| start + duration)
+                .unwrap_or(SimTime::ZERO)
+        }
+
+        fn push(&mut self, duration: SimDuration, productive: bool) {
+            if duration.is_zero() {
+                return;
+            }
+            let start = self.now();
+            self.segments.push((start, duration, productive));
+        }
+
+        fn sliding_ettr(&self, at: SimTime, window: SimDuration) -> f64 {
+            let window_start = if at.as_millis() > window.as_millis() {
+                at - window
+            } else {
+                SimTime::ZERO
+            };
+            let mut productive = 0u64;
+            let mut total = 0u64;
+            for &(start, duration, is_productive) in &self.segments {
+                let overlap_start = start.max(window_start);
+                let overlap_end = (start + duration).min(at);
+                if overlap_end > overlap_start {
+                    let overlap = overlap_end.since(overlap_start).as_millis();
+                    total += overlap;
+                    if is_productive {
+                        productive += overlap;
+                    }
+                }
+            }
+            if total == 0 {
+                1.0
+            } else {
+                productive as f64 / total as f64
+            }
+        }
+
+        fn cumulative_up_to(&self, at: SimTime) -> f64 {
+            let mut productive = 0u64;
+            let mut total = 0u64;
+            for &(start, duration, is_productive) in &self.segments {
+                let overlap_end = (start + duration).min(at);
+                if overlap_end > start {
+                    let overlap = overlap_end.since(start).as_millis();
+                    total += overlap;
+                    if is_productive {
+                        productive += overlap;
+                    }
+                }
+            }
+            if total == 0 {
+                1.0
+            } else {
+                productive as f64 / total as f64
+            }
+        }
+
+        fn series(&self, points: usize, f: impl Fn(SimTime) -> f64) -> Vec<(SimTime, u64)> {
+            let end = self.now();
+            if points == 0 || end == SimTime::ZERO {
+                return Vec::new();
+            }
+            (1..=points)
+                .map(|i| {
+                    let at = SimTime::from_millis(end.as_millis() * i as u64 / points as u64);
+                    (at, f(at).to_bits())
+                })
+                .collect()
+        }
+
+        fn longest_unproductive(&self) -> SimDuration {
+            self.segments
+                .iter()
+                .filter(|&&(_, _, productive)| !productive)
+                .map(|&(_, duration, _)| duration)
+                .max()
+                .unwrap_or(SimDuration::ZERO)
+        }
+    }
+
+    fn bits(series: Vec<(SimTime, f64)>) -> Vec<(SimTime, u64)> {
+        series
+            .into_iter()
+            .map(|(at, v)| (at, v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn start_free_segments_match_the_start_carrying_reference() {
+        use byterobust_incident::codec::{from_json, to_json};
+        use byterobust_sim::SimRng;
+
+        let window = SimDuration::from_hours(1);
+        for seed in 0..40u64 {
+            let mut rng = SimRng::new(seed);
+            let mut tracker = EttrTracker::new();
+            let mut reference = StartCarryingTracker::default();
+            for _ in 0..rng.range_u64(0, 60) {
+                // One push in four is zero-length, which both must drop.
+                let duration = if rng.chance(0.25) {
+                    SimDuration::ZERO
+                } else {
+                    SimDuration::from_millis(rng.range_u64(1, 4 * 3_600_000))
+                };
+                let productive = rng.chance(0.6);
+                if productive {
+                    tracker.record_productive(duration);
+                } else {
+                    tracker.record_unproductive(duration);
+                }
+                reference.push(duration, productive);
+            }
+            assert_eq!(tracker.now(), reference.now(), "seed {seed}");
+            assert_eq!(
+                tracker.longest_unproductive(),
+                reference.longest_unproductive(),
+                "seed {seed}"
+            );
+            let end = reference.now().as_millis();
+            for _ in 0..50 {
+                let at = SimTime::from_millis(rng.range_u64(0, end + 7_200_000));
+                let window = SimDuration::from_millis(rng.range_u64(0, 3 * 3_600_000));
+                assert_eq!(
+                    tracker.sliding_ettr(at, window).to_bits(),
+                    reference.sliding_ettr(at, window).to_bits(),
+                    "seed {seed}, at {at}, window {window}"
+                );
+            }
+            for points in [0, 1, 7, 50] {
+                assert_eq!(
+                    bits(tracker.cumulative_series(points)),
+                    reference.series(points, |at| reference.cumulative_up_to(at)),
+                    "seed {seed}, {points} points"
+                );
+                assert_eq!(
+                    bits(tracker.sliding_series(points, window)),
+                    reference.series(points, |at| reference.sliding_ettr(at, window)),
+                    "seed {seed}, {points} points"
+                );
+            }
+            let exported = to_json(&tracker);
+            let imported: EttrTracker = from_json(&exported).expect("export decodes");
+            assert_eq!(imported, tracker, "seed {seed}");
+            assert_eq!(imported.now(), reference.now(), "seed {seed}");
+            assert_eq!(to_json(&imported), exported, "seed {seed}");
+        }
     }
 
     #[test]

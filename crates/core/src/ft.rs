@@ -322,7 +322,7 @@ impl RobustController {
                             now + cost.total(),
                             RecorderEvent::MonitorVerdict {
                                 machine: finding.machine,
-                                issue: format!("{:?}", finding.issue),
+                                issue: format!("{:?}", finding.issue).into(),
                             },
                         );
                     }
@@ -337,7 +337,7 @@ impl RobustController {
                             now + cost.total(),
                             RecorderEvent::MonitorVerdict {
                                 machine: culprit,
-                                issue: fault.kind.symptom_name().to_string(),
+                                issue: fault.kind.symptom_name().into(),
                             },
                         );
                     }
@@ -358,8 +358,7 @@ impl RobustController {
                                 now + cost.total(),
                                 RecorderEvent::MonitorVerdict {
                                     machine,
-                                    issue: "repeat offender (cross-job incident history)"
-                                        .to_string(),
+                                    issue: "repeat offender (cross-job incident history)".into(),
                                 },
                             );
                         }
@@ -418,7 +417,7 @@ impl RobustController {
                 self.recorder.record(
                     now + cost.total(),
                     RecorderEvent::ReplayVerdict {
-                        suspects: outcome.suspects.clone(),
+                        suspects: outcome.suspects.as_slice().into(),
                         duration: outcome.duration,
                     },
                 );
@@ -569,8 +568,8 @@ impl RobustController {
             self.recorder.record(
                 now + cost.total(),
                 RecorderEvent::AnalyzerDecision {
-                    machines: decision.machines.clone(),
-                    shared_group: decision.shared_group.map(|group| format!("{group:?}")),
+                    machines: decision.machines.as_slice().into(),
+                    shared_group: decision.shared_group,
                     outlier_ranks: decision.outlier_ranks.len(),
                     over_evicts: decision.over_evicts,
                 },
@@ -608,7 +607,7 @@ impl RobustController {
             now + cost.total(),
             RecorderEvent::DiagnosisDecision {
                 conclusion: outcome.conclusion,
-                suspects: outcome.suspects.clone(),
+                suspects: outcome.suspects.as_slice().into(),
                 duration: outcome.duration,
             },
         );

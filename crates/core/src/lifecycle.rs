@@ -313,7 +313,7 @@ impl JobExecution {
             concluded_cause: outcome.concluded_cause,
             mechanism: outcome.mechanism,
             cost: outcome.cost,
-            evicted: outcome.evicted.clone(),
+            evicted: outcome.evicted.into(),
             over_evicted: outcome.over_evicted,
             resumed_step: outcome.resumed_step,
             classification,

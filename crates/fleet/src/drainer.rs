@@ -221,7 +221,7 @@ mod tests {
             concluded_cause: RootCause::Infrastructure,
             mechanism: ResolutionMechanism::AnalyzerEviction,
             cost,
-            evicted,
+            evicted: evicted.into(),
             over_evicted: true,
             resumed_step: 500,
             classification,

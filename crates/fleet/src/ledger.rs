@@ -123,7 +123,7 @@ mod tests {
             concluded_cause: RootCause::Infrastructure,
             mechanism: ResolutionMechanism::ImmediateEviction,
             cost,
-            evicted,
+            evicted: evicted.into(),
             over_evicted: false,
             resumed_step: 0,
             classification,

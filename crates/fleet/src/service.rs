@@ -1214,7 +1214,7 @@ mod tests {
             concluded_cause: RootCause::Infrastructure,
             mechanism,
             cost,
-            evicted,
+            evicted: evicted.into(),
             over_evicted: false,
             resumed_step: 100 * seq,
             classification,

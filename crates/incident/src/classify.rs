@@ -120,8 +120,9 @@ pub struct Classification {
     pub severity: Severity,
     /// Stable `REC-*` code naming the matrix row that fired.
     pub rec_code: &'static str,
-    /// Escalations to follow up on, most urgent first, deduplicated.
-    pub escalations: Vec<Escalation>,
+    /// Escalations to follow up on, most urgent first, deduplicated. Most
+    /// incidents have none, so a boxed slice: 16 bytes and no spare capacity.
+    pub escalations: Box<[Escalation]>,
 }
 
 /// The classification matrix with its escalation thresholds.
@@ -211,7 +212,7 @@ impl ClassificationMatrix {
         Classification {
             severity,
             rec_code,
-            escalations,
+            escalations: escalations.into(),
         }
     }
 }
@@ -273,7 +274,7 @@ mod tests {
         let class = matrix.classify(&input(ResolutionMechanism::ImmediateEviction, 1));
         assert_eq!(class.severity, Severity::Sev3);
         assert_eq!(class.rec_code, "REC-EV1");
-        assert_eq!(class.escalations, vec![Escalation::HardwareTicket]);
+        assert_eq!(*class.escalations, [Escalation::HardwareTicket]);
     }
 
     #[test]
@@ -334,7 +335,7 @@ mod tests {
         });
         assert_eq!(class.severity, Severity::Sev3);
         assert_eq!(class.rec_code, "REC-RB");
-        assert_eq!(class.escalations, vec![Escalation::CodeReviewAudit]);
+        assert_eq!(*class.escalations, [Escalation::CodeReviewAudit]);
     }
 
     #[test]

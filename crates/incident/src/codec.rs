@@ -37,16 +37,18 @@
 //! The impls still written by hand are the ones whose wire shape differs
 //! from the in-memory type:
 //!
-//! - primitives, `Vec`, `Arc<[T]>`, `Option`, `SimTime`, `SimDuration` and
-//!   `MachineId`: they are the leaves the macros build on;
+//! - primitives, `Vec`, `Arc<[T]>`, `Box<[T]>`, `Box<str>`, `Option`,
+//!   `SimTime`, `SimDuration` and `MachineId`: they are the leaves the
+//!   macros build on (a boxed slice travels exactly as a `Vec`, a boxed str
+//!   exactly as a `String`);
 //! - tagged enums (`RecorderEvent`, `Detector`, `FleetQuery`,
 //!   `QueryResponse`): a `type` or `arm` tag selects the payload;
 //! - `Classification`: `rec_code` is a `&'static str` that decodes back onto
 //!   the canonical `REC-*` constant;
 //! - `IncidentStore`: it holds shared dossiers and re-indexes them on decode;
 //! - `HistogramSnapshot`: decode checks the bucket count;
-//! - `EttrTracker`: segments travel without their start times, which decode
-//!   rederives;
+//! - `EttrTracker`: it travels as a bare array of `(duration, productive)`
+//!   segments, and decode rederives its running end;
 //! - `WarehouseDigest`: its count pairs travel as named objects;
 //! - `AlertQuery`: absent optional fields decode as `None`.
 
@@ -55,6 +57,7 @@ use std::sync::Arc;
 
 use byterobust_agent::DiagnosisConclusion;
 use byterobust_cluster::{FaultCategory, FaultKind, MachineId, RootCause};
+use byterobust_parallelism::GroupKind;
 use byterobust_recovery::FailoverCost;
 use byterobust_sim::{SimDuration, SimTime};
 use byterobust_telemetry::{EventKind, SystemEvent};
@@ -834,6 +837,18 @@ impl Decode for String {
     }
 }
 
+impl Encode for Box<str> {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Str(self.to_string())
+    }
+}
+
+impl Decode for Box<str> {
+    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
+        Ok(value.as_str()?.into())
+    }
+}
+
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self) -> JsonValue {
         JsonValue::Array(self.iter().map(Encode::encode).collect())
@@ -865,6 +880,18 @@ impl<T: Encode> Encode for Arc<[T]> {
 impl<T: Decode> Decode for Arc<[T]> {
     fn decode(value: &JsonValue) -> Result<Self, CodecError> {
         Vec::decode(value).map(Arc::from)
+    }
+}
+
+impl<T: Encode> Encode for Box<[T]> {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Array(self.iter().map(Encode::encode).collect())
+    }
+}
+
+impl<T: Decode> Decode for Box<[T]> {
+    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
+        Vec::decode(value).map(Vec::into_boxed_slice)
     }
 }
 
@@ -1087,6 +1114,14 @@ string_enum_codec!(Escalation {
     StressTestSweep,
     CodeReviewAudit,
     CapacityReview,
+});
+// The variant names are the `Debug` names, which is how an analyzer
+// decision's shared group has always been written.
+string_enum_codec!(GroupKind {
+    Tensor,
+    Pipeline,
+    Data,
+    Expert,
 });
 string_enum_codec!(RecoveryPhase {
     Detection,
@@ -1436,13 +1471,16 @@ mod tests {
             concluded_cause: RootCause::Transient,
             mechanism: ResolutionMechanism::AnalyzerEviction,
             cost,
-            evicted: vec![MachineId(7), MachineId(9)],
+            evicted: Box::new([MachineId(7), MachineId(9)]),
             over_evicted: true,
             resumed_step: 4321,
             classification,
             capture,
         }
     }
+
+    /// A monitor issue that exercises escaping and multi-byte UTF-8.
+    const NON_ASCII_ISSUE: &str = "GPU \"fell\" off the bus\n\ttab & non-ASCII: héllo 中文 🚂";
 
     /// One instance of every `RecorderEvent` variant, including
     /// `CapacityStarvation`, with payloads that exercise every field.
@@ -1459,27 +1497,27 @@ mod tests {
             },
             RecorderEvent::MonitorVerdict {
                 machine: MachineId(5),
-                issue: "GPU \"fell\" off the bus\n\ttab & non-ASCII: héllo 中文 🚂".to_string(),
+                issue: NON_ASCII_ISSUE.into(),
             },
             RecorderEvent::DiagnosisDecision {
                 conclusion: DiagnosisConclusion::FaultyMachines,
-                suspects: vec![MachineId(1), MachineId(2)],
+                suspects: Box::new([MachineId(1), MachineId(2)]),
                 duration: SimDuration::from_mins(8),
             },
             RecorderEvent::AnalyzerDecision {
-                machines: vec![MachineId(4), MachineId(6)],
-                shared_group: Some("PP".to_string()),
+                machines: Box::new([MachineId(4), MachineId(6)]),
+                shared_group: Some(GroupKind::Pipeline),
                 outlier_ranks: 3,
                 over_evicts: true,
             },
             RecorderEvent::AnalyzerDecision {
-                machines: vec![],
+                machines: Box::new([]),
                 shared_group: None,
                 outlier_ranks: 0,
                 over_evicts: false,
             },
             RecorderEvent::ReplayVerdict {
-                suspects: vec![MachineId(11)],
+                suspects: Box::new([MachineId(11)]),
                 duration: SimDuration::from_mins(30),
             },
             RecorderEvent::PhaseTransition {
@@ -1528,6 +1566,63 @@ mod tests {
         for event in &events {
             roundtrip(event);
         }
+    }
+
+    #[test]
+    fn every_group_kind_round_trips_through_an_analyzer_decision() {
+        for group in [
+            GroupKind::Tensor,
+            GroupKind::Pipeline,
+            GroupKind::Data,
+            GroupKind::Expert,
+        ] {
+            let event = RecorderEvent::AnalyzerDecision {
+                machines: Box::new([MachineId(1)]),
+                shared_group: Some(group),
+                outlier_ranks: 1,
+                over_evicts: false,
+            };
+            roundtrip(&event);
+            // The wire name is the `Debug` name every earlier build wrote.
+            assert!(to_json(&event).contains(&format!("\"shared_group\":\"{group:?}\"")));
+        }
+    }
+
+    #[test]
+    fn an_unknown_shared_group_is_a_positioned_error() {
+        let mut store = IncidentStore::new();
+        store.insert(sample_dossier(1));
+        let good = store.export_json();
+        let needle = "\"shared_group\":\"Pipeline\"";
+        assert!(good.contains(needle));
+        let bad = good.replacen(needle, "\"shared_group\":\"PP\"", 1);
+        let err = IncidentStore::import_json(&bad).expect_err("unknown group must fail");
+        let ErrorPosition::Path(path) = &err.at else {
+            panic!("expected a path-positioned error, got {err}");
+        };
+        assert!(path.ends_with("shared_group"), "{path}");
+        assert!(err.message.contains("`PP`"), "{err}");
+    }
+
+    #[test]
+    fn boxed_payloads_travel_exactly_as_vec_and_string() {
+        let boxed: Box<str> = NON_ASCII_ISSUE.into();
+        roundtrip(&boxed);
+        assert_eq!(to_json(&boxed), to_json(&NON_ASCII_ISSUE.to_string()));
+        let event = RecorderEvent::MonitorVerdict {
+            machine: MachineId(5),
+            issue: NON_ASCII_ISSUE.into(),
+        };
+        let text = to_json(&event);
+        let RecorderEvent::MonitorVerdict { issue, .. } = from_json(&text).expect("decodes") else {
+            panic!("decoded a different variant from {text}");
+        };
+        assert_eq!(issue.as_bytes(), NON_ASCII_ISSUE.as_bytes());
+
+        let machines: Box<[MachineId]> = Box::new([MachineId(4), MachineId(6)]);
+        roundtrip(&machines);
+        assert_eq!(to_json(&machines), to_json(&machines.to_vec()));
+        roundtrip(&Box::<[MachineId]>::default());
     }
 
     #[test]

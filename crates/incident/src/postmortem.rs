@@ -156,7 +156,7 @@ impl Postmortem {
             timeline,
             phase_costs: PhaseCost::breakdown(&dossier.cost),
             total_cost: dossier.cost.total(),
-            evicted: dossier.evicted.clone(),
+            evicted: dossier.evicted.to_vec(),
             over_evicted: dossier.over_evicted,
             resumed_step: dossier.resumed_step,
             follow_ups,
@@ -305,7 +305,7 @@ mod tests {
             concluded_cause: RootCause::Infrastructure,
             mechanism: ResolutionMechanism::StopTimeEviction,
             cost,
-            evicted: vec![MachineId(7)],
+            evicted: Box::new([MachineId(7)]),
             over_evicted: false,
             resumed_step: 1234,
             classification,

@@ -18,6 +18,19 @@
 //! same stale entries. Window entries accumulate in one buffer per
 //! recorder, reused across incidents, and close copies them out exactly
 //! sized.
+//!
+//! # Compact layout
+//!
+//! A long run keeps every window it ever closed (about six entries per
+//! incident, a million incidents on the mega drill), so an entry holds its
+//! payload and nothing more. The common events — phase transitions,
+//! detections, hot updates, resumes — carry a few bytes each, and the rare
+//! variants with variable-length payloads box them: machine lists are
+//! `Box<[MachineId]>`, the monitor's issue text is a `Box<str>`, and the
+//! analyzer's shared group is a `GroupKind`, not its rendered name. That
+//! keeps [`RecorderEvent`] at 32 bytes and [`RecorderEntry`] at 40; the
+//! `incident_records_stay_compact` test guards both sizes, and the
+//! dossier's.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -25,6 +38,7 @@ use std::sync::Arc;
 
 use byterobust_agent::DiagnosisConclusion;
 use byterobust_cluster::{FaultKind, MachineId};
+use byterobust_parallelism::GroupKind;
 use byterobust_sim::{SimDuration, SimTime};
 use byterobust_telemetry::{EventKind, SystemEvent};
 
@@ -71,6 +85,9 @@ impl RecoveryPhase {
 }
 
 /// One event captured by the flight recorder.
+///
+/// Kept at 32 bytes: a variant whose payload would exceed 24 bytes boxes it
+/// (see the module's compact-layout notes).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecorderEvent {
     /// A raw system event surfaced by the telemetry tap.
@@ -87,23 +104,23 @@ pub enum RecorderEvent {
         /// Machine implicated.
         machine: MachineId,
         /// Health issue observed, rendered for the record.
-        issue: String,
+        issue: Box<str>,
     },
     /// The stop-time diagnoser reached a conclusion.
     DiagnosisDecision {
         /// The conclusion of the hierarchical test suites.
         conclusion: DiagnosisConclusion,
         /// Machines implicated (empty unless faulty machines were found).
-        suspects: Vec<MachineId>,
+        suspects: Box<[MachineId]>,
         /// How long the stop-time checks took.
         duration: SimDuration,
     },
     /// The Runtime Analyzer's aggregation analysis produced a decision.
     AnalyzerDecision {
         /// Machines in the over-evicted parallel group.
-        machines: Vec<MachineId>,
-        /// The shared parallel-group kind, rendered (e.g. "PP"), if any.
-        shared_group: Option<String>,
+        machines: Box<[MachineId]>,
+        /// The kind of parallel group the outliers share, if any.
+        shared_group: Option<GroupKind>,
         /// Number of outlier ranks the aggregation flagged.
         outlier_ranks: usize,
         /// Whether the decision knowingly over-evicts healthy machines.
@@ -112,7 +129,7 @@ pub enum RecorderEvent {
     /// Dual-phase replay isolated a suspect set.
     ReplayVerdict {
         /// The suspect machines replay converged on.
-        suspects: Vec<MachineId>,
+        suspects: Box<[MachineId]>,
         /// How long the replay took.
         duration: SimDuration,
     },
@@ -206,8 +223,15 @@ impl fmt::Display for RecorderEvent {
             } => {
                 write!(
                     f,
-                    "aggregation analysis: {outlier_ranks} outlier rank(s) -> {} group {machines:?}{}",
-                    shared_group.as_deref().unwrap_or("?"),
+                    "aggregation analysis: {outlier_ranks} outlier rank(s) -> "
+                )?;
+                match shared_group {
+                    Some(group) => write!(f, "{group:?}")?,
+                    None => f.write_str("?")?,
+                }
+                write!(
+                    f,
+                    " group {machines:?}{}",
                     if *over_evicts { " (over-eviction)" } else { "" }
                 )
             }
@@ -311,33 +335,34 @@ impl IncidentCapture {
         }
     }
 
-    /// All machines mentioned in the capture: the incident window, plus the
-    /// context entries recorded at or after the incident opened. The latter
-    /// matters because the telemetry tap fires at fault time, just before the
-    /// window opens — for a transient fault resolved by reattempt that
-    /// signature is the *only* place the culprit machine is named. Older
-    /// context entries are ring carryover from previous incidents and are
-    /// deliberately excluded.
-    pub fn machines_mentioned(&self) -> Vec<MachineId> {
-        let mut machines = Vec::new();
-        self.machines_mentioned_into(&mut machines);
-        machines.sort();
-        machines.dedup();
-        machines
+    /// Appends every machine mentioned in the capture to `out`: the
+    /// incident window, plus the context entries recorded at or after the
+    /// incident opened. The latter matters because the telemetry tap fires at
+    /// fault time, just before the window opens — for a transient fault
+    /// resolved by reattempt that signature is the *only* place the culprit
+    /// machine is named. Older context entries are ring carryover from
+    /// previous incidents and are deliberately excluded. Order and duplicates
+    /// follow the capture's entries; callers on per-incident hot paths reuse
+    /// one scratch buffer and sort/dedup themselves.
+    pub fn machines_mentioned_into(&self, out: &mut Vec<MachineId>) {
+        out.extend(self.mentioned());
     }
 
-    /// Appends every mentioned machine to `out` without allocating (callers
-    /// on per-incident hot paths reuse one scratch buffer and sort/dedup
-    /// themselves). Order and duplicates follow the capture's entries.
-    pub fn machines_mentioned_into(&self, out: &mut Vec<MachineId>) {
-        out.extend(
-            self.context
-                .iter()
-                .filter(|entry| entry.at >= self.opened_at)
-                .chain(self.window.iter())
-                .flat_map(|entry| entry.event.machines_ref())
-                .copied(),
-        );
+    /// Whether the capture mentions `machine`, by the rules of
+    /// [`IncidentCapture::machines_mentioned_into`]; stops at the first
+    /// mention and allocates nothing.
+    pub fn mentions_machine(&self, machine: MachineId) -> bool {
+        self.mentioned().any(|mentioned| mentioned == machine)
+    }
+
+    /// Every mentioned machine in entry order, duplicates included.
+    fn mentioned(&self) -> impl Iterator<Item = MachineId> + '_ {
+        self.context
+            .iter()
+            .filter(|entry| entry.at >= self.opened_at)
+            .chain(self.window.iter())
+            .flat_map(|entry| entry.event.machines_ref())
+            .copied()
     }
 }
 
@@ -521,6 +546,15 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    /// The capture's mentioned machines, sorted and deduplicated.
+    fn mentioned(capture: &IncidentCapture) -> Vec<MachineId> {
+        let mut machines = Vec::new();
+        capture.machines_mentioned_into(&mut machines);
+        machines.sort();
+        machines.dedup();
+        machines
+    }
+
     fn telemetry_event(secs: u64, machine: u32) -> RecorderEvent {
         RecorderEvent::Telemetry(SystemEvent::new(
             t(secs),
@@ -582,7 +616,7 @@ mod tests {
         // Context telemetry (machines 3 and 4, recorded at t=3/t=4) predates
         // the open at t=10 — ring carryover from before this incident — so
         // only the window's eviction of machine 3 counts as a mention.
-        assert_eq!(capture.machines_mentioned(), vec![MachineId(3)]);
+        assert_eq!(mentioned(&capture), vec![MachineId(3)]);
         // The capture is frozen: further records do not touch it.
         recorder.record(t(13), telemetry_event(13, 9));
         assert_eq!(capture.window.len(), 2);
@@ -595,7 +629,7 @@ mod tests {
         // background ring and reaches the capture via the context snapshot.
         // For a transient fault resolved by reattempt (no evictions, no
         // window event naming the machine) it is the only mention of the
-        // culprit — it must survive into machines_mentioned().
+        // culprit — it must survive into the capture's mentions.
         let mut recorder = FlightRecorder::default();
         recorder.record(t(5), telemetry_event(5, 1)); // stale carryover
         recorder.record(t(7), telemetry_event(7, 0)); // stale carryover
@@ -618,7 +652,7 @@ mod tests {
         );
         assert!(recorder.context_machines_since(t(11)).is_empty());
         let capture = recorder.close_incident(t(11)).unwrap();
-        assert_eq!(capture.machines_mentioned(), vec![MachineId(2)]);
+        assert_eq!(mentioned(&capture), vec![MachineId(2)]);
     }
 
     #[test]
@@ -681,7 +715,7 @@ mod tests {
         assert_eq!(second.context.len(), 2);
         assert_eq!(second.context[1].at, t(4));
         assert_eq!(second.context[1].event, telemetry_event(4, 5));
-        assert_eq!(second.machines_mentioned(), vec![MachineId(5)]);
+        assert_eq!(mentioned(&second), vec![MachineId(5)]);
     }
 
     #[test]
@@ -717,6 +751,55 @@ mod tests {
             assert_eq!(&imported, capture);
             assert_eq!(to_json(&imported), exported);
         }
+    }
+
+    #[test]
+    fn analyzer_decisions_render_as_when_the_group_was_a_string() {
+        for (group, over_evicts) in [
+            (Some(GroupKind::Pipeline), true),
+            (Some(GroupKind::Expert), false),
+            (None, false),
+        ] {
+            let machines = vec![MachineId(4), MachineId(6)];
+            let event = RecorderEvent::AnalyzerDecision {
+                machines: machines.as_slice().into(),
+                shared_group: group,
+                outlier_ranks: 3,
+                over_evicts,
+            };
+            // The rendering from before the group was stored as a kind.
+            let rendered_group = group.map(|group| format!("{group:?}"));
+            let expected = format!(
+                "aggregation analysis: {} outlier rank(s) -> {} group {machines:?}{}",
+                3,
+                rendered_group.as_deref().unwrap_or("?"),
+                if over_evicts { " (over-eviction)" } else { "" }
+            );
+            assert_eq!(event.to_string(), expected);
+        }
+    }
+
+    /// A million retained windows make every byte of an entry count. If a
+    /// new variant trips this, box its payload (`Box<[T]>`, `Box<str>`)
+    /// instead of raising the bound.
+    #[test]
+    fn incident_records_stay_compact() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<RecorderEvent>() <= 32,
+            "{}",
+            size_of::<RecorderEvent>()
+        );
+        assert!(
+            size_of::<RecorderEntry>() <= 40,
+            "{}",
+            size_of::<RecorderEntry>()
+        );
+        assert!(
+            size_of::<crate::IncidentDossier>() <= 208,
+            "{}",
+            size_of::<crate::IncidentDossier>()
+        );
     }
 
     #[test]

@@ -53,8 +53,9 @@ pub struct IncidentDossier {
     pub mechanism: ResolutionMechanism,
     /// Unproductive-time breakdown.
     pub cost: FailoverCost,
-    /// Machines evicted while resolving it.
-    pub evicted: Vec<MachineId>,
+    /// Machines evicted while resolving it (almost always none, so a boxed
+    /// slice: 16 bytes and no spare capacity).
+    pub evicted: Box<[MachineId]>,
     /// Whether any eviction was an over-eviction.
     pub over_evicted: bool,
     /// The step training resumed from.
@@ -73,9 +74,10 @@ impl IncidentDossier {
     }
 
     /// Whether this incident touched the given machine — evicted it, or
-    /// mentioned it anywhere in the captured evidence.
+    /// mentioned it anywhere in the captured evidence. Short-circuits and
+    /// allocates nothing: it runs per dossier on every machine-predicate scan.
     pub fn involves_machine(&self, machine: MachineId) -> bool {
-        self.evicted.contains(&machine) || self.capture.machines_mentioned().contains(&machine)
+        self.evicted.contains(&machine) || self.capture.mentions_machine(machine)
     }
 }
 
@@ -384,7 +386,7 @@ mod tests {
             concluded_cause: RootCause::Infrastructure,
             mechanism,
             cost,
-            evicted,
+            evicted: evicted.into(),
             over_evicted: false,
             resumed_step: 100 * seq,
             classification,

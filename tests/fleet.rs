@@ -175,6 +175,42 @@ fn heap_scheduler_matches_oracle_on_the_large_drill() {
 }
 
 #[test]
+fn involves_machine_agrees_with_the_implicated_set_on_the_large_drill() {
+    // `involves_machine` short-circuits over the evicted list and the
+    // capture's mentions without building a set; the sorted, deduplicated
+    // implicated set (the warehouse machine index's semantics) is the
+    // reference, for every dossier and every machine id.
+    use byterobust::incident::filter::implicated_machines_into;
+
+    let runner = FleetRunner::new(FleetConfig::large_drill(), 20250916 + 41);
+    let machines = runner.config().total_machines() as u32;
+    let report = runner.run();
+    let snapshot = report.warehouse.snapshot();
+    let mut implicated = Vec::new();
+    let (mut dossiers, mut involved) = (0, 0);
+    for job in snapshot.jobs() {
+        let shard = report.warehouse.shard(job).expect("listed job has a shard");
+        for dossier in shard.all() {
+            implicated_machines_into(dossier, &mut implicated);
+            for id in 0..machines + 2 {
+                let machine = MachineId(id);
+                let expected = implicated.binary_search(&machine).is_ok();
+                assert_eq!(
+                    dossier.involves_machine(machine),
+                    expected,
+                    "{job}#{}: {machine}",
+                    dossier.seq
+                );
+                involved += usize::from(expected);
+            }
+            dossiers += 1;
+        }
+    }
+    assert_eq!(dossiers, report.warehouse.len());
+    assert!(involved > 0, "the drill implicates machines");
+}
+
+#[test]
 fn fleet_jobs_share_one_standby_pool_and_all_make_progress() {
     let report = drill();
     assert!(

@@ -185,7 +185,7 @@ fn trace_diagnose_reconstructs_every_incident_on_the_large_drill() {
                 job.label, dossier.seq
             );
             assert_eq!(
-                chain.evicted, dossier.evicted,
+                *chain.evicted, *dossier.evicted,
                 "{}#{}: reconstructed eviction set disagrees with the dossier",
                 job.label, dossier.seq
             );
