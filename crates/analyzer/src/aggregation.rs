@@ -53,21 +53,22 @@ impl AggregationResult {
     pub const DEFAULT_DOMINANCE_RATIO: f64 = 0.5;
 
     /// Aggregates a grouped capture with the default dominance ratio.
-    pub fn from_capture(capture: &StackCapture) -> Self {
+    pub fn from_capture(capture: StackCapture) -> Self {
         Self::from_capture_with_ratio(capture, Self::DEFAULT_DOMINANCE_RATIO)
     }
 
     /// Aggregates a grouped capture: each training-related (process,
-    /// template) group becomes one cluster, its fingerprint rendered once.
-    pub fn from_capture_with_ratio(capture: &StackCapture, dominance_ratio: f64) -> Self {
+    /// template) group becomes one cluster, its fingerprint rendered once
+    /// and its rank list moved in.
+    pub fn from_capture_with_ratio(capture: StackCapture, dominance_ratio: f64) -> Self {
         let clusters = capture
             .groups
-            .iter()
+            .into_iter()
             .filter(|group| ProcessTree::is_training_related(group.process))
             .map(|group| StackCluster {
                 process: group.process,
                 fingerprint: stacktrace::fingerprint(group.frames),
-                ranks: group.ranks.clone(),
+                ranks: group.ranks,
             })
             .collect();
         Self::from_clusters(clusters, dominance_ratio)
@@ -165,7 +166,7 @@ mod tests {
     #[test]
     fn healthy_job_has_no_outliers() {
         let rt = TrainingRuntime::new(JobSpec::small_test());
-        let result = AggregationResult::from_capture(&rt.capture());
+        let result = AggregationResult::from_capture(rt.capture());
         assert!(!result.has_outliers());
         assert!(result.outlier_ranks().is_empty());
         // One trainer cluster + one dataloader cluster + one ckpt cluster.
@@ -176,7 +177,7 @@ mod tests {
     fn hang_produces_outlier_clusters() {
         let mut rt = TrainingRuntime::new(JobSpec::small_test());
         rt.inject_hang(vec![MachineId(5)]);
-        let result = AggregationResult::from_capture(&rt.capture());
+        let result = AggregationResult::from_capture(rt.capture());
         assert!(result.has_outliers());
         let outliers = result.outlier_ranks();
         // The victim machine's ranks must be among the outliers.
@@ -198,7 +199,7 @@ mod tests {
         };
         let mut rt = TrainingRuntime::new(job);
         rt.inject_hang(vec![MachineId(15)]);
-        let result = AggregationResult::from_capture(&rt.capture());
+        let result = AggregationResult::from_capture(rt.capture());
         let trainer_clusters: Vec<&StackCluster> = result
             .clusters
             .iter()
@@ -234,9 +235,9 @@ mod tests {
         rt.inject_hang(vec![MachineId(2)]);
         let capture = rt.capture();
         // With a ratio of 0.0 every non-empty cluster is dominant → no outliers.
-        let lenient = AggregationResult::from_capture_with_ratio(&capture, 0.0);
+        let lenient = AggregationResult::from_capture_with_ratio(capture.clone(), 0.0);
         assert!(!lenient.has_outliers());
-        let strict = AggregationResult::from_capture_with_ratio(&capture, 0.5);
+        let strict = AggregationResult::from_capture_with_ratio(capture, 0.5);
         assert!(strict.has_outliers());
     }
 
@@ -244,7 +245,7 @@ mod tests {
     fn clusters_sorted_largest_first() {
         let mut rt = TrainingRuntime::new(JobSpec::small_test());
         rt.inject_hang(vec![MachineId(0)]);
-        let result = AggregationResult::from_capture(&rt.capture());
+        let result = AggregationResult::from_capture(rt.capture());
         for pair in result.clusters.windows(2) {
             assert!(pair[0].size() >= pair[1].size());
         }

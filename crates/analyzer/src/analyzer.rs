@@ -70,7 +70,7 @@ impl RuntimeAnalyzer {
     pub fn analyze_hang(
         &self,
         topology: &ParallelTopology,
-        capture: &StackCapture,
+        capture: StackCapture,
     ) -> AnalysisOutcome {
         let aggregation =
             AggregationResult::from_capture_with_ratio(capture, self.config.dominance_ratio);
@@ -90,7 +90,7 @@ impl RuntimeAnalyzer {
     pub fn analyze_fail_slow(
         &self,
         topology: &ParallelTopology,
-        capture: &StackCapture,
+        capture: StackCapture,
         rounds: usize,
     ) -> AnalysisOutcome {
         let aggregation =
@@ -124,7 +124,7 @@ mod tests {
         let victim = MachineId(7);
         rt.inject_hang(vec![victim]);
         let analyzer = RuntimeAnalyzer::new();
-        let outcome = analyzer.analyze_hang(rt.topology(), &rt.capture());
+        let outcome = analyzer.analyze_hang(rt.topology(), rt.capture());
         assert!(!outcome.decision.is_empty());
         assert!(
             outcome.decision.machines.contains(&victim),
@@ -139,7 +139,7 @@ mod tests {
     fn healthy_capture_evicts_nothing() {
         let rt = TrainingRuntime::new(JobSpec::small_test());
         let analyzer = RuntimeAnalyzer::new();
-        let outcome = analyzer.analyze_hang(rt.topology(), &rt.capture());
+        let outcome = analyzer.analyze_hang(rt.topology(), rt.capture());
         assert!(outcome.decision.is_empty());
     }
 
@@ -149,7 +149,7 @@ mod tests {
         let victim = MachineId(2);
         rt.inject_fail_slow(vec![victim], 3.0);
         let analyzer = RuntimeAnalyzer::new();
-        let outcome = analyzer.analyze_fail_slow(rt.topology(), &rt.capture(), 5);
+        let outcome = analyzer.analyze_fail_slow(rt.topology(), rt.capture(), 5);
         assert!(outcome.decision.machines.contains(&victim));
         // 5 rounds at 10s plus capture and aggregation latency.
         assert!(outcome.duration >= SimDuration::from_secs(50));
@@ -160,7 +160,7 @@ mod tests {
         let mut rt = TrainingRuntime::new(JobSpec::small_test());
         rt.inject_fail_slow(vec![MachineId(2)], 3.0);
         let analyzer = RuntimeAnalyzer::new();
-        let outcome = analyzer.analyze_fail_slow(rt.topology(), &rt.capture(), 0);
+        let outcome = analyzer.analyze_fail_slow(rt.topology(), rt.capture(), 0);
         assert!(outcome.decision.is_empty());
     }
 }

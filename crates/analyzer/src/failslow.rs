@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use byterobust_parallelism::{GroupKind, ParallelTopology, Rank};
+use byterobust_parallelism::{GroupKind, ParallelTopology, Rank, RankCoords};
 use byterobust_sim::SimDuration;
 
 use crate::eviction::EvictionDecision;
@@ -82,13 +82,7 @@ impl FailSlowVoter {
         }) else {
             return EvictionDecision::none();
         };
-        // Find a representative rank of that group to materialize it.
-        let representative = topology
-            .mapping()
-            .all_ranks()
-            .find(|&r| topology.group_index_of(r, kind) == index)
-            .expect("group index must correspond to at least one rank");
-        let group = topology.group_of(representative, kind);
+        let group = topology.group_of(representative(topology, kind, index), kind);
         let machines = topology.machines_of_group(&group);
         EvictionDecision {
             machines,
@@ -97,6 +91,40 @@ impl FailSlowVoter {
             over_evicts: true,
         }
     }
+}
+
+/// A member of group `index` of `kind`: the rank at coordinates read back
+/// from the index, inverting [`ParallelTopology::group_index_of`] with the
+/// group's own dimension at 0.
+fn representative(topology: &ParallelTopology, kind: GroupKind, index: usize) -> Rank {
+    let cfg = topology.config();
+    let coords = match kind {
+        GroupKind::Tensor => RankCoords {
+            tp: 0,
+            dp: index % cfg.dp,
+            pp: index / cfg.dp,
+        },
+        GroupKind::Pipeline => RankCoords {
+            tp: index % cfg.tp,
+            dp: index / cfg.tp,
+            pp: 0,
+        },
+        GroupKind::Data => RankCoords {
+            tp: index % cfg.tp,
+            dp: 0,
+            pp: index / cfg.tp,
+        },
+        GroupKind::Expert => {
+            let chunks = cfg.dp / cfg.ep.max(1);
+            let rest = index / cfg.tp;
+            RankCoords {
+                tp: index % cfg.tp,
+                dp: (rest % chunks) * cfg.ep.max(1),
+                pp: rest / chunks,
+            }
+        }
+    };
+    topology.mapping().rank_at(coords)
 }
 
 #[cfg(test)]
@@ -174,5 +202,38 @@ mod tests {
             voter.record_round(&topo, &[]);
         }
         assert_eq!(a.verdict(&topo), b.verdict(&topo));
+    }
+
+    #[test]
+    fn direct_representative_names_the_scanned_group() {
+        let configs = [
+            ParallelismConfig::fig7_example(),
+            byterobust_trainsim::JobSpec::production_dense().parallelism,
+            byterobust_trainsim::JobSpec::production_moe().parallelism,
+        ];
+        for config in configs {
+            let topo = ParallelTopology::new(config);
+            let kinds = GroupKind::DENSE
+                .into_iter()
+                .chain((config.ep > 1).then_some(GroupKind::Expert));
+            for kind in kinds {
+                // The scan the verdict used to make: the first rank of each
+                // group index, in rank order.
+                let mut scanned = vec![None; topo.group_count(kind)];
+                for rank in topo.mapping().all_ranks() {
+                    scanned[topo.group_index_of(rank, kind)].get_or_insert(rank);
+                }
+                for (index, first) in scanned.into_iter().enumerate() {
+                    let first = first.expect("every group index has a rank");
+                    let direct = representative(&topo, kind, index);
+                    assert_eq!(topo.group_index_of(direct, kind), index, "{kind:?} {index}");
+                    assert_eq!(
+                        topo.group_of(direct, kind),
+                        topo.group_of(first, kind),
+                        "{config:?} {kind:?} {index}"
+                    );
+                }
+            }
+        }
     }
 }

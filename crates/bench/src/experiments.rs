@@ -1861,7 +1861,7 @@ pub fn analyzer_aggregation() -> String {
     };
     let mut runtime = TrainingRuntime::new(job);
     runtime.inject_hang(vec![MachineId(15)]);
-    let aggregation = AggregationResult::from_capture(&runtime.capture());
+    let aggregation = AggregationResult::from_capture(runtime.capture());
     let decision =
         EvictionDecision::from_outliers(runtime.topology(), &aggregation.outlier_ranks());
 

@@ -299,6 +299,11 @@ pub struct FaultInjector {
     next_manual_at: SimTime,
     seq: u64,
     sdc_prone_machines: Vec<MachineId>,
+    /// The Table 1 symptoms an infrastructure arrival draws from (every kind
+    /// but manual restarts, which have their own arrival process), in
+    /// Table 1 order, and their weights.
+    infra_kinds: Box<[FaultKind]>,
+    infra_weights: Box<[f64]>,
 }
 
 impl FaultInjector {
@@ -313,6 +318,11 @@ impl FaultInjector {
             .into_iter()
             .map(|i| MachineId(i as u32))
             .collect();
+        let infra_kinds: Box<[FaultKind]> = FaultKind::ALL
+            .into_iter()
+            .filter(|k| k.category() != FaultCategory::ManualRestart)
+            .collect();
+        let infra_weights = infra_kinds.iter().map(|k| k.table1_weight()).collect();
         let mut injector = FaultInjector {
             config,
             rng,
@@ -320,6 +330,8 @@ impl FaultInjector {
             next_manual_at: SimTime::ZERO,
             seq: 0,
             sdc_prone_machines,
+            infra_kinds,
+            infra_weights,
         };
         injector.next_infra_at = SimTime::ZERO + injector.sample_infra_gap();
         injector.next_manual_at = SimTime::ZERO + injector.sample_manual_gap();
@@ -377,15 +389,8 @@ impl FaultInjector {
 
     fn make_infra_event(&mut self, at: SimTime) -> FaultEvent {
         self.seq += 1;
-        // Sample a symptom from the Table 1 mix, excluding manual restarts
-        // (they have their own arrival process).
-        let kinds: Vec<FaultKind> = FaultKind::ALL
-            .iter()
-            .copied()
-            .filter(|k| k.category() != FaultCategory::ManualRestart)
-            .collect();
-        let weights: Vec<f64> = kinds.iter().map(|k| k.table1_weight()).collect();
-        let kind = kinds[self.rng.weighted_index(&weights)];
+        // Sample a symptom from the Table 1 mix, excluding manual restarts.
+        let kind = self.infra_kinds[self.rng.weighted_index(&self.infra_weights)];
 
         let root_cause = self.sample_root_cause(kind);
         let culprits = self.sample_culprits(kind, root_cause);

@@ -53,9 +53,11 @@ pub struct Cluster {
     index_of: BTreeMap<MachineId, usize>,
     /// Machines that may have drifted from nominal condition: every machine
     /// handed out via [`Cluster::machine_mut`] lands here and stays until a
-    /// refresh observes it nominal again. Invariant: any non-nominal member
-    /// is in this set, so monitor sweeps and stop-time diagnostics can visit
-    /// `dirty ∩ active` instead of the whole fleet.
+    /// refresh observes it nominal again or evicted. Invariant: every
+    /// non-nominal, non-evicted member is in this set, so monitor sweeps and
+    /// stop-time diagnostics can visit `dirty ∩ active` instead of the whole
+    /// fleet. Eviction is terminal: only `machine_mut` can change an evicted
+    /// machine, and it marks the machine dirty again.
     dirty: BTreeSet<MachineId>,
     /// Per-slot cache of [`Machine::relative_throughput`], refreshed for
     /// dirty machines before each aggregate read so the per-step fleet
@@ -231,23 +233,21 @@ impl Cluster {
     }
 
     /// Re-evaluates every dirty machine: refreshes its throughput-cache slot
-    /// and drops it from the dirty set once it is nominal again.
+    /// and drops it from the dirty set once it is nominal again or evicted,
+    /// so the set stays the size of the live damage rather than of every
+    /// machine damaged so far.
     fn refresh_dirty(&mut self) {
         if self.dirty.is_empty() {
             return;
         }
-        let mut nominal_again: Vec<MachineId> = Vec::new();
-        for &id in &self.dirty {
-            let slot = self.index_of[&id];
-            let machine = &self.machines[slot];
-            self.throughput_cache[slot] = machine.relative_throughput();
-            if machine.is_nominal() {
-                nominal_again.push(id);
-            }
-        }
-        for id in nominal_again {
-            self.dirty.remove(&id);
-        }
+        let (machines, cache, index_of) =
+            (&self.machines, &mut self.throughput_cache, &self.index_of);
+        self.dirty.retain(|id| {
+            let slot = index_of[id];
+            let machine = &machines[slot];
+            cache[slot] = machine.relative_throughput();
+            !machine.is_nominal() && machine.state != MachineState::Evicted
+        });
     }
 
     /// Active machines that may be non-nominal, in slot order — the candidate
@@ -513,6 +513,47 @@ mod tests {
         // Evicted machines drop out of the active suspect set.
         cluster.evict_machine(MachineId(3));
         assert_eq!(cluster.suspect_active_machines(), vec![MachineId(11)]);
+    }
+
+    #[test]
+    fn evicted_machines_leave_the_dirty_set() {
+        let mut cluster = Cluster::build(ClusterSpec::small_test());
+        let damaged = [MachineId(1), MachineId(4), MachineId(9), MachineId(14)];
+        for &id in &damaged {
+            cluster.machine_mut(id).gpu_mut(0).mark_faulty();
+        }
+        cluster.machine_mut(MachineId(6)).nic = NicState::Flapping;
+        assert_cached_matches_full_scan(&mut cluster);
+        assert_eq!(cluster.dirty.len(), damaged.len() + 1);
+        for (k, &id) in damaged.iter().enumerate() {
+            cluster.evict_machine(id);
+            assert_cached_matches_full_scan(&mut cluster);
+            // Every machine evicted so far is gone from the set; the
+            // damaged ones still running stay in it.
+            for &evicted in &damaged[..=k] {
+                assert!(!cluster.dirty.contains(&evicted), "{evicted}");
+            }
+            for &running in &damaged[k + 1..] {
+                assert!(cluster.dirty.contains(&running), "{running}");
+            }
+            assert_eq!(cluster.dirty.len(), damaged.len() - k);
+        }
+        assert_eq!(cluster.suspect_active_machines(), vec![MachineId(6)]);
+        // Touching an evicted machine marks it dirty until the next refresh
+        // sees it still evicted.
+        cluster.machine_mut(MachineId(4)).gpu_mut(1).mark_lost();
+        assert!(cluster.dirty.contains(&MachineId(4)));
+        assert_cached_matches_full_scan(&mut cluster);
+        assert!(!cluster.dirty.contains(&MachineId(4)));
+        // A damaged standby promoted after the evictions is still found.
+        let standby = cluster.standby_machines()[0];
+        cluster.machine_mut(standby).gpu_mut(2).pcie_bandwidth_frac = 0.5;
+        assert!(cluster.activate_standby(standby));
+        assert_cached_matches_full_scan(&mut cluster);
+        assert_eq!(
+            cluster.suspect_active_machines(),
+            vec![MachineId(6), standby]
+        );
     }
 
     #[test]

@@ -400,9 +400,8 @@ impl RobustController {
                 .max(1);
             let replay = DualPhaseReplay::new(ReplayConfig::new(pp_machines));
             let machines: Vec<MachineId> = cluster.active_machines();
-            let faulty: std::collections::HashSet<MachineId> =
-                fault.culprits.iter().copied().collect();
             let outcome = if fault.reproducible {
+                let faulty = fault.culprits.iter().copied().collect();
                 replay.locate_with_ground_truth(&machines, &faulty)
             } else {
                 replay.locate(&machines, |_| false)
@@ -555,12 +554,12 @@ impl RobustController {
             let (capture, capture_time) =
                 self.tracer
                     .capture_rounds(runtime, rounds, SimDuration::from_secs(10));
-            let outcome = self.analyzer.analyze_fail_slow(topology, &capture, rounds);
+            let outcome = self.analyzer.analyze_fail_slow(topology, capture, rounds);
             cost.localization += capture_time + self.analyzer.config.aggregation_latency;
             outcome.decision
         } else {
             let (capture, capture_time) = self.tracer.capture(runtime);
-            let outcome = self.analyzer.analyze_hang(topology, &capture);
+            let outcome = self.analyzer.analyze_hang(topology, capture);
             cost.localization += capture_time + outcome.duration;
             outcome.decision
         };

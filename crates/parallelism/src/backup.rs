@@ -10,71 +10,70 @@
 //! (e.g. pure ZeRO data parallelism) no such peer exists, and the strategy
 //! falls back to the neighbouring machine as described in the paper.
 
-use std::collections::HashMap;
-
 use byterobust_cluster::MachineId;
 
 use crate::groups::ParallelTopology;
-use crate::rank::{Rank, RankCoords};
+use crate::rank::{Rank, RankCoords, RankMapping};
 
-/// The backup peer assignment for every rank of a job.
+/// The backup peer assignment for every rank of a job: a closed-form rule
+/// over rank coordinates, so it stores no per-rank table and answers each
+/// query in O(1).
 #[derive(Debug, Clone)]
 pub struct BackupAssignment {
-    peer_of: HashMap<Rank, Rank>,
+    mapping: RankMapping,
+    /// The offset added to each coordinate (modulo its dimension) of a
+    /// multi-dimensional job; `None` for the neighbouring-machine fallback.
+    shift: Option<RankCoords>,
 }
 
 impl BackupAssignment {
     /// Computes the assignment for a topology.
     pub fn compute(topology: &ParallelTopology) -> Self {
         let cfg = *topology.config();
-        let mapping = topology.mapping();
-        let mut peer_of = HashMap::with_capacity(cfg.world_size());
-
-        if cfg.is_multi_dimensional() {
-            // Shift every non-trivial coordinate by a non-zero offset so the
-            // peer differs in each dimension that has more than one member.
-            // Sharing a TP/PP/DP group requires agreeing on the *other two*
-            // coordinates; since at least one of any two dimensions is
-            // non-trivial in a multi-dimensional config (and therefore
-            // shifted), the peer can never share any group with its source.
-            // Using ~half the dimension keeps the peer far away topologically
-            // (matching the Fig. 9 illustration where ranks 8,9 pair with 2,3).
-            let dp_shift = if cfg.dp > 1 { (cfg.dp / 2).max(1) } else { 0 };
-            let pp_shift = if cfg.pp > 1 { (cfg.pp / 2).max(1) } else { 0 };
-            let tp_shift = if cfg.tp > 1 { (cfg.tp / 2).max(1) } else { 0 };
-            for rank in mapping.all_ranks() {
-                let c = mapping.coords(rank);
-                let peer = mapping.rank_at(RankCoords {
-                    tp: (c.tp + tp_shift) % cfg.tp,
-                    dp: (c.dp + dp_shift) % cfg.dp,
-                    pp: (c.pp + pp_shift) % cfg.pp,
-                });
-                peer_of.insert(rank, peer);
-            }
-            BackupAssignment { peer_of }
-        } else {
-            // Single-dimension parallelism (e.g. ZeRO): back up on the next
-            // machine's corresponding rank.
-            let ranks_per_machine = cfg.gpus_per_machine;
-            let world = cfg.world_size();
-            for rank in mapping.all_ranks() {
-                let peer = Rank(((rank.index() + ranks_per_machine) % world) as u32);
-                peer_of.insert(rank, peer);
-            }
-            BackupAssignment { peer_of }
+        // Shift every non-trivial coordinate by a non-zero offset so the
+        // peer differs in each dimension that has more than one member.
+        // Sharing a TP/PP/DP group requires agreeing on the *other two*
+        // coordinates; since at least one of any two dimensions is
+        // non-trivial in a multi-dimensional config (and therefore
+        // shifted), the peer can never share any group with its source.
+        // Using ~half the dimension keeps the peer far away topologically
+        // (matching the Fig. 9 illustration where ranks 8,9 pair with 2,3).
+        // Single-dimension parallelism (e.g. ZeRO) has no such peer and
+        // backs up on the next machine's corresponding rank instead.
+        let half = |size: usize| if size > 1 { (size / 2).max(1) } else { 0 };
+        let shift = cfg.is_multi_dimensional().then(|| RankCoords {
+            tp: half(cfg.tp),
+            dp: half(cfg.dp),
+            pp: half(cfg.pp),
+        });
+        BackupAssignment {
+            mapping: topology.mapping().clone(),
+            shift,
         }
     }
 
     /// The rank that stores `rank`'s backup shard.
     ///
     /// # Panics
-    /// Panics if the rank was not part of the topology the assignment was
+    /// Panics if the rank is outside the topology the assignment was
     /// computed for.
     pub fn backup_peer(&self, rank: Rank) -> Rank {
-        *self
-            .peer_of
-            .get(&rank)
-            .expect("rank not in backup assignment")
+        let cfg = self.mapping.config();
+        match self.shift {
+            Some(shift) => {
+                let c = self.mapping.coords(rank);
+                self.mapping.rank_at(RankCoords {
+                    tp: (c.tp + shift.tp) % cfg.tp,
+                    dp: (c.dp + shift.dp) % cfg.dp,
+                    pp: (c.pp + shift.pp) % cfg.pp,
+                })
+            }
+            None => {
+                let world = cfg.world_size();
+                assert!(rank.index() < world, "{rank} not in backup assignment");
+                Rank(((rank.index() + cfg.gpus_per_machine) % world) as u32)
+            }
+        }
     }
 
     /// Checks whether, after evicting `evicted_machines`, every rank hosted on

@@ -105,31 +105,18 @@ impl DualPhaseReplay {
         let m = self.config.group_size.max(1);
         let n = (z / m).max(1);
 
-        // Phase 1: horizontal grouping by index / m (n groups of m machines).
-        let mut horizontal_group = None;
-        for a in 0..n {
-            let group: Vec<MachineId> = machines
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i / m == a)
-                .map(|(_, &id)| id)
-                .collect();
-            if !group.is_empty() && replay_fails(&group) {
-                horizontal_group = Some(a);
-                break;
-            }
-        }
+        // Phase 1: horizontal grouping by index / m (n groups of m machines;
+        // with z < m the one group is all z).
+        let horizontal_group = machines.chunks(m).take(n).position(&mut replay_fails);
 
-        // Phase 2: vertical grouping by index mod n (n groups of ~z/n machines).
+        // Phase 2: vertical grouping by index mod n (n groups of ~z/n
+        // machines), each gathered into one reused buffer.
         let mut vertical_group = None;
-        for b in 0..n {
-            let group: Vec<MachineId> = machines
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % n == b)
-                .map(|(_, &id)| id)
-                .collect();
-            if !group.is_empty() && replay_fails(&group) {
+        let mut group = Vec::with_capacity(z.div_ceil(n));
+        for b in 0..n.min(z) {
+            group.clear();
+            group.extend(machines[b..].iter().step_by(n));
+            if replay_fails(&group) {
                 vertical_group = Some(b);
                 break;
             }
@@ -137,11 +124,9 @@ impl DualPhaseReplay {
 
         let duration = self.config.phase_duration.mul(2);
         let suspects = match (horizontal_group, vertical_group) {
-            (Some(a), Some(b)) => machines
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i / m == a && i % n == b)
-                .map(|(_, &id)| id)
+            (Some(a), Some(b)) => (a * m..((a + 1) * m).min(z))
+                .filter(|i| i % n == b)
+                .map(|i| machines[i])
                 .collect(),
             _ => Vec::new(),
         };
@@ -256,5 +241,110 @@ mod tests {
         let faulty: HashSet<MachineId> = [MachineId(0)].into_iter().collect();
         let outcome = replay.locate_with_ground_truth(&machines(8), &faulty);
         assert_eq!(outcome.duration, SimDuration::from_mins(40));
+    }
+
+    /// `locate` as it was before groups were sliced and strided: every group
+    /// filtered out of the whole machine list by index.
+    fn reference_locate<F>(
+        replay: &DualPhaseReplay,
+        machines: &[MachineId],
+        mut replay_fails: F,
+    ) -> ReplayOutcome
+    where
+        F: FnMut(&[MachineId]) -> bool,
+    {
+        let z = machines.len();
+        let m = replay.config.group_size.max(1);
+        let n = (z / m).max(1);
+        let members = |keep: &dyn Fn(usize) -> bool| -> Vec<MachineId> {
+            machines
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| keep(i))
+                .map(|(_, &id)| id)
+                .collect()
+        };
+        let mut horizontal_group = None;
+        for a in 0..n {
+            let group = members(&|i| i / m == a);
+            if !group.is_empty() && replay_fails(&group) {
+                horizontal_group = Some(a);
+                break;
+            }
+        }
+        let mut vertical_group = None;
+        for b in 0..n {
+            let group = members(&|i| i % n == b);
+            if !group.is_empty() && replay_fails(&group) {
+                vertical_group = Some(b);
+                break;
+            }
+        }
+        let suspects = match (horizontal_group, vertical_group) {
+            (Some(a), Some(b)) => members(&|i| i / m == a && i % n == b),
+            _ => Vec::new(),
+        };
+        ReplayOutcome {
+            suspects,
+            horizontal_group,
+            vertical_group,
+            duration: replay.config.phase_duration.mul(2),
+        }
+    }
+
+    #[test]
+    fn sliced_groups_match_the_filtered_reference() {
+        // (z, m): the Fig. 6 shape, z not a multiple of m, m > n, z < m,
+        // z = m, m = 1 and z = 0. Machine ids are scattered so a group that
+        // is sliced from the wrong positions cannot pass for the right one.
+        let shapes = [
+            (24, 4),
+            (26, 4),
+            (23, 5),
+            (16, 8),
+            (19, 7),
+            (3, 8),
+            (8, 8),
+            (5, 1),
+            (0, 4),
+        ];
+        for (z, m) in shapes {
+            let replay = DualPhaseReplay::new(ReplayConfig::new(m));
+            let ms: Vec<MachineId> = (0..z as u32).map(|i| MachineId(i * 7 + 100)).collect();
+            // Every single-culprit position, two culprits, and no culprit.
+            let mut culprit_sets: Vec<Vec<MachineId>> = ms.iter().map(|&id| vec![id]).collect();
+            if z >= 2 {
+                culprit_sets.push(vec![ms[1], ms[z - 1]]);
+            }
+            culprit_sets.push(Vec::new());
+            for culprits in culprit_sets {
+                let faulty: HashSet<MachineId> = culprits.iter().copied().collect();
+                let mut seen = Vec::new();
+                let outcome = replay.locate(&ms, |group| {
+                    seen.push(group.to_vec());
+                    group.iter().any(|id| faulty.contains(id))
+                });
+                let mut expected_seen = Vec::new();
+                let expected = reference_locate(&replay, &ms, |group| {
+                    expected_seen.push(group.to_vec());
+                    group.iter().any(|id| faulty.contains(id))
+                });
+                assert_eq!(seen, expected_seen, "z={z} m={m} culprits={culprits:?}");
+                assert_eq!(outcome, expected, "z={z} m={m} culprits={culprits:?}");
+                // A never-failing replay walks every group of both phases.
+                let mut all = Vec::new();
+                let mut expected_all = Vec::new();
+                let none = replay.locate(&ms, |group| {
+                    all.push(group.to_vec());
+                    false
+                });
+                let expected_none = reference_locate(&replay, &ms, |group| {
+                    expected_all.push(group.to_vec());
+                    false
+                });
+                assert_eq!(all, expected_all, "z={z} m={m}");
+                assert_eq!(none, expected_none, "z={z} m={m}");
+            }
+        }
     }
 }

@@ -35,6 +35,69 @@ enum ActiveFault {
     Crash,
 }
 
+/// Where a machine's ranks stand under the active fault (see
+/// [`TrainingRuntime::rank_phases`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum MachineRole {
+    /// Every rank synchronizes gradients.
+    Clean,
+    /// A fault victim: every rank lags in backward compute.
+    Victim,
+    /// Hosts a hung victim's pipeline neighbour: each rank blocks in P2P or
+    /// synchronizes gradients by its own pipeline group.
+    Neighbour,
+}
+
+/// The phase lookup [`TrainingRuntime::capture`] classifies ranks with: a
+/// role per machine and, under a hang, a blocked flag per pipeline group
+/// (rank `tp + TP·dp + TP·DP·pp` sits in pipeline group `rank % (TP·DP)`).
+struct PhaseFlags {
+    /// Each machine's role; empty when every machine is clean.
+    machine: Vec<MachineRole>,
+    /// Whether each pipeline group holds a hung victim rank; empty unless
+    /// the fault is a hang.
+    pp_blocked: Vec<bool>,
+}
+
+impl PhaseFlags {
+    fn role(&self, machine: usize) -> MachineRole {
+        self.machine
+            .get(machine)
+            .copied()
+            .unwrap_or(MachineRole::Clean)
+    }
+
+    /// The phase of a rank on a [`MachineRole::Neighbour`] machine.
+    fn neighbour_phase(&self, rank: Rank) -> TrainPhase {
+        if self.pp_blocked[rank.index() % self.pp_blocked.len()] {
+            TrainPhase::PipelineComm
+        } else {
+            TrainPhase::GradReduceScatter
+        }
+    }
+}
+
+/// The ranks of the trainer group showing `frames`, opened at the end of
+/// `groups` if this is the template's first rank.
+fn trainer_group<'a>(
+    groups: &'a mut Vec<StackGroup>,
+    frames: &'static [StackFrame],
+) -> &'a mut Vec<Rank> {
+    // Each template is its own `static`, so its address names it.
+    let index = match groups.iter().position(|g| std::ptr::eq(g.frames, frames)) {
+        Some(index) => index,
+        None => {
+            groups.push(StackGroup {
+                process: ProcessKind::Trainer,
+                frames,
+                ranks: Vec::new(),
+            });
+            groups.len() - 1
+        }
+    };
+    &mut groups[index].ranks
+}
+
 /// The simulated training job runtime.
 #[derive(Debug, Clone)]
 pub struct TrainingRuntime {
@@ -205,30 +268,83 @@ impl TrainingRuntime {
         }
     }
 
-    /// One on-demand capture (§3, §5.1), grouped by stack template in a
-    /// single pass over [`TrainingRuntime::rank_phases`]: every rank's
-    /// trainer joins the group of its phase's template, and every rank's
-    /// data-loader and checkpoint workers sit in their idle templates. The
-    /// robust daemon (one per machine) is counted but not grouped, as it
-    /// takes no part in the aggregation. Nothing is materialized per rank
-    /// beyond its place in one rank list.
-    pub fn capture(&self) -> StackCapture {
-        let phases = self.rank_phases();
-        let mut groups: Vec<StackGroup> = Vec::new();
-        let mut ranks = Vec::with_capacity(phases.len());
-        for &(rank, phase) in &phases {
-            let frames = self.trainer_frames(rank, phase);
-            // Each template is its own `static`, so its address names it.
-            match groups.iter_mut().find(|g| std::ptr::eq(g.frames, frames)) {
-                Some(group) => group.ranks.push(rank),
-                None => groups.push(StackGroup {
-                    process: ProcessKind::Trainer,
-                    frames,
-                    ranks: vec![rank],
-                }),
-            }
-            ranks.push(rank);
+    /// The phase lookup for [`TrainingRuntime::capture`], built from the
+    /// victims' own ranks and their pipeline groups, so it costs nothing per
+    /// healthy rank.
+    fn phase_flags(&self) -> PhaseFlags {
+        let mut flags = PhaseFlags {
+            machine: Vec::new(),
+            pp_blocked: Vec::new(),
+        };
+        let (victims, hang) = match &self.fault {
+            ActiveFault::Hang { victims } => (victims, true),
+            ActiveFault::FailSlow { victims, .. } => (victims, false),
+            ActiveFault::Nan { .. } | ActiveFault::Crash | ActiveFault::None => return flags,
+        };
+        let config = self.topology.config();
+        let machines = config.machines();
+        let gpus = config.gpus_per_machine;
+        let pipeline_groups = config.tp * config.dp;
+        // A victim outside the job hosts no rank, as in `rank_phases`.
+        let victims = || victims.iter().filter(|v| v.index() < machines);
+        flags.machine = vec![MachineRole::Clean; machines];
+        for victim in victims() {
+            flags.machine[victim.index()] = MachineRole::Victim;
         }
+        if hang {
+            flags.pp_blocked = vec![false; pipeline_groups];
+            for victim in victims() {
+                let first = victim.index() * gpus;
+                for group in (first..first + gpus).map(|rank| rank % pipeline_groups) {
+                    flags.pp_blocked[group] = true;
+                    for rank in (group..config.world_size()).step_by(pipeline_groups) {
+                        let host = &mut flags.machine[rank / gpus];
+                        if *host == MachineRole::Clean {
+                            *host = MachineRole::Neighbour;
+                        }
+                    }
+                }
+            }
+        }
+        flags
+    }
+
+    /// One on-demand capture (§3, §5.1), grouped by stack template in a
+    /// single pass over the machines, with no hashing
+    /// ([`TrainingRuntime::rank_phases`] is the oracle it agrees with): a
+    /// clean or victim machine's ranks all join one trainer group, and only
+    /// a hung victim's pipeline neighbours are classified rank by rank.
+    /// Every rank's data-loader and checkpoint workers sit in their idle
+    /// templates. The robust daemon (one per machine) is counted but not
+    /// grouped, as it takes no part in the aggregation. Nothing is
+    /// materialized per rank beyond its place in the rank lists.
+    pub fn capture(&self) -> StackCapture {
+        let config = self.topology.config();
+        let world = config.world_size();
+        let gpus = config.gpus_per_machine;
+        let flags = self.phase_flags();
+        let mut groups: Vec<StackGroup> = Vec::new();
+        for machine in 0..config.machines() {
+            let first = (machine * gpus) as u32;
+            let ranks = (first..first + gpus as u32).map(Rank);
+            match flags.role(machine) {
+                MachineRole::Clean => {
+                    let frames = stacktrace::trainer_frames(TrainPhase::GradReduceScatter);
+                    trainer_group(&mut groups, frames).extend(ranks);
+                }
+                MachineRole::Victim => {
+                    let frames = stacktrace::trainer_frames(TrainPhase::Backward);
+                    trainer_group(&mut groups, frames).extend(ranks);
+                }
+                MachineRole::Neighbour => {
+                    for rank in ranks {
+                        let frames = self.trainer_frames(rank, flags.neighbour_phase(rank));
+                        trainer_group(&mut groups, frames).push(rank);
+                    }
+                }
+            }
+        }
+        let ranks: Vec<Rank> = (0..world as u32).map(Rank).collect();
         groups.push(StackGroup {
             process: ProcessKind::DataLoader,
             frames: stacktrace::dataloader_frames(false),
@@ -241,7 +357,7 @@ impl TrainingRuntime {
         });
         StackCapture {
             groups,
-            process_count: phases.len() * 3 + self.topology.mapping().machine_count(),
+            process_count: world * 3 + config.machines(),
         }
     }
 
@@ -407,6 +523,86 @@ mod tests {
         for group in &capture.groups {
             assert!(group.ranks.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    /// The capture as it was built before the phase flags: one pass over
+    /// [`TrainingRuntime::rank_phases`], each trainer joining its
+    /// template's group in order of first appearance.
+    fn capture_from_rank_phases(rt: &TrainingRuntime) -> StackCapture {
+        let phases = rt.rank_phases();
+        let mut groups: Vec<StackGroup> = Vec::new();
+        for &(rank, phase) in &phases {
+            let frames = rt.trainer_frames(rank, phase);
+            match groups.iter_mut().find(|g| std::ptr::eq(g.frames, frames)) {
+                Some(group) => group.ranks.push(rank),
+                None => groups.push(StackGroup {
+                    process: ProcessKind::Trainer,
+                    frames,
+                    ranks: vec![rank],
+                }),
+            }
+        }
+        let ranks: Vec<Rank> = phases.iter().map(|&(rank, _)| rank).collect();
+        groups.push(StackGroup {
+            process: ProcessKind::DataLoader,
+            frames: stacktrace::dataloader_frames(false),
+            ranks: ranks.clone(),
+        });
+        groups.push(StackGroup {
+            process: ProcessKind::CheckpointWorker,
+            frames: stacktrace::checkpoint_worker_frames(false),
+            ranks,
+        });
+        StackCapture {
+            groups,
+            process_count: phases.len() * 3 + rt.topology().mapping().machine_count(),
+        }
+    }
+
+    #[test]
+    fn flag_capture_equals_rank_phases_grouped_by_template() {
+        let fig7 = JobSpec {
+            parallelism: byterobust_parallelism::ParallelismConfig::fig7_example(),
+            ..JobSpec::small_test()
+        };
+        for job in [fig7, JobSpec::small_test(), JobSpec::production_dense()] {
+            let last = MachineId(job.machines() as u32 - 1);
+            let middle = MachineId(job.machines() as u32 / 2);
+            let outside = MachineId(job.machines() as u32 + 3);
+            let victim_sets = [
+                vec![MachineId(0)],
+                vec![last],
+                vec![MachineId(0), middle, last],
+                vec![middle, middle],
+                vec![outside],
+                vec![MachineId(1), outside],
+                vec![],
+            ];
+            let mut runtimes = vec![runtime_for(&job, |_| {})];
+            runtimes.push(runtime_for(&job, |rt| rt.inject_crash()));
+            for victims in &victim_sets {
+                runtimes.push(runtime_for(&job, |rt| rt.inject_hang(victims.clone())));
+                runtimes.push(runtime_for(&job, |rt| {
+                    rt.inject_fail_slow(victims.clone(), 2.0)
+                }));
+                runtimes.push(runtime_for(&job, |rt| rt.inject_nan(victims.clone())));
+            }
+            for rt in &runtimes {
+                assert_eq!(
+                    rt.capture(),
+                    capture_from_rank_phases(rt),
+                    "{:?} under {:?}",
+                    job.parallelism,
+                    rt.fault
+                );
+            }
+        }
+    }
+
+    fn runtime_for(job: &JobSpec, inject: impl FnOnce(&mut TrainingRuntime)) -> TrainingRuntime {
+        let mut rt = TrainingRuntime::new(job.clone());
+        inject(&mut rt);
+        rt
     }
 
     #[test]

@@ -33,10 +33,11 @@ fn drill_hang_aggregation() {
     runtime.inject_hang(vec![victim]);
 
     let capture = runtime.capture();
-    let aggregation = AggregationResult::from_capture(&capture);
+    let process_count = capture.process_count;
+    let aggregation = AggregationResult::from_capture(capture);
     println!(
         "captured {} stacks, {} distinct clusters",
-        capture.process_count,
+        process_count,
         aggregation.clusters.len()
     );
     for cluster in aggregation.outlier_clusters() {

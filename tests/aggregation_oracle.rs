@@ -75,7 +75,7 @@ fn assert_matches_oracle(spec: &str, job: &JobSpec) {
         let stacks = runtime.capture_stacks();
         assert_eq!(capture.process_count, stacks.len(), "{at}");
 
-        let grouped = AggregationResult::from_capture(&capture);
+        let grouped = AggregationResult::from_capture(capture.clone());
         let oracle = AggregationResult::aggregate(&stacks);
         assert_eq!(grouped, oracle, "{at}");
         assert_eq!(
@@ -87,12 +87,12 @@ fn assert_matches_oracle(spec: &str, job: &JobSpec) {
 
         let topology = runtime.topology();
         assert_eq!(
-            analyzer.analyze_hang(topology, &capture).decision,
+            analyzer.analyze_hang(topology, capture.clone()).decision,
             EvictionDecision::from_outliers(topology, &oracle.outlier_ranks()),
             "{at}"
         );
         assert_eq!(
-            analyzer.analyze_fail_slow(topology, &capture, 5).decision,
+            analyzer.analyze_fail_slow(topology, capture, 5).decision,
             oracle_fail_slow(&runtime, 5),
             "{at}"
         );
@@ -126,7 +126,7 @@ fn production_moe_matches_the_per_rank_oracle() {
 fn oracle_scenarios_cover_outliers_and_clean_captures() {
     let job = JobSpec::production_dense();
     for (scenario, runtime) in scenarios(&job) {
-        let result = AggregationResult::from_capture(&runtime.capture());
+        let result = AggregationResult::from_capture(runtime.capture());
         let fingerprints: Vec<&str> = result
             .outlier_clusters()
             .iter()
