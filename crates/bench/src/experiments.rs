@@ -765,10 +765,10 @@ pub fn fleet_panel() -> String {
         table.row(&[
             job.label.clone(),
             job.machines.to_string(),
-            job.report.incidents.len().to_string(),
+            job.incidents.to_string(),
             format!("{:.4}", solo_report.ettr.cumulative_ettr()),
-            format!("{:.4}", job.report.ettr.cumulative_ettr()),
-            job.report.final_step.to_string(),
+            format!("{:.4}", job.ettr.cumulative_ettr()),
+            job.final_step.to_string(),
         ]);
     }
 
@@ -865,8 +865,8 @@ pub fn broker_panel() -> String {
         table.row(&[
             job_off.label.clone(),
             priority.to_string(),
-            format!("{:.4}", job_off.report.ettr.cumulative_ettr()),
-            format!("{:.4}", job_on.report.ettr.cumulative_ettr()),
+            format!("{:.4}", job_off.ettr.cumulative_ettr()),
+            format!("{:.4}", job_on.ettr.cumulative_ettr()),
             starved_off
                 .get(job_off.label.as_str())
                 .copied()
@@ -877,8 +877,8 @@ pub fn broker_panel() -> String {
                 .copied()
                 .unwrap_or(0)
                 .to_string(),
-            job_off.report.final_step.to_string(),
-            job_on.report.final_step.to_string(),
+            job_off.final_step.to_string(),
+            job_on.final_step.to_string(),
         ]);
     }
 
@@ -955,14 +955,12 @@ pub fn persistence_panel() -> (String, PersistenceStats) {
         "export→import→render must reproduce the warehouse byte-for-byte"
     );
 
-    // A full job report round-trips exactly, aggregations included.
-    let job = &report.jobs[0];
-    let job_json = job.report.export_json();
+    // A full job report, rebuilt from the job's aggregates and its
+    // warehouse shard, round-trips exactly, aggregations included.
+    let job = report.job_report(0);
+    let job_json = job.export_json();
     let job_back = JobReport::import_json(&job_json).expect("job report must re-import");
-    assert_eq!(
-        job_back, job.report,
-        "JobReport export→import must be exact"
-    );
+    assert_eq!(job_back, job, "JobReport export→import must be exact");
 
     // Cold-vs-hot query latency: rebuild the same warehouse with storage
     // attached, flush every shard to segment files, then time one
@@ -978,7 +976,9 @@ pub fn persistence_panel() -> (String, PersistenceStats) {
         WarehouseStorage::new(usize::MAX, &spill_dir),
     );
     for fleet_job in &report.jobs {
-        spilled.ingest_store(&fleet_job.label, &fleet_job.report.incident_store);
+        if let Some(shard) = warehouse.shard(&fleet_job.label) {
+            spilled.ingest_store(&fleet_job.label, &shard);
+        }
     }
     let flushed_shards = spilled.flush_to_disk();
     let everything = FleetQuery::Incidents(IncidentQuery::any());
@@ -1142,14 +1142,17 @@ pub fn obs_panel() -> (String, ObsStats) {
     );
     let chrome = heap.trace.to_chrome_json();
 
-    // Cause-chain conformance: every dossier in every job's store must be
-    // reconstructible from spans alone, agreeing on mechanism, concluded
-    // cause, and eviction set.
+    // Cause-chain conformance: every dossier in every job's warehouse shard
+    // must be reconstructible from spans alone, agreeing on mechanism,
+    // concluded cause, and eviction set.
     let (chains, trace_diagnose_secs) = timed(|| trace_diagnose_all(&heap.trace));
     let mut verified = 0usize;
     let mut mechanisms: BTreeMap<String, usize> = BTreeMap::new();
     for job in &heap.jobs {
-        for dossier in job.report.incident_store.all() {
+        let Some(shard) = heap.warehouse.shard(&job.label) else {
+            continue;
+        };
+        for dossier in shard.all() {
             let chain = trace_diagnose(&heap.trace, &job.label, dossier.seq)
                 .expect("every recorded incident has a cause chain in the trace");
             assert_eq!(

@@ -29,10 +29,16 @@
 //!   hot-update merges and recovery-phase transitions into it, and freezes
 //!   the capture into the returned [`ft::IncidentOutcome`];
 //! * the lifecycle driver classifies each closed incident through the
-//!   `REC-*` classification matrix and appends a dossier (record + capture +
-//!   classification) to the [`report::JobReport`]'s incident store;
-//! * [`report::JobReport`]'s incident aggregations (Table 4 resolution
-//!   counts, eviction stats) are computed as incident-store queries, and
+//!   `REC-*` classification matrix and appends a dossier (resolution +
+//!   capture + classification) to the job's incident store, the one
+//!   per-incident record of a solo run. A fleet run moves each dossier out
+//!   of that store into the fleet warehouse
+//!   ([`JobExecution::take_incident`](lifecycle::JobExecution::take_incident)),
+//!   which then owns it alone;
+//! * [`report::JobReport::incidents`] is read off the store
+//!   ([`report::IncidentRecord`] is a projection of a dossier, never kept
+//!   beside it), its incident aggregations (Table 4 resolution counts,
+//!   eviction stats) are computed as incident-store queries, and
 //!   `JobReport::incident_store.postmortem(seq)` renders any incident into a
 //!   full postmortem artifact.
 

@@ -9,6 +9,8 @@
 //! cumulative and sliding ETTR, relative MFU, incident resolution counts,
 //! unproductive-time breakdowns and per-symptom resolution costs.
 
+use std::sync::Arc;
+
 use byterobust_agent::CkptManager;
 use byterobust_cluster::{Cluster, FaultEvent, FaultInjector, FaultKind, NicState, RootCause};
 use byterobust_incident::{
@@ -81,7 +83,6 @@ pub struct JobExecution {
     step_model: StepModel,
     loss_model: LossModel,
     ettr: EttrTracker,
-    incidents: Vec<IncidentRecord>,
     mfu_series: Vec<SeriesPoint>,
     loss_series: Vec<SeriesPoint>,
     matrix: ClassificationMatrix,
@@ -122,7 +123,6 @@ impl JobExecution {
             step_model,
             loss_model,
             ettr: EttrTracker::new(),
-            incidents: Vec::new(),
             mfu_series: Vec::new(),
             loss_series: Vec::new(),
             matrix: ClassificationMatrix::byterobust_default(),
@@ -185,9 +185,19 @@ impl JobExecution {
         &mut self.cluster
     }
 
-    /// The incidents closed so far.
+    /// The incidents closed so far and not taken by
+    /// [`JobExecution::take_incident`].
     pub fn incident_store(&self) -> &IncidentStore {
         &self.incident_store
+    }
+
+    /// Moves the dossier of incident `seq`, the one the last advance closed,
+    /// out of the job's store. A fleet run hands every dossier to its
+    /// warehouse this way, so the warehouse is its only owner and the job's
+    /// store is empty after every event. `None` if `seq` is not the latest
+    /// stored incident.
+    pub fn take_incident(&mut self, seq: u64) -> Option<Arc<IncidentDossier>> {
+        self.incident_store.take_latest(seq)
     }
 
     /// The job's controller (e.g. for monitor threshold inputs).
@@ -285,16 +295,6 @@ impl JobExecution {
         );
         let unproductive = outcome.cost.total();
         self.ettr.record_unproductive(unproductive);
-        self.incidents.push(IncidentRecord {
-            at: self.now,
-            kind: fault.kind,
-            category: fault.category(),
-            root_cause: fault.root_cause,
-            mechanism: outcome.mechanism,
-            cost: outcome.cost,
-            evicted_count: outcome.evicted.len(),
-            over_evicted: outcome.over_evicted,
-        });
         let classification = self.matrix.classify(&ClassificationInput {
             category: fault.category(),
             root_cause: fault.root_cause,
@@ -328,7 +328,9 @@ impl JobExecution {
     }
 
     /// Finalizes the run into a [`JobReport`]. Callable at any point; a fleet
-    /// calls it once every job is finished.
+    /// calls it once every job is finished, when the store holds nothing
+    /// (the warehouse took every dossier). The records are read off the
+    /// store.
     pub fn into_report(self) -> JobReport {
         let code_versions_deployed = self.runtime.code_version().version;
         JobReport {
@@ -336,7 +338,7 @@ impl JobExecution {
             ettr: self.ettr,
             mfu_series: self.mfu_series,
             loss_series: self.loss_series,
-            incidents: self.incidents,
+            incidents: IncidentRecord::all_of(&self.incident_store),
             incident_store: self.incident_store,
             final_step: self.runtime.current_step(),
             code_versions_deployed,

@@ -4,16 +4,20 @@
 use std::collections::BTreeMap;
 
 use byterobust_cluster::{FaultCategory, FaultKind, RootCause};
-use byterobust_incident::codec::{parse_document, render_document, CodecError, Decode, Encode};
+use byterobust_incident::codec::{
+    parse_document, render_document, CodecError, Decode, Encode, ErrorPosition,
+};
 use byterobust_incident::struct_codec;
-use byterobust_incident::IncidentStore;
+use byterobust_incident::{IncidentDossier, IncidentStore};
 use byterobust_recovery::FailoverCost;
 use byterobust_sim::SimTime;
 
 use crate::ettr::EttrTracker;
 use crate::ft::ResolutionMechanism;
 
-/// One resolved incident.
+/// One resolved incident: the flat summary of a dossier, without its
+/// capture or classification. Always read off a dossier
+/// ([`IncidentRecord::from`]), never kept beside one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncidentRecord {
     /// When the incident started.
@@ -32,6 +36,33 @@ pub struct IncidentRecord {
     pub evicted_count: usize,
     /// Whether the eviction over-evicted healthy machines.
     pub over_evicted: bool,
+}
+
+impl From<&IncidentDossier> for IncidentRecord {
+    fn from(dossier: &IncidentDossier) -> IncidentRecord {
+        IncidentRecord {
+            at: dossier.at,
+            kind: dossier.kind,
+            category: dossier.category,
+            root_cause: dossier.root_cause,
+            mechanism: dossier.mechanism,
+            cost: dossier.cost,
+            evicted_count: dossier.evicted.len(),
+            over_evicted: dossier.over_evicted,
+        }
+    }
+}
+
+impl IncidentRecord {
+    /// The record of every dossier in `store`, in store order: the content
+    /// [`JobReport::incidents`] always has.
+    pub fn all_of(store: &IncidentStore) -> Vec<IncidentRecord> {
+        store
+            .all()
+            .iter()
+            .map(|dossier| IncidentRecord::from(dossier.as_ref()))
+            .collect()
+    }
 }
 
 /// A point of the reported MFU / loss series.
@@ -56,7 +87,7 @@ pub struct JobReport {
     pub mfu_series: Vec<SeriesPoint>,
     /// Training loss over time.
     pub loss_series: Vec<SeriesPoint>,
-    /// Every incident, in order.
+    /// Every incident, in order: [`IncidentRecord::all_of`] the store below.
     pub incidents: Vec<IncidentRecord>,
     /// The incident store: one dossier per incident (flight-recorder capture,
     /// classification, postmortem source). The incident aggregations below
@@ -136,9 +167,31 @@ impl JobReport {
 
     /// Imports a report previously written by [`JobReport::export_json`].
     /// Corruption and shape mismatches come back as a positioned
-    /// [`CodecError`], never a panic.
+    /// [`CodecError`], never a panic. The records are a projection of the
+    /// store, so a document whose `incidents` differ from its
+    /// `incident_store` in count or in any field is rejected at the first
+    /// differing index.
     pub fn import_json(text: &str) -> Result<JobReport, CodecError> {
-        JobReport::decode(&parse_document(text, JOB_REPORT_FORMAT)?)
+        let report = JobReport::decode(&parse_document(text, JOB_REPORT_FORMAT)?)?;
+        let (records, dossiers) = (&report.incidents, report.incident_store.all());
+        let differs = (0..records.len().max(dossiers.len())).find(|&index| {
+            let expected = dossiers
+                .get(index)
+                .map(|dossier| IncidentRecord::from(dossier.as_ref()));
+            records.get(index) != expected.as_ref()
+        });
+        match differs {
+            None => Ok(report),
+            Some(index) => Err(CodecError {
+                at: ErrorPosition::Path(format!("incidents[{index}]")),
+                message: format!(
+                    "the record does not match incident_store dossier {index} \
+                     ({} records, {} dossiers)",
+                    records.len(),
+                    dossiers.len()
+                ),
+            }),
+        }
     }
 }
 
@@ -176,72 +229,62 @@ mod tests {
     };
     use byterobust_sim::SimDuration;
 
-    fn record(kind: FaultKind, mechanism: ResolutionMechanism) -> IncidentRecord {
-        IncidentRecord {
-            at: SimTime::from_hours(1),
-            kind,
-            category: kind.category(),
-            root_cause: RootCause::Infrastructure,
-            mechanism,
-            cost: FailoverCost {
-                detection: SimDuration::from_secs(30),
-                localization: SimDuration::from_secs(120),
-                scheduling: SimDuration::from_secs(60),
-                pod_build: SimDuration::ZERO,
-                checkpoint_load: SimDuration::from_secs(20),
-                recompute: SimDuration::from_secs(15),
-            },
-            evicted_count: 1,
-            over_evicted: false,
-        }
-    }
-
-    /// The store dossier corresponding to [`record`], mirroring how the
-    /// lifecycle driver builds both from the same incident.
-    fn dossier(seq: u64, record: &IncidentRecord) -> IncidentDossier {
+    /// A resolved infrastructure incident with one evicted machine, the
+    /// way the lifecycle driver would store it.
+    fn dossier(seq: u64, kind: FaultKind, mechanism: ResolutionMechanism) -> IncidentDossier {
+        let cost = FailoverCost {
+            detection: SimDuration::from_secs(30),
+            localization: SimDuration::from_secs(120),
+            scheduling: SimDuration::from_secs(60),
+            pod_build: SimDuration::ZERO,
+            checkpoint_load: SimDuration::from_secs(20),
+            recompute: SimDuration::from_secs(15),
+        };
+        let at = SimTime::from_hours(1);
         let classification =
             ClassificationMatrix::byterobust_default().classify(&ClassificationInput {
-                category: record.category,
-                root_cause: record.root_cause,
-                mechanism: record.mechanism,
-                blast_radius: record.evicted_count,
-                over_evicted: record.over_evicted,
+                category: kind.category(),
+                root_cause: RootCause::Infrastructure,
+                mechanism,
+                blast_radius: 1,
+                over_evicted: false,
                 reproducible: true,
-                downtime: record.cost.total(),
+                downtime: cost.total(),
             });
         IncidentDossier {
             seq,
-            at: record.at,
-            kind: record.kind,
-            category: record.category,
-            root_cause: record.root_cause,
-            concluded_cause: record.root_cause,
-            mechanism: record.mechanism,
-            cost: record.cost,
-            evicted: (0..record.evicted_count)
-                .map(|i| MachineId(i as u32))
-                .collect(),
-            over_evicted: record.over_evicted,
+            at,
+            kind,
+            category: kind.category(),
+            root_cause: RootCause::Infrastructure,
+            concluded_cause: RootCause::Infrastructure,
+            mechanism,
+            cost,
+            evicted: Box::new([MachineId(0)]),
+            over_evicted: false,
             resumed_step: 0,
             classification,
-            capture: IncidentCapture::empty(seq, record.kind, record.at),
+            capture: IncidentCapture::empty(seq, kind, at),
         }
     }
 
     fn report() -> JobReport {
-        let incidents = vec![
-            record(FaultKind::CudaError, ResolutionMechanism::StopTimeEviction),
-            record(FaultKind::CudaError, ResolutionMechanism::Reattempt),
-            record(FaultKind::JobHang, ResolutionMechanism::AnalyzerEviction),
-            record(
+        let mut incident_store = IncidentStore::new();
+        for (seq, (kind, mechanism)) in [
+            (FaultKind::CudaError, ResolutionMechanism::StopTimeEviction),
+            (FaultKind::CudaError, ResolutionMechanism::Reattempt),
+            (FaultKind::JobHang, ResolutionMechanism::AnalyzerEviction),
+            (
                 FaultKind::CodeDataAdjustment,
                 ResolutionMechanism::HotUpdate,
             ),
-        ];
-        let mut incident_store = IncidentStore::new();
-        for (i, incident) in incidents.iter().enumerate() {
-            incident_store.insert(dossier(i as u64 + 1, incident));
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            incident_store.insert(dossier(seq as u64 + 1, kind, mechanism));
         }
+        let incidents = IncidentRecord::all_of(&incident_store);
         JobReport {
             job_name: "test".to_string(),
             ettr: EttrTracker::new(),
@@ -344,5 +387,67 @@ mod tests {
         assert!(JobReport::import_json("{}").is_err());
         let foreign = exported.replace(JOB_REPORT_FORMAT, "not-a-job-report");
         assert!(JobReport::import_json(&foreign).is_err());
+    }
+
+    #[test]
+    fn records_are_read_off_their_dossiers() {
+        let r = report();
+        for (record, dossier) in r.incidents.iter().zip(r.incident_store.all()) {
+            assert_eq!(record.at, dossier.at);
+            assert_eq!(record.kind, dossier.kind);
+            assert_eq!(record.category, dossier.category);
+            assert_eq!(record.root_cause, dossier.root_cause);
+            assert_eq!(record.mechanism, dossier.mechanism);
+            assert_eq!(record.cost, dossier.cost);
+            assert_eq!(record.evicted_count, dossier.evicted.len());
+            assert_eq!(record.over_evicted, dossier.over_evicted);
+        }
+        assert_eq!(r.incidents.len(), r.incident_store.len());
+    }
+
+    #[test]
+    fn import_rejects_records_that_disagree_with_the_store() {
+        // A real export: the records are the store's projection.
+        let real = crate::JobLifecycle::new(crate::JobConfig::small_test(), 3).run();
+        assert!(real.incidents.len() > 3, "the small job has incidents");
+        let exported = real.export_json();
+        assert_eq!(JobReport::import_json(&exported).as_ref(), Ok(&real));
+
+        // One field of one record edited in the document text.
+        let edited = flip_over_evicted(&exported, 3);
+        let err = JobReport::import_json(&edited).expect_err("an edited record is rejected");
+        assert_eq!(err.at, ErrorPosition::Path("incidents[3]".to_string()));
+
+        // One record too few, and one too many.
+        let mut short = real.clone();
+        short.incidents.pop();
+        let err = JobReport::import_json(&short.export_json()).expect_err("a missing record");
+        let last = real.incidents.len() - 1;
+        assert_eq!(err.at, ErrorPosition::Path(format!("incidents[{last}]")));
+        let mut long = real.clone();
+        long.incidents.push(long.incidents[0].clone());
+        let err = JobReport::import_json(&long.export_json()).expect_err("an extra record");
+        let past = real.incidents.len();
+        assert_eq!(err.at, ErrorPosition::Path(format!("incidents[{past}]")));
+    }
+
+    /// `exported` with the `over_evicted` flag of its `index`-th incident
+    /// record flipped. Records precede the store in the document, and each
+    /// record has one `over_evicted` field.
+    fn flip_over_evicted(exported: &str, index: usize) -> String {
+        let key = "\"over_evicted\":";
+        let mut at = exported
+            .find("\"incidents\":[")
+            .expect("an incidents array");
+        for _ in 0..=index {
+            at += exported[at..].find(key).expect("record has the field") + key.len();
+        }
+        let mut edited = exported.to_string();
+        if exported[at..].starts_with("false") {
+            edited.replace_range(at..at + 5, "true");
+        } else {
+            edited.replace_range(at..at + 4, "false");
+        }
+        edited
     }
 }

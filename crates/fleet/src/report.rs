@@ -1,12 +1,20 @@
 //! The fleet report: per-job results plus the fleet-level aggregates, with a
 //! deterministic plain-text rendering.
+//!
+//! The warehouse is the only owner of a fleet run's incidents. A
+//! [`FleetJobReport`] keeps its job's aggregates and incident count; every
+//! per-incident figure is read off the warehouse snapshot, and
+//! [`FleetReport::job_report`] reassembles a solo-shaped [`JobReport`] from
+//! the aggregates and the job's shard.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use byterobust_cluster::{MachineId, MigrationRecord};
-use byterobust_core::JobReport;
-use byterobust_incident::Escalation;
+use byterobust_cluster::{FaultCategory, MachineId, MigrationRecord};
+use byterobust_core::report::SeriesPoint;
+use byterobust_core::{EttrTracker, IncidentRecord, JobReport};
+use byterobust_incident::{Escalation, IncidentDossier, Severity};
 use byterobust_obs::{AlertTimeline, FaultWindow, Trace};
 
 use crate::broker::BrokerSummary;
@@ -15,7 +23,8 @@ use crate::query::{alert_get, FleetQuery, QueryResponse};
 use crate::scheduler::SchedulerOps;
 use crate::warehouse::IncidentWarehouse;
 
-/// One job's slice of the fleet run.
+/// One job's slice of the fleet run: its aggregates. Its dossiers live in
+/// the warehouse shard under `label`.
 #[derive(Debug, Clone)]
 pub struct FleetJobReport {
     /// The fleet label (warehouse shard key).
@@ -24,8 +33,21 @@ pub struct FleetJobReport {
     pub seed: u64,
     /// Machines the job occupies.
     pub machines: usize,
-    /// The job's full report, identical in shape to a solo run's.
-    pub report: JobReport,
+    /// Incidents the job handled, counted from its advance outcomes rather
+    /// than read off the warehouse.
+    pub incidents: usize,
+    /// The job's name, as a solo report carries it.
+    pub job_name: String,
+    /// ETTR accounting.
+    pub ettr: EttrTracker,
+    /// Absolute MFU over time (one sample per productive interval).
+    pub mfu_series: Vec<SeriesPoint>,
+    /// Training loss over time.
+    pub loss_series: Vec<SeriesPoint>,
+    /// Final optimizer step reached.
+    pub final_step: u64,
+    /// Number of code versions deployed over the job (hot updates applied).
+    pub code_versions_deployed: u32,
 }
 
 /// What the backlog drainer processed over the run.
@@ -68,8 +90,8 @@ pub struct FleetReport {
     /// runs differ here by design — so, like `events_processed`, deliberately
     /// never rendered.
     pub scheduler_ops: SchedulerOps,
-    /// The cross-job incident warehouse (read through its
-    /// [`snapshot`](IncidentWarehouse::snapshot)).
+    /// The cross-job incident warehouse, the only owner of the run's
+    /// dossiers (read through its [`snapshot`](IncidentWarehouse::snapshot)).
     pub warehouse: IncidentWarehouse,
     /// Every completed stress-test sweep, in completion order.
     pub completed_sweeps: Vec<CompletedSweep>,
@@ -148,12 +170,12 @@ impl FleetReport {
         let productive: f64 = self
             .jobs
             .iter()
-            .map(|job| job.report.ettr.productive_time().as_secs_f64())
+            .map(|job| job.ettr.productive_time().as_secs_f64())
             .sum();
         let total: f64 = self
             .jobs
             .iter()
-            .map(|job| job.report.ettr.total_time().as_secs_f64())
+            .map(|job| job.ettr.total_time().as_secs_f64())
             .sum();
         if total <= 0.0 {
             1.0
@@ -162,9 +184,39 @@ impl FleetReport {
         }
     }
 
-    /// Total incidents across the fleet.
+    /// Total incidents across the fleet: the sum of the per-job counts,
+    /// independent of what the warehouse holds.
     pub fn total_incidents(&self) -> usize {
-        self.jobs.iter().map(|job| job.report.incidents.len()).sum()
+        self.jobs.iter().map(|job| job.incidents).sum()
+    }
+
+    /// Job `index`'s full report, identical to a solo run's: its aggregates
+    /// plus its warehouse shard, with the records read off the shard's
+    /// dossiers. For export; every other reader goes through the warehouse.
+    pub fn job_report(&self, index: usize) -> JobReport {
+        let job = &self.jobs[index];
+        let incident_store = self
+            .warehouse
+            .shard(&job.label)
+            .map(Arc::unwrap_or_clone)
+            .unwrap_or_default();
+        JobReport {
+            job_name: job.job_name.clone(),
+            ettr: job.ettr.clone(),
+            mfu_series: job.mfu_series.clone(),
+            loss_series: job.loss_series.clone(),
+            incidents: IncidentRecord::all_of(&incident_store),
+            incident_store,
+            final_step: job.final_step,
+            code_versions_deployed: job.code_versions_deployed,
+        }
+    }
+
+    /// Visits every warehouse dossier with its job label: one pass over the
+    /// snapshot, shard by shard.
+    fn for_each_dossier<'a>(&'a self, mut visit: impl FnMut(&'a str, &IncidentDossier)) {
+        let snapshot = self.warehouse.snapshot();
+        snapshot.for_each_dossier(|shard, dossier| visit(snapshot.label(shard), dossier));
     }
 
     /// Fleet-wide unproductive time in seconds, across every job.
@@ -172,8 +224,7 @@ impl FleetReport {
         self.jobs
             .iter()
             .map(|job| {
-                job.report.ettr.total_time().as_secs_f64()
-                    - job.report.ettr.productive_time().as_secs_f64()
+                job.ettr.total_time().as_secs_f64() - job.ettr.productive_time().as_secs_f64()
             })
             .sum()
     }
@@ -182,18 +233,11 @@ impl FleetReport {
     /// shared pool could not cover their evictions), per job label.
     pub fn starved_incidents_by_job(&self) -> BTreeMap<&str, usize> {
         let mut counts = BTreeMap::new();
-        for job in &self.jobs {
-            let starved = job
-                .report
-                .incident_store
-                .all()
-                .iter()
-                .filter(|dossier| dossier.capture.capacity_starved())
-                .count();
-            if starved > 0 {
-                counts.insert(job.label.as_str(), starved);
+        self.for_each_dossier(|label, dossier| {
+            if dossier.capture.capacity_starved() {
+                *counts.entry(label).or_insert(0) += 1;
             }
-        }
+        });
         counts
     }
 
@@ -208,21 +252,14 @@ impl FleetReport {
     /// Feed this with [`FleetReport::alerts`] to
     /// [`byterobust_obs::score_alerts`].
     pub fn fault_windows(&self) -> Vec<FaultWindow> {
-        let mut windows: Vec<FaultWindow> = self
-            .jobs
-            .iter()
-            .flat_map(|job| {
-                job.report
-                    .incident_store
-                    .all()
-                    .iter()
-                    .map(|dossier| FaultWindow {
-                        injected_at: dossier.at,
-                        detected_at: dossier.at + dossier.cost.detection,
-                        closed_at: dossier.at + dossier.cost.total(),
-                    })
+        let mut windows = Vec::with_capacity(self.warehouse.len());
+        self.for_each_dossier(|_, dossier| {
+            windows.push(FaultWindow {
+                injected_at: dossier.at,
+                detected_at: dossier.at + dossier.cost.detection,
+                closed_at: dossier.at + dossier.cost.total(),
             })
-            .collect();
+        });
         windows.sort();
         windows
     }
@@ -244,39 +281,68 @@ impl FleetReport {
             self.seed
         );
 
+        // Every warehouse figure below comes from one pass over the
+        // snapshot, so each spilled segment is read once: per shard
+        // (incidents, machines evicted, over-evictions), the severity and
+        // category histograms, and the correctly attributed count.
+        let warehouse = self.warehouse.snapshot();
+        let mut shards: Vec<(usize, usize, usize)> = Vec::new();
+        let mut severity: BTreeMap<Severity, usize> = BTreeMap::new();
+        let mut category: BTreeMap<FaultCategory, usize> = BTreeMap::new();
+        let mut attributed = 0;
+        warehouse.for_each_dossier(|shard, dossier| {
+            if shards.len() <= shard {
+                shards.resize(shard + 1, (0, 0, 0));
+            }
+            let (evicted, over) = dossier.eviction_counts();
+            let row = &mut shards[shard];
+            *row = (row.0 + 1, row.1 + evicted, row.2 + over);
+            *severity.entry(dossier.classification.severity).or_default() += 1;
+            *category.entry(dossier.category).or_default() += 1;
+            attributed += usize::from(dossier.concluded_cause == dossier.root_cause);
+        });
+        let rows: BTreeMap<&str, (usize, usize, usize)> = shards
+            .into_iter()
+            .enumerate()
+            .map(|(shard, row)| (warehouse.label(shard), row))
+            .collect();
+
         let _ = writeln!(out, "\n-- jobs");
         for job in &self.jobs {
-            let (evicted, over) = job.report.eviction_stats();
+            let (incidents, evicted, over) =
+                rows.get(job.label.as_str()).copied().unwrap_or_default();
             let _ = writeln!(
                 out,
                 "  {:<12} machines {:>4} | incidents {:>3} | ETTR {:.4} | final step {:>6} | evicted {} ({} over)",
                 job.label,
                 job.machines,
-                job.report.incidents.len(),
-                job.report.ettr.cumulative_ettr(),
-                job.report.final_step,
+                incidents,
+                job.ettr.cumulative_ettr(),
+                job.final_step,
                 evicted,
                 over,
             );
         }
 
-        let warehouse = self.warehouse.snapshot();
         let _ = writeln!(
             out,
             "\n-- incident warehouse ({} incidents, {} shards)",
             warehouse.total(),
             warehouse.jobs().len()
         );
-        for (severity, count) in warehouse.severity_counts() {
+        for (severity, count) in severity {
             let _ = writeln!(out, "  {:>5}: {}", severity.label(), count);
         }
-        for (category, count) in warehouse.category_counts() {
+        for (category, count) in category {
             let _ = writeln!(out, "  {category:?}: {count}");
         }
+        let accuracy = match warehouse.total() {
+            0 => 1.0,
+            total => attributed as f64 / total as f64,
+        };
         let _ = writeln!(
             out,
-            "  attribution accuracy (concluded vs ground truth): {:.4}",
-            warehouse.attribution_accuracy()
+            "  attribution accuracy (concluded vs ground truth): {accuracy:.4}"
         );
 
         let _ = writeln!(

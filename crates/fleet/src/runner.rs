@@ -12,14 +12,13 @@
 //! interleaving is a pure function of the fleet seed and identical across
 //! both schedulers.
 //!
-//! After every incident the runner feeds the closed dossier to the
-//! [`IncidentWarehouse`], the [`RepeatOffenderLedger`] (whose offender set is
-//! re-published to every job's monitor behind an `Arc`, inside the event,
-//! only when the set actually changed), and
-//! the [`BacklogDrainer`] (whose completed stress-test sweeps return cleared
-//! machines to the shared pool).
-
-use std::sync::Arc;
+//! After every incident the runner shows the closed dossier to the
+//! [`RepeatOffenderLedger`] (whose offender set is re-published to every
+//! job's monitor behind an `Arc`, inside the event, only when the set
+//! actually changed) and the [`BacklogDrainer`] (whose completed stress-test
+//! sweeps return cleared machines to the shared pool), then moves it out of
+//! its job's store into the [`IncidentWarehouse`], its only owner from then
+//! on.
 
 use byterobust_core::{JobConfig, JobExecution, RobustController, SegmentOutcome};
 use byterobust_incident::{IncidentDossier, RecoveryPhase};
@@ -500,6 +499,9 @@ struct LoopState<'a> {
     machines_confirmed_faulty: usize,
     sweeps_completed_in_run: usize,
     events_processed: usize,
+    /// Incidents each job has handled, counted from its advance outcomes
+    /// (independently of the warehouse inserts).
+    incidents: Vec<usize>,
     fleet_trace: TraceRecorder,
     alert_tap: Option<AlertTap>,
 }
@@ -547,17 +549,19 @@ impl LoopState<'_> {
         match outcome {
             SegmentOutcome::Finished => {}
             SegmentOutcome::Incident { seq } => {
-                // Share the dossier straight out of the job's own store: the
-                // warehouse shard takes an `Arc` to the same allocation, so
-                // there is no per-incident deep copy on this path.
+                self.incidents[index] += 1;
+                // Move the dossier out of the job's store: the warehouse
+                // shard becomes its only owner, so a spilled tail frees it.
                 let dossier = executions[index]
-                    .incident_store()
-                    .get_shared(seq)
-                    .expect("closed incident is stored");
+                    .take_incident(seq)
+                    .expect("the closed incident is the job's latest");
                 let closed_at = dossier.at + dossier.cost.total();
                 let offenders_changed = self.ledger.observe(&dossier);
                 self.drainer.dispatch(label, &dossier, closed_at);
-                self.warehouse.insert_shared(label, Arc::clone(&dossier));
+                if let Some(tap) = self.alert_tap.as_mut() {
+                    tap.observe_incident(event_at, index, &dossier);
+                }
+                self.warehouse.insert_shared(label, dossier);
                 // Publish the post-insert epoch: a handful of Arc clones
                 // of the shard heads. Readers pinning earlier epochs are
                 // untouched (copy-on-write).
@@ -572,9 +576,6 @@ impl LoopState<'_> {
                         closed_at,
                     );
                     self.fleet_trace.set_incident(insert_span, seq);
-                }
-                if let Some(tap) = self.alert_tap.as_mut() {
-                    tap.observe_incident(event_at, index, &dossier);
                 }
                 // Re-publish the cross-job offender set only when a machine
                 // actually crossed the threshold; each monitor receives an
@@ -743,6 +744,7 @@ impl FleetRunner {
             machines_confirmed_faulty: 0,
             sweeps_completed_in_run: 0,
             events_processed: 0,
+            incidents: vec![0; self.config.jobs.len()],
             // Fleet-scope trace: job stepping, warehouse ingestion, and
             // (replayed at the end) broker interventions. Per-job incident
             // spans live in each job's own controller recorder; everything
@@ -777,6 +779,7 @@ impl FleetRunner {
             mut machines_confirmed_faulty,
             sweeps_completed_in_run,
             events_processed,
+            incidents,
             mut fleet_trace,
             alert_tap,
             ..
@@ -837,11 +840,26 @@ impl FleetRunner {
             .into_iter()
             .zip(self.config.jobs.iter())
             .zip(seeds)
-            .map(|((execution, job), seed)| FleetJobReport {
-                label: job.label.clone(),
-                seed,
-                machines: job.config.job.machines(),
-                report: execution.into_report(),
+            .zip(incidents)
+            .map(|(((execution, job), seed), incidents)| {
+                let report = execution.into_report();
+                assert!(
+                    report.incident_store.is_empty(),
+                    "{}: the warehouse must own every dossier the job closed",
+                    job.label
+                );
+                FleetJobReport {
+                    label: job.label.clone(),
+                    seed,
+                    machines: job.config.job.machines(),
+                    incidents,
+                    job_name: report.job_name,
+                    ettr: report.ettr,
+                    mfu_series: report.mfu_series,
+                    loss_series: report.loss_series,
+                    final_step: report.final_step,
+                    code_versions_deployed: report.code_versions_deployed,
+                }
             })
             .collect();
 

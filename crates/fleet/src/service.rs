@@ -389,7 +389,7 @@ impl EpochSnapshot {
         self.lens.get(shard).copied().unwrap_or(0)
     }
 
-    fn label(&self, shard: usize) -> &str {
+    pub(crate) fn label(&self, shard: usize) -> &str {
         &self.heads[shard].label
     }
 
@@ -440,7 +440,7 @@ impl EpochSnapshot {
     /// Shards are streamed one at a time, so a fold over spilled history
     /// stays within the cache budget. The index build and every aggregate
     /// are folds over this.
-    fn for_each_dossier(&self, mut visit: impl FnMut(usize, &IncidentDossier)) {
+    pub(crate) fn for_each_dossier(&self, mut visit: impl FnMut(usize, &IncidentDossier)) {
         for shard in 0..self.heads.len() {
             if self.shard_len(shard) == 0 {
                 continue;

@@ -371,8 +371,9 @@ impl IncidentWarehouse {
     }
 
     /// [`insert`](IncidentWarehouse::insert) for a dossier that already lives
-    /// behind an `Arc` (typically the job's own incident store): the shard
-    /// keeps a reference to the same allocation instead of a deep copy.
+    /// behind an `Arc`: the shard keeps that allocation instead of a deep
+    /// copy. The fleet runner moves each dossier in here out of its job's
+    /// store, so the shard is its only owner.
     pub fn insert_shared(&mut self, job: &str, dossier: Arc<IncidentDossier>) {
         self.snapshot.take();
         let index = self.shard_index(job);
@@ -393,8 +394,11 @@ impl IncidentWarehouse {
         self.enforce_budget();
     }
 
-    /// Ingests a whole per-job store (e.g. from a finished
-    /// `byterobust_core::JobReport`'s `incident_store`).
+    /// Ingests a whole per-job store: a solo run's
+    /// `byterobust_core::JobReport::incident_store`, or another warehouse's
+    /// shard. The shard shares the store's dossiers rather than copying
+    /// them. (A fleet run never calls this: it moves each dossier in as the
+    /// incident closes.)
     pub fn ingest_store(&mut self, job: &str, store: &IncidentStore) {
         for dossier in store.all() {
             self.insert_shared(job, Arc::clone(dossier));

@@ -73,6 +73,33 @@ impl IncidentDossier {
         self.cost.scheduling + self.cost.pod_build + self.cost.checkpoint_load
     }
 
+    /// Machines evicted, and how many of those evictions were
+    /// over-evictions of machines that were not true culprits.
+    ///
+    /// The over count is exact when the capture carries one
+    /// [`RecorderEvent::Eviction`] per evicted machine (the controller
+    /// records each with its own over-eviction flag, so a group eviction
+    /// containing one real culprit counts its hostages only). Otherwise
+    /// (synthetic dossiers), the incident-level `over_evicted` flag is used
+    /// as an upper-bound fallback.
+    pub fn eviction_counts(&self) -> (usize, usize) {
+        let (mut events, mut over) = (0, 0);
+        for entry in &self.capture.window {
+            if let RecorderEvent::Eviction { over_eviction, .. } = entry.event {
+                events += 1;
+                over += usize::from(over_eviction);
+            }
+        }
+        let evicted = self.evicted.len();
+        if events == evicted {
+            (evicted, over)
+        } else if self.over_evicted {
+            (evicted, evicted)
+        } else {
+            (evicted, 0)
+        }
+    }
+
     /// Whether this incident touched the given machine — evicted it, or
     /// mentioned it anywhere in the captured evidence. Short-circuits and
     /// allocates nothing: it runs per dossier on every machine-predicate scan.
@@ -143,10 +170,10 @@ impl IncidentQuery {
 
 /// The durable, queryable collection of incident dossiers for one job.
 ///
-/// Dossiers are held behind `Arc` so a dossier can live in its job's store
-/// *and* in the fleet warehouse shard (and any epoch snapshot of it) as one
-/// shared allocation — at mega-drill scale the second copy per incident was
-/// both the dominant insert cost and a third of resident memory.
+/// Dossiers are held behind `Arc`, so a dossier moves between owners (a
+/// job's store hands it to the fleet warehouse) and is shared with epoch
+/// snapshots without a copy. Each dossier has one owning store: a solo run's
+/// store, or the fleet warehouse shard it was moved into.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct IncidentStore {
     dossiers: Vec<Arc<IncidentDossier>>,
@@ -198,10 +225,13 @@ impl IncidentStore {
         &self.dossiers
     }
 
-    /// A shared handle to one stored dossier by sequence number. O(1) for
-    /// the latest dossier, else a binary search (see [`IncidentStore::get`]).
-    pub fn get_shared(&self, seq: u64) -> Option<Arc<IncidentDossier>> {
-        self.find(seq).map(Arc::clone)
+    /// Removes and returns the latest dossier if its sequence number is
+    /// `seq`: the hand-off of a just-closed incident to a new owner.
+    pub fn take_latest(&mut self, seq: u64) -> Option<Arc<IncidentDossier>> {
+        match self.dossiers.last() {
+            Some(last) if last.seq == seq => self.dossiers.pop(),
+            _ => None,
+        }
     }
 
     /// Dossiers matching a query, in time order.
@@ -214,20 +244,13 @@ impl IncidentStore {
     /// dossier — the one a job run just closed — and a binary search, not a
     /// linear scan, for any other.
     pub fn get(&self, seq: u64) -> Option<&IncidentDossier> {
-        self.find(seq).map(Arc::as_ref)
-    }
-
-    /// The stored dossier with sequence number `seq`: the last one is checked
-    /// first, since a job run appends in seq order and looks up the dossier
-    /// it just closed.
-    fn find(&self, seq: u64) -> Option<&Arc<IncidentDossier>> {
         match self.dossiers.last() {
-            Some(last) if last.seq == seq => Some(last),
+            Some(last) if last.seq == seq => Some(last.as_ref()),
             _ => self
                 .dossiers
                 .binary_search_by_key(&seq, |dossier| dossier.seq)
                 .ok()
-                .map(|index| &self.dossiers[index]),
+                .map(|index| self.dossiers[index].as_ref()),
         }
     }
 
@@ -283,36 +306,13 @@ impl IncidentStore {
     }
 
     /// Total machines evicted, and how many of those evictions were
-    /// over-evictions of machines that were not true culprits (the §9
-    /// false-positive discussion).
-    ///
-    /// The over count is exact when the capture carries per-machine
-    /// [`RecorderEvent::Eviction`] events (the controller records one per
-    /// eviction with its individual over-eviction flag, so a group eviction
-    /// containing one real culprit counts its hostages only). For synthetic
-    /// dossiers without eviction events, the incident-level `over_evicted`
-    /// flag is used as an upper-bound fallback.
+    /// over-evictions (the §9 false-positive discussion): the sum of every
+    /// dossier's [`IncidentDossier::eviction_counts`].
     pub fn eviction_stats(&self) -> (usize, usize) {
-        let mut total = 0;
-        let mut over = 0;
-        for dossier in &self.dossiers {
-            total += dossier.evicted.len();
-            let per_machine: Vec<bool> = dossier
-                .capture
-                .window
-                .iter()
-                .filter_map(|entry| match entry.event {
-                    RecorderEvent::Eviction { over_eviction, .. } => Some(over_eviction),
-                    _ => None,
-                })
-                .collect();
-            if per_machine.len() == dossier.evicted.len() {
-                over += per_machine.iter().filter(|&&o| o).count();
-            } else if dossier.over_evicted {
-                over += dossier.evicted.len();
-            }
-        }
-        (total, over)
+        self.dossiers
+            .iter()
+            .map(|dossier| dossier.eviction_counts())
+            .fold((0, 0), |(total, over), (t, o)| (total + t, over + o))
     }
 
     /// Attribution scoring per incident category: how many incidents'
@@ -683,20 +683,23 @@ mod tests {
         // allocation that was inserted.
         assert_eq!(store.all().last().map(|d| d.seq), Some(6));
         for dossier in &shared {
-            let found = store.get_shared(dossier.seq).expect("stored seq");
-            assert!(Arc::ptr_eq(&found, dossier), "seq {}", dossier.seq);
             assert!(std::ptr::eq(
                 store.get(dossier.seq).expect("stored seq"),
                 dossier.as_ref()
             ));
         }
-        let last = store.get_shared(6).expect("last seq");
-        assert!(Arc::ptr_eq(&last, store.all().last().expect("non-empty")));
         for missing in [0, 5, 7] {
             assert!(store.get(missing).is_none(), "seq {missing}");
-            assert!(store.get_shared(missing).is_none(), "seq {missing}");
+            assert!(store.take_latest(missing).is_none(), "seq {missing}");
         }
-        assert!(IncidentStore::new().get_shared(1).is_none());
+        // Only the latest dossier can be taken, and taking it hands back
+        // the inserted allocation.
+        assert!(store.take_latest(3).is_none());
+        let last = store.take_latest(6).expect("latest seq");
+        assert!(Arc::ptr_eq(&last, &shared[3]));
+        assert!(store.get(6).is_none());
+        assert_eq!(store.all().last().map(|d| d.seq), Some(4));
+        assert!(IncidentStore::new().take_latest(1).is_none());
     }
 
     #[test]

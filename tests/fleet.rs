@@ -2,7 +2,7 @@
 //! the snapshot planner-vs-oracle invariant on warehouse data, shard-merge
 //! determinism, in-run backlog draining, and the repeat-offender ledger.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use byterobust::prelude::*;
 
@@ -220,13 +220,13 @@ fn fleet_jobs_share_one_standby_pool_and_all_make_progress() {
         report.solo_pool_sum
     );
     for job in &report.jobs {
-        assert!(job.report.final_step > 0, "{} made no progress", job.label);
+        assert!(job.final_step > 0, "{} made no progress", job.label);
         assert!(
-            !job.report.incidents.is_empty(),
+            job.incidents > 0,
             "{} saw no incidents at drill fault rates",
             job.label
         );
-        let ettr = job.report.ettr.cumulative_ettr();
+        let ettr = job.ettr.cumulative_ettr();
         assert!(ettr > 0.5 && ettr <= 1.0, "{}: ettr = {ettr}", job.label);
     }
     assert_eq!(report.total_incidents(), report.warehouse.len());
@@ -267,10 +267,13 @@ fn warehouse_indexed_queries_equal_linear_scan_on_fleet_data() {
 #[test]
 fn warehouse_shard_merge_is_deterministic_across_insertion_orders() {
     let report = drill();
-    let shards: Vec<(&str, &IncidentStore)> = report
+    let shards: Vec<(&str, Arc<IncidentStore>)> = report
         .jobs
         .iter()
-        .map(|job| (job.label.as_str(), &job.report.incident_store))
+        .map(|job| {
+            let shard = report.warehouse.shard(&job.label).expect("a job shard");
+            (job.label.as_str(), shard)
+        })
         .collect();
 
     let mut forward = IncidentWarehouse::default();
@@ -419,10 +422,10 @@ fn broker_recovers_the_starved_fleet_faster_than_the_baseline() {
     let critical_on = &on.jobs[0];
     assert_eq!(critical_on.label, "prod-critical");
     assert!(
-        critical_on.report.ettr.cumulative_ettr() > critical_off.report.ettr.cumulative_ettr(),
+        critical_on.ettr.cumulative_ettr() > critical_off.ettr.cumulative_ettr(),
         "broker must lift the critical job's ETTR: {} vs {}",
-        critical_on.report.ettr.cumulative_ettr(),
-        critical_off.report.ettr.cumulative_ettr()
+        critical_on.ettr.cumulative_ettr(),
+        critical_off.ettr.cumulative_ettr()
     );
     // And the fleet as a whole spends measurably less time unproductive.
     assert!(
@@ -683,6 +686,36 @@ fn large_drill_spill_writes_every_dossier_exactly_once() {
 }
 
 #[test]
+fn render_reads_each_spilled_segment_once() {
+    // The segment cache shares the 32-dossier budget, far below the spilled
+    // history, so a render that walked the warehouse more than once would
+    // fault evicted segments back in.
+    let dir = spill_dir("render-once");
+    let budget = 32;
+    let spilled = FleetRunner::new(
+        FleetConfig::large_drill().with_warehouse_storage(WarehouseStorage::new(budget, &dir)),
+        20250916 + 41,
+    )
+    .run();
+    let before = spilled.warehouse.spill_stats();
+    assert_eq!(before.fault_ins, 0, "the run itself never reads a segment");
+    assert!(
+        before.spilled_dossiers > 2 * budget,
+        "the cache cannot hold the spilled history: {before:?}"
+    );
+    let _ = spilled.render();
+    let after = spilled.warehouse.spill_stats();
+    assert!(after.fault_ins > 0, "render reads the spilled history");
+    assert!(
+        after.fault_ins <= after.segments_written,
+        "render faulted {} segment(s) in for {} written",
+        after.fault_ins,
+        after.segments_written
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn warehouse_export_import_render_round_trip_on_fleet_data() {
     let report = drill();
     let exported = report.warehouse.export_json();
@@ -938,24 +971,62 @@ fn query_responses_round_trip_through_the_codec_on_fleet_data() {
 }
 
 #[test]
+fn every_fleet_dossier_has_one_owner() {
+    // A fresh run, so no other test's clones are alive: with no service and
+    // no spill, the warehouse shard holds the only reference to each
+    // dossier (the job moved it out of its own store).
+    let report = FleetRunner::new(FleetConfig::small_drill(), 20250916).run();
+    let snapshot = report.warehouse.snapshot();
+    let mut dossiers = 0;
+    for label in snapshot.jobs() {
+        let shard = report
+            .warehouse
+            .shard(label)
+            .expect("listed job has a shard");
+        for dossier in shard.all() {
+            assert_eq!(
+                Arc::strong_count(dossier),
+                1,
+                "{label}#{}: the warehouse is the only owner",
+                dossier.seq
+            );
+            dossiers += 1;
+        }
+    }
+    assert_eq!(dossiers, report.warehouse.len());
+    // The jobs' own counts agree with what the warehouse holds, job by job.
+    let counted: usize = report.jobs.iter().map(|job| job.incidents).sum();
+    assert_eq!(counted, report.warehouse.len());
+    for job in &report.jobs {
+        let held = report
+            .warehouse
+            .shard(&job.label)
+            .map_or(0, |shard| shard.len());
+        assert_eq!(job.incidents, held, "{}", job.label);
+    }
+}
+
+#[test]
 fn job_reports_and_stores_round_trip_through_the_codec_on_fleet_data() {
     // Real fleet-produced reports (full flight-recorder captures, every
-    // mechanism the drill exercises) survive export→import exactly.
+    // mechanism the drill exercises), rebuilt from each job's aggregates
+    // and warehouse shard, survive export→import exactly.
     let report = drill();
-    for job in &report.jobs {
-        let exported = job.report.export_json();
+    for (index, job) in report.jobs.iter().enumerate() {
+        let job_report = report.job_report(index);
+        assert_eq!(job_report.incidents.len(), job.incidents);
+        let exported = job_report.export_json();
         let imported =
             JobReport::import_json(&exported).unwrap_or_else(|err| panic!("{}: {err}", job.label));
-        assert_eq!(imported, job.report, "{} report changed", job.label);
+        assert_eq!(imported, job_report, "{} report changed", job.label);
         assert_eq!(imported.export_json(), exported);
 
-        let store_json = job.report.incident_store.export_json();
+        let store_json = job_report.incident_store.export_json();
         let store = IncidentStore::import_json(&store_json)
             .unwrap_or_else(|err| panic!("{}: {err}", job.label));
-        assert_eq!(store, job.report.incident_store);
+        assert_eq!(store, job_report.incident_store);
         for dossier in store.all() {
-            let before = job
-                .report
+            let before = job_report
                 .incident_store
                 .postmortem(dossier.seq)
                 .expect("postmortem exists")

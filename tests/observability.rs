@@ -169,7 +169,7 @@ fn trace_diagnose_reconstructs_every_incident_on_the_large_drill() {
     let report = large();
     let mut verified = 0usize;
     for job in &report.jobs {
-        for dossier in job.report.incident_store.all() {
+        for dossier in report.warehouse.shard(&job.label).unwrap_or_default().all() {
             let chain =
                 trace_diagnose(&report.trace, &job.label, dossier.seq).unwrap_or_else(|| {
                     panic!("{}#{}: no cause chain in the trace", job.label, dossier.seq)
@@ -222,7 +222,7 @@ fn trace_query_surface_filters_consistently() {
     assert_eq!(by_scope, trace.spans.len());
     // Incident filter: each job's incident count matches its store.
     for job in &report.jobs {
-        for dossier in job.report.incident_store.all() {
+        for dossier in report.warehouse.shard(&job.label).unwrap_or_default().all() {
             let spans = trace_get(
                 trace,
                 &TraceQuery::new()
