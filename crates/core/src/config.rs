@@ -17,8 +17,6 @@ pub struct JobConfig {
     pub ckpt_plan: CheckpointPlan,
     /// Simulated wall-clock duration of the job.
     pub duration: SimDuration,
-    /// How many points to sample for the reported metric/ETTR series.
-    pub series_points: usize,
     /// Warm spares provisioned into the job's cluster *beyond* the binomial
     /// P99 sizing. An over-provisioned job is a migration donor candidate
     /// when a fleet broker needs to feed a starving job.
@@ -39,7 +37,6 @@ impl JobConfig {
             fault,
             ckpt_plan: CheckpointPlan::byterobust_default(),
             duration,
-            series_points: 200,
             extra_standby_machines: 0,
         }
     }
@@ -69,7 +66,6 @@ impl JobConfig {
         config.fault.reference_mtbf = SimDuration::from_hours(2);
         config.fault.reference_gpus = 128;
         config.fault.manual_restart_interval = SimDuration::from_hours(6);
-        config.series_points = 50;
         config
     }
 

@@ -5,7 +5,7 @@
 //! **sliding-window** ETTR over the last hour, which surfaces the impact of
 //! individual incidents that the cumulative figure smooths away.
 
-use byterobust_incident::codec::{CodecError, Decode, Encode, JsonValue};
+use byterobust_incident::codec::{CodecError, Decode, Encode, JsonValue, JsonWriter};
 use byterobust_sim::{SimDuration, SimTime};
 
 /// One recorded segment of job time. Segments are contiguous (each starts
@@ -28,18 +28,15 @@ pub struct EttrTracker {
 impl Encode for EttrTracker {
     /// The wire form is the segment list itself, `(duration, productive)`
     /// pairs; decode replays them to rederive the running end.
-    fn encode(&self) -> JsonValue {
-        JsonValue::Array(
-            self.segments
-                .iter()
-                .map(|segment| {
-                    JsonValue::object(vec![
-                        ("duration", segment.duration.encode()),
-                        ("productive", segment.productive.encode()),
-                    ])
-                })
-                .collect(),
-        )
+    fn encode(&self, w: &mut JsonWriter) {
+        w.array(|w| {
+            for segment in &self.segments {
+                w.object(|w| {
+                    w.member("duration", &segment.duration);
+                    w.member("productive", &segment.productive);
+                });
+            }
+        });
     }
 }
 

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use byterobust_cluster::{FaultCategory, FaultKind, RootCause};
 use byterobust_incident::codec::{
-    parse_document, render_document, CodecError, Decode, Encode, ErrorPosition,
+    parse_document, render_document, CodecError, Decode, EncodeMembers, ErrorPosition,
 };
 use byterobust_incident::struct_codec;
 use byterobust_incident::{IncidentDossier, IncidentStore};
@@ -162,7 +162,7 @@ impl JobReport {
     /// (pinned by the persistence tests and the `persistence-roundtrip` CI
     /// job).
     pub fn export_json(&self) -> String {
-        render_document(JOB_REPORT_FORMAT, &self.encode())
+        render_document(JOB_REPORT_FORMAT, |w| self.encode_members(w))
     }
 
     /// Imports a report previously written by [`JobReport::export_json`].

@@ -58,6 +58,9 @@ pub struct CompletedSweep {
 pub struct BacklogDrainer {
     tester: SelectiveStressTester,
     pending: Vec<SweepTicket>,
+    /// The earliest `completes_at` in `pending` (`None` when it is empty),
+    /// so a tick with nothing due returns without touching `pending`.
+    next_due: Option<SimTime>,
     completed: Vec<CompletedSweep>,
     sweeps_dispatched: usize,
     escalation_counts: BTreeMap<Escalation, usize>,
@@ -114,7 +117,7 @@ impl BacklogDrainer {
                 .tester
                 .resolution_time(dossier.kind, dossier.concluded_cause)
                 .unwrap_or(GENERIC_SWEEP);
-            self.pending.push(SweepTicket {
+            self.enqueue(SweepTicket {
                 job: job.to_string(),
                 seq: dossier.seq,
                 passed,
@@ -125,15 +128,28 @@ impl BacklogDrainer {
         }
     }
 
+    fn enqueue(&mut self, ticket: SweepTicket) {
+        self.next_due = Some(
+            self.next_due
+                .map_or(ticket.completes_at, |due| due.min(ticket.completes_at)),
+        );
+        self.pending.push(ticket);
+    }
+
     /// Completes every sweep due by `now`, in (completion time, job, seq)
     /// order, and returns the newly completed batch. The caller restocks the
-    /// standby pool with each sweep's `passed` machines.
+    /// standby pool with each sweep's `passed` machines. O(1) when nothing
+    /// is due.
     pub fn tick(&mut self, now: SimTime) -> Vec<CompletedSweep> {
+        if self.next_due.is_none_or(|due| due > now) {
+            return Vec::new();
+        }
         let (due, pending): (Vec<SweepTicket>, Vec<SweepTicket>) = self
             .pending
             .drain(..)
             .partition(|ticket| ticket.completes_at <= now);
         self.pending = pending;
+        self.next_due = self.pending.iter().map(|ticket| ticket.completes_at).min();
         let mut batch: Vec<CompletedSweep> = due
             .into_iter()
             .map(|ticket| CompletedSweep {
@@ -254,6 +270,64 @@ mod tests {
         assert_eq!(sweep.passed.len() + sweep.failed.len(), 4);
         assert_eq!(drainer.pending.len(), 0);
         assert_eq!(drainer.completed().len(), 1);
+    }
+
+    /// The reference `tick` is compared against: the version without the
+    /// early return, which partitions every pending ticket on every call
+    /// and sorts the due ones.
+    fn reference_tick(pending: &mut Vec<SweepTicket>, now: SimTime) -> Vec<CompletedSweep> {
+        let (due, rest): (Vec<SweepTicket>, Vec<SweepTicket>) = pending
+            .drain(..)
+            .partition(|ticket| ticket.completes_at <= now);
+        *pending = rest;
+        let mut batch: Vec<CompletedSweep> = due
+            .into_iter()
+            .map(|ticket| CompletedSweep {
+                completed_at: ticket.completes_at,
+                job: ticket.job,
+                seq: ticket.seq,
+                passed: ticket.passed,
+                failed: ticket.failed,
+                dispatched_at: ticket.dispatched_at,
+            })
+            .collect();
+        batch.sort_by(|a, b| (a.completed_at, &a.job, a.seq).cmp(&(b.completed_at, &b.job, b.seq)));
+        batch
+    }
+
+    #[test]
+    fn tick_matches_the_partition_reference_on_seeded_ticket_sets() {
+        for seed in 0..50 {
+            let mut rng = byterobust_sim::SimRng::new(seed);
+            let mut drainer = BacklogDrainer::new();
+            let mut reference = Vec::new();
+            let mut now = SimTime::ZERO;
+            let mut completed = 0;
+            for _ in 0..200 {
+                // Dispatch a few tickets (durations collide on purpose, so
+                // ties on completion time are ordered by job and seq), then
+                // tick forward by a random step, sometimes zero.
+                for _ in 0..rng.range_u64(0, 3) {
+                    let ticket = SweepTicket {
+                        job: format!("job-{}", rng.range_u64(0, 4)),
+                        seq: rng.range_u64(0, 1000),
+                        passed: vec![MachineId(rng.range_u64(0, 64) as u32)],
+                        failed: Vec::new(),
+                        dispatched_at: now,
+                        completes_at: now + SimDuration::from_secs(100 * rng.range_u64(0, 20)),
+                    };
+                    reference.push(ticket.clone());
+                    drainer.enqueue(ticket);
+                }
+                now += SimDuration::from_secs(rng.range_u64(0, 400));
+                let batch = drainer.tick(now);
+                assert_eq!(batch, reference_tick(&mut reference, now), "seed {seed}");
+                completed += batch.len();
+                assert_eq!(drainer.pending, reference, "seed {seed}");
+            }
+            assert!(completed > 0, "seed {seed} completed no sweep");
+            assert_eq!(drainer.completed().len(), completed);
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 
 use byterobust_cluster::{FaultCategory, FaultKind};
 use byterobust_incident::codec::{
-    parse_document, render_document, CodecError, Decode, Encode, JsonValue,
+    parse_document, render_document, CodecError, Decode, Encode, JsonValue, JsonWriter,
 };
 use byterobust_incident::struct_codec;
 use byterobust_incident::{IncidentDossier, IncidentQuery, ResolutionMechanism, Severity};
@@ -141,10 +141,7 @@ impl FleetQuery {
 
     /// Exports the query as a self-describing codec document.
     pub fn export_json(&self) -> String {
-        render_document(
-            QUERY_FORMAT,
-            &JsonValue::object(vec![("query", self.encode())]),
-        )
+        render_document(QUERY_FORMAT, |w| w.member("query", self))
     }
 
     /// Imports a query document written by [`FleetQuery::export_json`].
@@ -349,10 +346,7 @@ impl QueryResponse {
 
     /// Exports the response as a self-describing codec document.
     pub fn export_json(&self) -> String {
-        render_document(
-            RESPONSE_FORMAT,
-            &JsonValue::object(vec![("response", self.encode())]),
-        )
+        render_document(RESPONSE_FORMAT, |w| w.member("response", self))
     }
 
     /// Imports a response document written by
@@ -386,13 +380,13 @@ fn opt_field<T: Decode>(value: &JsonValue, name: &str) -> Result<Option<T>, Code
 }
 
 impl Encode for AlertQuery {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("rule", self.rule.encode()),
-            ("severity", self.severity.encode()),
-            ("escalated_only", self.escalated_only.encode()),
-            ("unresolved_only", self.unresolved_only.encode()),
-        ])
+    fn encode(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.member("rule", &self.rule);
+            w.member("severity", &self.severity);
+            w.member("escalated_only", &self.escalated_only);
+            w.member("unresolved_only", &self.unresolved_only);
+        });
     }
 }
 
@@ -409,16 +403,16 @@ impl Decode for AlertQuery {
 
 /// `IncidentQuery` as a codec object (the incident crate keeps the type
 /// itself codec-free; the wire shape is owned by the fleet vocabulary).
-fn encode_incident_query(query: &IncidentQuery) -> JsonValue {
-    JsonValue::object(vec![
-        ("category", query.category.encode()),
-        ("kind", query.kind.encode()),
-        ("min_severity", query.min_severity.encode()),
-        ("window_from", query.window.map(|(from, _)| from).encode()),
-        ("window_to", query.window.map(|(_, to)| to).encode()),
-        ("machine", query.machine.encode()),
-        ("mechanism", query.mechanism.encode()),
-    ])
+fn encode_incident_query(query: &IncidentQuery, w: &mut JsonWriter) {
+    w.object(|w| {
+        w.member("category", &query.category);
+        w.member("kind", &query.kind);
+        w.member("min_severity", &query.min_severity);
+        w.member("window_from", &query.window.map(|(from, _)| from));
+        w.member("window_to", &query.window.map(|(_, to)| to));
+        w.member("machine", &query.machine);
+        w.member("mechanism", &query.mechanism);
+    });
 }
 
 fn decode_incident_query(value: &JsonValue) -> Result<IncidentQuery, CodecError> {
@@ -443,15 +437,15 @@ fn decode_incident_query(value: &JsonValue) -> Result<IncidentQuery, CodecError>
     })
 }
 
-fn encode_trace_query(query: &TraceQuery) -> JsonValue {
-    JsonValue::object(vec![
-        ("scope", query.scope.encode()),
-        ("kind", query.kind.encode()),
-        ("incident", query.incident.encode()),
-        ("machine", query.machine.encode()),
-        ("from", query.from.encode()),
-        ("until", query.until.encode()),
-    ])
+fn encode_trace_query(query: &TraceQuery, w: &mut JsonWriter) {
+    w.object(|w| {
+        w.member("scope", &query.scope);
+        w.member("kind", &query.kind);
+        w.member("incident", &query.incident);
+        w.member("machine", &query.machine);
+        w.member("from", &query.from);
+        w.member("until", &query.until);
+    });
 }
 
 fn decode_trace_query(value: &JsonValue) -> Result<TraceQuery, CodecError> {
@@ -466,18 +460,19 @@ fn decode_trace_query(value: &JsonValue) -> Result<TraceQuery, CodecError> {
 }
 
 impl Encode for FleetQuery {
-    fn encode(&self) -> JsonValue {
-        let (arm, body) = match self {
-            FleetQuery::Incidents(query) => ("incidents", encode_incident_query(query)),
-            FleetQuery::Dossiers(query) => ("dossiers", encode_incident_query(query)),
-            FleetQuery::Digest => ("digest", JsonValue::Null),
-            FleetQuery::Spans(query) => ("spans", encode_trace_query(query)),
-            FleetQuery::Alerts(query) => ("alerts", query.encode()),
-        };
-        JsonValue::object(vec![
-            ("arm", JsonValue::Str(arm.to_string())),
-            ("body", body),
-        ])
+    fn encode(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.member("arm", self.arm());
+            w.key("body");
+            match self {
+                FleetQuery::Incidents(query) | FleetQuery::Dossiers(query) => {
+                    encode_incident_query(query, w)
+                }
+                FleetQuery::Digest => w.null(),
+                FleetQuery::Spans(query) => encode_trace_query(query, w),
+                FleetQuery::Alerts(query) => query.encode(w),
+            }
+        });
     }
 }
 
@@ -510,52 +505,30 @@ struct_codec!(IncidentRow {
 });
 
 impl Encode for WarehouseDigest {
-    fn encode(&self) -> JsonValue {
-        let pairs = |items: &[(String, u64)]| {
-            JsonValue::Array(
-                items
-                    .iter()
-                    .map(|(name, count)| {
-                        JsonValue::object(vec![
-                            ("name", JsonValue::Str(name.clone())),
-                            ("count", count.encode()),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        JsonValue::object(vec![
-            ("total", self.total.encode()),
-            ("jobs", pairs(&self.jobs)),
-            (
-                "severity",
-                JsonValue::Array(
-                    self.severity
-                        .iter()
-                        .map(|(severity, count)| {
-                            JsonValue::object(vec![
-                                ("severity", severity.encode()),
-                                ("count", count.encode()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "category",
-                JsonValue::Array(
-                    self.category
-                        .iter()
-                        .map(|(category, count)| {
-                            JsonValue::object(vec![
-                                ("category", category.encode()),
-                                ("count", count.encode()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    fn encode(&self, w: &mut JsonWriter) {
+        /// One `key` array of `{"<name>": item, "count": n}` objects.
+        fn counts<T: Encode>(
+            w: &mut JsonWriter,
+            key: &'static str,
+            name: &'static str,
+            items: &[(T, u64)],
+        ) {
+            w.key(key);
+            w.array(|w| {
+                for (item, count) in items {
+                    w.object(|w| {
+                        w.member(name, item);
+                        w.member("count", count);
+                    });
+                }
+            });
+        }
+        w.object(|w| {
+            w.member("total", &self.total);
+            counts(w, "jobs", "name", &self.jobs);
+            counts(w, "severity", "severity", &self.severity);
+            counts(w, "category", "category", &self.category);
+        });
     }
 }
 
@@ -589,45 +562,41 @@ impl Decode for WarehouseDigest {
 }
 
 impl Encode for QueryResponse {
-    fn encode(&self) -> JsonValue {
-        let (arm, body) = match self {
-            QueryResponse::Incidents(rows) => (
-                "incidents",
-                JsonValue::Array(rows.iter().map(Encode::encode).collect()),
-            ),
-            QueryResponse::Dossiers(hits) => (
-                "dossiers",
-                JsonValue::Array(
-                    hits.iter()
-                        .map(|(job, dossier)| {
-                            JsonValue::object(vec![
-                                ("job", job.encode()),
-                                ("dossier", dossier.encode()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            QueryResponse::Digest(digest) => ("digest", digest.encode()),
-            QueryResponse::Spans(spans) => (
-                "spans",
-                JsonValue::Array(spans.iter().map(Encode::encode).collect()),
-            ),
-            QueryResponse::Alerts(rule_set, alerts) => (
-                "alerts",
-                JsonValue::object(vec![
-                    ("rule_set", rule_set.encode()),
-                    (
-                        "alerts",
-                        JsonValue::Array(alerts.iter().map(Encode::encode).collect()),
-                    ),
-                ]),
-            ),
-        };
-        JsonValue::object(vec![
-            ("arm", JsonValue::Str(arm.to_string())),
-            ("body", body),
-        ])
+    fn encode(&self, w: &mut JsonWriter) {
+        w.object(|w| match self {
+            QueryResponse::Incidents(rows) => {
+                w.member("arm", "incidents");
+                w.member("body", rows);
+            }
+            QueryResponse::Dossiers(hits) => {
+                w.member("arm", "dossiers");
+                w.key("body");
+                w.array(|w| {
+                    for (job, dossier) in hits {
+                        w.object(|w| {
+                            w.member("job", job);
+                            w.member("dossier", dossier);
+                        });
+                    }
+                });
+            }
+            QueryResponse::Digest(digest) => {
+                w.member("arm", "digest");
+                w.member("body", digest);
+            }
+            QueryResponse::Spans(spans) => {
+                w.member("arm", "spans");
+                w.member("body", spans);
+            }
+            QueryResponse::Alerts(rule_set, alerts) => {
+                w.member("arm", "alerts");
+                w.key("body");
+                w.object(|w| {
+                    w.member("rule_set", rule_set);
+                    w.member("alerts", alerts);
+                });
+            }
+        });
     }
 }
 

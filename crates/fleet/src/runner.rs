@@ -198,7 +198,6 @@ impl FleetConfig {
         table5.fault.reference_mtbf = SimDuration::from_hours(2);
         table5.fault.reference_gpus = table5.job.world_size();
         table5.fault.manual_restart_interval = SimDuration::from_hours(8);
-        table5.series_points = 50;
 
         FleetConfig::new(vec![
             FleetJob::new("dense-small", dense),
@@ -234,7 +233,6 @@ impl FleetConfig {
             table5.fault.reference_mtbf = SimDuration::from_hours(2 + i % 2);
             table5.fault.reference_gpus = table5.job.world_size();
             table5.fault.manual_restart_interval = SimDuration::from_hours(6 + i);
-            table5.series_points = 50;
             jobs.push(FleetJob::new(format!("table5-{i:02}"), table5));
         }
         FleetConfig::new(jobs)
@@ -286,7 +284,7 @@ impl FleetConfig {
     /// `index` so the fleet's events interleave rather than phase-lock), a
     /// modest infra fault rate (each eviction permanently shrinks the job's
     /// cluster toward its spares, so a 45-day run must not be eviction-heavy),
-    /// and a small reported series.
+    /// and eight warm spares beyond the binomial sizing.
     fn mega_job(index: u64, machines: usize, duration: SimDuration) -> JobConfig {
         use byterobust_parallelism::ParallelismConfig;
         use byterobust_trainsim::{HardwareSpec, ModelSpec};
@@ -310,7 +308,6 @@ impl FleetConfig {
         // ~37–43 min between manual restarts: the dominant event source
         // (~1,600–1,800 events per job over 47 days).
         config.fault.manual_restart_interval = SimDuration::from_secs(2_220 + 60 * (index % 7));
-        config.series_points = 12;
         config.extra_standby_machines = 8;
         config
     }

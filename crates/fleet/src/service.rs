@@ -727,21 +727,14 @@ impl EpochSnapshot {
         labels
     }
 
-    /// Dossier counts per `key`, as a fold over the shard prefixes.
-    fn count_by<K: Ord>(&self, key: impl Fn(&IncidentDossier) -> K) -> BTreeMap<K, usize> {
-        let mut counts = BTreeMap::new();
-        self.for_each_dossier(|_, dossier| *counts.entry(key(dossier)).or_default() += 1);
-        counts
-    }
-
-    /// Incident counts per severity class.
+    /// Incident counts per severity class, as a fold over the shard
+    /// prefixes.
     pub fn severity_counts(&self) -> BTreeMap<Severity, usize> {
-        self.count_by(|dossier| dossier.classification.severity)
-    }
-
-    /// Incident counts per category.
-    pub fn category_counts(&self) -> BTreeMap<FaultCategory, usize> {
-        self.count_by(|dossier| dossier.category)
+        let mut counts = BTreeMap::new();
+        self.for_each_dossier(|_, dossier| {
+            *counts.entry(dossier.classification.severity).or_default() += 1
+        });
+        counts
     }
 
     /// Per-machine incident counts: how many dossiers implicate each machine
@@ -893,8 +886,9 @@ impl WarehouseService {
 
     /// Publishes the warehouse's current content as the next epoch. Called
     /// by the runner after every insert batch (and once before the first
-    /// event, and once after the last); costs one `Arc` clone per resident
-    /// shard. Returns the published epoch number.
+    /// event, and once after the last); costs three `Arc` clones per shard
+    /// (its label, segment list and tail) and allocates no per-shard data.
+    /// Returns the published epoch number.
     pub fn publish(&self, warehouse: &IncidentWarehouse) -> u64 {
         let heads = warehouse.epoch_heads();
         let lens: Vec<usize> = heads.iter().map(|head| head.len).collect();

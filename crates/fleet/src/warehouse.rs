@@ -58,8 +58,12 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use byterobust_incident::codec::{parse_document, render_document, CodecError, Encode, JsonValue};
-use byterobust_incident::{IncidentDossier, IncidentStore};
+use byterobust_cluster::{FaultCategory, MachineId};
+use byterobust_incident::codec::{
+    parse_document, render_document, CodecError, JsonValue, JsonWriter,
+};
+use byterobust_incident::filter;
+use byterobust_incident::{IncidentDossier, IncidentStore, Severity};
 use byterobust_sim::SimDuration;
 
 use crate::service::{EpochSnapshot, ShardCache};
@@ -116,13 +120,14 @@ pub struct SpillStats {
 }
 
 /// One shard's head as captured for a snapshot: the label, the dossier count
-/// at capture time, the spilled segments and the resident tail. The shard's
+/// at capture time, the spilled segments and the resident tail. Every field
+/// is a count or an `Arc`, so a capture allocates nothing. The shard's
 /// content is the segments' dossiers in order, then the tail's. Segments are
 /// never rewritten, so a captured head stays valid however far the shard
 /// grows afterwards. Consumed by the read path in `crate::service`.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardHead {
-    pub(crate) label: String,
+    pub(crate) label: Arc<str>,
     pub(crate) len: usize,
     /// Segment files in write order, each with its dossier count.
     pub(crate) segments: Arc<Vec<(PathBuf, usize)>>,
@@ -134,9 +139,9 @@ pub(crate) struct ShardHead {
 }
 
 impl ShardHead {
-    fn new(label: &str, tail: Arc<IncidentStore>) -> ShardHead {
+    fn new(label: Arc<str>, tail: Arc<IncidentStore>) -> ShardHead {
         ShardHead {
-            label: label.to_string(),
+            label,
             len: tail.len(),
             segments: Arc::default(),
             spilled: 0,
@@ -162,7 +167,7 @@ pub struct IncidentWarehouse {
     shards: Vec<Shard>,
     /// Label → shard index, so the per-insert shard lookup is a map probe
     /// instead of a linear scan over every job label.
-    shard_by_label: BTreeMap<String, usize>,
+    shard_by_label: BTreeMap<Arc<str>, usize>,
     /// Recency clock for the spill policy.
     touch_clock: u64,
     /// Segment files written so far.
@@ -189,7 +194,7 @@ impl Clone for IncidentWarehouse {
             .iter()
             .enumerate()
             .map(|(index, shard)| Shard {
-                head: ShardHead::new(&shard.head.label, snapshot.store(index)),
+                head: ShardHead::new(Arc::clone(&shard.head.label), snapshot.store(index)),
                 last_touch: shard.last_touch,
             })
             .collect();
@@ -285,12 +290,13 @@ impl IncidentWarehouse {
         if let Some(&index) = self.shard_by_label.get(job) {
             return index;
         }
+        let label: Arc<str> = Arc::from(job);
         self.shards.push(Shard {
-            head: ShardHead::new(job, Arc::default()),
+            head: ShardHead::new(Arc::clone(&label), Arc::default()),
             last_touch: self.touch_clock,
         });
         let index = self.shards.len() - 1;
-        self.shard_by_label.insert(job.to_string(), index);
+        self.shard_by_label.insert(label, index);
         index
     }
 
@@ -436,22 +442,15 @@ impl IncidentWarehouse {
     /// merge-determinism tests).
     pub fn export_json(&self) -> String {
         let snapshot = self.snapshot();
-        let shards = (0..self.shards.len())
-            .map(|index| {
-                JsonValue::object(vec![
-                    ("job", JsonValue::Str(self.shards[index].head.label.clone())),
-                    ("store", snapshot.store(index).encode()),
-                ])
-            })
-            .collect();
-        let body = JsonValue::object(vec![
-            (
-                "bucket_width_ms",
-                JsonValue::U64(self.bucket_width.as_millis()),
-            ),
-            ("shards", JsonValue::Array(shards)),
-        ]);
-        render_document(WAREHOUSE_FORMAT, &body)
+        render_document(WAREHOUSE_FORMAT, |w| {
+            w.member("bucket_width_ms", &self.bucket_width.as_millis());
+            w.key("shards");
+            w.array(|w| {
+                for (index, shard) in self.shards.iter().enumerate() {
+                    w.object(|w| write_shard(w, &shard.head.label, &snapshot.store(index)));
+                }
+            });
+        })
     }
 
     /// Imports a warehouse previously written by
@@ -516,7 +515,49 @@ impl IncidentWarehouse {
     /// the byte-for-byte artifact the export→import→render CI round-trip
     /// diffs.
     pub fn render_digest(&self) -> String {
+        // One pass over the snapshot, so each spilled segment is read once:
+        // the fleet-wide counts, and each shard's listing into its own
+        // buffer, printed below in label order.
         let snapshot = self.snapshot();
+        let mut severity: BTreeMap<Severity, usize> = BTreeMap::new();
+        let mut category: BTreeMap<FaultCategory, usize> = BTreeMap::new();
+        let mut machine_counts: BTreeMap<MachineId, usize> = BTreeMap::new();
+        let mut machines = Vec::new();
+        let mut attributed = 0usize;
+        let mut listings: Vec<(usize, String)> = vec![(0, String::new()); self.shards.len()];
+        snapshot.for_each_dossier(|shard, dossier| {
+            *severity.entry(dossier.classification.severity).or_default() += 1;
+            *category.entry(dossier.category).or_default() += 1;
+            attributed += usize::from(dossier.concluded_cause == dossier.root_cause);
+            filter::implicated_machines_into(dossier, &mut machines);
+            for &machine in &machines {
+                *machine_counts.entry(machine).or_default() += 1;
+            }
+            let (count, out) = &mut listings[shard];
+            *count += 1;
+            let evicted: Vec<String> = dossier.evicted.iter().map(|m| m.to_string()).collect();
+            let _ = writeln!(
+                out,
+                "  #{} at {} {:?} {} {} {:?}->{:?} evicted=[{}] over={} resumed={}",
+                dossier.seq,
+                dossier.at,
+                dossier.kind,
+                dossier.classification.severity.label(),
+                dossier.classification.rec_code,
+                dossier.root_cause,
+                dossier.concluded_cause,
+                evicted.join(", "),
+                dossier.over_evicted,
+                dossier.resumed_step,
+            );
+            for entry in dossier.capture.context.iter() {
+                let _ = writeln!(out, "    ctx {entry}");
+            }
+            for entry in &dossier.capture.window {
+                let _ = writeln!(out, "    win {entry}");
+            }
+        });
+
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -525,46 +566,32 @@ impl IncidentWarehouse {
             self.shards.len(),
             self.bucket_width,
         );
-        for (severity, count) in snapshot.severity_counts() {
+        for (severity, count) in severity {
             let _ = writeln!(out, "  {:>5}: {}", severity.label(), count);
         }
-        for (category, count) in snapshot.category_counts() {
+        for (category, count) in category {
             let _ = writeln!(out, "  {category:?}: {count}");
         }
-        let _ = writeln!(
-            out,
-            "  attribution accuracy: {:.6}",
-            snapshot.attribution_accuracy()
-        );
-        for (machine, count) in snapshot.machine_incident_counts() {
+        let accuracy = match snapshot.total() {
+            0 => 1.0,
+            total => attributed as f64 / total as f64,
+        };
+        let _ = writeln!(out, "  attribution accuracy: {accuracy:.6}");
+        for (machine, count) in machine_counts {
             let _ = writeln!(out, "  {machine}: {count} incident(s)");
         }
-        for job in snapshot.jobs() {
-            let store = self.shard(job).expect("listed job has a shard");
-            let _ = writeln!(out, "\n-- shard {job}: {} incident(s)", store.len());
-            for dossier in store.all() {
-                let evicted: Vec<String> = dossier.evicted.iter().map(|m| m.to_string()).collect();
-                let _ = writeln!(
-                    out,
-                    "  #{} at {} {:?} {} {} {:?}->{:?} evicted=[{}] over={} resumed={}",
-                    dossier.seq,
-                    dossier.at,
-                    dossier.kind,
-                    dossier.classification.severity.label(),
-                    dossier.classification.rec_code,
-                    dossier.root_cause,
-                    dossier.concluded_cause,
-                    evicted.join(", "),
-                    dossier.over_evicted,
-                    dossier.resumed_step,
-                );
-                for entry in dossier.capture.context.iter() {
-                    let _ = writeln!(out, "    ctx {entry}");
-                }
-                for entry in &dossier.capture.window {
-                    let _ = writeln!(out, "    win {entry}");
-                }
-            }
+        let mut shards: Vec<usize> = (0..listings.len())
+            .filter(|&shard| listings[shard].0 > 0)
+            .collect();
+        shards.sort_by_key(|&shard| snapshot.label(shard));
+        for shard in shards {
+            let (count, listing) = &listings[shard];
+            let _ = writeln!(
+                out,
+                "\n-- shard {}: {count} incident(s)",
+                snapshot.label(shard)
+            );
+            out.push_str(listing);
         }
         out
     }
@@ -577,13 +604,16 @@ impl Default for IncidentWarehouse {
     }
 }
 
+/// Writes one shard's members, its job label and its store: the body of a
+/// segment document, and of one item of a warehouse export's `shards`.
+fn write_shard(w: &mut JsonWriter, job: &str, store: &IncidentStore) {
+    w.member("job", job);
+    w.member("store", store);
+}
+
 /// Renders one shard's segment document.
 fn render_segment(job: &str, store: &IncidentStore) -> String {
-    let body = JsonValue::object(vec![
-        ("job", JsonValue::Str(job.to_string())),
-        ("store", store.encode()),
-    ]);
-    render_document(SEGMENT_FORMAT, &body)
+    render_document(SEGMENT_FORMAT, |w| write_shard(w, job, store))
 }
 
 /// Loads and validates one segment document, which must belong to `job`
@@ -747,7 +777,8 @@ mod tests {
         let w = warehouse();
         let manual = IncidentQuery::any().category(FaultCategory::ManualRestart);
         assert_eq!(ids(&w, manual).len(), 1);
-        assert_eq!(w.snapshot().category_counts()[&FaultCategory::Explicit], 2);
+        let explicit = IncidentQuery::any().category(FaultCategory::Explicit);
+        assert_eq!(ids(&w, explicit).len(), 2);
         let severe = ids(&w, IncidentQuery::any().at_least(Severity::Sev3));
         assert_eq!(severe.len(), 3, "evicting incidents are at least Sev3");
     }
@@ -874,7 +905,6 @@ mod tests {
         assert_eq!(spilled.spill_stats().resident_dossiers, 0);
         let (s, m) = (spilled.snapshot(), memory.snapshot());
         assert_eq!(s.severity_counts(), m.severity_counts());
-        assert_eq!(s.category_counts(), m.category_counts());
         assert_eq!(s.machine_incident_counts(), m.machine_incident_counts());
         assert_eq!(
             s.resolution_time_by_symptom(),
@@ -996,20 +1026,15 @@ mod tests {
     /// A warehouse export document over hand-built `(job, store)` shards,
     /// bypassing the insert path's ordering assertion.
     fn export_of(shards: &[(&str, &IncidentStore)]) -> String {
-        let shards = shards
-            .iter()
-            .map(|(job, store)| {
-                JsonValue::object(vec![
-                    ("job", JsonValue::Str(job.to_string())),
-                    ("store", store.encode()),
-                ])
-            })
-            .collect();
-        let body = JsonValue::object(vec![
-            ("bucket_width_ms", JsonValue::U64(3_600_000)),
-            ("shards", JsonValue::Array(shards)),
-        ]);
-        render_document(WAREHOUSE_FORMAT, &body)
+        render_document(WAREHOUSE_FORMAT, |w| {
+            w.member("bucket_width_ms", &3_600_000u64);
+            w.key("shards");
+            w.array(|w| {
+                for (job, store) in shards {
+                    w.object(|w| write_shard(w, job, store));
+                }
+            });
+        })
     }
 
     #[test]

@@ -2,14 +2,27 @@
 //!
 //! The workspace builds from its own crates alone, so this module is its
 //! one serialization layer: warehouse disk-spill, incident-store export, and
-//! the query, trace, alert and metrics documents all go through it. It is a
-//! hand-rolled JSON value model ([`JsonValue`]), a writer with full string
-//! escaping, a positioned parser, and [`Encode`]/[`Decode`] impls for every
-//! type an [`IncidentDossier`] closes over.
+//! the query, trace, alert and metrics documents all go through it. It has
+//! two halves that share one wire format:
+//!
+//! - **Writing is one pass.** [`Encode::encode`] writes a value straight
+//!   into a [`JsonWriter`], which owns the output `String` and keeps the
+//!   comma state itself. Object keys are `&'static str`, integers are
+//!   written without `fmt`, and strings are copied in runs of bytes that
+//!   need no escape. No tree is built, so a spilled segment costs its text
+//!   and nothing else.
+//! - **Reading goes through a value model.** A positioned parser turns text
+//!   into a [`JsonValue`] tree, and [`Decode`] impls read from it, so a
+//!   decode error can name its JSON path. [`JsonValue`] is also
+//!   [`Encode`], so a value still assembled as a tree renders through the
+//!   same writer.
+//!
+//! [`Encode`]/[`Decode`] are implemented for every type an
+//! [`IncidentDossier`] closes over.
 //!
 //! Design constraints, in priority order:
 //!
-//! 1. **Exact round-trip.** `decode(parse(render(encode(x)))) == x` for every
+//! 1. **Exact round-trip.** `from_json(&to_json(&x)) == x` for every
 //!    encodable type — byte-identity of spilled-vs-resident warehouse queries
 //!    depends on it. All incident state is integers, strings, and unit enums,
 //!    so exactness is achievable without float-format heroics (the one `f64`
@@ -32,15 +45,19 @@
 //! listed order. [`string_enum_codec!`](crate::string_enum_codec) does the
 //! same for unit enums, keyed by variant name or by `label()`. Every
 //! top-level document goes through [`render_document`], which writes the
-//! `format`/`version` header, and [`parse_document`], which checks it.
+//! `format`/`version` header and then the body's members, and
+//! [`parse_document`], which checks the header. A body is a closure that
+//! writes members, so it cannot be anything but a member list; a
+//! [`struct_codec!`](crate::struct_codec) type passes its
+//! [`EncodeMembers`] impl.
 //!
 //! The impls still written by hand are the ones whose wire shape differs
 //! from the in-memory type:
 //!
-//! - primitives, `Vec`, `Arc<[T]>`, `Box<[T]>`, `Box<str>`, `Option`,
-//!   `SimTime`, `SimDuration` and `MachineId`: they are the leaves the
-//!   macros build on (a boxed slice travels exactly as a `Vec`, a boxed str
-//!   exactly as a `String`);
+//! - primitives, `str`, slices, `Option`, `SimTime`, `SimDuration` and
+//!   `MachineId`: they are the leaves the macros build on. `String`,
+//!   `Vec`, `Box` and `Arc` write what they point to, so a boxed slice
+//!   travels exactly as a `Vec` and a boxed str exactly as a `String`;
 //! - tagged enums (`RecorderEvent`, `Detector`, `FleetQuery`,
 //!   `QueryResponse`): a `type` or `arm` tag selects the payload;
 //! - `Classification`: `rec_code` is a `&'static str` that decodes back onto
@@ -272,62 +289,11 @@ impl JsonValue {
         }
     }
 
-    // -----------------------------------------------------------------------
-    // Writer
-    // -----------------------------------------------------------------------
-
-    /// Renders the value as a compact JSON document. Deterministic: equal
-    /// values render to byte-identical text.
+    /// Renders the value as a compact JSON document through the
+    /// [`JsonWriter`]. Deterministic: equal values render to byte-identical
+    /// text.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::U64(n) => {
-                let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
-            }
-            JsonValue::I64(n) => {
-                let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
-            }
-            JsonValue::F64(x) => {
-                // Rust's `Display` for floats is the shortest string that
-                // parses back to the same bits, so the round trip is exact.
-                // Non-finite values are not representable in JSON; encoders
-                // in this workspace never produce them (asserted).
-                debug_assert!(x.is_finite(), "non-finite floats are not encodable");
-                if x.is_finite() {
-                    let _ = fmt::Write::write_fmt(out, format_args!("{x:?}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            JsonValue::Str(s) => render_string(s, out),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Object(members) => {
-                out.push('{');
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_member(key, value, out);
-                }
-                out.push('}');
-            }
-        }
+        to_json(self)
     }
 
     /// Parses a JSON document. The whole input must be one value (trailing
@@ -347,33 +313,223 @@ impl JsonValue {
     }
 }
 
-/// Writes one `"key":value` object member.
-fn render_member(key: &str, value: &JsonValue, out: &mut String) {
-    render_string(key, out);
-    out.push(':');
-    value.render_into(out);
-}
-
-/// Writes a string literal with JSON escaping: quotes, backslashes, and all
-/// control characters; non-ASCII passes through as UTF-8.
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+impl Encode for JsonValue {
+    fn encode(&self, w: &mut JsonWriter) {
+        match self {
+            JsonValue::Null => w.null(),
+            JsonValue::Bool(b) => w.bool(*b),
+            JsonValue::U64(n) => w.u64(*n),
+            JsonValue::I64(n) => w.i64(*n),
+            JsonValue::F64(x) => w.f64(*x),
+            JsonValue::Str(s) => w.str(s),
+            JsonValue::Array(items) => items.encode(w),
+            JsonValue::Object(members) => w.object(|w| {
+                for (key, value) in members {
+                    w.dynamic_key(key);
+                    value.encode(w);
+                }
+            }),
         }
     }
-    out.push('"');
+}
+
+// ---------------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------------
+
+/// The one-pass JSON writer every [`Encode`] impl writes into. It owns the
+/// output text and the comma state, so an impl only says what comes next:
+/// [`object`](JsonWriter::object) and [`array`](JsonWriter::array) around
+/// a closure that writes the contents, [`member`](JsonWriter::member) for
+/// a `"key":value` pair, and one call per scalar. The output is compact
+/// (no whitespace) and deterministic.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Whether the next value or key at the current nesting level needs a
+    /// leading comma. One flag is enough: opening a container clears it,
+    /// and closing one sets it again, because the container was itself a
+    /// value of its parent.
+    needs_comma: bool,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> JsonWriter {
+        JsonWriter::default()
+    }
+
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Starts a value: the comma that separates it from the one before.
+    fn separate(&mut self) {
+        if self.needs_comma {
+            self.out.push(',');
+        }
+        self.needs_comma = true;
+    }
+
+    /// Writes an object whose members `members` writes.
+    pub fn object(&mut self, members: impl FnOnce(&mut JsonWriter)) {
+        self.separate();
+        self.out.push('{');
+        self.needs_comma = false;
+        members(self);
+        self.out.push('}');
+        self.needs_comma = true;
+    }
+
+    /// Writes an array whose items `items` writes.
+    pub fn array(&mut self, items: impl FnOnce(&mut JsonWriter)) {
+        self.separate();
+        self.out.push('[');
+        self.needs_comma = false;
+        items(self);
+        self.out.push(']');
+        self.needs_comma = true;
+    }
+
+    /// Writes an object key; the next value written is its member's value.
+    /// Keys are identifiers in the source, which need no escape.
+    pub fn key(&mut self, key: &'static str) {
+        debug_assert!(
+            key.bytes().all(|b| escape_of(b).is_none()),
+            "object key `{key}` needs escaping"
+        );
+        self.separate();
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.needs_comma = false;
+    }
+
+    /// Writes a key that is data rather than source: escaped like a string.
+    fn dynamic_key(&mut self, key: &str) {
+        self.str(key);
+        self.out.push(':');
+        self.needs_comma = false;
+    }
+
+    /// Writes one `"key":value` object member.
+    pub fn member<T: Encode + ?Sized>(&mut self, key: &'static str, value: &T) {
+        self.key(key);
+        value.encode(self);
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.separate();
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, value: bool) {
+        self.separate();
+        self.out.push_str(if value { "true" } else { "false" });
+    }
+
+    /// Writes a non-negative integer in decimal, without going through
+    /// `fmt`.
+    pub fn u64(&mut self, value: u64) {
+        self.separate();
+        push_decimal(&mut self.out, value);
+    }
+
+    /// Writes an integer in decimal.
+    pub fn i64(&mut self, value: i64) {
+        self.separate();
+        if value < 0 {
+            self.out.push('-');
+        }
+        push_decimal(&mut self.out, value.unsigned_abs());
+    }
+
+    /// Writes a finite float in Rust's shortest round-trip form, so the
+    /// round trip is exact. Non-finite values are not representable in
+    /// JSON; encoders in this workspace never produce them (asserted), and
+    /// a release build writes `null`.
+    pub fn f64(&mut self, value: f64) {
+        debug_assert!(value.is_finite(), "non-finite floats are not encodable");
+        self.separate();
+        if value.is_finite() {
+            let _ = fmt::Write::write_fmt(&mut self.out, format_args!("{value:?}"));
+        } else {
+            self.out.push_str("null");
+        }
+    }
+
+    /// Writes a string literal. Quotes, backslashes and control characters
+    /// are escaped; everything else, DEL and non-ASCII included, is copied
+    /// as it is, in whole runs between escapes.
+    pub fn str(&mut self, value: &str) {
+        self.separate();
+        let out = &mut self.out;
+        out.push('"');
+        let mut run = 0;
+        for (i, &byte) in value.as_bytes().iter().enumerate() {
+            let Some(escape) = escape_of(byte) else {
+                continue;
+            };
+            // `i` is an ASCII byte, so both ends of the run are char
+            // boundaries.
+            out.push_str(&value[run..i]);
+            match escape {
+                Escape::Short(text) => out.push_str(text),
+                Escape::Unicode => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    out.push_str("\\u00");
+                    out.push(char::from(HEX[usize::from(byte >> 4)]));
+                    out.push(char::from(HEX[usize::from(byte & 0xf)]));
+                }
+            }
+            run = i + 1;
+        }
+        out.push_str(&value[run..]);
+        out.push('"');
+    }
+}
+
+/// How one byte of a string is written, if not as itself.
+enum Escape {
+    /// A two-character escape such as `\n`.
+    Short(&'static str),
+    /// `\u00XX`, lowercase hex.
+    Unicode,
+}
+
+/// The escape for one byte, or `None` when it is copied as it is. Every
+/// byte that needs one is ASCII, so a multi-byte UTF-8 sequence is always
+/// copied whole.
+fn escape_of(byte: u8) -> Option<Escape> {
+    match byte {
+        b'"' => Some(Escape::Short("\\\"")),
+        b'\\' => Some(Escape::Short("\\\\")),
+        b'\n' => Some(Escape::Short("\\n")),
+        b'\r' => Some(Escape::Short("\\r")),
+        b'\t' => Some(Escape::Short("\\t")),
+        0x08 => Some(Escape::Short("\\b")),
+        0x0C => Some(Escape::Short("\\f")),
+        0x00..=0x1F => Some(Escape::Unicode),
+        _ => None,
+    }
+}
+
+/// Appends `value` in decimal.
+fn push_decimal(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 // ---------------------------------------------------------------------------
@@ -658,10 +814,18 @@ impl Parser<'_> {
 // Encode / Decode traits and primitive impls
 // ---------------------------------------------------------------------------
 
-/// Turns a value into its [`JsonValue`] representation.
+/// Writes a value as JSON text, in one pass, through a [`JsonWriter`].
 pub trait Encode {
-    /// Encodes `self`.
-    fn encode(&self) -> JsonValue;
+    /// Writes `self` as one JSON value.
+    fn encode(&self, w: &mut JsonWriter);
+}
+
+/// A value whose wire form is an object, written member by member. What
+/// [`struct_codec!`](crate::struct_codec) generates beside [`Encode`], so
+/// that the value can also be a document body ([`render_document`]).
+pub trait EncodeMembers {
+    /// Writes `self`'s members, without the braces around them.
+    fn encode_members(&self, w: &mut JsonWriter);
 }
 
 /// Rebuilds a value from its [`JsonValue`] representation.
@@ -671,8 +835,10 @@ pub trait Decode: Sized {
 }
 
 /// Renders an encodable value as a compact JSON document.
-pub fn to_json<T: Encode>(value: &T) -> String {
-    value.encode().render()
+pub fn to_json<T: Encode + ?Sized>(value: &T) -> String {
+    let mut w = JsonWriter::new();
+    value.encode(&mut w);
+    w.finish()
 }
 
 /// Parses and decodes a JSON document in one step.
@@ -681,26 +847,15 @@ pub fn from_json<T: Decode>(text: &str) -> Result<T, CodecError> {
 }
 
 /// Renders a top-level document: the `format`/`version` header, then the
-/// members of `body` in order. [`parse_document`] reads it back.
-///
-/// # Panics
-///
-/// If `body` is not an object. Every body is a
-/// [`struct_codec!`](crate::struct_codec) encoding or a member list built in
-/// code, so that is a caller bug, not bad input.
-pub fn render_document(format: &str, body: &JsonValue) -> String {
-    let JsonValue::Object(members) = body else {
-        panic!("a document body must be an object, found {}", body.kind());
-    };
-    let mut out = String::from("{\"format\":");
-    render_string(format, &mut out);
-    let _ = fmt::Write::write_fmt(&mut out, format_args!(",\"version\":{FORMAT_VERSION}"));
-    for (key, value) in members {
-        out.push(',');
-        render_member(key, value, &mut out);
-    }
-    out.push('}');
-    out
+/// members `body` writes, in order. [`parse_document`] reads it back.
+pub fn render_document(format: &str, body: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.member("format", format);
+        w.member("version", &FORMAT_VERSION);
+        body(w);
+    });
+    w.finish()
 }
 
 /// Parses a document written by [`render_document`] and checks its
@@ -725,8 +880,8 @@ pub fn parse_document(text: &str, format: &str) -> Result<JsonValue, CodecError>
 }
 
 impl Encode for bool {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Bool(*self)
+    fn encode(&self, w: &mut JsonWriter) {
+        w.bool(*self);
     }
 }
 
@@ -743,8 +898,8 @@ impl Decode for bool {
 }
 
 impl Encode for u64 {
-    fn encode(&self) -> JsonValue {
-        JsonValue::U64(*self)
+    fn encode(&self, w: &mut JsonWriter) {
+        w.u64(*self);
     }
 }
 
@@ -755,8 +910,8 @@ impl Decode for u64 {
 }
 
 impl Encode for u32 {
-    fn encode(&self) -> JsonValue {
-        JsonValue::U64(u64::from(*self))
+    fn encode(&self, w: &mut JsonWriter) {
+        w.u64(u64::from(*self));
     }
 }
 
@@ -768,8 +923,8 @@ impl Decode for u32 {
 }
 
 impl Encode for usize {
-    fn encode(&self) -> JsonValue {
-        JsonValue::U64(*self as u64)
+    fn encode(&self, w: &mut JsonWriter) {
+        w.u64(*self as u64);
     }
 }
 
@@ -781,12 +936,8 @@ impl Decode for usize {
 }
 
 impl Encode for i64 {
-    fn encode(&self) -> JsonValue {
-        if *self >= 0 {
-            JsonValue::U64(*self as u64)
-        } else {
-            JsonValue::I64(*self)
-        }
+    fn encode(&self, w: &mut JsonWriter) {
+        w.i64(*self);
     }
 }
 
@@ -806,8 +957,8 @@ impl Decode for i64 {
 }
 
 impl Encode for f64 {
-    fn encode(&self) -> JsonValue {
-        JsonValue::F64(*self)
+    fn encode(&self, w: &mut JsonWriter) {
+        w.f64(*self);
     }
 }
 
@@ -825,9 +976,15 @@ impl Decode for f64 {
     }
 }
 
+impl Encode for str {
+    fn encode(&self, w: &mut JsonWriter) {
+        w.str(self);
+    }
+}
+
 impl Encode for String {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Str(self.clone())
+    fn encode(&self, w: &mut JsonWriter) {
+        w.str(self);
     }
 }
 
@@ -837,21 +994,25 @@ impl Decode for String {
     }
 }
 
-impl Encode for Box<str> {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Str(self.to_string())
-    }
-}
-
 impl Decode for Box<str> {
     fn decode(value: &JsonValue) -> Result<Self, CodecError> {
         Ok(value.as_str()?.into())
     }
 }
 
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, w: &mut JsonWriter) {
+        w.array(|w| {
+            for item in self {
+                item.encode(w);
+            }
+        });
+    }
+}
+
 impl<T: Encode> Encode for Vec<T> {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(Encode::encode).collect())
+    fn encode(&self, w: &mut JsonWriter) {
+        self.as_slice().encode(w);
     }
 }
 
@@ -871,9 +1032,9 @@ impl<T: Decode> Decode for Vec<T> {
     }
 }
 
-impl<T: Encode> Encode for Arc<[T]> {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(Encode::encode).collect())
+impl<T: Encode + ?Sized> Encode for Arc<T> {
+    fn encode(&self, w: &mut JsonWriter) {
+        (**self).encode(w);
     }
 }
 
@@ -883,9 +1044,9 @@ impl<T: Decode> Decode for Arc<[T]> {
     }
 }
 
-impl<T: Encode> Encode for Box<[T]> {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(Encode::encode).collect())
+impl<T: Encode + ?Sized> Encode for Box<T> {
+    fn encode(&self, w: &mut JsonWriter) {
+        (**self).encode(w);
     }
 }
 
@@ -896,10 +1057,10 @@ impl<T: Decode> Decode for Box<[T]> {
 }
 
 impl<T: Encode> Encode for Option<T> {
-    fn encode(&self) -> JsonValue {
+    fn encode(&self, w: &mut JsonWriter) {
         match self {
-            Some(value) => value.encode(),
-            None => JsonValue::Null,
+            Some(value) => value.encode(w),
+            None => w.null(),
         }
     }
 }
@@ -918,8 +1079,8 @@ impl<T: Decode> Decode for Option<T> {
 // ---------------------------------------------------------------------------
 
 impl Encode for SimTime {
-    fn encode(&self) -> JsonValue {
-        JsonValue::U64(self.as_millis())
+    fn encode(&self, w: &mut JsonWriter) {
+        w.u64(self.as_millis());
     }
 }
 
@@ -930,8 +1091,8 @@ impl Decode for SimTime {
 }
 
 impl Encode for SimDuration {
-    fn encode(&self) -> JsonValue {
-        JsonValue::U64(self.as_millis())
+    fn encode(&self, w: &mut JsonWriter) {
+        w.u64(self.as_millis());
     }
 }
 
@@ -942,8 +1103,8 @@ impl Decode for SimDuration {
 }
 
 impl Encode for MachineId {
-    fn encode(&self) -> JsonValue {
-        JsonValue::U64(u64::from(self.0))
+    fn encode(&self, w: &mut JsonWriter) {
+        w.u64(u64::from(self.0));
     }
 }
 
@@ -965,13 +1126,10 @@ impl Decode for MachineId {
 macro_rules! string_enum_codec {
     ($ty:ident { $($variant:ident),+ $(,)? }) => {
         impl $crate::codec::Encode for $ty {
-            fn encode(&self) -> $crate::codec::JsonValue {
-                $crate::codec::JsonValue::Str(
-                    match self {
-                        $($ty::$variant => stringify!($variant),)+
-                    }
-                    .to_string(),
-                )
+            fn encode(&self, w: &mut $crate::codec::JsonWriter) {
+                w.str(match self {
+                    $($ty::$variant => stringify!($variant),)+
+                });
             }
         }
 
@@ -991,8 +1149,8 @@ macro_rules! string_enum_codec {
     };
     ($ty:ident by label) => {
         impl $crate::codec::Encode for $ty {
-            fn encode(&self) -> $crate::codec::JsonValue {
-                $crate::codec::JsonValue::Str(self.label().to_string())
+            fn encode(&self, w: &mut $crate::codec::JsonWriter) {
+                w.str(self.label());
             }
         }
 
@@ -1016,9 +1174,9 @@ macro_rules! string_enum_codec {
     };
 }
 
-/// Generates [`Encode`]/[`Decode`] impls for a struct whose wire form is an
-/// object with one member per listed field: the key is the field name, in
-/// the listed order. Decoding reads the same keys in the same order, so a
+/// Generates [`Encode`]/[`EncodeMembers`]/[`Decode`] impls for a struct
+/// whose wire form is an object with one member per listed field: the key is
+/// the field name, in the listed order. Decoding reads the same keys in the same order, so a
 /// missing or mistyped member fails with an error naming its path, and the
 /// struct literal makes the compiler reject a list that omits a field.
 ///
@@ -1040,14 +1198,15 @@ macro_rules! string_enum_codec {
 #[macro_export]
 macro_rules! struct_codec {
     ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::codec::EncodeMembers for $ty {
+            fn encode_members(&self, w: &mut $crate::codec::JsonWriter) {
+                $(w.member(stringify!($field), &self.$field);)+
+            }
+        }
+
         impl $crate::codec::Encode for $ty {
-            fn encode(&self) -> $crate::codec::JsonValue {
-                $crate::codec::JsonValue::Object(vec![
-                    $((
-                        stringify!($field).to_string(),
-                        $crate::codec::Encode::encode(&self.$field),
-                    ),)+
-                ])
+            fn encode(&self, w: &mut $crate::codec::JsonWriter) {
+                w.object(|w| $crate::codec::EncodeMembers::encode_members(self, w));
             }
         }
 
@@ -1184,12 +1343,12 @@ struct_codec!(FailoverCost {
 struct_codec!(SystemEvent { at, kind, machine });
 
 impl Encode for Classification {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("severity", self.severity.encode()),
-            ("rec_code", JsonValue::Str(self.rec_code.to_string())),
-            ("escalations", self.escalations.encode()),
-        ])
+    fn encode(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.member("severity", &self.severity);
+            w.member("rec_code", self.rec_code);
+            w.member("escalations", &self.escalations);
+        });
     }
 }
 
@@ -1208,89 +1367,85 @@ impl Decode for Classification {
 }
 
 impl Encode for RecorderEvent {
-    fn encode(&self) -> JsonValue {
-        let tag = |name: &str, mut rest: Vec<(&str, JsonValue)>| {
-            let mut members = vec![("type", JsonValue::Str(name.to_string()))];
-            members.append(&mut rest);
-            JsonValue::object(members)
-        };
-        match self {
-            RecorderEvent::Telemetry(event) => tag("Telemetry", vec![("event", event.encode())]),
-            RecorderEvent::Detected { kind, latency } => tag(
-                "Detected",
-                vec![("kind", kind.encode()), ("latency", latency.encode())],
-            ),
-            RecorderEvent::MonitorVerdict { machine, issue } => tag(
-                "MonitorVerdict",
-                vec![("machine", machine.encode()), ("issue", issue.encode())],
-            ),
+    fn encode(&self, w: &mut JsonWriter) {
+        w.object(|w| match self {
+            RecorderEvent::Telemetry(event) => {
+                w.member("type", "Telemetry");
+                w.member("event", event);
+            }
+            RecorderEvent::Detected { kind, latency } => {
+                w.member("type", "Detected");
+                w.member("kind", kind);
+                w.member("latency", latency);
+            }
+            RecorderEvent::MonitorVerdict { machine, issue } => {
+                w.member("type", "MonitorVerdict");
+                w.member("machine", machine);
+                w.member("issue", issue);
+            }
             RecorderEvent::DiagnosisDecision {
                 conclusion,
                 suspects,
                 duration,
-            } => tag(
-                "DiagnosisDecision",
-                vec![
-                    ("conclusion", conclusion.encode()),
-                    ("suspects", suspects.encode()),
-                    ("duration", duration.encode()),
-                ],
-            ),
+            } => {
+                w.member("type", "DiagnosisDecision");
+                w.member("conclusion", conclusion);
+                w.member("suspects", suspects);
+                w.member("duration", duration);
+            }
             RecorderEvent::AnalyzerDecision {
                 machines,
                 shared_group,
                 outlier_ranks,
                 over_evicts,
-            } => tag(
-                "AnalyzerDecision",
-                vec![
-                    ("machines", machines.encode()),
-                    ("shared_group", shared_group.encode()),
-                    ("outlier_ranks", outlier_ranks.encode()),
-                    ("over_evicts", over_evicts.encode()),
-                ],
-            ),
-            RecorderEvent::ReplayVerdict { suspects, duration } => tag(
-                "ReplayVerdict",
-                vec![
-                    ("suspects", suspects.encode()),
-                    ("duration", duration.encode()),
-                ],
-            ),
-            RecorderEvent::PhaseTransition { phase, duration } => tag(
-                "PhaseTransition",
-                vec![("phase", phase.encode()), ("duration", duration.encode())],
-            ),
+            } => {
+                w.member("type", "AnalyzerDecision");
+                w.member("machines", machines);
+                w.member("shared_group", shared_group);
+                w.member("outlier_ranks", outlier_ranks);
+                w.member("over_evicts", over_evicts);
+            }
+            RecorderEvent::ReplayVerdict { suspects, duration } => {
+                w.member("type", "ReplayVerdict");
+                w.member("suspects", suspects);
+                w.member("duration", duration);
+            }
+            RecorderEvent::PhaseTransition { phase, duration } => {
+                w.member("type", "PhaseTransition");
+                w.member("phase", phase);
+                w.member("duration", duration);
+            }
             RecorderEvent::Eviction {
                 machine,
                 over_eviction,
-            } => tag(
-                "Eviction",
-                vec![
-                    ("machine", machine.encode()),
-                    ("over_eviction", over_eviction.encode()),
-                ],
-            ),
+            } => {
+                w.member("type", "Eviction");
+                w.member("machine", machine);
+                w.member("over_eviction", over_eviction);
+            }
             RecorderEvent::Rollback { to_version } => {
-                tag("Rollback", vec![("to_version", to_version.encode())])
+                w.member("type", "Rollback");
+                w.member("to_version", to_version);
             }
             RecorderEvent::HotUpdateApplied { version } => {
-                tag("HotUpdateApplied", vec![("version", version.encode())])
+                w.member("type", "HotUpdateApplied");
+                w.member("version", version);
             }
-            RecorderEvent::Resumed { step } => tag("Resumed", vec![("step", step.encode())]),
+            RecorderEvent::Resumed { step } => {
+                w.member("type", "Resumed");
+                w.member("step", step);
+            }
             RecorderEvent::CapacityStarvation {
                 preempted,
                 migrated,
                 shortfall,
-            } => tag(
-                "CapacityStarvation",
-                vec![
-                    ("preempted", preempted.encode()),
-                    ("migrated", migrated.encode()),
-                    ("shortfall", shortfall.encode()),
-                ],
-            ),
-        }
+            } => {
+                w.member("type", "CapacityStarvation");
+                w.member("preempted", preempted);
+                w.member("migrated", migrated);
+                w.member("shortfall", shortfall);
+            }
+        });
     }
 }
 
@@ -1377,12 +1532,15 @@ struct_codec!(IncidentDossier {
     capture,
 });
 
+impl EncodeMembers for IncidentStore {
+    fn encode_members(&self, w: &mut JsonWriter) {
+        w.member("dossiers", self.all());
+    }
+}
+
 impl Encode for IncidentStore {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![(
-            "dossiers",
-            JsonValue::Array(self.all().iter().map(|d| d.as_ref().encode()).collect()),
-        )])
+    fn encode(&self, w: &mut JsonWriter) {
+        w.object(|w| self.encode_members(w));
     }
 }
 
@@ -1402,7 +1560,7 @@ impl IncidentStore {
     /// plus every dossier). Deterministic: equal stores export byte-identical
     /// text.
     pub fn export_json(&self) -> String {
-        render_document(STORE_FORMAT, &self.encode())
+        render_document(STORE_FORMAT, |w| self.encode_members(w))
     }
 
     /// Imports a store previously written by [`IncidentStore::export_json`].
@@ -1662,6 +1820,82 @@ mod tests {
         for case in &cases {
             roundtrip(case);
         }
+    }
+
+    #[test]
+    fn writer_escapes_every_ascii_char_and_copies_the_rest_byte_for_byte() {
+        // The exact bytes written for U+0000..U+001F, in order.
+        const CONTROLS: [&str; 32] = [
+            r"\u0000", r"\u0001", r"\u0002", r"\u0003", r"\u0004", r"\u0005", r"\u0006", r"\u0007",
+            r"\b", r"\t", r"\n", r"\u000b", r"\f", r"\r", r"\u000e", r"\u000f", r"\u0010",
+            r"\u0011", r"\u0012", r"\u0013", r"\u0014", r"\u0015", r"\u0016", r"\u0017", r"\u0018",
+            r"\u0019", r"\u001a", r"\u001b", r"\u001c", r"\u001d", r"\u001e", r"\u001f",
+        ];
+        let mut all = String::new();
+        let mut expected_all = String::from("\"");
+        for code in 0u8..0x80 {
+            let c = char::from(code);
+            let expected = match c {
+                '"' => r#"\""#.to_string(),
+                '\\' => r"\\".to_string(),
+                _ if code < 0x20 => CONTROLS[usize::from(code)].to_string(),
+                // Printable ASCII and DEL are written as they are.
+                _ => c.to_string(),
+            };
+            assert_eq!(
+                to_json(&c.to_string()),
+                format!("\"{expected}\""),
+                "U+{code:04X}"
+            );
+            all.push(c);
+            expected_all.push_str(&expected);
+        }
+        expected_all.push('"');
+        // Escapes interleaved with plain runs, in one string.
+        assert_eq!(to_json(&all), expected_all);
+        roundtrip(&all);
+
+        // Non-ASCII is copied as raw UTF-8, whole, between escapes.
+        for (sample, expected) in [
+            ("é", "\"é\""),
+            ("中文", "\"中文\""),
+            ("🚂🔥", "\"🚂🔥\""),
+            ("a\u{7f}é\n🚂\"中", "\"a\u{7f}é\\n🚂\\\"中\""),
+            ("\u{1}κόσμος\u{1f}", "\"\\u0001κόσμος\\u001f\""),
+        ] {
+            assert_eq!(to_json(sample), expected, "{sample:?}");
+        }
+        // A key that is data (a parsed object's) is escaped like a string.
+        let object = JsonValue::Object(vec![("a\"b\n".to_string(), JsonValue::U64(1))]);
+        assert_eq!(object.render(), r#"{"a\"b\n":1}"#);
+    }
+
+    #[test]
+    fn writer_separates_nested_and_empty_containers() {
+        let mut w = JsonWriter::new();
+        w.array(|w| {
+            w.array(|_| {});
+            w.object(|_| {});
+            w.array(|w| {
+                w.u64(0);
+                w.object(|w| {
+                    w.key("a");
+                    w.array(|_| {});
+                    w.member("b", &u64::MAX);
+                    w.member("c", &i64::MIN);
+                    w.member("d", &None::<u64>);
+                });
+                w.bool(false);
+            });
+            w.f64(0.1);
+            w.str("");
+        });
+        assert_eq!(
+            w.finish(),
+            r#"[[],{},[0,{"a":[],"b":18446744073709551615,"c":-9223372036854775808,"d":null},false],0.1,""]"#
+        );
+        let header_only = render_document("empty", |_| {});
+        assert_eq!(header_only, r#"{"format":"empty","version":1}"#);
     }
 
     #[test]

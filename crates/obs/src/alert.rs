@@ -28,7 +28,9 @@
 //! Everything here lives in the deterministic sim-time domain of the
 //! two-domain observability contract — no wall-clock reads anywhere.
 
-use byterobust_incident::codec::{parse_document, render_document, CodecError, Decode, Encode};
+use byterobust_incident::codec::{
+    parse_document, render_document, CodecError, Decode, EncodeMembers,
+};
 use byterobust_incident::struct_codec;
 use byterobust_sim::{SimDuration, SimTime};
 
@@ -301,7 +303,7 @@ impl AlertTimeline {
     /// [`TIMELINE_FORMAT`]). Deterministic; an import re-exports to the
     /// exact same bytes.
     pub fn export_json(&self) -> String {
-        render_document(TIMELINE_FORMAT, &self.encode())
+        render_document(TIMELINE_FORMAT, |w| self.encode_members(w))
     }
 
     /// Imports a document written by [`AlertTimeline::export_json`]. Never
@@ -524,7 +526,7 @@ pub struct AlertScorecard {
 impl AlertScorecard {
     /// Exports the scorecard as a self-describing JSON document.
     pub fn export_json(&self) -> String {
-        render_document(SCORECARD_FORMAT, &self.encode())
+        render_document(SCORECARD_FORMAT, |w| self.encode_members(w))
     }
 
     /// Imports a document written by [`AlertScorecard::export_json`].

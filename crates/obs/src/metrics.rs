@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use byterobust_incident::codec::{
-    parse_document, render_document, CodecError, Decode, Encode, JsonValue,
+    parse_document, render_document, CodecError, Decode, Encode, JsonValue, JsonWriter,
 };
 
 /// Format header written by [`MetricsRegistry::export_json`].
@@ -127,8 +127,8 @@ impl HistogramSnapshot {
 }
 
 impl Encode for HistogramSnapshot {
-    fn encode(&self) -> JsonValue {
-        JsonValue::object(vec![("buckets", self.buckets.encode())])
+    fn encode(&self, w: &mut JsonWriter) {
+        w.object(|w| w.member("buckets", &self.buckets));
     }
 }
 
@@ -183,25 +183,22 @@ impl MetricsRegistry {
 
     /// Exports the registry as a self-describing JSON document.
     pub fn export_json(&self) -> String {
-        fn named<T: Encode>(entries: &[(String, T)]) -> JsonValue {
-            JsonValue::Array(
-                entries
-                    .iter()
-                    .map(|(name, value)| {
-                        JsonValue::object(vec![
-                            ("name", JsonValue::Str(name.clone())),
-                            ("value", value.encode()),
-                        ])
-                    })
-                    .collect(),
-            )
+        fn named<T: Encode>(w: &mut JsonWriter, key: &'static str, entries: &[(String, T)]) {
+            w.key(key);
+            w.array(|w| {
+                for (name, value) in entries {
+                    w.object(|w| {
+                        w.member("name", name);
+                        w.member("value", value);
+                    });
+                }
+            });
         }
-        let body = JsonValue::object(vec![
-            ("counters", named(&self.counters)),
-            ("gauges", named(&self.gauges)),
-            ("histograms", named(&self.histograms)),
-        ]);
-        render_document(METRICS_FORMAT, &body)
+        render_document(METRICS_FORMAT, |w| {
+            named(w, "counters", &self.counters);
+            named(w, "gauges", &self.gauges);
+            named(w, "histograms", &self.histograms);
+        })
     }
 
     /// Imports a registry written by [`MetricsRegistry::export_json`].

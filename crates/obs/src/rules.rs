@@ -22,7 +22,8 @@
 //!   before the rule fires, which suppresses one-sample blips.
 
 use byterobust_incident::codec::{
-    parse_document, render_document, CodecError, Decode, Encode, JsonValue,
+    parse_document, render_document, CodecError, Decode, Encode, EncodeMembers, JsonValue,
+    JsonWriter,
 };
 use byterobust_incident::{string_enum_codec, struct_codec};
 use byterobust_sim::SimDuration;
@@ -310,7 +311,7 @@ impl RuleSet {
     /// equal sets export byte-identical text, and an imported set re-exports
     /// to the exact input bytes.
     pub fn export_json(&self) -> String {
-        render_document(RULES_FORMAT, &self.encode())
+        render_document(RULES_FORMAT, |w| self.encode_members(w))
     }
 
     /// Imports a set written by [`RuleSet::export_json`]. Never panics:
@@ -329,36 +330,36 @@ string_enum_codec!(AlertSeverity by label);
 string_enum_codec!(Aggregate by label);
 
 impl Encode for Detector {
-    fn encode(&self) -> JsonValue {
-        match self {
+    fn encode(&self, w: &mut JsonWriter) {
+        w.object(|w| match self {
             Detector::Threshold {
                 aggregate,
                 window,
                 threshold,
-            } => JsonValue::object(vec![
-                ("type", JsonValue::Str("threshold".to_string())),
-                ("aggregate", aggregate.encode()),
-                ("window", window.encode()),
-                ("threshold", threshold.encode()),
-            ]),
-            Detector::RateOfChange { window, delta } => JsonValue::object(vec![
-                ("type", JsonValue::Str("rate-of-change".to_string())),
-                ("window", window.encode()),
-                ("delta", delta.encode()),
-            ]),
+            } => {
+                w.member("type", "threshold");
+                w.member("aggregate", aggregate);
+                w.member("window", window);
+                w.member("threshold", threshold);
+            }
+            Detector::RateOfChange { window, delta } => {
+                w.member("type", "rate-of-change");
+                w.member("window", window);
+                w.member("delta", delta);
+            }
             Detector::BurnRate {
                 short_window,
                 long_window,
                 budget_per_hour,
                 burn,
-            } => JsonValue::object(vec![
-                ("type", JsonValue::Str("burn-rate".to_string())),
-                ("short_window", short_window.encode()),
-                ("long_window", long_window.encode()),
-                ("budget_per_hour", budget_per_hour.encode()),
-                ("burn", burn.encode()),
-            ]),
-        }
+            } => {
+                w.member("type", "burn-rate");
+                w.member("short_window", short_window);
+                w.member("long_window", long_window);
+                w.member("budget_per_hour", budget_per_hour);
+                w.member("burn", burn);
+            }
+        });
     }
 }
 

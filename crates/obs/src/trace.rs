@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use byterobust_cluster::MachineId;
 use byterobust_incident::codec::{
-    parse_document, render_document, CodecError, Decode, Encode, JsonValue,
+    parse_document, render_document, CodecError, Decode, EncodeMembers, JsonWriter,
 };
 use byterobust_incident::{string_enum_codec, struct_codec};
 use byterobust_sim::SimTime;
@@ -349,15 +349,36 @@ impl Trace {
     pub fn merge(parts: impl IntoIterator<Item = Trace>) -> Trace {
         let mut spans: Vec<TraceSpan> = parts.into_iter().flat_map(|part| part.spans).collect();
         spans.sort_by(|a, b| (a.start, &a.scope, a.id).cmp(&(b.start, &b.scope, b.id)));
-        let remap: HashMap<(String, u64), u64> = spans
+        // Each span's scope as a small index, and per scope a table of
+        // `(local id, merged id)` sorted by local id: a parent is remapped
+        // by a binary search in its own scope's table, with no scope string
+        // cloned or hashed per lookup.
+        let mut scope_index: HashMap<&str, usize> = HashMap::new();
+        let mut tables: Vec<Vec<(u64, u64)>> = Vec::new();
+        let scope_of: Vec<usize> = spans
             .iter()
             .enumerate()
-            .map(|(new_id, span)| ((span.scope.clone(), span.id), new_id as u64))
+            .map(|(new_id, span)| {
+                let fresh = tables.len();
+                let scope = *scope_index.entry(span.scope.as_str()).or_insert(fresh);
+                if scope == fresh {
+                    tables.push(Vec::new());
+                }
+                tables[scope].push((span.id, new_id as u64));
+                scope
+            })
             .collect();
-        for (new_id, span) in spans.iter_mut().enumerate() {
-            span.parent = span
-                .parent
-                .and_then(|old| remap.get(&(span.scope.clone(), old)).copied());
+        for table in &mut tables {
+            table.sort_unstable();
+        }
+        for ((new_id, span), &scope) in spans.iter_mut().enumerate().zip(&scope_of) {
+            let table = &tables[scope];
+            span.parent = span.parent.and_then(|old| {
+                // A local id seen twice in one scope maps to its last
+                // occurrence in canonical order.
+                let end = table.partition_point(|&(id, _)| id <= old);
+                (end > 0 && table[end - 1].0 == old).then(|| table[end - 1].1)
+            });
             span.id = new_id as u64;
         }
         Trace { spans }
@@ -384,7 +405,7 @@ impl Trace {
     /// equal traces export byte-identical text, and an imported trace
     /// re-exports to the exact input bytes.
     pub fn export_json(&self) -> String {
-        render_document(TRACE_FORMAT, &self.encode())
+        render_document(TRACE_FORMAT, |w| self.encode_members(w))
     }
 
     /// Imports a trace written by [`Trace::export_json`]. Never panics:
@@ -398,63 +419,61 @@ impl Trace {
     /// `chrome://tracing` or Perfetto. One synthetic thread per scope;
     /// sim-time milliseconds map onto trace microseconds. Deterministic.
     pub fn to_chrome_json(&self) -> String {
-        let scopes: Vec<String> = self.scopes().iter().map(|s| s.to_string()).collect();
+        let scopes = self.scopes();
         let tid_of =
-            |scope: &str| -> u64 { scopes.iter().position(|s| s == scope).unwrap_or(0) as u64 };
-        let mut events: Vec<JsonValue> = scopes
-            .iter()
-            .enumerate()
-            .map(|(tid, scope)| {
-                JsonValue::object(vec![
-                    ("name", JsonValue::Str("thread_name".to_string())),
-                    ("ph", JsonValue::Str("M".to_string())),
-                    ("pid", JsonValue::U64(0)),
-                    ("tid", JsonValue::U64(tid as u64)),
-                    (
-                        "args",
-                        JsonValue::object(vec![("name", JsonValue::Str(scope.clone()))]),
-                    ),
-                ])
-            })
-            .collect();
-        for span in &self.spans {
-            let ts = span.start.as_millis() * 1000;
-            let mut args = vec![("id", JsonValue::U64(span.id))];
-            if let Some(seq) = span.incident {
-                args.push(("incident", JsonValue::U64(seq)));
-            }
-            if let Some(machine) = span.machine {
-                args.push(("machine", JsonValue::U64(u64::from(machine.0))));
-            }
-            if span.value != 0 {
-                args.push(("value", JsonValue::U64(span.value)));
-            }
-            let mut members = vec![
-                ("name", JsonValue::Str(span.name.clone())),
-                ("cat", JsonValue::Str(span.kind.label().to_string())),
-            ];
-            if span.is_instant() {
-                members.push(("ph", JsonValue::Str("i".to_string())));
-                members.push(("s", JsonValue::Str("t".to_string())));
-                members.push(("ts", JsonValue::U64(ts)));
-            } else {
-                members.push(("ph", JsonValue::Str("X".to_string())));
-                members.push(("ts", JsonValue::U64(ts)));
-                members.push((
-                    "dur",
-                    JsonValue::U64((span.end.as_millis() - span.start.as_millis()) * 1000),
-                ));
-            }
-            members.push(("pid", JsonValue::U64(0)));
-            members.push(("tid", JsonValue::U64(tid_of(&span.scope))));
-            members.push(("args", JsonValue::object(args)));
-            events.push(JsonValue::object(members));
-        }
-        JsonValue::object(vec![
-            ("traceEvents", JsonValue::Array(events)),
-            ("displayTimeUnit", JsonValue::Str("ms".to_string())),
-        ])
-        .render()
+            |scope: &str| -> u64 { scopes.iter().position(|s| *s == scope).unwrap_or(0) as u64 };
+        let mut w = JsonWriter::new();
+        w.object(|w| {
+            w.key("traceEvents");
+            w.array(|w| {
+                for (tid, scope) in scopes.iter().enumerate() {
+                    w.object(|w| {
+                        w.member("name", "thread_name");
+                        w.member("ph", "M");
+                        w.member("pid", &0u64);
+                        w.member("tid", &(tid as u64));
+                        w.key("args");
+                        w.object(|w| w.member("name", *scope));
+                    });
+                }
+                for span in &self.spans {
+                    let ts = span.start.as_millis() * 1000;
+                    w.object(|w| {
+                        w.member("name", &span.name);
+                        w.member("cat", span.kind.label());
+                        if span.is_instant() {
+                            w.member("ph", "i");
+                            w.member("s", "t");
+                            w.member("ts", &ts);
+                        } else {
+                            w.member("ph", "X");
+                            w.member("ts", &ts);
+                            w.member(
+                                "dur",
+                                &((span.end.as_millis() - span.start.as_millis()) * 1000),
+                            );
+                        }
+                        w.member("pid", &0u64);
+                        w.member("tid", &tid_of(&span.scope));
+                        w.key("args");
+                        w.object(|w| {
+                            w.member("id", &span.id);
+                            if let Some(seq) = span.incident {
+                                w.member("incident", &seq);
+                            }
+                            if let Some(machine) = span.machine {
+                                w.member("machine", &u64::from(machine.0));
+                            }
+                            if span.value != 0 {
+                                w.member("value", &span.value);
+                            }
+                        });
+                    });
+                }
+            });
+            w.member("displayTimeUnit", "ms");
+        });
+        w.finish()
     }
 }
 
@@ -480,7 +499,7 @@ struct_codec!(Trace { spans });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byterobust_incident::codec::ErrorPosition;
+    use byterobust_incident::codec::{ErrorPosition, JsonValue};
 
     fn sample_trace() -> Trace {
         let mut job = TraceRecorder::new();

@@ -86,11 +86,10 @@ fn reimport_segment(text: &str) -> Result<String, CodecError> {
     let document = parse_document(text, SEGMENT_FORMAT)?;
     let job: String = document.field("job")?;
     let store: IncidentStore = document.field("store")?;
-    let body = JsonValue::object(vec![
-        ("job", JsonValue::Str(job)),
-        ("store", store.encode()),
-    ]);
-    Ok(render_document(SEGMENT_FORMAT, &body))
+    Ok(render_document(SEGMENT_FORMAT, |w| {
+        w.member("job", &job);
+        w.member("store", &store);
+    }))
 }
 
 /// A directory for one drill's spill segments, unique per call: the tests

@@ -716,6 +716,42 @@ fn render_reads_each_spilled_segment_once() {
 }
 
 #[test]
+fn render_digest_reads_each_spilled_segment_once() {
+    // As above: a 32-dossier cache cannot hold the spilled history, so a
+    // digest that folded the warehouse more than once would fault evicted
+    // segments back in.
+    let dir = spill_dir("digest-once");
+    let budget = 32;
+    let spilled = FleetRunner::new(
+        FleetConfig::large_drill().with_warehouse_storage(WarehouseStorage::new(budget, &dir)),
+        20250916 + 41,
+    )
+    .run();
+    let before = spilled.warehouse.spill_stats();
+    assert_eq!(before.fault_ins, 0, "the run itself never reads a segment");
+    assert!(
+        before.spilled_dossiers > 2 * budget,
+        "the cache cannot hold the spilled history: {before:?}"
+    );
+    let digest = spilled.warehouse.render_digest();
+    let after = spilled.warehouse.spill_stats();
+    assert!(after.fault_ins > 0, "the digest reads the spilled history");
+    assert!(
+        after.fault_ins <= after.segments_written,
+        "render_digest faulted {} segment(s) in for {} written",
+        after.fault_ins,
+        after.segments_written
+    );
+    let memory = FleetRunner::new(FleetConfig::large_drill(), 20250916 + 41).run();
+    assert_eq!(
+        digest,
+        memory.warehouse.render_digest(),
+        "the spilled digest is the in-memory digest"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn warehouse_export_import_render_round_trip_on_fleet_data() {
     let report = drill();
     let exported = report.warehouse.export_json();
