@@ -38,6 +38,41 @@
 
 use byterobust_bench::experiments;
 use byterobust_bench::perf::{timed, ObsBenchStats, PerfRecorder};
+use std::thread::{Scope, ScopedJoinHandle};
+
+/// A timed section forked off the main thread, or, in a serial run, left to
+/// run inline when it is joined.
+enum Fork<'scope, T, F> {
+    Spawned(ScopedJoinHandle<'scope, (T, f64)>),
+    Inline(F),
+}
+
+/// Forks `section` onto its own scoped thread, unless the run is serial.
+fn fork<'scope, T, F>(
+    scope: &'scope Scope<'scope, '_>,
+    serial: bool,
+    section: F,
+) -> Fork<'scope, T, F>
+where
+    T: Send + 'scope,
+    F: FnOnce() -> T + Send + 'scope,
+{
+    if serial {
+        Fork::Inline(section)
+    } else {
+        Fork::Spawned(scope.spawn(move || timed(section)))
+    }
+}
+
+impl<T, F: FnOnce() -> T> Fork<'_, T, F> {
+    /// The section's output and wall seconds.
+    fn join(self) -> (T, f64) {
+        match self {
+            Fork::Spawned(handle) => handle.join().expect("experiment thread panicked"),
+            Fork::Inline(section) => timed(section),
+        }
+    }
+}
 
 fn main() {
     let run_start = std::time::Instant::now();
@@ -56,36 +91,13 @@ fn main() {
     // other; printing happens in document order below.
     let (cheap, fig2, fleet_panel, broker_panel, persistence, obs, alerts, production) =
         std::thread::scope(|scope| {
-            let spawn_or_inline = |f: fn() -> String| {
-                if serial {
-                    None
-                } else {
-                    Some(scope.spawn(move || timed(f)))
-                }
-            };
-            let fig2 = spawn_or_inline(experiments::fig2_loss_mfu);
-            let fleet_panel = spawn_or_inline(experiments::fleet_panel);
-            let broker_panel = spawn_or_inline(experiments::broker_panel);
-            let persistence = if serial {
-                None
-            } else {
-                Some(scope.spawn(|| timed(experiments::persistence_panel)))
-            };
-            let obs = if serial {
-                None
-            } else {
-                Some(scope.spawn(|| timed(experiments::obs_panel)))
-            };
-            let alerts = if serial {
-                None
-            } else {
-                Some(scope.spawn(|| timed(experiments::alerts_panel)))
-            };
-            let production = if serial {
-                None
-            } else {
-                Some(scope.spawn(|| timed(experiments::production_reports)))
-            };
+            let fig2 = fork(scope, serial, experiments::fig2_loss_mfu);
+            let fleet_panel = fork(scope, serial, experiments::fleet_panel);
+            let broker_panel = fork(scope, serial, experiments::broker_panel);
+            let persistence = fork(scope, serial, experiments::persistence_panel);
+            let obs = fork(scope, serial, experiments::obs_panel);
+            let alerts = fork(scope, serial, experiments::alerts_panel);
+            let production = fork(scope, serial, experiments::production_reports);
 
             // Cheap, closed-form experiments on the main thread.
             let cheap: Vec<(&str, (String, f64))> = vec![
@@ -104,41 +116,15 @@ fn main() {
                 ),
             ];
 
-            let join = |handle: Option<std::thread::ScopedJoinHandle<'_, (String, f64)>>,
-                        f: fn() -> String| {
-                match handle {
-                    Some(handle) => handle.join().expect("experiment thread panicked"),
-                    None => timed(f),
-                }
-            };
-            let fig2 = join(fig2, experiments::fig2_loss_mfu);
-            let fleet_panel = join(fleet_panel, experiments::fleet_panel);
-            let broker_panel = join(broker_panel, experiments::broker_panel);
-            let persistence = match persistence {
-                Some(handle) => handle.join().expect("experiment thread panicked"),
-                None => timed(experiments::persistence_panel),
-            };
-            let obs = match obs {
-                Some(handle) => handle.join().expect("experiment thread panicked"),
-                None => timed(experiments::obs_panel),
-            };
-            let alerts = match alerts {
-                Some(handle) => handle.join().expect("experiment thread panicked"),
-                None => timed(experiments::alerts_panel),
-            };
-            let production = match production {
-                Some(handle) => handle.join().expect("experiment thread panicked"),
-                None => timed(experiments::production_reports),
-            };
             (
                 cheap,
-                fig2,
-                fleet_panel,
-                broker_panel,
-                persistence,
-                obs,
-                alerts,
-                production,
+                fig2.join(),
+                fleet_panel.join(),
+                broker_panel.join(),
+                persistence.join(),
+                obs.join(),
+                alerts.join(),
+                production.join(),
             )
         });
 

@@ -13,8 +13,9 @@ use byterobust_cluster::{
 };
 use byterobust_core::{JobConfig, JobLifecycle, JobReport};
 use byterobust_fleet::{
-    BrokerConfig, FleetConfig, FleetQuery, FleetRunner, IncidentWarehouse, QueryResponse,
-    SchedulerKind, TrafficConfig, TrafficGenerator, WarehouseService, WarehouseStorage,
+    drive_live_traffic, replay_samples, BrokerConfig, FleetConfig, FleetQuery, FleetRunner,
+    IncidentWarehouse, LiveTraffic, QueryResponse, SchedulerKind, WarehouseService,
+    WarehouseStorage,
 };
 use byterobust_incident::{
     Classification, IncidentCapture, IncidentDossier, IncidentQuery, IncidentStore,
@@ -1684,9 +1685,6 @@ pub fn mega_panel() -> (String, MegaStats) {
 /// timing, no planner mix, nothing that depends on reader interleaving)
 /// plus the measured [`QueryBenchStats`] backing `BENCH_query.json`.
 pub fn query_panel() -> (String, QueryBenchStats) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-
     let traffic_seed = SEED + 77;
     // The stream dominates this section's wall clock (the drill itself is
     // the same in both modes), so fast mode shrinks the stream: 100k
@@ -1714,72 +1712,21 @@ pub fn query_panel() -> (String, QueryBenchStats) {
         .with_warehouse_storage(WarehouseStorage::new(96, &spill_dir))
         .with_query_service(service.clone());
     let runner = FleetRunner::new(config, SEED + 41);
-    let labels: Vec<String> = runner
-        .config()
-        .jobs
-        .iter()
-        .map(|job| job.label.clone())
-        .collect();
-    let machines = runner.config().total_machines() as u32;
-    let generator = TrafficGenerator::new(TrafficConfig::new(traffic_seed, labels, machines, 26));
-
     let reader_threads = 4;
-    let next = AtomicU64::new(0);
-    let samples: Mutex<Vec<(u64, u64, String)>> = Mutex::new(Vec::new());
-
-    let ((report, stream_wall_secs), drill_wall_secs) = timed(|| {
-        std::thread::scope(|scope| {
-            let run = scope.spawn(|| runner.run());
-            // Open-loop readers: pull the next stream index, answer it
-            // against whatever epoch is latest. The stream is a pure
-            // function of the index, so the queries asked are identical
-            // regardless of which thread asks them or when.
-            let (_, stream_secs) = timed(|| {
-                std::thread::scope(|readers| {
-                    for _ in 0..reader_threads {
-                        readers.spawn(|| loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= queries {
-                                break;
-                            }
-                            let query = generator.query(index);
-                            let Some((response, epoch)) = service.answer(&query) else {
-                                // Before epoch 0 is published; retry the
-                                // same query until the runner catches up.
-                                while service.answer(&query).is_none() {
-                                    std::hint::spin_loop();
-                                }
-                                continue;
-                            };
-                            if index.is_multiple_of(SAMPLE_EVERY) {
-                                samples.lock().expect("sample lock").push((
-                                    index,
-                                    epoch,
-                                    response.render(),
-                                ));
-                            }
-                        });
-                    }
-                })
-            });
-            (run.join().expect("drill run"), stream_secs)
-        })
-    });
+    let (live, drill_wall_secs) =
+        timed(|| drive_live_traffic(&runner, traffic_seed, queries, reader_threads, SAMPLE_EVERY));
+    let LiveTraffic {
+        report,
+        generator,
+        samples,
+        readers_wall_secs: stream_wall_secs,
+    } = live;
 
     // Live-vs-post-hoc oracle: every sampled live answer must replay
     // byte-identically from its epoch's post-hoc snapshot.
-    let samples = samples.into_inner().expect("sample lock");
     assert!(!samples.is_empty(), "stream recorded no samples");
-    for (index, epoch, live) in &samples {
-        let snapshot = service.snapshot_at(*epoch).expect("published epoch");
-        let (replayed, _) = snapshot
-            .answer(&generator.query(*index))
-            .expect("warehouse-backed arm");
-        assert_eq!(
-            &replayed.render(),
-            live,
-            "post-hoc replay of query {index} diverged from its live answer at epoch {epoch}"
-        );
+    if let Err(mismatch) = replay_samples(&service, &generator, &samples) {
+        panic!("{mismatch}");
     }
 
     // Planner-vs-oracle at the final epoch, over a fresh sample of the

@@ -71,7 +71,7 @@ pub enum SegmentOutcome {
 /// scheduler interleave many concurrent jobs in global event order, feed
 /// their incidents into a shared warehouse, and route every job's scheduling
 /// draws through one shared warm-standby pool
-/// ([`JobExecution::advance_with_pool`]).
+/// ([`JobExecution::advance_with_scheduler`]).
 #[derive(Debug, Clone)]
 pub struct JobExecution {
     config: JobConfig,
@@ -217,16 +217,9 @@ impl JobExecution {
             .solo_pool
             .take()
             .expect("solo pool is always restored after advance");
-        let outcome = self.advance_with_pool(&mut pool);
+        let outcome = self.advance_with_scheduler(&mut pool);
         self.solo_pool = Some(pool);
         outcome
-    }
-
-    /// Advances one segment, drawing replacement machines from `pool` — the
-    /// plain fleet entry point, where `pool` is shared by every job in the
-    /// fleet.
-    pub fn advance_with_pool(&mut self, pool: &mut WarmStandbyPool) -> SegmentOutcome {
-        self.advance_with_scheduler(pool)
     }
 
     /// Advances one segment, covering evictions through an arbitrary standby

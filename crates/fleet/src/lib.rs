@@ -91,8 +91,9 @@ pub use report::{DrainSummary, FleetJobReport, FleetReport};
 pub use runner::{FleetConfig, FleetJob, FleetRunner, SteppingMode};
 pub use scheduler::{EventScheduler, SchedulerKind, SchedulerOps};
 pub use service::{
-    CacheStats, EpochSnapshot, EpochStamp, PlanChoice, ServiceStats, ShardCache, TrafficConfig,
-    TrafficGenerator, WarehouseService,
+    drive_live_traffic, replay_samples, CacheStats, EpochSnapshot, EpochStamp, LiveSample,
+    LiveTraffic, PlanChoice, ReplayMismatch, ServiceStats, ShardCache, TrafficConfig,
+    TrafficGenerator, WarehouseService, DEFAULT_CACHE_BUDGET,
 };
 pub use warehouse::{IncidentWarehouse, SpillStats, WarehouseStorage};
 
@@ -108,8 +109,9 @@ pub mod prelude {
     pub use crate::runner::{FleetConfig, FleetJob, FleetRunner};
     pub use crate::scheduler::{EventScheduler, SchedulerKind, SchedulerOps};
     pub use crate::service::{
-        CacheStats, EpochSnapshot, EpochStamp, PlanChoice, ServiceStats, ShardCache, TrafficConfig,
-        TrafficGenerator, WarehouseService,
+        drive_live_traffic, replay_samples, CacheStats, EpochSnapshot, EpochStamp, LiveSample,
+        LiveTraffic, PlanChoice, ReplayMismatch, ServiceStats, ShardCache, TrafficConfig,
+        TrafficGenerator, WarehouseService, DEFAULT_CACHE_BUDGET,
     };
     pub use crate::warehouse::{IncidentWarehouse, SpillStats, WarehouseStorage};
 }

@@ -70,7 +70,7 @@ pub struct DrainSummary {
 
 /// The result of one fleet run. [`FleetReport::render`] is byte-identical
 /// across runs with the same seed.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FleetReport {
     /// The fleet seed.
     pub seed: u64,

@@ -84,6 +84,8 @@ use byterobust_obs::{HistogramSnapshot, LatencyHistogram};
 use byterobust_sim::{SimDuration, SimRng, SimTime};
 
 use crate::query::{FleetQuery, QueryResponse, WarehouseDigest};
+use crate::report::FleetReport;
+use crate::runner::FleetRunner;
 use crate::warehouse::{load_segment, IncidentWarehouse, ShardHead};
 
 /// The time-bucket index of a start time under a bucket width.
@@ -813,6 +815,24 @@ pub struct ServiceStats {
     pub cache: CacheStats,
 }
 
+impl ServiceStats {
+    /// One line of traffic telemetry: volume, latency quantiles and cache
+    /// hits, faults and evictions.
+    pub fn summary(&self) -> String {
+        format!(
+            "{} answered across {} epoch(s), p50 {} ns, p99 {} ns, cache {} hit(s) / {} \
+             fault(s) / {} eviction(s)",
+            self.queries,
+            self.epochs,
+            self.latency.quantile(0.50),
+            self.latency.quantile(0.99),
+            self.cache.hits,
+            self.cache.faults,
+            self.cache.evictions,
+        )
+    }
+}
+
 struct ServiceState {
     bucket_width: SimDuration,
     latest: Option<Arc<EpochSnapshot>>,
@@ -1159,6 +1179,156 @@ impl TrafficGenerator {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Live traffic: one drill, one reader pool, one replay oracle
+// ---------------------------------------------------------------------------
+
+/// One live answer kept for the post-hoc replay oracle.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LiveSample {
+    /// Stream index of the query.
+    pub index: u64,
+    /// Epoch the live answer was served at.
+    pub epoch: u64,
+    /// The live answer, rendered.
+    pub rendered: String,
+}
+
+/// What [`drive_live_traffic`] returns.
+#[derive(Debug)]
+pub struct LiveTraffic {
+    /// The drill's report — byte-identical to a run without readers.
+    pub report: FleetReport,
+    /// The stream the readers drew from; replay asks the same queries.
+    pub generator: TrafficGenerator,
+    /// Every sampled live answer, sorted by stream index.
+    pub samples: Vec<LiveSample>,
+    /// Wall seconds from spawning the reader pool to its last reader's exit.
+    pub readers_wall_secs: f64,
+}
+
+/// Runs `runner`'s drill on one thread while `readers` threads drain an
+/// open-loop stream of `queries` queries against the runner's query
+/// service, keeping every `sample_every`-th answer with its serving epoch.
+///
+/// The stream is a [`TrafficGenerator`] over the runner's job labels and
+/// machines with a 26 h horizon, seeded by `traffic_seed`. Each reader waits
+/// once for epoch 0, then pulls stream indices from a shared counter and
+/// answers each against whatever epoch is latest; which reader asks which
+/// query changes nothing, since query `i` is a pure function of `i`. Check
+/// the samples with [`replay_samples`].
+///
+/// # Panics
+///
+/// If the runner's config carries no query service, or the drill or a
+/// reader panics.
+pub fn drive_live_traffic(
+    runner: &FleetRunner,
+    traffic_seed: u64,
+    queries: u64,
+    readers: usize,
+    sample_every: u64,
+) -> LiveTraffic {
+    let config = runner.config();
+    let service = config
+        .query_service
+        .as_ref()
+        .expect("live traffic needs a query service in the runner's config");
+    let labels = config.jobs.iter().map(|job| job.label.clone()).collect();
+    let machines = config.total_machines() as u32;
+    let generator = TrafficGenerator::new(TrafficConfig::new(traffic_seed, labels, machines, 26));
+    let sample_every = sample_every.max(1);
+    let next = AtomicU64::new(0);
+    let samples = Mutex::new(Vec::new());
+    let (report, readers_wall_secs) = std::thread::scope(|scope| {
+        let run = scope.spawn(|| runner.run());
+        let started = std::time::Instant::now();
+        let pool: Vec<_> = (0..readers)
+            .map(|_| {
+                scope.spawn(|| {
+                    while service.latest().is_none() {
+                        std::thread::yield_now();
+                    }
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        if index >= queries {
+                            break;
+                        }
+                        let (response, epoch) = service
+                            .answer(&generator.query(index))
+                            .expect("stream queries are warehouse-backed");
+                        if index.is_multiple_of(sample_every) {
+                            samples.lock().expect("sample lock").push(LiveSample {
+                                index,
+                                epoch,
+                                rendered: response.render(),
+                            });
+                        }
+                    }
+                })
+            })
+            .collect();
+        for reader in pool {
+            reader.join().expect("reader thread panicked");
+        }
+        let readers_wall_secs = started.elapsed().as_secs_f64();
+        (
+            run.join().expect("drill thread panicked"),
+            readers_wall_secs,
+        )
+    });
+    let mut samples = samples.into_inner().expect("sample lock");
+    samples.sort_unstable_by_key(|sample| sample.index);
+    LiveTraffic {
+        report,
+        generator,
+        samples,
+        readers_wall_secs,
+    }
+}
+
+/// The first live sample whose post-hoc replay did not reproduce it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplayMismatch {
+    /// Stream index of the diverging query.
+    pub index: u64,
+    /// Epoch its live answer was served at.
+    pub epoch: u64,
+}
+
+impl std::fmt::Display for ReplayMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "query {}: post-hoc replay diverged from its live answer at epoch {}",
+            self.index, self.epoch
+        )
+    }
+}
+
+/// The live-vs-post-hoc oracle: re-answers each sample's query from
+/// [`WarehouseService::snapshot_at`] its epoch and requires the rendered
+/// bytes to equal the live answer. A sample whose epoch was never published
+/// counts as a mismatch.
+pub fn replay_samples(
+    service: &WarehouseService,
+    generator: &TrafficGenerator,
+    samples: &[LiveSample],
+) -> Result<(), ReplayMismatch> {
+    for sample in samples {
+        let replayed = service
+            .snapshot_at(sample.epoch)
+            .and_then(|snapshot| snapshot.answer(&generator.query(sample.index)));
+        if replayed.is_none_or(|(response, _)| response.render() != sample.rendered) {
+            return Err(ReplayMismatch {
+                index: sample.index,
+                epoch: sample.epoch,
+            });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1430,6 +1600,73 @@ mod tests {
             counts
         };
         assert!(counts[0] > counts[63] * 4, "zipf head {counts:?}");
+    }
+
+    #[test]
+    fn replay_names_the_first_sample_with_an_edited_byte() {
+        // Live samples over twelve epochs of a growing warehouse: the oracle
+        // accepts them as recorded, and rejects a one-byte edit by naming
+        // that sample's index and epoch.
+        let mut warehouse = IncidentWarehouse::new(SimDuration::from_hours(1));
+        let service = WarehouseService::new(1 << 16);
+        let jobs: Vec<String> = (0..3).map(|i| format!("job-{i}")).collect();
+        let generator = TrafficGenerator::new(TrafficConfig::new(11, jobs, 4, 26));
+        let mut samples = Vec::new();
+        for (round, index) in (0..48u64).step_by(4).enumerate() {
+            let seq = round as u64 + 1;
+            warehouse.insert(
+                &format!("job-{}", seq % 3),
+                dossier(
+                    seq,
+                    seq,
+                    FaultKind::CudaError,
+                    vec![MachineId(seq as u32 % 4)],
+                ),
+            );
+            service.publish(&warehouse);
+            let (response, epoch) = service.answer(&generator.query(index)).expect("answerable");
+            samples.push(LiveSample {
+                index,
+                epoch,
+                rendered: response.render(),
+            });
+        }
+        assert_eq!(replay_samples(&service, &generator, &samples), Ok(()));
+
+        let edited = 7;
+        let mut tampered = samples.clone();
+        let mut bytes = std::mem::take(&mut tampered[edited].rendered).into_bytes();
+        let middle = bytes.len() / 2;
+        bytes[middle] = if bytes[middle] == b'x' { b'y' } else { b'x' };
+        tampered[edited].rendered = String::from_utf8(bytes).expect("ascii edit");
+        let mismatch = replay_samples(&service, &generator, &tampered).unwrap_err();
+        assert_eq!(
+            mismatch,
+            ReplayMismatch {
+                index: samples[edited].index,
+                epoch: samples[edited].epoch,
+            }
+        );
+        assert!(mismatch.to_string().starts_with("query 28: "), "{mismatch}");
+
+        // A later mismatch does not hide an earlier one.
+        tampered[edited + 2].rendered.push(' ');
+        assert_eq!(
+            replay_samples(&service, &generator, &tampered)
+                .unwrap_err()
+                .index,
+            samples[edited].index
+        );
+        // A sample served at an epoch that was never published fails too.
+        let mut unpublished = samples[..2].to_vec();
+        unpublished[1].epoch = 99;
+        assert_eq!(
+            replay_samples(&service, &generator, &unpublished),
+            Err(ReplayMismatch {
+                index: samples[1].index,
+                epoch: 99,
+            })
+        );
     }
 
     #[test]

@@ -181,31 +181,6 @@ pub struct IncidentWarehouse {
     snapshot: OnceLock<EpochSnapshot>,
 }
 
-impl Clone for IncidentWarehouse {
-    /// A clone is a fully in-memory copy: every spilled segment is read in
-    /// first, and the clone carries neither segment paths nor a storage
-    /// policy. Sharing either would be corruption waiting to happen — two
-    /// warehouses writing the same `segment-SSSS-NNNN.json` files would
-    /// overwrite each other's segments.
-    fn clone(&self) -> Self {
-        let snapshot = self.snapshot();
-        let shards = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(index, shard)| Shard {
-                head: ShardHead::new(Arc::clone(&shard.head.label), snapshot.store(index)),
-                last_touch: shard.last_touch,
-            })
-            .collect();
-        let mut clone = Self::build(self.bucket_width, None);
-        clone.shards = shards;
-        clone.shard_by_label = self.shard_by_label.clone();
-        clone.touch_clock = self.touch_clock;
-        clone
-    }
-}
-
 impl IncidentWarehouse {
     /// An empty warehouse whose snapshots bucket incident start times at
     /// `bucket_width` granularity. Fully in-memory: shards never spill.
@@ -962,32 +937,6 @@ mod tests {
         assert_eq!(ids(&w, IncidentQuery::any().machine(MachineId(3))).len(), 2);
         assert_eq!(w.spill_stats().fault_ins, after.fault_ins + 1);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn clones_of_a_spilled_warehouse_share_no_segment_files() {
-        let dir = spill_dir("clone");
-        let mut original = IncidentWarehouse::with_storage(
-            SimDuration::from_hours(1),
-            WarehouseStorage::new(0, &dir),
-        );
-        fill(&mut original);
-        assert!(original.spill_stats().spilled_shards >= 1);
-        let copy = original.clone();
-        let baseline = copy.render_digest();
-        // The clone is fully resident and detached from disk.
-        assert!(copy.storage.is_none());
-        assert_eq!(copy.spill_stats().spilled_dossiers, 0);
-        // Mutating the original writes new segment files, and then they are
-        // all deleted; the clone must not notice — it reads nothing from
-        // disk.
-        original.insert(
-            "alpha",
-            dossier(9, 40, FaultKind::JobHang, vec![MachineId(8)]),
-        );
-        std::fs::remove_dir_all(&dir).expect("segments are on disk");
-        assert_eq!(copy.render_digest(), baseline);
-        assert_eq!(ids(&copy, IncidentQuery::any()).len(), 4);
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn main() {
             v.parse()
                 .expect("BYTEROBUST_QUERY_CACHE must be a dossier count")
         })
-        .unwrap_or(4096);
+        .unwrap_or(DEFAULT_CACHE_BUDGET);
     let service = traffic.map(|_| WarehouseService::new(cache_budget));
     if let Some(service) = &service {
         config = config.with_query_service(service.clone());
@@ -73,67 +73,16 @@ fn main() {
     let runner = FleetRunner::new(config, FLEET_SEED);
     let report = match (&service, traffic) {
         (Some(service), Some(queries)) => {
-            use std::sync::atomic::{AtomicU64, Ordering};
-
-            let labels: Vec<String> = runner
-                .config()
-                .jobs
-                .iter()
-                .map(|job| job.label.clone())
-                .collect();
-            let machines = runner.config().total_machines() as u32;
-            let generator =
-                TrafficGenerator::new(TrafficConfig::new(FLEET_SEED + 1, labels, machines, 26));
-            let next = AtomicU64::new(0);
-            let samples = std::sync::Mutex::new(Vec::new());
-            let sample_every = (queries / 16).max(1);
-            let report = std::thread::scope(|scope| {
-                let run = scope.spawn(|| runner.run());
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= queries {
-                        break;
-                    }
-                    let query = generator.query(index);
-                    // None only before the first epoch publishes.
-                    let (response, epoch) = loop {
-                        match service.answer(&query) {
-                            Some(answer) => break answer,
-                            None => std::thread::yield_now(),
-                        }
-                    };
-                    if index.is_multiple_of(sample_every) {
-                        samples.lock().expect("sample lock").push((
-                            index,
-                            epoch,
-                            response.render(),
-                        ));
-                    }
-                });
-                run.join().expect("mega drill thread panicked")
-            });
-            for (index, epoch, rendered) in samples.into_inner().expect("sample lock") {
-                let snapshot = service.snapshot_at(epoch).expect("published epoch");
-                let (replayed, _) = snapshot
-                    .answer(&generator.query(index))
-                    .expect("stream queries are warehouse-backed");
-                assert_eq!(
-                    replayed.render(),
-                    rendered,
-                    "query {index}: post-hoc replay diverged from its live answer at epoch {epoch}"
-                );
+            let live = drive_live_traffic(&runner, FLEET_SEED + 1, queries, 1, queries / 16);
+            if let Err(mismatch) = replay_samples(service, &live.generator, &live.samples) {
+                panic!("{mismatch}");
             }
-            let stats = service.stats();
             // Query telemetry goes to stderr only: stdout stays byte-identical.
             eprintln!(
-                "query traffic: {} answered across {} epoch(s), p50 {} ns, p99 {} ns; live \
-                 samples replayed byte-identically",
-                stats.queries,
-                stats.epochs,
-                stats.latency.quantile(0.50),
-                stats.latency.quantile(0.99),
+                "query traffic: {}; live samples replayed byte-identically",
+                service.stats().summary()
             );
-            report
+            live.report
         }
         _ => runner.run(),
     };

@@ -791,14 +791,9 @@ fn warehouse_export_import_render_round_trip_on_fleet_data() {
 // hammered by concurrent readers while the fleet executes.
 // ---------------------------------------------------------------------------
 
-/// A live sample: (stream index, serving epoch, rendered answer).
-type LiveSample = (u64, u64, String);
-
 struct LiveDrill {
-    report: FleetReport,
     service: WarehouseService,
-    generator: TrafficGenerator,
-    samples: Vec<LiveSample>,
+    traffic: LiveTraffic,
 }
 
 const LIVE_QUERIES: u64 = 12_000;
@@ -811,9 +806,6 @@ const LIVE_TRAFFIC_SEED: u64 = 4242;
 fn live_drill() -> &'static LiveDrill {
     static RUN: OnceLock<LiveDrill> = OnceLock::new();
     RUN.get_or_init(|| {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Mutex;
-
         let dir = spill_dir("query-live");
         let service = WarehouseService::new(64);
         let runner = FleetRunner::new(
@@ -822,59 +814,11 @@ fn live_drill() -> &'static LiveDrill {
                 .with_query_service(service.clone()),
             20250916,
         );
-        let labels: Vec<String> = runner
-            .config()
-            .jobs
-            .iter()
-            .map(|job| job.label.clone())
-            .collect();
-        let machines = runner.config().total_machines() as u32;
-        let generator =
-            TrafficGenerator::new(TrafficConfig::new(LIVE_TRAFFIC_SEED, labels, machines, 26));
-
-        let next = AtomicU64::new(0);
-        let samples: Mutex<Vec<LiveSample>> = Mutex::new(Vec::new());
-        let report = std::thread::scope(|scope| {
-            let run = scope.spawn(|| runner.run());
-            std::thread::scope(|readers| {
-                for _ in 0..3 {
-                    readers.spawn(|| loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= LIVE_QUERIES {
-                            break;
-                        }
-                        let query = generator.query(index);
-                        // None only before epoch 0 publishes (the generator
-                        // never emits span/alert arms): retry until the
-                        // runner catches up.
-                        let (response, epoch) = loop {
-                            match service.answer(&query) {
-                                Some(answer) => break answer,
-                                None => std::thread::yield_now(),
-                            }
-                        };
-                        if index.is_multiple_of(250) {
-                            samples.lock().expect("sample lock").push((
-                                index,
-                                epoch,
-                                response.render(),
-                            ));
-                        }
-                    });
-                }
-            });
-            run.join().expect("drill thread panicked")
-        });
-        let samples = samples.into_inner().expect("sample lock");
+        let traffic = drive_live_traffic(&runner, LIVE_TRAFFIC_SEED, LIVE_QUERIES, 3, 250);
         // The spill dir must outlive the process: the report's warehouse and
         // every pinned epoch snapshot fault spilled segments lazily, from any
         // test, at any time. It is pid-suffixed, so leaving it costs nothing.
-        LiveDrill {
-            report,
-            service,
-            generator,
-            samples,
-        }
+        LiveDrill { service, traffic }
     })
 }
 
@@ -885,7 +829,7 @@ fn live_service_is_invisible_to_the_fleet_run() {
     // drill, same seed, no service.
     let live = live_drill();
     assert_eq!(
-        live.report.render(),
+        live.traffic.report.render(),
         drill().render(),
         "a live query service must not change the fleet history"
     );
@@ -894,7 +838,14 @@ fn live_service_is_invisible_to_the_fleet_run() {
         live.service.stats().queries >= LIVE_QUERIES,
         "every stream query was answered"
     );
-    assert!(!live.samples.is_empty(), "readers recorded live samples");
+    // Readers wait for epoch 0 before asking anything, so every 250th
+    // query is sampled, and the samples come back in stream order.
+    let sampled: Vec<u64> = live.traffic.samples.iter().map(|s| s.index).collect();
+    assert_eq!(
+        sampled,
+        (0..LIVE_QUERIES).step_by(250).collect::<Vec<_>>(),
+        "readers recorded every sampled index once, sorted"
+    );
 }
 
 #[test]
@@ -903,20 +854,14 @@ fn live_answers_replay_byte_identically_from_post_hoc_snapshots() {
     // live answer re-derives byte-identically from `snapshot_at` of the
     // epoch that served it — long after the warehouse moved on.
     let live = live_drill();
-    for (index, epoch, rendered) in &live.samples {
-        let snapshot = live
-            .service
-            .snapshot_at(*epoch)
-            .unwrap_or_else(|| panic!("epoch {epoch} was published"));
-        let (replayed, _) = snapshot
-            .answer(&live.generator.query(*index))
-            .expect("stream queries are warehouse-backed");
-        assert_eq!(
-            &replayed.render(),
-            rendered,
-            "query {index}: post-hoc replay diverged from its live answer at epoch {epoch}"
-        );
-    }
+    assert_eq!(
+        replay_samples(
+            &live.service,
+            &live.traffic.generator,
+            &live.traffic.samples
+        ),
+        Ok(())
+    );
 }
 
 #[test]
@@ -935,7 +880,7 @@ fn planner_matches_the_linear_scan_oracle_at_every_published_epoch() {
             .expect("stamped epochs re-derive");
         assert_eq!(snapshot.epoch(), stamp.epoch);
         for index in 0..48 {
-            let query = live.generator.query(index);
+            let query = live.traffic.generator.query(index);
             let (planned, _) = snapshot.answer(&query).expect("warehouse-backed arm");
             let oracle = snapshot
                 .oracle_answer(&query)
@@ -957,11 +902,11 @@ fn sealed_service_agrees_with_the_report_query_surface() {
     // warehouse-backed arm answers byte-identically through both.
     let live = live_drill();
     for index in 0..256 {
-        let query = live.generator.query(index);
+        let query = live.traffic.generator.query(index);
         let (from_service, _) = live.service.answer(&query).expect("warehouse-backed arm");
         assert_eq!(
             from_service.render(),
-            live.report.answer(&query).render(),
+            live.traffic.report.answer(&query).render(),
             "sealed service and report disagree on query {index}"
         );
     }
@@ -970,7 +915,7 @@ fn sealed_service_agrees_with_the_report_query_surface() {
     let spans = FleetQuery::Spans(TraceQuery::new());
     assert!(live.service.answer(&spans).is_none());
     assert!(matches!(
-        live.report.answer(&spans),
+        live.traffic.report.answer(&spans),
         QueryResponse::Spans(_)
     ));
 }
@@ -983,8 +928,8 @@ fn query_responses_round_trip_through_the_codec_on_fleet_data() {
     let live = live_drill();
     let mut arms = std::collections::BTreeSet::new();
     for index in 0..256 {
-        let query = live.generator.query(index);
-        let response = live.report.answer(&query);
+        let query = live.traffic.generator.query(index);
+        let response = live.traffic.report.answer(&query);
         arms.insert(query.arm());
         let exported = response.export_json();
         let imported = QueryResponse::import_json(&exported).expect("response round trip");
@@ -995,7 +940,7 @@ fn query_responses_round_trip_through_the_codec_on_fleet_data() {
         let re_query = FleetQuery::import_json(&query_json).expect("query round trip");
         assert_eq!(re_query.export_json(), query_json);
         assert_eq!(
-            live.report.answer(&re_query).render(),
+            live.traffic.report.answer(&re_query).render(),
             response.render(),
             "a re-imported query must answer identically"
         );
