@@ -21,36 +21,19 @@ use byterobust_cluster::{Cluster, FaultKind, MachineId, NicState};
 use byterobust_sim::{SimDuration, SimRng};
 use byterobust_telemetry::LogClass;
 
-/// Timing and accuracy parameters of the stop-time test suites.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiagnoserConfig {
-    /// Duration of an EUD run on one machine (machines run in parallel).
-    pub eud_duration: SimDuration,
-    /// Duration of the intra-machine all-to-all test.
-    pub intra_nccl_duration: SimDuration,
-    /// Duration of the inter-machine all-gather test.
-    pub inter_nccl_duration: SimDuration,
-    /// Duration of the bit-wise alignment (MiniGPT) test.
-    pub bitwise_duration: SimDuration,
-    /// Probability that EUD catches an SDC-prone GPU (§9: ~70% recall).
-    pub eud_sdc_recall: f64,
-    /// Probability that the bit-wise alignment test catches an SDC-prone GPU
-    /// in one run (the fault is input-dependent and may not fire).
-    pub bitwise_sdc_recall: f64,
-}
-
-impl Default for DiagnoserConfig {
-    fn default() -> Self {
-        DiagnoserConfig {
-            eud_duration: SimDuration::from_mins(3),
-            intra_nccl_duration: SimDuration::from_mins(2),
-            inter_nccl_duration: SimDuration::from_mins(3),
-            bitwise_duration: SimDuration::from_mins(5),
-            eud_sdc_recall: 0.70,
-            bitwise_sdc_recall: 0.80,
-        }
-    }
-}
+/// Duration of an EUD run on one machine; machines run in parallel (§4.2).
+const EUD_DURATION: SimDuration = SimDuration::from_mins(3);
+/// Duration of the intra-machine NCCL all-to-all test (§4.2).
+const INTRA_NCCL_DURATION: SimDuration = SimDuration::from_mins(2);
+/// Duration of the inter-machine NCCL all-gather test (§4.2).
+const INTER_NCCL_DURATION: SimDuration = SimDuration::from_mins(3);
+/// Duration of the bit-wise alignment (MiniGPT) test (§4.3).
+const BITWISE_DURATION: SimDuration = SimDuration::from_mins(5);
+/// Probability that EUD catches an SDC-prone GPU (§9: ~70% recall).
+const EUD_SDC_RECALL: f64 = 0.70;
+/// Probability that one bit-wise alignment run catches an SDC-prone GPU: the
+/// fault is input-dependent and may not fire (§4.3).
+const BITWISE_SDC_RECALL: f64 = 0.80;
 
 /// What the diagnoser concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,8 +60,6 @@ pub struct DiagnosisOutcome {
 /// The diagnoser sub-module of the Robust Agent.
 #[derive(Debug, Clone)]
 pub struct Diagnoser {
-    /// Configuration.
-    pub config: DiagnoserConfig,
     rng: SimRng,
 }
 
@@ -86,10 +67,7 @@ impl Diagnoser {
     /// Creates a diagnoser with its own RNG stream (SDC detection is
     /// probabilistic).
     pub fn new(rng: SimRng) -> Self {
-        Diagnoser {
-            config: DiagnoserConfig::default(),
-            rng,
-        }
+        Diagnoser { rng }
     }
 
     /// EUD over the given machines: returns machines with outright GPU faults
@@ -99,8 +77,7 @@ impl Diagnoser {
         for &id in machines {
             let machine = cluster.machine(id);
             let hard_fault = machine.gpus.iter().any(|g| !g.is_usable());
-            let sdc_caught =
-                machine.has_sdc_prone_gpu() && self.rng.chance(self.config.eud_sdc_recall);
+            let sdc_caught = machine.has_sdc_prone_gpu() && self.rng.chance(EUD_SDC_RECALL);
             if hard_fault || sdc_caught {
                 suspects.push(id);
             }
@@ -135,7 +112,7 @@ impl Diagnoser {
 
     /// Bit-wise alignment test (the MiniGPT suite, §4.3 / §9): each machine
     /// trains a fixed reference model for one step; machines with SDC-prone
-    /// GPUs produce mismatching outputs with `bitwise_sdc_recall` probability.
+    /// GPUs produce mismatching outputs with probability `BITWISE_SDC_RECALL`.
     pub fn run_bitwise_alignment(
         &mut self,
         cluster: &Cluster,
@@ -145,8 +122,7 @@ impl Diagnoser {
             .iter()
             .copied()
             .filter(|&id| {
-                cluster.machine(id).has_sdc_prone_gpu()
-                    && self.rng.chance(self.config.bitwise_sdc_recall)
+                cluster.machine(id).has_sdc_prone_gpu() && self.rng.chance(BITWISE_SDC_RECALL)
             })
             .collect()
     }
@@ -174,24 +150,24 @@ impl Diagnoser {
         let mut suspects;
 
         // Step 1: EUD.
-        duration += self.config.eud_duration;
+        duration += EUD_DURATION;
         suspects = self.run_eud(cluster, machines);
 
         // Step 2: intra-machine all-to-all if EUD found nothing.
         if suspects.is_empty() {
-            duration += self.config.intra_nccl_duration;
+            duration += INTRA_NCCL_DURATION;
             suspects = self.run_intra_nccl(cluster, machines);
         }
 
         // Step 3: inter-machine all-gather.
         if suspects.is_empty() {
-            duration += self.config.inter_nccl_duration;
+            duration += INTER_NCCL_DURATION;
             suspects = self.run_inter_nccl(cluster, machines);
         }
 
         // Step 4: bit-wise alignment for NaN-class symptoms.
         if suspects.is_empty() && symptom == FaultKind::NanValue {
-            duration += self.config.bitwise_duration;
+            duration += BITWISE_DURATION;
             suspects = self.run_bitwise_alignment(cluster, machines);
         }
 
@@ -253,7 +229,7 @@ mod tests {
         assert_eq!(outcome.conclusion, DiagnosisConclusion::FaultyMachines);
         assert_eq!(outcome.suspects, vec![MachineId(4)]);
         // EUD alone sufficed.
-        assert_eq!(outcome.duration, d.config.eud_duration);
+        assert_eq!(outcome.duration, EUD_DURATION);
     }
 
     #[test]
@@ -270,7 +246,7 @@ mod tests {
         assert_eq!(outcome.suspects, vec![MachineId(9)]);
         assert_eq!(
             outcome.duration,
-            d.config.eud_duration + d.config.intra_nccl_duration + d.config.inter_nccl_duration
+            EUD_DURATION + INTRA_NCCL_DURATION + INTER_NCCL_DURATION
         );
     }
 

@@ -28,16 +28,16 @@ pub mod stress;
 pub mod tracer;
 
 pub use ckpt_manager::CkptManager;
-pub use diagnoser::{Diagnoser, DiagnoserConfig, DiagnosisConclusion, DiagnosisOutcome};
-pub use monitor::{InspectionFinding, Monitor, MonitorConfig};
+pub use diagnoser::{Diagnoser, DiagnosisConclusion, DiagnosisOutcome};
+pub use monitor::{InspectionFinding, Monitor};
 pub use stress::SelectiveStressTester;
 pub use tracer::OnDemandTracer;
 
 /// Convenience prelude for downstream crates.
 pub mod prelude {
     pub use crate::ckpt_manager::CkptManager;
-    pub use crate::diagnoser::{Diagnoser, DiagnoserConfig, DiagnosisConclusion, DiagnosisOutcome};
-    pub use crate::monitor::{InspectionFinding, Monitor, MonitorConfig};
+    pub use crate::diagnoser::{Diagnoser, DiagnosisConclusion, DiagnosisOutcome};
+    pub use crate::monitor::{InspectionFinding, Monitor};
     pub use crate::stress::SelectiveStressTester;
     pub use crate::tracer::OnDemandTracer;
 }

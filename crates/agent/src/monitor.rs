@@ -18,39 +18,21 @@ use std::sync::Arc;
 use byterobust_cluster::{FaultKind, HealthIssue, HealthReport, Machine, MachineId};
 use byterobust_sim::{SimDuration, SimTime};
 
-/// Monitor configuration: inspection intervals and alert thresholds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitorConfig {
-    /// Network-side inspection interval (Table 3: 30 s).
-    pub network_interval: SimDuration,
-    /// GPU-side inspection interval (Table 3: 10 s).
-    pub gpu_interval: SimDuration,
-    /// Host-side inspection interval (Table 3: 2 s).
-    pub host_interval: SimDuration,
-    /// Number of consecutive alerts required before acting on a network
-    /// issue (switch-down waits for two unresponsive events, §8.1.1; NIC
-    /// issues act on the first).
-    pub switch_alerts_required: u32,
-    /// The timeout-only baseline: PyTorch-distributed collective timeout
-    /// (~10 minutes) used when inspections are disabled.
-    pub baseline_timeout: SimDuration,
-    /// The metric-alert baseline interval for performance issues
-    /// (statistics over several training iterations).
-    pub baseline_monitor_interval: SimDuration,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            network_interval: SimDuration::from_secs(30),
-            gpu_interval: SimDuration::from_secs(10),
-            host_interval: SimDuration::from_secs(2),
-            switch_alerts_required: 2,
-            baseline_timeout: SimDuration::from_mins(10),
-            baseline_monitor_interval: SimDuration::from_mins(5),
-        }
-    }
-}
+/// Network-side inspection interval (Table 3: 30 s).
+const NETWORK_INTERVAL: SimDuration = SimDuration::from_secs(30);
+/// GPU-side inspection interval (Table 3: 10 s).
+const GPU_INTERVAL: SimDuration = SimDuration::from_secs(10);
+/// Host-side inspection interval (Table 3: 2 s).
+const HOST_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// Consecutive unresponsive events before a switch is declared down
+/// (§8.1.1; NIC issues act on the first).
+const SWITCH_ALERTS_REQUIRED: u64 = 2;
+/// The timeout-only baseline: the PyTorch-distributed collective timeout
+/// (~10 minutes, Table 3 "w/o Inspection").
+const BASELINE_TIMEOUT: SimDuration = SimDuration::from_mins(10);
+/// The metric-alert baseline interval for performance issues (statistics
+/// over several training iterations, Table 3).
+const BASELINE_MONITOR_INTERVAL: SimDuration = SimDuration::from_mins(5);
 
 /// One finding from an inspection sweep, attributed to a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +48,6 @@ pub struct InspectionFinding {
 /// The monitor sub-module of the Robust Agent.
 #[derive(Debug, Clone)]
 pub struct Monitor {
-    /// Configuration.
-    pub config: MonitorConfig,
     /// Machines flagged by the fleet's repeat-offender ledger (sorted):
     /// machines with prior incident history across jobs, for which the
     /// eviction threshold is lowered (§9 repeated-occurrence heuristics). The
@@ -79,10 +59,9 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// Creates a monitor with default configuration.
+    /// Creates a monitor with an empty repeat-offender set.
     pub fn new() -> Self {
         Monitor {
-            config: MonitorConfig::default(),
             repeat_offenders: Arc::from(Vec::new()),
         }
     }
@@ -128,13 +107,11 @@ impl Monitor {
     pub fn detection_time_with_inspection(&self, kind: FaultKind) -> SimDuration {
         use FaultKind::*;
         match kind {
-            InfinibandError => self.config.network_interval,
-            GpuUnavailable | GpuMemoryError => self.config.gpu_interval,
-            OsKernelPanic | FilesystemMount | InsufficientDiskSpace | DiskFault => {
-                self.config.host_interval
-            }
+            InfinibandError => NETWORK_INTERVAL,
+            GpuUnavailable | GpuMemoryError => GPU_INTERVAL,
+            OsKernelPanic | FilesystemMount | InsufficientDiskSpace | DiskFault => HOST_INTERVAL,
             CpuOverload | CpuOom | ContainerError | ExternalServiceError | HdfsError => {
-                self.config.host_interval.mul(2)
+                HOST_INTERVAL.mul(2)
             }
             // Errors raised by the training process itself (CUDA errors, NaN)
             // surface through log collection within about a minute (§2.2).
@@ -143,7 +120,7 @@ impl Monitor {
             // RDMA traffic for 10 minutes, the MFU-decline window); this model
             // charges those windows directly.
             JobHang => SimDuration::from_mins(10),
-            MfuDecline => self.config.baseline_monitor_interval,
+            MfuDecline => BASELINE_MONITOR_INTERVAL,
             CodeDataAdjustment => SimDuration::ZERO,
         }
     }
@@ -155,22 +132,20 @@ impl Monitor {
     pub fn detection_time_without_inspection(&self, kind: FaultKind) -> SimDuration {
         use FaultKind::*;
         match kind {
-            MfuDecline => self.config.baseline_monitor_interval.mul(3),
+            MfuDecline => BASELINE_MONITOR_INTERVAL.mul(3),
             CodeDataAdjustment => SimDuration::ZERO,
             CudaError | NanValue => SimDuration::from_secs(60),
             // Everything that stalls collectives waits for the NCCL/PyTorch
             // timeout (the paper quotes 10-minute defaults, and 30–60 minute
             // NCCL timeouts in older deployments).
-            _ => self.config.baseline_timeout,
+            _ => BASELINE_TIMEOUT,
         }
     }
 
     /// Detection latency for a network switch failure (requires two
     /// consecutive unresponsive events, §8.1.1).
     pub fn switch_down_detection_time(&self) -> SimDuration {
-        self.config
-            .network_interval
-            .mul(self.config.switch_alerts_required as u64)
+        NETWORK_INTERVAL.mul(SWITCH_ALERTS_REQUIRED)
     }
 }
 

@@ -10,26 +10,19 @@
 use byterobust_sim::SimDuration;
 use byterobust_trainsim::{StackCapture, TrainingRuntime};
 
+/// Time to attach to every process and sample its stack across the job
+/// (§5.1, py-spy over every pod).
+const CAPTURE_LATENCY: SimDuration = SimDuration::from_secs(25);
+
 /// The on-demand tracer sub-module of the Robust Agent.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnDemandTracer {
-    /// Time to attach to all processes and sample their stacks across the job.
-    pub capture_latency: SimDuration,
     /// Number of captures performed so far (observability).
     pub captures_taken: u64,
 }
 
-impl Default for OnDemandTracer {
-    fn default() -> Self {
-        OnDemandTracer {
-            capture_latency: SimDuration::from_secs(25),
-            captures_taken: 0,
-        }
-    }
-}
-
 impl OnDemandTracer {
-    /// Creates a tracer with the default capture latency.
+    /// Creates a tracer that has taken no capture.
     pub fn new() -> Self {
         Self::default()
     }
@@ -38,7 +31,7 @@ impl OnDemandTracer {
     /// Returns the capture and the time it took.
     pub fn capture(&mut self, runtime: &TrainingRuntime) -> (StackCapture, SimDuration) {
         self.captures_taken += 1;
-        (runtime.capture(), self.capture_latency)
+        (runtime.capture(), CAPTURE_LATENCY)
     }
 
     /// Captures repeatedly for fail-slow analysis: `rounds` captures spaced
@@ -53,7 +46,7 @@ impl OnDemandTracer {
         interval: SimDuration,
     ) -> (StackCapture, SimDuration) {
         self.captures_taken += rounds as u64;
-        let elapsed = self.capture_latency + interval.mul(rounds as u64);
+        let elapsed = CAPTURE_LATENCY + interval.mul(rounds as u64);
         (runtime.capture(), elapsed)
     }
 }

@@ -19,27 +19,9 @@ use crate::aggregation::AggregationResult;
 use crate::eviction::EvictionDecision;
 use crate::failslow::FailSlowVoter;
 
-/// Analyzer tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnalyzerConfig {
-    /// Dominance ratio for outlier classification.
-    pub dominance_ratio: f64,
-    /// Time to capture stacks from every pod and ship them to the analyzer
-    /// (py-spy sampling plus upload; tens of seconds in production).
-    pub capture_latency: SimDuration,
-    /// Time to run the aggregation itself.
-    pub aggregation_latency: SimDuration,
-}
-
-impl Default for AnalyzerConfig {
-    fn default() -> Self {
-        AnalyzerConfig {
-            dominance_ratio: AggregationResult::DEFAULT_DOMINANCE_RATIO,
-            capture_latency: SimDuration::from_secs(30),
-            aggregation_latency: SimDuration::from_secs(5),
-        }
-    }
-}
+/// Time to capture stacks from every pod and ship them to the analyzer
+/// (py-spy sampling plus upload; tens of seconds in production, §5.1).
+const CAPTURE_LATENCY: SimDuration = SimDuration::from_secs(30);
 
 /// Result of one analyzer invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,17 +34,21 @@ pub struct AnalysisOutcome {
     pub duration: SimDuration,
 }
 
-/// The Runtime Analyzer (control-plane component, §3).
-#[derive(Debug, Clone, Default)]
-pub struct RuntimeAnalyzer {
-    /// Configuration.
-    pub config: AnalyzerConfig,
-}
+/// The Runtime Analyzer (control-plane component, §3). It holds no state:
+/// its latencies and its dominance ratio are fixed by §5.1.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RuntimeAnalyzer;
 
 impl RuntimeAnalyzer {
-    /// Creates an analyzer with default configuration.
+    /// Time to run the aggregation itself (§5.1).
+    pub const AGGREGATION_LATENCY: SimDuration = SimDuration::from_secs(5);
+
+    /// Interval between fail-slow aggregation rounds (§5.1: 10 seconds).
+    pub const ROUND_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
+    /// Creates an analyzer.
     pub fn new() -> Self {
-        Self::default()
+        RuntimeAnalyzer
     }
 
     /// One-shot hang analysis: aggregate one stack capture and over-evict the
@@ -72,13 +58,12 @@ impl RuntimeAnalyzer {
         topology: &ParallelTopology,
         capture: StackCapture,
     ) -> AnalysisOutcome {
-        let aggregation =
-            AggregationResult::from_capture_with_ratio(capture, self.config.dominance_ratio);
+        let aggregation = AggregationResult::from_capture(capture);
         let decision = EvictionDecision::from_outliers(topology, &aggregation.outlier_ranks());
         AnalysisOutcome {
             aggregation,
             decision,
-            duration: self.config.capture_latency + self.config.aggregation_latency,
+            duration: CAPTURE_LATENCY + Self::AGGREGATION_LATENCY,
         }
     }
 
@@ -93,17 +78,15 @@ impl RuntimeAnalyzer {
         capture: StackCapture,
         rounds: usize,
     ) -> AnalysisOutcome {
-        let aggregation =
-            AggregationResult::from_capture_with_ratio(capture, self.config.dominance_ratio);
+        let aggregation = AggregationResult::from_capture(capture);
         let outliers = aggregation.outlier_ranks();
         let mut voter = FailSlowVoter::new();
         for _ in 0..rounds {
             voter.record_round(topology, &outliers);
         }
         let decision = voter.verdict(topology);
-        let duration = self.config.capture_latency
-            + voter.round_interval.mul(rounds as u64)
-            + self.config.aggregation_latency;
+        let duration =
+            CAPTURE_LATENCY + Self::ROUND_INTERVAL.mul(rounds as u64) + Self::AGGREGATION_LATENCY;
         AnalysisOutcome {
             aggregation,
             decision,

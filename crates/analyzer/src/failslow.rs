@@ -9,32 +9,20 @@
 use std::collections::{BTreeMap, HashMap};
 
 use byterobust_parallelism::{GroupKind, ParallelTopology, Rank, RankCoords};
-use byterobust_sim::SimDuration;
 
 use crate::eviction::EvictionDecision;
 
 /// Accumulates per-round flags and produces a final eviction decision.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FailSlowVoter {
-    /// Interval between aggregation rounds (paper: 10 seconds).
-    pub round_interval: SimDuration,
     /// Cumulative flag count per (group kind, group index).
     flags: HashMap<(GroupKind, usize), u32>,
 }
 
-impl Default for FailSlowVoter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FailSlowVoter {
-    /// Creates a voter with the paper's 10 s round interval.
+    /// Creates a voter that has recorded no round.
     pub fn new() -> Self {
-        FailSlowVoter {
-            round_interval: SimDuration::from_secs(10),
-            flags: HashMap::new(),
-        }
+        Self::default()
     }
 
     /// Records one aggregation round: flags the parallel group containing the

@@ -28,7 +28,7 @@ pub mod failslow;
 pub mod process_tree;
 
 pub use aggregation::{AggregationResult, StackCluster};
-pub use analyzer::{AnalyzerConfig, RuntimeAnalyzer};
+pub use analyzer::RuntimeAnalyzer;
 pub use eviction::EvictionDecision;
 pub use failslow::FailSlowVoter;
 pub use process_tree::ProcessTree;
@@ -36,7 +36,7 @@ pub use process_tree::ProcessTree;
 /// Convenience prelude for downstream crates.
 pub mod prelude {
     pub use crate::aggregation::{AggregationResult, StackCluster};
-    pub use crate::analyzer::{AnalyzerConfig, RuntimeAnalyzer};
+    pub use crate::analyzer::RuntimeAnalyzer;
     pub use crate::eviction::EvictionDecision;
     pub use crate::failslow::FailSlowVoter;
     pub use crate::process_tree::ProcessTree;

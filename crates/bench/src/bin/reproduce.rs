@@ -17,7 +17,9 @@
 //! regardless of completion order.
 //!
 //! Four machine-readable artifacts are written afterwards (into
-//! `$BYTEROBUST_BENCH_DIR`, default `.`): `BENCH_reproduce.json` with
+//! `$BYTEROBUST_BENCH_DIR`, default `.`, created if missing; a failed write
+//! names its artifact on stderr and makes the run exit 1):
+//! `BENCH_reproduce.json` with
 //! per-section and total wall times, `BENCH_fleet.json` with the
 //! `large_drill` scheduler-throughput measurement plus the `mega_panel`
 //! stats (mega-drill events/sec, wall time, peak RSS — the `mega_*` keys),
@@ -37,7 +39,7 @@
 //! the digests itself.
 
 use byterobust_bench::experiments;
-use byterobust_bench::perf::{timed, ObsBenchStats, PerfRecorder};
+use byterobust_bench::perf::{bench_dir, timed, write_artifact, ObsBenchStats, PerfRecorder};
 use std::thread::{Scope, ScopedJoinHandle};
 
 /// A timed section forked off the main thread, or, in a serial run, left to
@@ -254,14 +256,6 @@ fn main() {
     perf.record("fig11_mfu", fig11_secs);
 
     let total = run_start.elapsed().as_secs_f64();
-    match perf.write_reproduce_json(fast, !serial, total) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(err) => eprintln!("failed to write BENCH_reproduce.json: {err}"),
-    }
-    match fleet_stats.write_fleet_json(Some(&mega_stats.bench)) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(err) => eprintln!("failed to write BENCH_fleet.json: {err}"),
-    }
     // Merge the mega drill's self-profiling into the registry: its scheduler
     // op counters sit alongside the small drill's under their own names.
     let mut registry = obs_stats.registry;
@@ -285,13 +279,35 @@ fn main() {
         alerts_json: alerts_stats.render_json(),
         metrics_json: registry.export_json(),
     };
-    match obs_bench.write_obs_json() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(err) => eprintln!("failed to write BENCH_obs.json: {err}"),
-    }
-    match query_stats.write_query_json() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(err) => eprintln!("failed to write BENCH_query.json: {err}"),
+    let artifacts = [
+        (
+            "BENCH_reproduce.json",
+            perf.render_json(fast, !serial, total),
+        ),
+        (
+            "BENCH_fleet.json",
+            fleet_stats.render_json_with_mega(Some(&mega_stats.bench)),
+        ),
+        ("BENCH_obs.json", obs_bench.render_json()),
+        ("BENCH_query.json", query_stats.render_json()),
+    ];
+    let dir = bench_dir();
+    let mut failed = 0;
+    for (name, contents) in &artifacts {
+        match write_artifact(&dir, name, contents) {
+            Ok(path) => eprintln!("wrote {}", path.display()),
+            Err(err) => {
+                eprintln!("failed to write {name}: {err}");
+                failed += 1;
+            }
+        }
     }
     eprintln!("reproduce finished in {total:.2}s (parallel = {})", !serial);
+    if failed > 0 {
+        eprintln!(
+            "{failed} of {} benchmark artifacts not written",
+            artifacts.len()
+        );
+        std::process::exit(1);
+    }
 }

@@ -27,8 +27,8 @@ use byterobust_obs::{
 };
 use byterobust_parallelism::ParallelismConfig;
 use byterobust_recovery::{
-    binomial_quantile, DualPhaseReplay, ReplayConfig, RestartCostModel, RestartStrategy,
-    StandbyPoolConfig, WarmStandbyPool,
+    DualPhaseReplay, ReplayConfig, RestartCostModel, RestartStrategy, StandbyPoolConfig,
+    WarmStandbyPool,
 };
 use byterobust_sim::{SimDuration, SimRng, SimTime};
 use byterobust_trainsim::{CodeVersion, JobSpec, StepModel, TrainingRuntime};
@@ -531,8 +531,8 @@ pub fn fig12_was() -> String {
     );
     for machines in [128usize, 256, 512, 1024] {
         let model = RestartCostModel::for_job(machines);
-        let p99 =
-            binomial_quantile(machines as u64, per_machine_failure_prob, 0.99).max(1) as usize;
+        let sizing = StandbyPoolConfig::for_job(machines, per_machine_failure_prob);
+        let p99 = sizing.p99_pool_size();
 
         // Scenario weights: evictions 1..=P99 weighted by the binomial pmf
         // (renormalized to 99%), catastrophic switch failure at 1%.
@@ -563,10 +563,7 @@ pub fn fig12_was() -> String {
                 .map(|&(evicted, weight)| {
                     let time = match strategy {
                         RestartStrategy::WarmStandby => {
-                            let mut pool = WarmStandbyPool::new(StandbyPoolConfig::for_job(
-                                machines,
-                                per_machine_failure_prob,
-                            ));
+                            let mut pool = WarmStandbyPool::new(sizing);
                             model.warm_standby_time(&mut pool, evicted, SimTime::ZERO)
                         }
                         other => model.time_for(other, evicted),

@@ -15,7 +15,7 @@
 //! codec's parser and [`read_sections`].
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use byterobust_incident::codec::JsonValue;
@@ -26,6 +26,17 @@ pub fn bench_dir() -> PathBuf {
     std::env::var_os("BYTEROBUST_BENCH_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("."))
+}
+
+/// Writes one benchmark artifact `name` into `dir`, creating `dir` if it does
+/// not exist, and returns the artifact's path. The error names the artifact,
+/// so a caller reporting it needs no context of its own.
+pub fn write_artifact(dir: &Path, name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    let path = dir.join(name);
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, contents))
+        .map_err(|err| std::io::Error::new(err.kind(), format!("{}: {err}", path.display())))?;
+    Ok(path)
 }
 
 /// Runs `f`, returning its output and the elapsed wall-clock seconds.
@@ -94,21 +105,6 @@ impl PerfRecorder {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// Writes `BENCH_reproduce.json` into [`bench_dir`] and returns its path.
-    pub fn write_reproduce_json(
-        &self,
-        fast_mode: bool,
-        parallel: bool,
-        total_wall_secs: f64,
-    ) -> std::io::Result<PathBuf> {
-        let path = bench_dir().join("BENCH_reproduce.json");
-        std::fs::write(
-            &path,
-            self.render_json(fast_mode, parallel, total_wall_secs),
-        )?;
-        Ok(path)
-    }
 }
 
 /// The `large_drill` fleet throughput measurement backing `BENCH_fleet.json`.
@@ -175,13 +171,6 @@ impl FleetBenchStats {
         }
         out.push_str("}\n");
         out
-    }
-
-    /// Writes `BENCH_fleet.json` into [`bench_dir`] and returns its path.
-    pub fn write_fleet_json(&self, mega: Option<&MegaBenchStats>) -> std::io::Result<PathBuf> {
-        let path = bench_dir().join("BENCH_fleet.json");
-        std::fs::write(&path, self.render_json_with_mega(mega))?;
-        Ok(path)
     }
 }
 
@@ -330,13 +319,6 @@ impl QueryBenchStats {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// Writes `BENCH_query.json` into [`bench_dir`] and returns its path.
-    pub fn write_query_json(&self) -> std::io::Result<PathBuf> {
-        let path = bench_dir().join("BENCH_query.json");
-        std::fs::write(&path, self.render_json())?;
-        Ok(path)
-    }
 }
 
 /// The observability self-profiling artifact backing `BENCH_obs.json`:
@@ -385,13 +367,6 @@ impl ObsBenchStats {
         out.push_str("}\n");
         out
     }
-
-    /// Writes `BENCH_obs.json` into [`bench_dir`] and returns its path.
-    pub fn write_obs_json(&self) -> std::io::Result<PathBuf> {
-        let path = bench_dir().join("BENCH_obs.json");
-        std::fs::write(&path, self.render_json())?;
-        Ok(path)
-    }
 }
 
 /// Reads the `sections` array of a `BENCH_reproduce.json` or
@@ -434,6 +409,24 @@ mod tests {
 
     fn number(document: &JsonValue, key: &str) -> f64 {
         document.field(key).unwrap()
+    }
+
+    #[test]
+    fn artifact_write_errors_name_the_artifact() {
+        let root =
+            std::env::temp_dir().join(format!("byterobust-bench-dir-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        // A missing bench dir is created.
+        let made = write_artifact(&root.join("fresh"), "BENCH_query.json", "{}\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&made).unwrap(), "{}\n");
+        // A bench dir below a regular file cannot exist: the write fails, and
+        // the error names the artifact it could not write.
+        let blocker = root.join("not-a-dir");
+        std::fs::write(&blocker, "").unwrap();
+        let blocked = write_artifact(&blocker.join("bench"), "BENCH_fleet.json", "{}\n");
+        std::fs::remove_dir_all(&root).unwrap();
+        let err = blocked.unwrap_err();
+        assert!(err.to_string().contains("BENCH_fleet.json"), "{err}");
     }
 
     #[test]

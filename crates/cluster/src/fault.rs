@@ -216,6 +216,15 @@ impl FaultEvent {
     }
 }
 
+/// Probability that an infrastructure incident is transient (reattempt alone
+/// fixes it). §4.2 reports 22.7% of failures recovered by reattempt.
+const TRANSIENT_FRACTION: f64 = 0.25;
+/// Probability that an SDC-rooted incident reproduces under stop-time
+/// diagnostics (EUD recall is ~70% per §9).
+const SDC_REPRODUCIBLE_PROB: f64 = 0.70;
+/// Fraction of machines that are latently SDC-prone (§9).
+const SDC_PRONE_MACHINE_FRACTION: f64 = 0.002;
+
 /// Configuration for the fault injector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultInjectorConfig {
@@ -232,19 +241,11 @@ pub struct FaultInjectorConfig {
     /// Table 1 shows manual restarts are ~17% of incidents; during active
     /// development they arrive every several hours. Defaults to 12 hours.
     pub manual_restart_interval: SimDuration,
-    /// Probability that an infrastructure incident is transient (reattempt
-    /// alone fixes it). §4.2 reports 22.7% of failures recovered by reattempt.
-    pub transient_fraction: f64,
     /// Probability that a failure with a code-compatible symptom is actually
     /// rooted in recently-integrated user code rather than infrastructure
     /// (Table 2 shows e.g. 41/62 illegal-memory-access incidents were user
     /// code).
     pub user_code_fraction: f64,
-    /// Probability that an SDC-rooted incident reproduces under stop-time
-    /// diagnostics (EUD recall is ~70% per §9).
-    pub sdc_reproducible_prob: f64,
-    /// Fraction of machines that are latently SDC-prone.
-    pub sdc_prone_machine_fraction: f64,
 }
 
 impl Default for FaultInjectorConfig {
@@ -255,10 +256,7 @@ impl Default for FaultInjectorConfig {
             reference_mtbf: SimDuration::from_secs((2.78 * 3600.0) as u64),
             reference_gpus: 16_384,
             manual_restart_interval: SimDuration::from_hours(12),
-            transient_fraction: 0.25,
             user_code_fraction: 0.30,
-            sdc_reproducible_prob: 0.70,
-            sdc_prone_machine_fraction: 0.002,
         }
     }
 }
@@ -310,8 +308,7 @@ impl FaultInjector {
     /// Creates an injector; `rng` should be a dedicated fork of the experiment
     /// RNG so that injection is independent of other random decisions.
     pub fn new(config: FaultInjectorConfig, mut rng: SimRng) -> Self {
-        let sdc_count = ((config.machines as f64 * config.sdc_prone_machine_fraction).round()
-            as usize)
+        let sdc_count = ((config.machines as f64 * SDC_PRONE_MACHINE_FRACTION).round() as usize)
             .min(config.machines);
         let sdc_prone_machines = rng
             .sample_indices(config.machines, sdc_count)
@@ -398,7 +395,7 @@ impl FaultInjector {
         let reproducible = if kind == FaultKind::NanValue && root_cause == RootCause::Infrastructure
         {
             // SDC-rooted NaN: often not reproducible under stop-time checks.
-            self.rng.chance(self.config.sdc_reproducible_prob)
+            self.rng.chance(SDC_REPRODUCIBLE_PROB)
         } else {
             true
         };
@@ -421,7 +418,7 @@ impl FaultInjector {
             CudaError | GpuMemoryError | JobHang | NanValue | CpuOom | CpuOverload => {
                 if self.rng.chance(self.config.user_code_fraction) {
                     RootCause::UserCode
-                } else if self.rng.chance(self.config.transient_fraction) {
+                } else if self.rng.chance(TRANSIENT_FRACTION) {
                     RootCause::Transient
                 } else {
                     RootCause::Infrastructure
@@ -438,7 +435,7 @@ impl FaultInjector {
             // Storage / host / container issues are infrastructure, with some
             // transient share.
             HdfsError | FilesystemMount | ExternalServiceError | ContainerError => {
-                if self.rng.chance(self.config.transient_fraction) {
+                if self.rng.chance(TRANSIENT_FRACTION) {
                     RootCause::Transient
                 } else {
                     RootCause::Infrastructure
@@ -622,8 +619,7 @@ mod tests {
     #[test]
     fn sdc_prone_machines_are_seeded() {
         let inj = injector(19);
-        let expected =
-            (1200f64 * FaultInjectorConfig::default().sdc_prone_machine_fraction).round() as usize;
+        let expected = (1200f64 * SDC_PRONE_MACHINE_FRACTION).round() as usize;
         assert_eq!(inj.sdc_prone_machines.len(), expected);
     }
 

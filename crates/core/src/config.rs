@@ -1,6 +1,5 @@
 //! End-to-end job configuration for the lifecycle driver.
 
-use byterobust_checkpoint::CheckpointPlan;
 use byterobust_cluster::{ClusterSpec, FaultInjectorConfig};
 use byterobust_recovery::StandbyPoolConfig;
 use byterobust_sim::SimDuration;
@@ -13,8 +12,6 @@ pub struct JobConfig {
     pub job: JobSpec,
     /// Fault-injection configuration (incident mix and rates).
     pub fault: FaultInjectorConfig,
-    /// Checkpointing plan.
-    pub ckpt_plan: CheckpointPlan,
     /// Simulated wall-clock duration of the job.
     pub duration: SimDuration,
     /// Warm spares provisioned into the job's cluster *beyond* the binomial
@@ -24,8 +21,9 @@ pub struct JobConfig {
 }
 
 impl JobConfig {
-    /// Builds a config from a job spec with a production-style fault mix and
-    /// ByteRobust's default checkpoint plan.
+    /// Builds a config from a job spec with a production-style fault mix.
+    /// Every job checkpoints on ByteRobust's plan
+    /// (`CheckpointPlan::byterobust_default`).
     pub fn for_job(job: JobSpec, duration: SimDuration) -> Self {
         let fault = FaultInjectorConfig {
             machines: job.machines(),
@@ -35,7 +33,6 @@ impl JobConfig {
         JobConfig {
             job,
             fault,
-            ckpt_plan: CheckpointPlan::byterobust_default(),
             duration,
             extra_standby_machines: 0,
         }

@@ -56,30 +56,17 @@ pub struct IncidentOutcome {
     pub capture: IncidentCapture,
 }
 
-/// Configuration of the controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ControllerConfig {
-    /// Steps intentionally rolled back after manual restarts to verify
-    /// bit-wise alignment of the new code (§2.1).
-    pub manual_restart_verify_steps: u64,
-    /// Per-machine daily failure probability used to size the standby pool.
-    pub per_machine_daily_failure_prob: f64,
-}
+/// Steps intentionally rolled back after manual restarts to verify bit-wise
+/// alignment of the new code (§2.1).
+const MANUAL_RESTART_VERIFY_STEPS: u64 = 3;
 
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            manual_restart_verify_steps: 3,
-            per_machine_daily_failure_prob: 0.002,
-        }
-    }
-}
+/// Per-machine daily failure probability that sizes the default standby pool
+/// (§6.2, from historical failure data).
+const PER_MACHINE_DAILY_FAILURE_PROB: f64 = 0.002;
 
 /// The Robust Controller (control plane, §3).
 #[derive(Debug, Clone)]
 pub struct RobustController {
-    /// Configuration.
-    pub config: ControllerConfig,
     monitor: Monitor,
     diagnoser: Diagnoser,
     analyzer: RuntimeAnalyzer,
@@ -98,9 +85,7 @@ impl RobustController {
     /// of concurrent jobs share a single pool. Solo runs create a default
     /// pool with [`RobustController::default_standby_pool`].
     pub fn new(job_machines: usize, rng: SimRng) -> Self {
-        let config = ControllerConfig::default();
         RobustController {
-            config,
             monitor: Monitor::new(),
             diagnoser: Diagnoser::new(rng),
             analyzer: RuntimeAnalyzer::new(),
@@ -118,7 +103,7 @@ impl RobustController {
     pub fn default_standby_pool(job_machines: usize) -> WarmStandbyPool {
         WarmStandbyPool::new(StandbyPoolConfig::for_job(
             job_machines,
-            ControllerConfig::default().per_machine_daily_failure_prob,
+            PER_MACHINE_DAILY_FAILURE_PROB,
         ))
     }
 
@@ -553,9 +538,9 @@ impl RobustController {
             let rounds = 5;
             let (capture, capture_time) =
                 self.tracer
-                    .capture_rounds(runtime, rounds, SimDuration::from_secs(10));
+                    .capture_rounds(runtime, rounds, RuntimeAnalyzer::ROUND_INTERVAL);
             let outcome = self.analyzer.analyze_fail_slow(topology, capture, rounds);
-            cost.localization += capture_time + self.analyzer.config.aggregation_latency;
+            cost.localization += capture_time + RuntimeAnalyzer::AGGREGATION_LATENCY;
             outcome.decision
         } else {
             let (capture, capture_time) = self.tracer.capture(runtime);
@@ -782,7 +767,7 @@ impl RobustController {
                 cost.checkpoint_load += rp.load_time;
                 let lost_steps = runtime.current_step().saturating_sub(rp.step);
                 let verify_steps = if fault.category() == FaultCategory::ManualRestart {
-                    self.config.manual_restart_verify_steps
+                    MANUAL_RESTART_VERIFY_STEPS
                 } else {
                     0
                 };
@@ -982,10 +967,7 @@ mod tests {
         assert!(outcome.applied_hot_update);
         assert!(outcome.evicted.is_empty());
         // Training intentionally rolled back a few steps for verification.
-        assert_eq!(
-            outcome.resumed_step,
-            20 - f.controller.config.manual_restart_verify_steps
-        );
+        assert_eq!(outcome.resumed_step, 20 - MANUAL_RESTART_VERIFY_STEPS);
         // The code version advanced.
         assert!(f.runtime.code_version().version > before_version);
         // No pod rebuild for in-place updates.

@@ -14,13 +14,12 @@ use std::sync::Arc;
 use byterobust_agent::CkptManager;
 use byterobust_cluster::{Cluster, FaultEvent, FaultInjector, FaultKind, NicState, RootCause};
 use byterobust_incident::{
-    telemetry_signature, ClassificationInput, ClassificationMatrix, IncidentDossier, IncidentStore,
-    RecorderEvent,
+    telemetry_signature, ClassificationInput, IncidentDossier, IncidentStore, RecorderEvent,
 };
 use byterobust_recovery::{StandbyScheduler, WarmStandbyPool};
 use byterobust_sim::{SimDuration, SimRng, SimTime};
 use byterobust_telemetry::SystemEvent;
-use byterobust_trainsim::{LossModel, StepModel, TrainingRuntime};
+use byterobust_trainsim::{loss_at, StepModel, TrainingRuntime};
 
 use crate::config::JobConfig;
 use crate::ettr::EttrTracker;
@@ -81,11 +80,9 @@ pub struct JobExecution {
     injector: FaultInjector,
     ckpt: CkptManager,
     step_model: StepModel,
-    loss_model: LossModel,
     ettr: EttrTracker,
     mfu_series: Vec<SeriesPoint>,
     loss_series: Vec<SeriesPoint>,
-    matrix: ClassificationMatrix,
     incident_store: IncidentStore,
     /// The job's own pool, used by [`JobExecution::advance`] for solo runs
     /// (fleet runs bypass it and pass a shared pool).
@@ -108,9 +105,8 @@ impl JobExecution {
         let runtime = TrainingRuntime::new(config.job.clone());
         let controller = RobustController::new(config.job.machines(), rng.fork(1));
         let mut injector = FaultInjector::new(config.fault.clone(), rng.fork(2));
-        let ckpt = CkptManager::new(&config.job, config.ckpt_plan);
+        let ckpt = CkptManager::byterobust_default(&config.job);
         let step_model = StepModel::new(config.job.clone());
-        let loss_model = LossModel::pretraining();
         let solo_pool = RobustController::default_standby_pool(config.job.machines());
         let end = SimTime::ZERO + config.duration;
         let next_fault = injector.next_event(SimTime::ZERO);
@@ -121,11 +117,9 @@ impl JobExecution {
             injector,
             ckpt,
             step_model,
-            loss_model,
             ettr: EttrTracker::new(),
             mfu_series: Vec::new(),
             loss_series: Vec::new(),
-            matrix: ClassificationMatrix::byterobust_default(),
             incident_store: IncidentStore::new(),
             solo_pool: Some(solo_pool),
             now: SimTime::ZERO,
@@ -255,7 +249,7 @@ impl JobExecution {
             self.loss_series.push(SeriesPoint {
                 at: interval_end,
                 step: to_step,
-                value: self.loss_model.loss_at(to_step),
+                value: loss_at(to_step),
             });
         }
         self.now = interval_end;
@@ -288,7 +282,7 @@ impl JobExecution {
         );
         let unproductive = outcome.cost.total();
         self.ettr.record_unproductive(unproductive);
-        let classification = self.matrix.classify(&ClassificationInput {
+        let classification = ClassificationInput {
             category: fault.category(),
             root_cause: fault.root_cause,
             mechanism: outcome.mechanism,
@@ -296,7 +290,8 @@ impl JobExecution {
             over_evicted: outcome.over_evicted,
             reproducible: fault.reproducible,
             downtime: unproductive,
-        });
+        }
+        .classify();
         self.incident_store.insert(IncidentDossier {
             seq: fault.seq,
             at: self.now,

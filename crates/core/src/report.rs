@@ -224,9 +224,7 @@ struct_codec!(JobReport {
 mod tests {
     use super::*;
     use byterobust_cluster::MachineId;
-    use byterobust_incident::{
-        ClassificationInput, ClassificationMatrix, IncidentCapture, IncidentDossier,
-    };
+    use byterobust_incident::{ClassificationInput, IncidentCapture, IncidentDossier};
     use byterobust_sim::SimDuration;
 
     /// A resolved infrastructure incident with one evicted machine, the
@@ -241,16 +239,16 @@ mod tests {
             recompute: SimDuration::from_secs(15),
         };
         let at = SimTime::from_hours(1);
-        let classification =
-            ClassificationMatrix::byterobust_default().classify(&ClassificationInput {
-                category: kind.category(),
-                root_cause: RootCause::Infrastructure,
-                mechanism,
-                blast_radius: 1,
-                over_evicted: false,
-                reproducible: true,
-                downtime: cost.total(),
-            });
+        let classification = ClassificationInput {
+            category: kind.category(),
+            root_cause: RootCause::Infrastructure,
+            mechanism,
+            blast_radius: 1,
+            over_evicted: false,
+            reproducible: true,
+            downtime: cost.total(),
+        }
+        .classify();
         IncidentDossier {
             seq,
             at,

@@ -494,7 +494,7 @@ impl FleetBroker {
         self.slot_owners.retain(|&(t, _)| t > now);
         while self.slot_owners.len() < self.pool.in_flight() {
             self.slot_owners
-                .push((now + self.pool.provision_time(), job));
+                .push((now + WarmStandbyPool::PROVISION_TIME, job));
         }
 
         let mut outcome = SchedulingOutcome {
@@ -502,7 +502,7 @@ impl FleetBroker {
             ..SchedulingOutcome::default()
         };
         let mut slowest = if grant.granted > 0 {
-            model.standby_awaken
+            RestartCostModel::STANDBY_AWAKEN
         } else {
             SimDuration::ZERO
         };

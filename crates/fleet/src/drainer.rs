@@ -187,8 +187,7 @@ mod tests {
     use super::*;
     use byterobust_cluster::{FaultKind, RootCause};
     use byterobust_incident::{
-        ClassificationInput, ClassificationMatrix, IncidentCapture, RecorderEntry,
-        ResolutionMechanism,
+        ClassificationInput, IncidentCapture, RecorderEntry, ResolutionMechanism,
     };
     use byterobust_recovery::FailoverCost;
 
@@ -205,16 +204,16 @@ mod tests {
             recompute: SimDuration::from_secs(30),
         };
         let evicted: Vec<MachineId> = (0..4).map(MachineId).collect();
-        let classification =
-            ClassificationMatrix::byterobust_default().classify(&ClassificationInput {
-                category: FaultKind::JobHang.category(),
-                root_cause: RootCause::Infrastructure,
-                mechanism: ResolutionMechanism::AnalyzerEviction,
-                blast_radius: evicted.len(),
-                over_evicted: true,
-                reproducible: true,
-                downtime: cost.total(),
-            });
+        let classification = ClassificationInput {
+            category: FaultKind::JobHang.category(),
+            root_cause: RootCause::Infrastructure,
+            mechanism: ResolutionMechanism::AnalyzerEviction,
+            blast_radius: evicted.len(),
+            over_evicted: true,
+            reproducible: true,
+            downtime: cost.total(),
+        }
+        .classify();
         assert!(classification
             .escalations
             .contains(&Escalation::StressTestSweep));

@@ -92,9 +92,7 @@ impl RepeatOffenderLedger {
 mod tests {
     use super::*;
     use byterobust_cluster::{FaultKind, RootCause};
-    use byterobust_incident::{
-        ClassificationInput, ClassificationMatrix, IncidentCapture, ResolutionMechanism,
-    };
+    use byterobust_incident::{ClassificationInput, IncidentCapture, ResolutionMechanism};
     use byterobust_recovery::FailoverCost;
     use byterobust_sim::{SimDuration, SimTime};
 
@@ -104,16 +102,16 @@ mod tests {
             localization: SimDuration::from_secs(60),
             ..FailoverCost::default()
         };
-        let classification =
-            ClassificationMatrix::byterobust_default().classify(&ClassificationInput {
-                category: FaultKind::CudaError.category(),
-                root_cause: RootCause::Infrastructure,
-                mechanism: ResolutionMechanism::ImmediateEviction,
-                blast_radius: evicted.len(),
-                over_evicted: false,
-                reproducible: true,
-                downtime: cost.total(),
-            });
+        let classification = ClassificationInput {
+            category: FaultKind::CudaError.category(),
+            root_cause: RootCause::Infrastructure,
+            mechanism: ResolutionMechanism::ImmediateEviction,
+            blast_radius: evicted.len(),
+            over_evicted: false,
+            reproducible: true,
+            downtime: cost.total(),
+        }
+        .classify();
         IncidentDossier {
             seq,
             at: SimTime::from_hours(seq),

@@ -366,10 +366,9 @@ impl FleetConfig {
     /// the sum of per-job P99 pools. [`FleetConfig::pool_override`] replaces
     /// the target size (starvation drills).
     pub fn shared_pool(&self) -> WarmStandbyPool {
-        let pool = RobustController::default_standby_pool(self.total_machines().max(1));
         match self.pool_override {
-            Some(target) => WarmStandbyPool::with_target_size(*pool.config(), target),
-            None => pool,
+            Some(target) => WarmStandbyPool::with_target_size(target),
+            None => RobustController::default_standby_pool(self.total_machines().max(1)),
         }
     }
 

@@ -1059,19 +1059,19 @@ pub struct TrafficConfig {
     pub machines: u32,
     /// Upper bound (hours) for generated time windows.
     pub horizon_hours: u64,
-    /// Zipf skew exponent for job and machine ranks (1.0 = classic zipf).
-    pub zipf_exponent: f64,
 }
 
+/// Zipf skew exponent for machine ranks (1.0 would be classic zipf).
+const ZIPF_EXPONENT: f64 = 1.1;
+
 impl TrafficConfig {
-    /// A stream over the given universes with the classic skew.
+    /// A stream over the given universes.
     pub fn new(seed: u64, jobs: Vec<String>, machines: u32, horizon_hours: u64) -> TrafficConfig {
         TrafficConfig {
             seed,
             jobs,
             machines,
             horizon_hours: horizon_hours.max(2),
-            zipf_exponent: 1.1,
         }
     }
 }
@@ -1089,11 +1089,11 @@ pub struct TrafficGenerator {
 }
 
 /// Cumulative zipf weights over ranks `0..n`.
-fn zipf_cdf(n: usize, exponent: f64) -> Vec<f64> {
+fn zipf_cdf(n: usize) -> Vec<f64> {
     let mut cdf = Vec::with_capacity(n);
     let mut acc = 0.0;
     for rank in 0..n {
-        acc += 1.0 / ((rank + 1) as f64).powf(exponent);
+        acc += 1.0 / ((rank + 1) as f64).powf(ZIPF_EXPONENT);
         cdf.push(acc);
     }
     let total = cdf.last().copied().unwrap_or(1.0);
@@ -1112,7 +1112,7 @@ fn sample_cdf(cdf: &[f64], uniform: f64) -> usize {
 impl TrafficGenerator {
     /// Precomputes the zipf tables for a stream config.
     pub fn new(config: TrafficConfig) -> TrafficGenerator {
-        let machine_cdf = zipf_cdf(config.machines.max(1) as usize, config.zipf_exponent);
+        let machine_cdf = zipf_cdf(config.machines.max(1) as usize);
         // The category universe, derived from the kind taxonomy (stable
         // order, deduplicated).
         let mut categories: Vec<FaultCategory> =
@@ -1334,9 +1334,7 @@ mod tests {
     use super::*;
     use crate::warehouse::WarehouseStorage;
     use byterobust_cluster::RootCause;
-    use byterobust_incident::{
-        ClassificationInput, ClassificationMatrix, IncidentCapture, ResolutionMechanism,
-    };
+    use byterobust_incident::{ClassificationInput, IncidentCapture, ResolutionMechanism};
     use byterobust_recovery::FailoverCost;
     use std::path::Path;
 
@@ -1359,16 +1357,16 @@ mod tests {
         } else {
             ResolutionMechanism::StopTimeEviction
         };
-        let classification =
-            ClassificationMatrix::byterobust_default().classify(&ClassificationInput {
-                category: kind.category(),
-                root_cause: RootCause::Infrastructure,
-                mechanism,
-                blast_radius: evicted.len(),
-                over_evicted: false,
-                reproducible: true,
-                downtime: cost.total(),
-            });
+        let classification = ClassificationInput {
+            category: kind.category(),
+            root_cause: RootCause::Infrastructure,
+            mechanism,
+            blast_radius: evicted.len(),
+            over_evicted: false,
+            reproducible: true,
+            downtime: cost.total(),
+        }
+        .classify();
         IncidentDossier {
             seq,
             at: SimTime::from_hours(at_hours),

@@ -624,8 +624,7 @@ mod tests {
     use crate::query::{FleetQuery, QueryResponse};
     use byterobust_cluster::{FaultCategory, FaultKind, MachineId, RootCause};
     use byterobust_incident::{
-        ClassificationInput, ClassificationMatrix, IncidentCapture, IncidentQuery,
-        ResolutionMechanism, Severity,
+        ClassificationInput, IncidentCapture, IncidentQuery, ResolutionMechanism, Severity,
     };
     use byterobust_recovery::FailoverCost;
     use byterobust_sim::SimTime;
@@ -649,16 +648,16 @@ mod tests {
         } else {
             ResolutionMechanism::StopTimeEviction
         };
-        let classification =
-            ClassificationMatrix::byterobust_default().classify(&ClassificationInput {
-                category: kind.category(),
-                root_cause: RootCause::Infrastructure,
-                mechanism,
-                blast_radius: evicted.len(),
-                over_evicted: false,
-                reproducible: true,
-                downtime: cost.total(),
-            });
+        let classification = ClassificationInput {
+            category: kind.category(),
+            root_cause: RootCause::Infrastructure,
+            mechanism,
+            blast_radius: evicted.len(),
+            over_evicted: false,
+            reproducible: true,
+            downtime: cost.total(),
+        }
+        .classify();
         IncidentDossier {
             seq,
             at: SimTime::from_hours(at_hours),

@@ -125,40 +125,30 @@ pub struct Classification {
     pub escalations: Box<[Escalation]>,
 }
 
-/// The classification matrix with its escalation thresholds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClassificationMatrix {
-    /// Blast radius at or above which an incident is at least Sev2.
-    pub sev2_blast_radius: usize,
-    /// Blast radius at or above which an incident is Sev1 (a whole pipeline
-    /// stage or more went down at once).
-    pub sev1_blast_radius: usize,
-    /// Downtime at or above which an incident is Sev1 regardless of blast
-    /// radius (the paper keeps unproductive time well under an hour per
-    /// incident; exceeding it means the automation failed to contain it).
-    pub sev1_downtime: SimDuration,
-    /// Blast radius at or above which a capacity review is queued.
-    pub capacity_review_blast_radius: usize,
-}
+// The matrix's escalation thresholds. The paper fixes no severity classes;
+// these are the reproduction's own, one value each.
 
-impl ClassificationMatrix {
-    /// The default thresholds used by the reproduction.
-    pub fn byterobust_default() -> Self {
-        ClassificationMatrix {
-            sev2_blast_radius: 2,
-            sev1_blast_radius: 8,
-            sev1_downtime: SimDuration::from_hours(2),
-            capacity_review_blast_radius: 4,
-        }
-    }
+/// Blast radius at or above which an incident is at least Sev2.
+const SEV2_BLAST_RADIUS: usize = 2;
+/// Blast radius at or above which an incident is Sev1 (a whole pipeline stage
+/// or more went down at once).
+const SEV1_BLAST_RADIUS: usize = 8;
+/// Downtime at or above which an incident is Sev1 regardless of blast radius
+/// (the paper keeps unproductive time well under an hour per incident;
+/// exceeding it means the automation failed to contain it).
+const SEV1_DOWNTIME: SimDuration = SimDuration::from_hours(2);
+/// Blast radius at or above which a capacity review is queued: the eviction
+/// consumed an unusual share of the P99 standby reserve (§6.2).
+const CAPACITY_REVIEW_BLAST_RADIUS: usize = 4;
 
+impl ClassificationInput {
     /// Classifies one incident: picks the base `REC-*` row from the
     /// resolution mechanism, then applies the escalation rules (blast radius,
     /// over-eviction, irreproducibility, downtime) which can only *raise*
     /// severity, never lower it.
-    pub fn classify(&self, input: &ClassificationInput) -> Classification {
+    pub fn classify(&self) -> Classification {
         // Base row: how the incident was resolved.
-        let (mut severity, rec_code) = match input.mechanism {
+        let (mut severity, rec_code) = match self.mechanism {
             ResolutionMechanism::HotUpdate => (Severity::Sev4, "REC-HU"),
             ResolutionMechanism::Reattempt => (Severity::Sev4, "REC-RT"),
             ResolutionMechanism::Rollback => (Severity::Sev3, "REC-RB"),
@@ -170,37 +160,36 @@ impl ClassificationMatrix {
         let mut escalations = Vec::new();
 
         // Machine loss always feeds the repair pipeline.
-        if input.blast_radius > 0 {
+        if self.blast_radius > 0 {
             escalations.push(Escalation::HardwareTicket);
         }
         // Multi-machine blast radius raises severity.
-        if input.blast_radius >= self.sev2_blast_radius {
+        if self.blast_radius >= SEV2_BLAST_RADIUS {
             severity = severity.escalate_to(Severity::Sev2);
         }
         // Over-eviction means healthy machines are hostage until a stress
         // sweep clears them (§9's false-positive discussion).
-        if input.over_evicted {
+        if self.over_evicted {
             severity = severity.escalate_to(Severity::Sev2);
             escalations.push(Escalation::StressTestSweep);
         }
         // An SDC-class fault that did not reproduce under stop-time checks is
         // exactly the kind that recurs; sweep it even if eviction "worked".
-        if !input.reproducible {
+        if !self.reproducible {
             severity = severity.escalate_to(Severity::Sev2);
             escalations.push(Escalation::StressTestSweep);
         }
         // Rollbacks audit the offending change.
-        if input.mechanism == ResolutionMechanism::Rollback
-            || input.root_cause == RootCause::UserCode
+        if self.mechanism == ResolutionMechanism::Rollback || self.root_cause == RootCause::UserCode
         {
             escalations.push(Escalation::CodeReviewAudit);
         }
         // Large evictions dent the standby reserve.
-        if input.blast_radius >= self.capacity_review_blast_radius {
+        if self.blast_radius >= CAPACITY_REVIEW_BLAST_RADIUS {
             escalations.push(Escalation::CapacityReview);
         }
         // Catastrophic blast radius or uncontained downtime pages a human.
-        if input.blast_radius >= self.sev1_blast_radius || input.downtime >= self.sev1_downtime {
+        if self.blast_radius >= SEV1_BLAST_RADIUS || self.downtime >= SEV1_DOWNTIME {
             severity = Severity::Sev1;
         }
         if severity == Severity::Sev1 {
@@ -214,12 +203,6 @@ impl ClassificationMatrix {
             rec_code,
             escalations: escalations.into(),
         }
-    }
-}
-
-impl Default for ClassificationMatrix {
-    fn default() -> Self {
-        ClassificationMatrix::byterobust_default()
     }
 }
 
@@ -250,28 +233,28 @@ mod tests {
 
     #[test]
     fn hot_update_and_reattempt_are_routine() {
-        let matrix = ClassificationMatrix::byterobust_default();
-        let hot = matrix.classify(&ClassificationInput {
+        let hot = ClassificationInput {
             category: FaultCategory::ManualRestart,
             root_cause: RootCause::Human,
             ..input(ResolutionMechanism::HotUpdate, 0)
-        });
+        }
+        .classify();
         assert_eq!(hot.severity, Severity::Sev4);
         assert_eq!(hot.rec_code, "REC-HU");
         assert!(hot.escalations.is_empty());
 
-        let reattempt = matrix.classify(&ClassificationInput {
+        let reattempt = ClassificationInput {
             root_cause: RootCause::Transient,
             ..input(ResolutionMechanism::Reattempt, 0)
-        });
+        }
+        .classify();
         assert_eq!(reattempt.severity, Severity::Sev4);
         assert!(reattempt.escalations.is_empty());
     }
 
     #[test]
     fn single_machine_eviction_is_sev3_with_hardware_ticket() {
-        let matrix = ClassificationMatrix::byterobust_default();
-        let class = matrix.classify(&input(ResolutionMechanism::ImmediateEviction, 1));
+        let class = input(ResolutionMechanism::ImmediateEviction, 1).classify();
         assert_eq!(class.severity, Severity::Sev3);
         assert_eq!(class.rec_code, "REC-EV1");
         assert_eq!(*class.escalations, [Escalation::HardwareTicket]);
@@ -279,20 +262,19 @@ mod tests {
 
     #[test]
     fn blast_radius_escalates_severity() {
-        let matrix = ClassificationMatrix::byterobust_default();
         assert_eq!(
-            matrix
-                .classify(&input(ResolutionMechanism::StopTimeEviction, 1))
+            input(ResolutionMechanism::StopTimeEviction, 1)
+                .classify()
                 .severity,
             Severity::Sev3
         );
         assert_eq!(
-            matrix
-                .classify(&input(ResolutionMechanism::StopTimeEviction, 2))
+            input(ResolutionMechanism::StopTimeEviction, 2)
+                .classify()
                 .severity,
             Severity::Sev2
         );
-        let catastrophic = matrix.classify(&input(ResolutionMechanism::StopTimeEviction, 8));
+        let catastrophic = input(ResolutionMechanism::StopTimeEviction, 8).classify();
         assert_eq!(catastrophic.severity, Severity::Sev1);
         assert!(catastrophic.escalations.contains(&Escalation::PageOncall));
         assert!(catastrophic
@@ -302,12 +284,12 @@ mod tests {
 
     #[test]
     fn over_eviction_queues_stress_sweep() {
-        let matrix = ClassificationMatrix::byterobust_default();
-        let class = matrix.classify(&ClassificationInput {
+        let class = ClassificationInput {
             category: FaultCategory::Implicit,
             over_evicted: true,
             ..input(ResolutionMechanism::AnalyzerEviction, 4)
-        });
+        }
+        .classify();
         assert_eq!(class.severity, Severity::Sev2);
         assert_eq!(class.rec_code, "REC-AGG");
         assert!(class.escalations.contains(&Escalation::StressTestSweep));
@@ -316,23 +298,23 @@ mod tests {
 
     #[test]
     fn irreproducible_sdc_is_at_least_sev2() {
-        let matrix = ClassificationMatrix::byterobust_default();
-        let class = matrix.classify(&ClassificationInput {
+        let class = ClassificationInput {
             category: FaultCategory::Implicit,
             reproducible: false,
             ..input(ResolutionMechanism::StopTimeEviction, 1)
-        });
+        }
+        .classify();
         assert!(class.severity.is_at_least(Severity::Sev2));
         assert!(class.escalations.contains(&Escalation::StressTestSweep));
     }
 
     #[test]
     fn rollback_audits_the_change() {
-        let matrix = ClassificationMatrix::byterobust_default();
-        let class = matrix.classify(&ClassificationInput {
+        let class = ClassificationInput {
             root_cause: RootCause::UserCode,
             ..input(ResolutionMechanism::Rollback, 0)
-        });
+        }
+        .classify();
         assert_eq!(class.severity, Severity::Sev3);
         assert_eq!(class.rec_code, "REC-RB");
         assert_eq!(*class.escalations, [Escalation::CodeReviewAudit]);
@@ -340,11 +322,11 @@ mod tests {
 
     #[test]
     fn uncontained_downtime_pages_oncall() {
-        let matrix = ClassificationMatrix::byterobust_default();
-        let class = matrix.classify(&ClassificationInput {
+        let class = ClassificationInput {
             downtime: SimDuration::from_hours(3),
             ..input(ResolutionMechanism::Reattempt, 0)
-        });
+        }
+        .classify();
         assert_eq!(class.severity, Severity::Sev1);
         assert!(class.escalations.contains(&Escalation::PageOncall));
     }

@@ -1574,7 +1574,7 @@ impl IncidentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{ClassificationInput, ClassificationMatrix};
+    use crate::classify::ClassificationInput;
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: &T) {
         let text = to_json(value);
@@ -1594,16 +1594,16 @@ mod tests {
             checkpoint_load: SimDuration::from_secs(20),
             recompute: SimDuration::from_secs(15),
         };
-        let classification =
-            ClassificationMatrix::byterobust_default().classify(&ClassificationInput {
-                category: FaultCategory::Implicit,
-                root_cause: RootCause::Infrastructure,
-                mechanism: ResolutionMechanism::AnalyzerEviction,
-                blast_radius: 2,
-                over_evicted: true,
-                reproducible: false,
-                downtime: cost.total(),
-            });
+        let classification = ClassificationInput {
+            category: FaultCategory::Implicit,
+            root_cause: RootCause::Infrastructure,
+            mechanism: ResolutionMechanism::AnalyzerEviction,
+            blast_radius: 2,
+            over_evicted: true,
+            reproducible: false,
+            downtime: cost.total(),
+        }
+        .classify();
         let mut capture = IncidentCapture::empty(seq, FaultKind::JobHang, SimTime::from_hours(3));
         capture.closed_at = capture.opened_at + cost.total();
         capture.context = Arc::from([RecorderEntry {

@@ -12,10 +12,11 @@
 //!    the recorder snapshots the recent background context; when the incident
 //!    closes, the captured window freezes into an immutable
 //!    [`recorder::IncidentCapture`].
-//! 2. [`classify::ClassificationMatrix`] — maps (incident category, root
-//!    cause, resolution mechanism, blast radius) onto `REC-*` severity
-//!    classes with escalation rules, in the style of production
-//!    incident-response matrices.
+//! 2. [`classify::ClassificationInput::classify`] — the classification
+//!    matrix: maps (incident category, root cause, resolution mechanism,
+//!    blast radius) onto `REC-*` severity classes with escalation rules, in
+//!    the style of production incident-response matrices. The matrix is a
+//!    fixed table; its thresholds are constants.
 //! 3. [`postmortem::Postmortem`] — renders a closed incident into a
 //!    structured postmortem: timeline, evidence, unproductive-time breakdown
 //!    by recovery phase (summing exactly to the incident's
@@ -39,8 +40,7 @@
 //! use byterobust_incident::prelude::*;
 //! use byterobust_cluster::{FaultCategory, RootCause};
 //!
-//! let matrix = ClassificationMatrix::byterobust_default();
-//! let class = matrix.classify(&ClassificationInput {
+//! let class = ClassificationInput {
 //!     category: FaultCategory::Explicit,
 //!     root_cause: RootCause::Infrastructure,
 //!     mechanism: ResolutionMechanism::ImmediateEviction,
@@ -48,7 +48,8 @@
 //!     over_evicted: false,
 //!     reproducible: true,
 //!     downtime: byterobust_sim::SimDuration::from_mins(12),
-//! });
+//! }
+//! .classify();
 //! assert_eq!(class.severity, Severity::Sev3);
 //! ```
 
@@ -62,9 +63,7 @@ pub mod store;
 
 pub use codec::{CodecError, Decode, Encode, ErrorPosition, JsonValue};
 
-pub use classify::{
-    Classification, ClassificationInput, ClassificationMatrix, Escalation, Severity,
-};
+pub use classify::{Classification, ClassificationInput, Escalation, Severity};
 pub use mechanism::ResolutionMechanism;
 pub use postmortem::{PhaseCost, Postmortem};
 pub use recorder::{
@@ -77,9 +76,7 @@ pub use store::{IncidentDossier, IncidentQuery, IncidentStore};
 pub mod prelude {
     pub use crate::codec::{CodecError, Decode, Encode, ErrorPosition, JsonValue};
 
-    pub use crate::classify::{
-        Classification, ClassificationInput, ClassificationMatrix, Escalation, Severity,
-    };
+    pub use crate::classify::{Classification, ClassificationInput, Escalation, Severity};
     pub use crate::mechanism::ResolutionMechanism;
     pub use crate::postmortem::{PhaseCost, Postmortem};
     pub use crate::recorder::{

@@ -258,7 +258,7 @@ impl Postmortem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{ClassificationInput, ClassificationMatrix};
+    use crate::classify::ClassificationInput;
     use crate::recorder::{IncidentCapture, RecorderEvent};
 
     fn dossier() -> IncidentDossier {
@@ -270,8 +270,7 @@ mod tests {
             checkpoint_load: SimDuration::from_secs(30),
             recompute: SimDuration::from_secs(45),
         };
-        let matrix = ClassificationMatrix::byterobust_default();
-        let classification = matrix.classify(&ClassificationInput {
+        let classification = ClassificationInput {
             category: FaultCategory::Explicit,
             root_cause: RootCause::Infrastructure,
             mechanism: ResolutionMechanism::StopTimeEviction,
@@ -279,7 +278,8 @@ mod tests {
             over_evicted: false,
             reproducible: true,
             downtime: cost.total(),
-        });
+        }
+        .classify();
         let mut capture = IncidentCapture::empty(42, FaultKind::CudaError, SimTime::from_hours(5));
         capture.closed_at = SimTime::from_hours(5) + cost.total();
         capture.window.push(RecorderEntry {

@@ -350,7 +350,7 @@ impl IncidentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{ClassificationInput, ClassificationMatrix};
+    use crate::classify::ClassificationInput;
 
     fn dossier(
         seq: u64,
@@ -367,16 +367,16 @@ mod tests {
             checkpoint_load: SimDuration::from_secs(20),
             recompute: SimDuration::from_secs(15),
         };
-        let classification =
-            ClassificationMatrix::byterobust_default().classify(&ClassificationInput {
-                category: kind.category(),
-                root_cause: RootCause::Infrastructure,
-                mechanism,
-                blast_radius: evicted.len(),
-                over_evicted: false,
-                reproducible: true,
-                downtime: cost.total(),
-            });
+        let classification = ClassificationInput {
+            category: kind.category(),
+            root_cause: RootCause::Infrastructure,
+            mechanism,
+            blast_radius: evicted.len(),
+            over_evicted: false,
+            reproducible: true,
+            downtime: cost.total(),
+        }
+        .classify();
         IncidentDossier {
             seq,
             at: SimTime::from_hours(at_hours),

@@ -76,13 +76,11 @@ impl StandbyScheduler for WarmStandbyPool {
         }
         let grant = self.request(evicted, now);
         let duration = if grant.shortfall == 0 {
-            model.standby_awaken
+            RestartCostModel::STANDBY_AWAKEN
         } else {
             // The granted standbys awaken in parallel with rescheduling the
             // shortfall; the slower path dominates.
-            model
-                .standby_awaken
-                .max(model.reschedule_time(grant.shortfall))
+            RestartCostModel::STANDBY_AWAKEN.max(model.reschedule_time(grant.shortfall))
         };
         SchedulingOutcome {
             duration,
@@ -116,41 +114,35 @@ impl RestartStrategy {
     ];
 }
 
-/// Scale-dependent scheduling-cost model.
+/// Base cost of a full requeue at the 128-machine reference scale (clearing
+/// metadata, quota reallocation, pod rebuild; Table 7 row 1).
+const REQUEUE_BASE: SimDuration = SimDuration::from_secs(454);
+/// Cost of rescheduling and rebuilding the pod of one replacement batch
+/// (dominated by image install; largely scale-independent, Fig. 12).
+const RESCHEDULE_POD_BUILD: SimDuration = SimDuration::from_secs(260);
+/// Extra machine-allocation latency for a reschedule (Fig. 12).
+const RESCHEDULE_ALLOCATION: SimDuration = SimDuration::from_secs(90);
+/// Base cost of an in-place hot update at the reference scale (Table 7 row 2).
+const HOT_UPDATE_BASE: SimDuration = SimDuration::from_secs(46);
+
+/// Scale-dependent scheduling-cost model, calibrated to Table 7 / Fig. 12.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RestartCostModel {
     /// Machines in the job.
     pub job_machines: usize,
-    /// Base cost of a full requeue at the 128-machine reference scale
-    /// (clearing metadata, quota reallocation, pod rebuild; Table 7 row 1).
-    pub requeue_base: SimDuration,
-    /// Cost of rescheduling and rebuilding the pod of one replacement batch
-    /// (dominated by image install; largely scale-independent).
-    pub reschedule_pod_build: SimDuration,
-    /// Extra machine-allocation latency for a reschedule.
-    pub reschedule_allocation: SimDuration,
-    /// Time to awaken a warm standby and have it join at the barrier.
-    pub standby_awaken: SimDuration,
-    /// Base cost of an in-place hot update at the reference scale (Table 7
-    /// row 2).
-    pub hot_update_base: SimDuration,
 }
 
 impl RestartCostModel {
     /// Reference scale the base costs are calibrated at (128 machines).
     pub const REFERENCE_MACHINES: f64 = 128.0;
 
-    /// Creates the cost model for a job of the given size, with defaults
-    /// calibrated to Table 7 / Fig. 12 magnitudes.
+    /// Time to awaken a warm standby and have it join at the barrier (§6.2,
+    /// §7: the barrier poll loop).
+    pub const STANDBY_AWAKEN: SimDuration = SimDuration::from_secs(60);
+
+    /// Creates the cost model for a job of the given size.
     pub fn for_job(job_machines: usize) -> Self {
-        RestartCostModel {
-            job_machines,
-            requeue_base: SimDuration::from_secs(454),
-            reschedule_pod_build: SimDuration::from_secs(260),
-            reschedule_allocation: SimDuration::from_secs(90),
-            standby_awaken: SimDuration::from_secs(60),
-            hot_update_base: SimDuration::from_secs(46),
-        }
+        RestartCostModel { job_machines }
     }
 
     fn scale_factor(&self, exponent: f64) -> f64 {
@@ -164,14 +156,14 @@ impl RestartCostModel {
     /// machine, but run with parallelism): calibrated to Table 7's
     /// 454 s → 768 s from 128 to 1024 machines.
     pub fn requeue_time(&self) -> SimDuration {
-        self.requeue_base.mul_f64(self.scale_factor(0.25))
+        REQUEUE_BASE.mul_f64(self.scale_factor(0.25))
     }
 
     /// Scheduling time of an in-place hot update: no machine change, only a
     /// coordinated process restart, nearly flat in scale (Table 7:
     /// 46 s → 65 s).
     pub fn hot_update_time(&self) -> SimDuration {
-        self.hot_update_base.mul_f64(self.scale_factor(0.165))
+        HOT_UPDATE_BASE.mul_f64(self.scale_factor(0.165))
     }
 
     /// Scheduling time of a reschedule covering `evicted` machines.
@@ -182,8 +174,8 @@ impl RestartCostModel {
         // Pod builds for replacement machines run in parallel; allocation has
         // a small per-machine component.
         let allocation =
-            self.reschedule_allocation + SimDuration::from_secs(2).mul(evicted.min(64) as u64);
-        self.reschedule_pod_build.mul_f64(self.scale_factor(0.1)) + allocation
+            RESCHEDULE_ALLOCATION + SimDuration::from_secs(2).mul(evicted.min(64) as u64);
+        RESCHEDULE_POD_BUILD.mul_f64(self.scale_factor(0.1)) + allocation
     }
 
     /// Scheduling time of the oracle: every eviction covered by a ready
@@ -192,7 +184,7 @@ impl RestartCostModel {
         if evicted == 0 {
             return self.hot_update_time();
         }
-        self.standby_awaken
+        Self::STANDBY_AWAKEN
     }
 
     /// Scheduling time of ByteRobust's warm-standby strategy for an eviction
@@ -215,13 +207,13 @@ impl RestartCostModel {
     /// and no image install — strictly cheaper than rescheduling from the
     /// free pool.
     pub fn migration_time(&self) -> SimDuration {
-        self.standby_awaken + SimDuration::from_secs(120)
+        Self::STANDBY_AWAKEN + SimDuration::from_secs(120)
     }
 
     /// Time for a machine whose replenishment slot was preempted from another
     /// job to come online: wait out the remaining provisioning, then awaken.
     pub fn preempted_slot_time(&self, now: SimTime, completes_at: SimTime) -> SimDuration {
-        completes_at.saturating_since(now) + self.standby_awaken
+        completes_at.saturating_since(now) + Self::STANDBY_AWAKEN
     }
 
     /// Scheduling time for a non-mutating strategy (requeue / reschedule /
@@ -233,7 +225,7 @@ impl RestartCostModel {
             RestartStrategy::Oracle => self.oracle_time(evicted),
             RestartStrategy::WarmStandby => {
                 // Stateless approximation: assume the pool covers the P99 case.
-                self.standby_awaken
+                Self::STANDBY_AWAKEN
             }
         }
     }
@@ -295,7 +287,7 @@ mod tests {
         let model = RestartCostModel::for_job(1024);
         let mut pool = WarmStandbyPool::new(StandbyPoolConfig::for_job(1024, 0.002));
         let small = model.warm_standby_time(&mut pool, 1, SimTime::ZERO);
-        assert_eq!(small, model.standby_awaken);
+        assert_eq!(small, RestartCostModel::STANDBY_AWAKEN);
         // Catastrophic: 32 machines evicted at once (switch failure).
         let mut pool = WarmStandbyPool::new(StandbyPoolConfig::for_job(1024, 0.002));
         let catastrophic = model.warm_standby_time(&mut pool, 32, SimTime::ZERO);
@@ -325,7 +317,7 @@ mod tests {
         assert!(!inplace.starved());
         // Covered eviction: awaken cost, no starvation.
         let covered = pool.schedule(&model, 1, SimTime::ZERO);
-        assert_eq!(covered.duration, model.standby_awaken);
+        assert_eq!(covered.duration, RestartCostModel::STANDBY_AWAKEN);
         assert_eq!(covered.granted, 1);
         assert!(!covered.starved());
         // A drained pool reports the shortfall so the incident can be
@@ -348,10 +340,13 @@ mod tests {
         // A slot completing immediately costs just the awaken; one completing
         // later costs the wait on top.
         let now = SimTime::from_secs(100);
-        assert_eq!(model.preempted_slot_time(now, now), model.standby_awaken);
+        assert_eq!(
+            model.preempted_slot_time(now, now),
+            RestartCostModel::STANDBY_AWAKEN
+        );
         assert_eq!(
             model.preempted_slot_time(now, now + SimDuration::from_secs(90)),
-            model.standby_awaken + SimDuration::from_secs(90)
+            RestartCostModel::STANDBY_AWAKEN + SimDuration::from_secs(90)
         );
     }
 }

@@ -13,7 +13,11 @@ use byterobust_sim::{SimDuration, SimTime};
 
 use crate::binomial::binomial_quantile;
 
-/// Sizing and timing parameters for the pool.
+/// Quantile of the simultaneous-failure distribution the pool provisions for
+/// (§6.2: P99).
+const POOL_QUANTILE: f64 = 0.99;
+
+/// Sizing parameters for the pool.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StandbyPoolConfig {
     /// Machines in the training job.
@@ -21,25 +25,14 @@ pub struct StandbyPoolConfig {
     /// Probability that an individual machine fails within the provisioning
     /// horizon (derived from historical data; §6.2).
     pub per_machine_failure_prob: f64,
-    /// Quantile of the simultaneous-failure distribution to provision for.
-    pub quantile: f64,
-    /// Time to wake a sleeping standby and let it join the job at the next
-    /// barrier (§7: the barrier poll loop).
-    pub awaken_time: SimDuration,
-    /// Time to provision a brand-new standby from the free pool: machine
-    /// allocation, image installation, library download, self-check.
-    pub provision_time: SimDuration,
 }
 
 impl StandbyPoolConfig {
-    /// Production-flavoured defaults for a job of `job_machines` machines.
+    /// Sizing for a job of `job_machines` machines.
     pub fn for_job(job_machines: usize, per_machine_failure_prob: f64) -> Self {
         StandbyPoolConfig {
             job_machines,
             per_machine_failure_prob,
-            quantile: 0.99,
-            awaken_time: SimDuration::from_secs(60),
-            provision_time: SimDuration::from_secs(420),
         }
     }
 
@@ -48,7 +41,7 @@ impl StandbyPoolConfig {
         binomial_quantile(
             self.job_machines as u64,
             self.per_machine_failure_prob,
-            self.quantile,
+            POOL_QUANTILE,
         )
         .max(1) as usize
     }
@@ -67,7 +60,6 @@ pub struct StandbyGrant {
 /// The warm-standby pool state machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmStandbyPool {
-    config: StandbyPoolConfig,
     target_size: usize,
     ready: usize,
     /// Completion times of in-flight replenishments.
@@ -85,17 +77,19 @@ pub struct WarmStandbyPool {
 }
 
 impl WarmStandbyPool {
+    /// Time to provision a brand-new standby from the free pool: machine
+    /// allocation, image installation, library download, self-check (§6.2).
+    pub const PROVISION_TIME: SimDuration = SimDuration::from_secs(420);
+
     /// Creates a pool at its target (P99) size, fully provisioned.
     pub fn new(config: StandbyPoolConfig) -> Self {
-        let target = config.p99_pool_size();
-        Self::with_target_size(config, target)
+        Self::with_target_size(config.p99_pool_size())
     }
 
     /// Creates a pool with an explicit target size (e.g. a deliberately
     /// under-provisioned pool for starvation drills), fully provisioned.
-    pub fn with_target_size(config: StandbyPoolConfig, target: usize) -> Self {
+    pub fn with_target_size(target: usize) -> Self {
         WarmStandbyPool {
-            config,
             target_size: target,
             ready: target,
             provisioning: Vec::new(),
@@ -103,11 +97,6 @@ impl WarmStandbyPool {
             shortfall_events: 0,
             shortfall_machines: 0,
         }
-    }
-
-    /// The pool's sizing configuration.
-    pub fn config(&self) -> &StandbyPoolConfig {
-        &self.config
     }
 
     /// Target (P99) pool size.
@@ -173,7 +162,7 @@ impl WarmStandbyPool {
             .target_size
             .saturating_sub(self.ready + self.provisioning.len());
         for _ in 0..deficit {
-            self.provisioning.push(now + self.config.provision_time);
+            self.provisioning.push(now + Self::PROVISION_TIME);
         }
         StandbyGrant { granted, shortfall }
     }
@@ -217,11 +206,6 @@ impl WarmStandbyPool {
     pub fn shortfall_machines(&self) -> usize {
         self.shortfall_machines
     }
-
-    /// Time for the caller to reschedule a shortfall machine from scratch.
-    pub fn provision_time(&self) -> SimDuration {
-        self.config.provision_time
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +219,10 @@ mod tests {
     #[test]
     fn pool_sized_at_p99() {
         let p = pool();
-        assert_eq!(p.target_size(), p.config().p99_pool_size());
+        assert_eq!(
+            p.target_size(),
+            StandbyPoolConfig::for_job(1024, 0.002).p99_pool_size()
+        );
         assert!(
             p.target_size() >= 3 && p.target_size() <= 10,
             "size = {}",
@@ -288,7 +275,7 @@ mod tests {
         p.tick(SimTime::ZERO + SimDuration::from_secs(60));
         assert_eq!(p.ready(), 0);
         // After the provisioning delay the pool is full again.
-        p.tick(SimTime::ZERO + p.provision_time());
+        p.tick(SimTime::ZERO + WarmStandbyPool::PROVISION_TIME);
         assert_eq!(p.ready(), consumed);
         assert_eq!(p.in_flight(), 0);
     }
@@ -344,8 +331,8 @@ mod tests {
         assert_eq!(p.shortfall_events(), 1);
         assert_eq!(p.shortfall_machines(), 5);
         // A covered request leaves the stats untouched.
-        p.tick(SimTime::ZERO + p.provision_time());
-        p.request(1, SimTime::ZERO + p.provision_time());
+        p.tick(SimTime::ZERO + WarmStandbyPool::PROVISION_TIME);
+        p.request(1, SimTime::ZERO + WarmStandbyPool::PROVISION_TIME);
         assert_eq!(p.shortfall_events(), 1);
         assert_eq!(p.shortfall_machines(), 5);
     }

@@ -10,7 +10,7 @@
 //!   dense and 256B MoE configurations of Table 5 are provided as presets),
 //! * [`StepModel`] — per-step time breakdown and MFU given the cluster's
 //!   health and the code version's efficiency,
-//! * [`LossModel`] — smooth power-law loss curves,
+//! * [`loss_at`] — the smooth power-law pretraining loss curve,
 //! * [`stacktrace`] — the static catalogue of Python-style stack templates for
 //!   normal execution, hangs, and fail-slow scenarios, and the grouped
 //!   [`StackCapture`] that is the input to §5's aggregation analysis,
@@ -25,7 +25,7 @@ pub mod stacktrace;
 pub mod step;
 
 pub use job::{HardwareSpec, JobSpec};
-pub use loss::LossModel;
+pub use loss::loss_at;
 pub use model::{Architecture, ModelSpec};
 pub use runtime::TrainingRuntime;
 pub use stacktrace::{ProcessKind, StackCapture, StackFrame, StackGroup, StackTrace};
@@ -34,7 +34,7 @@ pub use step::{CodeVersion, StepBreakdown, StepModel, TrainPhase};
 /// Convenience prelude for downstream crates.
 pub mod prelude {
     pub use crate::job::{HardwareSpec, JobSpec};
-    pub use crate::loss::LossModel;
+    pub use crate::loss::loss_at;
     pub use crate::model::{Architecture, ModelSpec};
     pub use crate::runtime::TrainingRuntime;
     pub use crate::stacktrace::{ProcessKind, StackCapture, StackFrame, StackGroup, StackTrace};
