@@ -15,10 +15,11 @@
 //!    linear scan retained as an oracle reference pinned byte-identical.
 //! 2. [`warehouse::IncidentWarehouse`] — a write-only log of append-only
 //!    per-job incident-store shards (with write-once disk-spill segments). Every read goes
-//!    through one [`EpochSnapshot`] type: the planner builds posting lists
-//!    (by machine, severity, category, time bucket) only for the queries
-//!    that need them, aggregates are folds over shard prefixes, and
-//!    [`EpochSnapshot::oracle_answer`] is the single brute-force oracle.
+//!    through one [`EpochSnapshot`] type: the planner builds two posting
+//!    lists (by machine and by time bucket) only for the queries that name
+//!    one, answers every other query with a linear scan, aggregates are
+//!    folds over shard prefixes, and [`EpochSnapshot::oracle_answer`] is
+//!    the single brute-force oracle.
 //! 3. [`drainer::BacklogDrainer`] — consumes the stores' escalation backlog:
 //!    `StressTestSweep` items dispatch
 //!    [`SelectiveStressTester`](byterobust_agent::SelectiveStressTester)
@@ -43,11 +44,15 @@
 //! trace spans, and alert timeline lookups. [`service`] is the resident
 //! plane: a [`WarehouseService`] the runner publishes copy-on-write epoch
 //! snapshots into after every insert, answering queries concurrently with
-//! fleet execution under snapshot isolation, through a selectivity-based
-//! planner checked against the `oracle_answer` linear scan, with spilled
-//! segments faulted in through a capacity-bounded LRU. A finished run's
-//! [`FleetReport::answer`] reads the warehouse's own snapshot — the same
-//! type, so live, replayed and post-run answers share one read path.
+//! fleet execution under snapshot isolation. Its planner answers a query
+//! that names a machine or a window through the machine or time-bucket
+//! index, whichever lists fewer candidates, and every other query through
+//! the `oracle_answer` linear scan: category and severity indexes measured
+//! slower than that scan and were removed (see [`service`]'s *Planner*
+//! section). Spilled segments fault in through a capacity-bounded LRU. A
+//! finished run's [`FleetReport::answer`] reads the warehouse's own
+//! snapshot — the same type, so live, replayed and post-run answers share
+//! one read path.
 //!
 //! # Machine identity across jobs
 //!

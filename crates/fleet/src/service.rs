@@ -34,17 +34,33 @@
 //!
 //! # Planner
 //!
-//! A query is answered through one of four secondary indexes — machine,
-//! category, severity floor, time bucket — chosen by **estimated
-//! selectivity** (posting-list lengths, which the index knows exactly),
-//! falling back to a full scan when no index applies. The indexes are built
-//! lazily, on a snapshot's first planned query; they are the only posting
+//! Two secondary indexes — machine and time bucket — serve the queries that
+//! name a machine or a window; when a query names both, the shorter posting
+//! list wins (their lengths are known exactly). Every other incidents or
+//! dossiers query is answered by the linear scan behind
+//! [`EpochSnapshot::oracle_answer`] (filter every shard prefix, then sort
+//! the hits), counted as [`PlanChoice::Scan`]. The indexes are built lazily,
+//! on a snapshot's first query that can use one; they are the only posting
 //! lists in the repo. Whatever the plan, the residual conjunctive filter
 //! (`byterobust_incident::filter::matches`) is applied and hits come back in
-//! canonical (start time, job, seq) order, so every plan is
-//! answer-equivalent to [`EpochSnapshot::oracle_answer`] — the repo's single
-//! brute-force oracle, pinned byte-identical at every epoch by the
-//! planner-equivalence tests.
+//! canonical (start time, job, seq) order, so both index paths are
+//! answer-equivalent to the oracle, pinned byte-identical at every epoch by
+//! the planner-equivalence tests.
+//!
+//! Only these two indexes pay for themselves. Timed over 20,000 traffic
+//! queries against a finished drill's final snapshot (2 vCPUs, in memory),
+//! planner vs linear scan per query:
+//!
+//! | Path | `mega_smoke` (12,806 dossiers) | `large_drill` (592 dossiers) |
+//! |---|---|---|
+//! | machine index | 2 µs vs 791 µs | 3 µs vs 36 µs |
+//! | time-bucket index | 68 µs vs 157 µs | 8 µs vs 12 µs |
+//! | category index (removed) | 447 µs vs 379 µs | 22 µs vs 29 µs |
+//! | severity-floor index (removed) | 506 µs vs 395 µs | 33 µs vs 35 µs |
+//! | sorted-key scan (removed) | 1,522 µs vs 159 µs | 62 µs vs 10 µs |
+//!
+//! A category or severity posting list covers a large share of history, so
+//! resolving its keys one by one costs more than filtering every dossier.
 //!
 //! Whole-shard aggregates (totals, per-job/severity/category/machine
 //! counts, attribution scoring, resolution times, the digest) never touch
@@ -98,13 +114,9 @@ fn bucket_index_of(bucket_width: SimDuration, at: SimTime) -> u64 {
 pub enum PlanChoice {
     /// The machine posting list.
     Machine,
-    /// The category posting list.
-    Category,
-    /// The merged severity-floor posting lists.
-    SeverityFloor,
     /// The time-bucket range.
     TimeBucket,
-    /// Full scan over every shard prefix.
+    /// The linear scan of [`EpochSnapshot::oracle_answer`].
     Scan,
 }
 
@@ -113,17 +125,14 @@ impl PlanChoice {
     pub fn label(self) -> &'static str {
         match self {
             PlanChoice::Machine => "machine",
-            PlanChoice::Category => "category",
-            PlanChoice::SeverityFloor => "severity_floor",
             PlanChoice::TimeBucket => "time_bucket",
             PlanChoice::Scan => "scan",
         }
     }
 
-    const ALL: [PlanChoice; 5] = [
+    /// Every plan in declaration order, so `plan as usize` is its slot.
+    const ALL: [PlanChoice; 3] = [
         PlanChoice::Machine,
-        PlanChoice::Category,
-        PlanChoice::SeverityFloor,
         PlanChoice::TimeBucket,
         PlanChoice::Scan,
     ];
@@ -299,13 +308,11 @@ struct SnapKey {
     seq: u64,
 }
 
-/// The four secondary indexes of one epoch, built lazily from the shard
-/// prefixes on the first planned query (posting lists over [`SnapKey`]s,
-/// each in canonical order).
+/// The two secondary indexes of one epoch, built lazily from the shard
+/// prefixes on the first query that names a machine or a window (posting
+/// lists over [`SnapKey`]s, each in canonical order).
 struct SnapshotIndex {
     by_machine: BTreeMap<MachineId, Vec<SnapKey>>,
-    by_severity: BTreeMap<Severity, Vec<SnapKey>>,
-    by_category: BTreeMap<FaultCategory, Vec<SnapKey>>,
     by_bucket: BTreeMap<u64, Vec<SnapKey>>,
 }
 
@@ -456,8 +463,6 @@ impl EpochSnapshot {
     fn index(&self) -> &SnapshotIndex {
         self.index.get_or_init(|| {
             let mut by_machine: BTreeMap<MachineId, Vec<SnapKey>> = BTreeMap::new();
-            let mut by_severity: BTreeMap<Severity, Vec<SnapKey>> = BTreeMap::new();
-            let mut by_category: BTreeMap<FaultCategory, Vec<SnapKey>> = BTreeMap::new();
             let mut by_bucket: BTreeMap<u64, Vec<SnapKey>> = BTreeMap::new();
             let mut machines = Vec::new();
             self.for_each_dossier(|shard, dossier| {
@@ -470,136 +475,61 @@ impl EpochSnapshot {
                 for &machine in &machines {
                     by_machine.entry(machine).or_default().push(key);
                 }
-                by_severity
-                    .entry(dossier.classification.severity)
-                    .or_default()
-                    .push(key);
-                by_category.entry(dossier.category).or_default().push(key);
                 by_bucket
                     .entry(bucket_index_of(self.bucket_width, dossier.at))
                     .or_default()
                     .push(key);
             });
-            for list in by_machine
-                .values_mut()
-                .chain(by_severity.values_mut())
-                .chain(by_category.values_mut())
-                .chain(by_bucket.values_mut())
-            {
+            for list in by_machine.values_mut().chain(by_bucket.values_mut()) {
                 list.sort_by(|a, b| self.canonical(a).cmp(&self.canonical(b)));
             }
             SnapshotIndex {
                 by_machine,
-                by_severity,
-                by_category,
                 by_bucket,
             }
         })
     }
 
-    /// Chooses the access path by estimated selectivity: every applicable
-    /// index's candidate count is known exactly from its posting-list
-    /// lengths, the smallest wins (ties break in machine > category >
-    /// severity > bucket order for determinism), and a query no index
-    /// applies to scans. Returns the choice and the canonically ordered
-    /// candidate keys.
-    fn plan(&self, query: &IncidentQuery) -> (PlanChoice, Vec<SnapKey>) {
+    /// Chooses an index for a query that names a machine or a window: both
+    /// candidate counts are known exactly from posting-list lengths, and
+    /// the shorter list wins (the machine list on a tie). Returns the
+    /// choice and the canonically ordered candidate keys, or `None` when
+    /// neither applies and the linear scan answers the query.
+    fn plan(&self, query: &IncidentQuery) -> Option<(PlanChoice, Vec<SnapKey>)> {
+        if query.machine.is_none() && query.window.is_none() {
+            return None;
+        }
+        if query.window.is_some_and(|(from, to)| from >= to) {
+            return Some((PlanChoice::TimeBucket, Vec::new()));
+        }
         let index = self.index();
-        let mut best: Option<(usize, usize, PlanChoice)> = None;
-        let mut consider = |estimate: usize, order: usize, choice: PlanChoice| {
-            if best.is_none_or(|(e, o, _)| (estimate, order) < (e, o)) {
-                best = Some((estimate, order, choice));
-            }
-        };
-        if let Some(machine) = query.machine {
-            let estimate = index.by_machine.get(&machine).map_or(0, Vec::len);
-            consider(estimate, 0, PlanChoice::Machine);
-        }
-        if let Some(category) = query.category {
-            let estimate = index.by_category.get(&category).map_or(0, Vec::len);
-            consider(estimate, 1, PlanChoice::Category);
-        }
-        if let Some(floor) = query.min_severity {
-            let estimate = index
-                .by_severity
-                .iter()
-                .filter(|(severity, _)| severity.is_at_least(floor))
-                .map(|(_, keys)| keys.len())
-                .sum();
-            consider(estimate, 2, PlanChoice::SeverityFloor);
-        }
-        if let Some((from, to)) = query.window {
-            if from >= to {
-                return (PlanChoice::TimeBucket, Vec::new());
-            }
-            let estimate = index
+        let machine = query.machine.map(|machine| {
+            index
+                .by_machine
+                .get(&machine)
+                .map_or(&[][..], Vec::as_slice)
+        });
+        // Over-inclusive at both edges; the residual filter enforces the
+        // exact half-open window. Concatenation in ascending bucket order is
+        // already canonical (bucket time ranges are disjoint and increasing).
+        let buckets: Option<Vec<&[SnapKey]>> = query.window.map(|(from, to)| {
+            index
                 .by_bucket
                 .range(
                     bucket_index_of(self.bucket_width, from)
                         ..=bucket_index_of(self.bucket_width, to),
                 )
-                .map(|(_, keys)| keys.len())
-                .sum();
-            consider(estimate, 3, PlanChoice::TimeBucket);
-        }
-        let Some((_, _, choice)) = best else {
-            return (PlanChoice::Scan, self.scan_keys());
-        };
-        let keys = match choice {
-            PlanChoice::Machine => index
-                .by_machine
-                .get(&query.machine.expect("machine plan has a machine"))
-                .cloned()
-                .unwrap_or_default(),
-            PlanChoice::Category => index
-                .by_category
-                .get(&query.category.expect("category plan has a category"))
-                .cloned()
-                .unwrap_or_default(),
-            PlanChoice::SeverityFloor => {
-                let floor = query.min_severity.expect("severity plan has a floor");
-                let mut keys: Vec<SnapKey> = index
-                    .by_severity
-                    .iter()
-                    .filter(|(severity, _)| severity.is_at_least(floor))
-                    .flat_map(|(_, keys)| keys.iter().copied())
-                    .collect();
-                keys.sort_by(|a, b| self.canonical(a).cmp(&self.canonical(b)));
-                keys
-            }
-            PlanChoice::TimeBucket => {
-                let (from, to) = query.window.expect("bucket plan has a window");
-                // Over-inclusive at both edges; the residual filter enforces
-                // the exact half-open window. Concatenation in ascending
-                // bucket order is already canonical (bucket time ranges are
-                // disjoint and increasing).
-                index
-                    .by_bucket
-                    .range(
-                        bucket_index_of(self.bucket_width, from)
-                            ..=bucket_index_of(self.bucket_width, to),
-                    )
-                    .flat_map(|(_, keys)| keys.iter().copied())
-                    .collect()
-            }
-            PlanChoice::Scan => unreachable!("scan is the fallback, never the best index"),
-        };
-        (choice, keys)
-    }
-
-    /// Every dossier at this epoch as canonically sorted keys (the scan
-    /// plan's candidate set).
-    fn scan_keys(&self) -> Vec<SnapKey> {
-        let mut keys = Vec::with_capacity(self.total());
-        self.for_each_dossier(|shard, dossier| {
-            keys.push(SnapKey {
-                at: dossier.at,
-                shard,
-                seq: dossier.seq,
-            })
+                .map(|(_, keys)| keys.as_slice())
+                .collect()
         });
-        keys.sort_by(|a, b| self.canonical(a).cmp(&self.canonical(b)));
-        keys
+        let candidates = |lists: &[&[SnapKey]]| lists.iter().map(|keys| keys.len()).sum::<usize>();
+        match (machine, buckets) {
+            (Some(keys), Some(lists)) if candidates(&lists) < keys.len() => {
+                Some((PlanChoice::TimeBucket, lists.concat()))
+            }
+            (Some(keys), _) => Some((PlanChoice::Machine, keys.to_vec())),
+            (None, lists) => lists.map(|lists| (PlanChoice::TimeBucket, lists.concat())),
+        }
     }
 
     /// Resolves candidate keys against the shard prefixes, applies the
@@ -645,26 +575,26 @@ impl EpochSnapshot {
     /// warehouse-backed and return `None` — they are served post-hoc by
     /// [`FleetReport::answer`](crate::report::FleetReport::answer).
     pub fn answer(&self, query: &FleetQuery) -> Option<(QueryResponse, Option<PlanChoice>)> {
-        match query {
-            FleetQuery::Incidents(inner) => {
-                let (choice, keys) = self.plan(inner);
-                Some((self.resolve(&keys, inner, false), Some(choice)))
-            }
-            FleetQuery::Dossiers(inner) => {
-                let (choice, keys) = self.plan(inner);
-                Some((self.resolve(&keys, inner, true), Some(choice)))
-            }
-            FleetQuery::Digest => Some((QueryResponse::Digest(self.digest()), None)),
-            FleetQuery::Spans(_) | FleetQuery::Alerts(_) => None,
-        }
+        let (inner, full) = match query {
+            FleetQuery::Incidents(inner) => (inner, false),
+            FleetQuery::Dossiers(inner) => (inner, true),
+            FleetQuery::Digest => return Some((QueryResponse::Digest(self.digest()), None)),
+            FleetQuery::Spans(_) | FleetQuery::Alerts(_) => return None,
+        };
+        Some(match self.plan(inner) {
+            Some((choice, keys)) => (self.resolve(&keys, inner, full), Some(choice)),
+            None => (self.linear_scan(inner, full), Some(PlanChoice::Scan)),
+        })
     }
 
     /// The brute-force oracle at this epoch, and the only one in the repo:
     /// evaluates an incidents or dossiers query by scanning every shard
     /// prefix with its own independent sort — no posting lists involved.
-    /// The digest is a fold over the shard prefixes already, so both paths
-    /// share it. The planner-equivalence tests pin
-    /// `answer == oracle_answer` byte-for-byte at every published epoch.
+    /// The planner's [`PlanChoice::Scan`] runs this same scan, and the
+    /// digest is a fold over the shard prefixes already, so it is the
+    /// independent check of the two index paths. The planner-equivalence
+    /// tests pin `answer == oracle_answer` byte-for-byte at every published
+    /// epoch.
     pub fn oracle_answer(&self, query: &FleetQuery) -> Option<QueryResponse> {
         match query {
             FleetQuery::Incidents(inner) => Some(self.linear_scan(inner, false)),
@@ -674,7 +604,8 @@ impl EpochSnapshot {
         }
     }
 
-    /// The scan evaluator behind [`EpochSnapshot::oracle_answer`].
+    /// The scan evaluator behind [`EpochSnapshot::oracle_answer`] and the
+    /// planner's [`PlanChoice::Scan`].
     fn linear_scan(&self, query: &IncidentQuery, full: bool) -> QueryResponse {
         let mut hits: Vec<(SimTime, &str, u64, &IncidentDossier)> = Vec::new();
         let views: Vec<(usize, ShardView<'_>)> = (0..self.heads.len())
@@ -844,7 +775,8 @@ struct ServiceShared {
     state: RwLock<ServiceState>,
     sealed: AtomicBool,
     queries: AtomicU64,
-    plan_counts: [AtomicU64; 6],
+    /// One counter per [`PlanChoice::ALL`] entry, then the digest's.
+    plan_counts: [AtomicU64; PlanChoice::ALL.len() + 1],
     latency_nanos: LatencyHistogram,
 }
 
@@ -891,14 +823,7 @@ impl WarehouseService {
                 }),
                 sealed: AtomicBool::new(false),
                 queries: AtomicU64::new(0),
-                plan_counts: [
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                ],
+                plan_counts: std::array::from_fn(|_| AtomicU64::new(0)),
                 latency_nanos: LatencyHistogram::new(),
             }),
         }
@@ -1001,13 +926,7 @@ impl WarehouseService {
             .latency_nanos
             .record(started.elapsed().as_nanos() as u64);
         self.shared.queries.fetch_add(1, Ordering::Relaxed);
-        let slot = match choice {
-            Some(plan) => PlanChoice::ALL
-                .iter()
-                .position(|&p| p == plan)
-                .expect("plan is in ALL"),
-            None => 5,
-        };
+        let slot = choice.map_or(PlanChoice::ALL.len(), |plan| plan as usize);
         self.shared.plan_counts[slot].fetch_add(1, Ordering::Relaxed);
         Some(response)
     }
@@ -1021,17 +940,13 @@ impl WarehouseService {
             .expect("service state lock")
             .stamps
             .len() as u64;
-        let mut plans: Vec<(&'static str, u64)> = PlanChoice::ALL
+        let plans = PlanChoice::ALL
             .iter()
-            .enumerate()
-            .map(|(slot, &plan)| {
-                (
-                    plan.label(),
-                    self.shared.plan_counts[slot].load(Ordering::Relaxed),
-                )
-            })
+            .map(|plan| plan.label())
+            .chain(["digest"])
+            .zip(&self.shared.plan_counts)
+            .map(|(label, count)| (label, count.load(Ordering::Relaxed)))
             .collect();
-        plans.push(("digest", self.shared.plan_counts[5].load(Ordering::Relaxed)));
         ServiceStats {
             queries: self.shared.queries.load(Ordering::Relaxed),
             epochs,
@@ -1423,30 +1338,92 @@ mod tests {
     }
 
     /// The probe set the planner tests sweep: one query per plan shape plus
-    /// combinations that force residual filtering.
-    fn probes() -> Vec<FleetQuery> {
+    /// combinations that force residual filtering, each with the plan it
+    /// must take on [`filled`] (`None` for the digest).
+    fn probes() -> Vec<(FleetQuery, Option<PlanChoice>)> {
+        use PlanChoice::{Machine, Scan, TimeBucket};
+        let hours = SimTime::from_hours;
         vec![
-            FleetQuery::Incidents(IncidentQuery::any()),
-            FleetQuery::Incidents(IncidentQuery::any().machine(MachineId(0))),
-            FleetQuery::Incidents(IncidentQuery::any().machine(MachineId(3))),
-            FleetQuery::Incidents(IncidentQuery::any().category(FaultCategory::Explicit)),
-            FleetQuery::Incidents(IncidentQuery::any().kind(FaultKind::JobHang)),
-            FleetQuery::Incidents(IncidentQuery::any().at_least(Severity::ALL[1])),
-            FleetQuery::Incidents(
-                IncidentQuery::any().window(SimTime::from_hours(2), SimTime::from_hours(7)),
+            (FleetQuery::Incidents(IncidentQuery::any()), Some(Scan)),
+            (
+                FleetQuery::Incidents(IncidentQuery::any().machine(MachineId(0))),
+                Some(Machine),
             ),
-            FleetQuery::Incidents(
-                IncidentQuery::any().window(SimTime::from_hours(7), SimTime::from_hours(2)),
+            (
+                FleetQuery::Incidents(IncidentQuery::any().machine(MachineId(3))),
+                Some(Machine),
             ),
-            FleetQuery::Incidents(
-                IncidentQuery::any()
-                    .machine(MachineId(3))
-                    .at_least(Severity::ALL[0])
-                    .window(SimTime::ZERO, SimTime::from_hours(20)),
+            (
+                FleetQuery::Incidents(IncidentQuery::any().category(FaultCategory::Explicit)),
+                Some(Scan),
             ),
-            FleetQuery::Dossiers(IncidentQuery::any().machine(MachineId(3))),
-            FleetQuery::Dossiers(IncidentQuery::any().category(FaultCategory::Explicit)),
-            FleetQuery::Digest,
+            (
+                FleetQuery::Incidents(IncidentQuery::any().kind(FaultKind::JobHang)),
+                Some(Scan),
+            ),
+            (
+                FleetQuery::Incidents(IncidentQuery::any().at_least(Severity::ALL[1])),
+                Some(Scan),
+            ),
+            (
+                FleetQuery::Incidents(IncidentQuery::any().window(hours(2), hours(7))),
+                Some(TimeBucket),
+            ),
+            (
+                FleetQuery::Incidents(IncidentQuery::any().window(hours(7), hours(2))),
+                Some(TimeBucket),
+            ),
+            (
+                FleetQuery::Incidents(
+                    IncidentQuery::any()
+                        .machine(MachineId(3))
+                        .at_least(Severity::ALL[0]),
+                ),
+                Some(Machine),
+            ),
+            (
+                FleetQuery::Incidents(
+                    IncidentQuery::any()
+                        .machine(MachineId(3))
+                        .at_least(Severity::ALL[0])
+                        .window(SimTime::ZERO, hours(20)),
+                ),
+                Some(Machine),
+            ),
+            // Machine 2 has three postings; hours 1..=2 hold two dossiers.
+            (
+                FleetQuery::Incidents(
+                    IncidentQuery::any()
+                        .machine(MachineId(2))
+                        .window(hours(1), hours(2)),
+                ),
+                Some(TimeBucket),
+            ),
+            (
+                FleetQuery::Incidents(
+                    IncidentQuery::any()
+                        .category(FaultCategory::Explicit)
+                        .window(hours(2), hours(9)),
+                ),
+                Some(TimeBucket),
+            ),
+            (
+                FleetQuery::Incidents(
+                    IncidentQuery::any()
+                        .machine(MachineId(2))
+                        .category(FaultCategory::Explicit),
+                ),
+                Some(Machine),
+            ),
+            (
+                FleetQuery::Dossiers(IncidentQuery::any().machine(MachineId(3))),
+                Some(Machine),
+            ),
+            (
+                FleetQuery::Dossiers(IncidentQuery::any().category(FaultCategory::Explicit)),
+                Some(Scan),
+            ),
+            (FleetQuery::Digest, None),
         ]
     }
 
@@ -1456,8 +1433,9 @@ mod tests {
         let service = WarehouseService::new(1 << 16);
         service.publish(&warehouse);
         let snapshot = service.latest().expect("published");
-        for query in probes() {
-            let (planned, _) = snapshot.answer(&query).expect("warehouse-backed arm");
+        for (query, plan) in probes() {
+            let (planned, choice) = snapshot.answer(&query).expect("warehouse-backed arm");
+            assert_eq!(choice, plan, "wrong plan for {query:?}");
             let oracle = snapshot
                 .oracle_answer(&query)
                 .expect("warehouse-backed arm");
@@ -1481,7 +1459,7 @@ mod tests {
         let pinned = service.latest().expect("published");
         let before: Vec<String> = probes()
             .iter()
-            .map(|q| pinned.answer(q).expect("answerable").0.render())
+            .map(|(q, _)| pinned.answer(q).expect("answerable").0.render())
             .collect();
 
         // Mutate the live warehouse hard: new dossiers on existing and new
@@ -1500,7 +1478,7 @@ mod tests {
 
         let after: Vec<String> = probes()
             .iter()
-            .map(|q| pinned.answer(q).expect("answerable").0.render())
+            .map(|(q, _)| pinned.answer(q).expect("answerable").0.render())
             .collect();
         assert_eq!(before, after, "pinned epoch changed under later writes");
 
@@ -1672,15 +1650,19 @@ mod tests {
         let warehouse = filled();
         let service = WarehouseService::new(1 << 16);
         service.publish(&warehouse);
-        for query in probes() {
+        for (query, _) in probes() {
             service.answer(&query).expect("answerable");
         }
         let stats = service.stats();
         assert_eq!(stats.queries, probes().len() as u64);
         assert_eq!(stats.latency.count(), stats.queries);
-        let by_label: BTreeMap<&str, u64> = stats.plans.iter().copied().collect();
-        assert!(by_label["machine"] >= 1);
-        assert!(by_label["scan"] >= 1);
-        assert!(by_label["digest"] >= 1);
+        let count =
+            |plan: Option<PlanChoice>| probes().iter().filter(|(_, p)| *p == plan).count() as u64;
+        let expected: Vec<(&str, u64)> = PlanChoice::ALL
+            .iter()
+            .map(|&plan| (plan.label(), count(Some(plan))))
+            .chain([("digest", count(None))])
+            .collect();
+        assert_eq!(stats.plans, expected);
     }
 }

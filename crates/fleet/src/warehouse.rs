@@ -7,9 +7,11 @@
 //! through one type, [`EpochSnapshot`] — the pinned view a
 //! [`WarehouseService`](crate::service::WarehouseService) publishes live, and
 //! the memoized [`IncidentWarehouse::snapshot`] for post-run reads. The
-//! snapshot's planner builds posting lists only when a query needs them,
-//! whole-shard aggregates are folds over its shard prefixes, and
-//! [`EpochSnapshot::oracle_answer`] is the one brute-force oracle.
+//! snapshot's planner builds its two posting lists (machine, time bucket)
+//! only when a query names a machine or a window and answers every other
+//! query with a linear scan, whole-shard aggregates are folds over its
+//! shard prefixes, and [`EpochSnapshot::oracle_answer`] is the one
+//! brute-force oracle.
 //!
 //! # Append-only shards
 //!

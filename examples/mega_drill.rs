@@ -17,7 +17,9 @@
 //!     # attach the resident query service and drive that many open-loop
 //!     # synthetic queries from a reader thread during the run; sampled
 //!     # live answers are replayed post-hoc (asserted byte-identical),
-//!     # the summary goes to stderr, stdout stays byte-identical
+//!     # the summary goes to stderr, stdout stays byte-identical; the
+//!     # service's segment cache holds SPILL_BUDGET (8192) dossiers unless
+//!     # BYTEROBUST_QUERY_CACHE says otherwise
 //! ```
 //!
 //! The full `BYTEROBUST_*` flag table lives in `docs/FLAGS.md`.
@@ -33,7 +35,10 @@ const FLEET_SEED: u64 = 20251015;
 /// the fleet's hot shards — a starved budget makes every round-robin insert
 /// evict, write, and fault the same shards back (pure disk churn at 60+
 /// jobs), which stresses the disk, not the determinism contract this
-/// example's CI diffs exist to pin.
+/// example's CI diffs exist to pin. It is also the query service's default
+/// segment-cache budget: the fast drill spills 4,724 dossiers, so a
+/// 4,096-dossier cache evicts under every cyclic scan and query traffic
+/// spends minutes re-parsing segments.
 const SPILL_BUDGET: usize = 8192;
 
 fn main() {
@@ -64,7 +69,7 @@ fn main() {
             v.parse()
                 .expect("BYTEROBUST_QUERY_CACHE must be a dossier count")
         })
-        .unwrap_or(DEFAULT_CACHE_BUDGET);
+        .unwrap_or(SPILL_BUDGET);
     let service = traffic.map(|_| WarehouseService::new(cache_budget));
     if let Some(service) = &service {
         config = config.with_query_service(service.clone());
