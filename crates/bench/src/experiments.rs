@@ -113,7 +113,7 @@ fn synthetic_dossier(event: &FaultEvent) -> IncidentDossier {
             rec_code: "REC-SYNTHETIC",
             escalations: Box::default(),
         },
-        capture: IncidentCapture::empty(event.seq, event.kind, event.at),
+        capture: IncidentCapture::default(),
     }
 }
 

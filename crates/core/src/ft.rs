@@ -12,7 +12,10 @@
 use byterobust_agent::{CkptManager, Diagnoser, DiagnosisConclusion, Monitor, OnDemandTracer};
 use byterobust_analyzer::RuntimeAnalyzer;
 use byterobust_cluster::{Cluster, FaultCategory, FaultEvent, FaultKind, MachineId, RootCause};
-use byterobust_incident::{FlightRecorder, IncidentCapture, RecorderEvent, RecoveryPhase};
+use byterobust_incident::{
+    FlightRecorder, FlightRecorderConfig, IncidentCapture, IncidentDossier, RecorderEntry,
+    RecorderEvent, RecoveryPhase,
+};
 use byterobust_obs::{names, SpanId, SpanKind, Trace, TraceRecorder};
 use byterobust_parallelism::ParallelTopology;
 use byterobust_recovery::{
@@ -51,8 +54,10 @@ pub struct IncidentOutcome {
     /// The unproductive-time breakdown.
     pub cost: FailoverCost,
     /// The frozen flight-recorder capture of this incident: pre-incident
-    /// telemetry context plus every verdict, decision, eviction, and
-    /// recovery-phase transition recorded while it was active.
+    /// telemetry context plus every verdict, decision, eviction, rollback,
+    /// hot update and starvation notice recorded while it was active. The
+    /// detection, phase transitions and resume marker are not recorded; the
+    /// dossier rebuilds them ([`IncidentDossier::window`]).
     pub capture: IncidentCapture,
 }
 
@@ -108,20 +113,63 @@ impl RobustController {
     }
 
     /// The canonical recovery-phase decomposition of a failover cost, in
-    /// chronological order. This is the single source of truth for "which
-    /// phase lasted how long": the flight recorder's `PhaseTransition`
-    /// events and the fleet runner's per-phase alert signals both read from
-    /// it, so a detector watching `fleet/recovery-phase/…` sees exactly
-    /// the durations the dossier records.
+    /// chronological order ([`RecoveryPhase::durations`], the single source
+    /// of truth for "which phase lasted how long"). The dossier's rebuilt
+    /// `PhaseTransition` entries and the fleet runner's per-phase alert
+    /// signals both read it, so a detector watching
+    /// `fleet/recovery-phase/…` sees exactly the durations the dossier
+    /// records.
     pub fn recovery_phases(cost: &FailoverCost) -> [(RecoveryPhase, SimDuration); 6] {
-        [
-            (RecoveryPhase::Detection, cost.detection),
-            (RecoveryPhase::Localization, cost.localization),
-            (RecoveryPhase::Scheduling, cost.scheduling),
-            (RecoveryPhase::PodBuild, cost.pod_build),
-            (RecoveryPhase::CheckpointLoad, cost.checkpoint_load),
-            (RecoveryPhase::Recompute, cost.recompute),
-        ]
+        RecoveryPhase::durations(cost)
+    }
+
+    /// The window of a closed incident as the controller used to record it
+    /// live, replayed through a flight recorder with the same calls: the
+    /// `Detected` entry at open (its latency from the Table 3 model), the
+    /// evidence as it landed, then one transition per non-zero phase at its
+    /// cumulative end and the resume marker, recorded at close. The
+    /// reference oracle [`IncidentDossier::window`]'s rebuild is compared
+    /// against on real runs.
+    pub fn recorded_window(dossier: &IncidentDossier) -> Vec<RecorderEntry> {
+        let now = dossier.at;
+        let detection = Monitor::new().detection_time_with_inspection(dossier.kind);
+        let mut recorder = FlightRecorder::new(FlightRecorderConfig {
+            capacity: 0,
+            context_entries: 0,
+            window_capacity: usize::MAX,
+        });
+        recorder.open_incident(dossier.seq, dossier.kind, now);
+        recorder.record(
+            now + detection,
+            RecorderEvent::Detected {
+                kind: dossier.kind,
+                latency: detection,
+            },
+        );
+        for entry in dossier.capture.evidence.iter() {
+            recorder.record(entry.at, entry.event.clone());
+        }
+        let mut phase_clock = now;
+        for (phase, duration) in Self::recovery_phases(&dossier.cost) {
+            phase_clock += duration;
+            if !duration.is_zero() {
+                recorder.record(
+                    phase_clock,
+                    RecorderEvent::PhaseTransition { phase, duration },
+                );
+            }
+        }
+        recorder.record(
+            now + dossier.cost.total(),
+            RecorderEvent::Resumed {
+                step: dossier.resumed_step,
+            },
+        );
+        recorder
+            .close_incident(now + dossier.cost.total())
+            .expect("the replayed incident was opened above")
+            .evidence
+            .into_vec()
     }
 
     /// Mutable recorder access, used by the telemetry tap to feed background
@@ -212,16 +260,11 @@ impl RobustController {
         let mut mechanism;
 
         // Open the flight-recorder window: recent background telemetry is
-        // snapshotted as context, and everything recorded until the incident
-        // closes lands in the frozen capture.
+        // snapshotted as context, and the evidence recorded until the
+        // incident closes lands in the frozen capture. The detection, the
+        // phase transitions and the resume marker restate the dossier's
+        // `at`, `kind`, `cost` and `resumed_step`, so they are not recorded.
         self.recorder.open_incident(fault.seq, fault.kind, now);
-        self.recorder.record(
-            now + detection,
-            RecorderEvent::Detected {
-                kind: fault.kind,
-                latency: detection,
-            },
-        );
 
         // Open the sim-time trace: one root span per incident, named after
         // the symptom, with the detection window as its first child.
@@ -466,24 +509,6 @@ impl RobustController {
         let applied_hot_update = mechanism == ResolutionMechanism::HotUpdate
             || (self.hot_update.last_applied_at() == Some(now));
 
-        // Record the recovery-phase transitions (chronological end times) and
-        // the resume marker, then freeze the capture.
-        let mut phase_clock = now;
-        for (phase, duration) in Self::recovery_phases(&cost) {
-            phase_clock += duration;
-            if !duration.is_zero() {
-                self.recorder.record(
-                    phase_clock,
-                    RecorderEvent::PhaseTransition { phase, duration },
-                );
-            }
-        }
-        self.recorder.record(
-            now + cost.total(),
-            RecorderEvent::Resumed {
-                step: runtime.current_step(),
-            },
-        );
         let capture = self
             .recorder
             .close_incident(now + cost.total())
@@ -1027,7 +1052,7 @@ mod tests {
         );
         // The eviction decision is visible in the capture as a monitor
         // verdict citing the cross-job history.
-        assert!(with_history.capture.window.iter().any(|entry| matches!(
+        assert!(with_history.capture.evidence.iter().any(|entry| matches!(
             &entry.event,
             RecorderEvent::MonitorVerdict { issue, .. } if issue.contains("repeat offender")
         )));

@@ -26,8 +26,10 @@
 //!   the lifecycle driver taps telemetry signatures into its background ring, and
 //!   `handle_incident` opens an incident window, records monitor verdicts,
 //!   diagnoser/analyzer decisions, replay verdicts, evictions, rollbacks,
-//!   hot-update merges and recovery-phase transitions into it, and freezes
-//!   the capture into the returned [`ft::IncidentOutcome`];
+//!   hot-update merges and starvation notices into it as evidence, and
+//!   freezes the capture into the returned [`ft::IncidentOutcome`] (the
+//!   detection, recovery-phase transitions and resume marker are rebuilt
+//!   from the dossier, not recorded);
 //! * the lifecycle driver classifies each closed incident through the
 //!   `REC-*` classification matrix and appends a dossier (resolution +
 //!   capture + classification) to the job's incident store, the one

@@ -262,7 +262,7 @@ mod tests {
             over_evicted: false,
             resumed_step: 0,
             classification,
-            capture: IncidentCapture::empty(seq, kind, at),
+            capture: IncidentCapture::default(),
         }
     }
 

@@ -83,12 +83,13 @@ impl BacklogDrainer {
                 continue;
             }
             self.sweeps_dispatched += 1;
-            // Per-machine pass/fail from the *recorded* eviction events: an
+            // Per-machine pass/fail from the *recorded* eviction events (the
+            // capture's evidence; the rebuilt timeline holds none): an
             // over-eviction flag means the machine was a healthy hostage and
             // will pass the sweep. Dossiers without per-machine events fall
             // back to the incident-level flag.
             let mut over_flags: BTreeMap<MachineId, bool> = BTreeMap::new();
-            for entry in &dossier.capture.window {
+            for entry in dossier.capture.evidence.iter() {
                 if let RecorderEvent::Eviction {
                     machine,
                     over_eviction,
@@ -217,16 +218,18 @@ mod tests {
         assert!(classification
             .escalations
             .contains(&Escalation::StressTestSweep));
-        let mut capture = IncidentCapture::empty(7, FaultKind::JobHang, at);
-        for machine in 0..4u32 {
-            capture.window.push(RecorderEntry {
-                at,
-                event: RecorderEvent::Eviction {
-                    machine: MachineId(machine),
-                    over_eviction: machine != 2,
-                },
-            });
-        }
+        let capture = IncidentCapture {
+            evidence: (0..4u32)
+                .map(|machine| RecorderEntry {
+                    at,
+                    event: RecorderEvent::Eviction {
+                        machine: MachineId(machine),
+                        over_eviction: machine != 2,
+                    },
+                })
+                .collect(),
+            ..IncidentCapture::default()
+        };
         IncidentDossier {
             seq: 7,
             at,
@@ -248,7 +251,7 @@ mod tests {
     fn sweep_separates_hostages_from_culprits() {
         let mut drainer = BacklogDrainer::new();
         let dossier = over_evicting_dossier();
-        let closed_at = dossier.at + dossier.cost.total();
+        let closed_at = dossier.closed_at();
         drainer.dispatch("alpha", &dossier, closed_at);
         assert_eq!(drainer.sweeps_dispatched(), 1);
         assert_eq!(drainer.pending.len(), 1);

@@ -50,7 +50,7 @@ impl RepeatOffenderLedger {
     pub fn observe(&mut self, dossier: &IncidentDossier) -> bool {
         self.scratch.clear();
         self.scratch.extend_from_slice(&dossier.evicted);
-        dossier.capture.machines_mentioned_into(&mut self.scratch);
+        dossier.machines_mentioned_into(&mut self.scratch);
         self.scratch.sort_unstable();
         self.scratch.dedup();
         let mut crossed = false;
@@ -125,7 +125,7 @@ mod tests {
             over_evicted: false,
             resumed_step: 0,
             classification,
-            capture: IncidentCapture::empty(seq, FaultKind::CudaError, SimTime::from_hours(seq)),
+            capture: IncidentCapture::default(),
         }
     }
 
@@ -156,13 +156,13 @@ mod tests {
         let mut ledger = RepeatOffenderLedger::new(2);
         // Evicted and mentioned in the capture: still one incident.
         let mut d = dossier(1, vec![MachineId(4)]);
-        d.capture.window.push(byterobust_incident::RecorderEntry {
+        d.capture.evidence = Box::new([byterobust_incident::RecorderEntry {
             at: d.at,
             event: byterobust_incident::RecorderEvent::Eviction {
                 machine: MachineId(4),
                 over_eviction: false,
             },
-        });
+        }]);
         ledger.observe(&d);
         assert_eq!(ledger.counts[&MachineId(4)], 1);
     }

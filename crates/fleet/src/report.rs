@@ -257,7 +257,7 @@ impl FleetReport {
             windows.push(FaultWindow {
                 injected_at: dossier.at,
                 detected_at: dossier.at + dossier.cost.detection,
-                closed_at: dossier.at + dossier.cost.total(),
+                closed_at: dossier.closed_at(),
             })
         });
         windows.sort();

@@ -551,7 +551,7 @@ impl LoopState<'_> {
                 let dossier = executions[index]
                     .take_incident(seq)
                     .expect("the closed incident is the job's latest");
-                let closed_at = dossier.at + dossier.cost.total();
+                let closed_at = dossier.closed_at();
                 let offenders_changed = self.ledger.observe(&dossier);
                 self.drainer.dispatch(label, &dossier, closed_at);
                 if let Some(tap) = self.alert_tap.as_mut() {

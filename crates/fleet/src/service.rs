@@ -351,6 +351,9 @@ pub struct EpochSnapshot {
     lens: Vec<usize>,
     cache: Arc<ShardCache>,
     index: OnceLock<SnapshotIndex>,
+    /// The digest, folded on the first request and served from here after:
+    /// an epoch's content never changes.
+    digest: OnceLock<WarehouseDigest>,
 }
 
 impl std::fmt::Debug for EpochSnapshot {
@@ -381,6 +384,7 @@ impl EpochSnapshot {
             lens,
             cache,
             index: OnceLock::new(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -629,8 +633,13 @@ impl EpochSnapshot {
     }
 
     /// The digest at this epoch: per-job counts plus one fold for the
-    /// severity and category histograms.
+    /// severity and category histograms. Folded once per snapshot, like the
+    /// index; later requests clone the memo and fault nothing in.
     pub fn digest(&self) -> WarehouseDigest {
+        self.digest.get_or_init(|| self.fold_digest()).clone()
+    }
+
+    fn fold_digest(&self) -> WarehouseDigest {
         let mut jobs: Vec<(String, u64)> = (0..self.heads.len())
             .filter(|&shard| self.shard_len(shard) > 0)
             .map(|shard| (self.label(shard).to_string(), self.shard_len(shard) as u64))
@@ -1295,7 +1304,7 @@ mod tests {
             over_evicted: false,
             resumed_step: 100 * seq,
             classification,
-            capture: IncidentCapture::empty(seq, kind, SimTime::from_hours(at_hours)),
+            capture: IncidentCapture::default(),
         }
     }
 
@@ -1485,6 +1494,31 @@ mod tests {
         // The latest epoch does see the new rows.
         let latest = service.latest().expect("published");
         assert!(latest.total() > pinned.total());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_second_digest_is_memoized_and_faults_nothing_in() {
+        let dir = std::env::temp_dir().join(format!(
+            "byterobust-service-test-digest-{}",
+            std::process::id()
+        ));
+        let mut warehouse = filled_spillable(&dir);
+        warehouse.flush_to_disk();
+        // A budget of 8 dossiers holds one of the three spilled shards, so a
+        // second fold would have to fault the others back in.
+        let service = WarehouseService::new(8);
+        service.publish(&warehouse);
+        let snapshot = service.latest().expect("published");
+        let first = snapshot.digest();
+        let after_first = service.stats().cache;
+        assert!(after_first.faults >= 3, "the fold faulted every shard in");
+        assert_eq!(first.total, 24);
+        let second = snapshot.digest();
+        assert_eq!(second, first);
+        let after_second = service.stats().cache;
+        assert_eq!(after_second.faults, after_first.faults, "no fault-in");
+        assert_eq!(after_second.hits, after_first.hits, "no cache lookup");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

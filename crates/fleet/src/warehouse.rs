@@ -530,9 +530,9 @@ impl IncidentWarehouse {
             for entry in dossier.capture.context.iter() {
                 let _ = writeln!(out, "    ctx {entry}");
             }
-            for entry in &dossier.capture.window {
+            dossier.for_each_window_entry(|entry| {
                 let _ = writeln!(out, "    win {entry}");
-            }
+            });
         });
 
         let mut out = String::new();
@@ -673,7 +673,7 @@ mod tests {
             over_evicted: false,
             resumed_step: 100 * seq,
             classification,
-            capture: IncidentCapture::empty(seq, kind, SimTime::from_hours(at_hours)),
+            capture: IncidentCapture::default(),
         }
     }
 

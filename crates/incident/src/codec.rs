@@ -62,6 +62,12 @@
 //!   `QueryResponse`): a `type` or `arm` tag selects the payload;
 //! - `Classification`: `rec_code` is a `&'static str` that decodes back onto
 //!   the canonical `REC-*` constant;
+//! - `IncidentDossier`: its capture travels with the dossier's header
+//!   (`seq`, `kind`, `opened_at`, `closed_at`) and the complete rebuilt
+//!   window ([`IncidentDossier::window`]), so the document is readable
+//!   without the rebuild. Decode checks the header and every rebuilt entry against the
+//!   dossier, rejects a disagreement at its `capture…` path, and keeps only
+//!   the evidence;
 //! - `IncidentStore`: it holds shared dossiers and re-indexes them on decode;
 //! - `HistogramSnapshot`: decode checks the bucket count;
 //! - `EttrTracker`: it travels as a bare array of `(duration, productive)`
@@ -1508,29 +1514,138 @@ impl Decode for RecorderEvent {
 }
 
 struct_codec!(RecorderEntry { at, event });
-struct_codec!(IncidentCapture {
-    seq,
-    kind,
-    opened_at,
-    closed_at,
-    context,
-    window,
-});
-struct_codec!(IncidentDossier {
-    seq,
-    at,
-    kind,
-    category,
-    root_cause,
-    concluded_cause,
-    mechanism,
-    cost,
-    evicted,
-    over_evicted,
-    resumed_step,
-    classification,
-    capture,
-});
+
+impl Encode for IncidentDossier {
+    fn encode(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.member("seq", &self.seq);
+            w.member("at", &self.at);
+            w.member("kind", &self.kind);
+            w.member("category", &self.category);
+            w.member("root_cause", &self.root_cause);
+            w.member("concluded_cause", &self.concluded_cause);
+            w.member("mechanism", &self.mechanism);
+            w.member("cost", &self.cost);
+            w.member("evicted", &self.evicted);
+            w.member("over_evicted", &self.over_evicted);
+            w.member("resumed_step", &self.resumed_step);
+            w.member("classification", &self.classification);
+            w.key("capture");
+            w.object(|w| {
+                w.member("seq", &self.seq);
+                w.member("kind", &self.kind);
+                w.member("opened_at", &self.at);
+                w.member("closed_at", &self.closed_at());
+                w.member("context", &self.capture.context);
+                w.key("window");
+                w.array(|w| self.for_each_window_entry(|entry| entry.encode(w)));
+            });
+        });
+    }
+}
+
+impl Decode for IncidentDossier {
+    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
+        let mut dossier = IncidentDossier {
+            seq: value.field("seq")?,
+            at: value.field("at")?,
+            kind: value.field("kind")?,
+            category: value.field("category")?,
+            root_cause: value.field("root_cause")?,
+            concluded_cause: value.field("concluded_cause")?,
+            mechanism: value.field("mechanism")?,
+            cost: value.field("cost")?,
+            evicted: value.field("evicted")?,
+            over_evicted: value.field("over_evicted")?,
+            resumed_step: value.field("resumed_step")?,
+            classification: value.field("classification")?,
+            capture: IncidentCapture::default(),
+        };
+        let wire: CaptureWire = value.field("capture")?;
+        dossier.capture = wire
+            .into_capture(&dossier)
+            .map_err(|err| err.in_field("capture"))?;
+        Ok(dossier)
+    }
+}
+
+/// A dossier's capture as it is written: the dossier's header, the shared
+/// context and the complete window.
+struct CaptureWire {
+    seq: u64,
+    kind: FaultKind,
+    opened_at: SimTime,
+    closed_at: SimTime,
+    context: Arc<[RecorderEntry]>,
+    window: Vec<RecorderEntry>,
+}
+
+impl Decode for CaptureWire {
+    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
+        Ok(CaptureWire {
+            seq: value.field("seq")?,
+            kind: value.field("kind")?,
+            opened_at: value.field("opened_at")?,
+            closed_at: value.field("closed_at")?,
+            context: value.field("context")?,
+            window: value.field("window")?,
+        })
+    }
+}
+
+impl CaptureWire {
+    /// Checks the header and the rebuilt timeline against `dossier` and
+    /// keeps the evidence: the window's entries between the leading
+    /// `Detected` and the closing phase transitions and resume marker.
+    fn into_capture(self, dossier: &IncidentDossier) -> Result<IncidentCapture, CodecError> {
+        fn disagrees(field: &str, found: impl fmt::Debug, expected: impl fmt::Debug) -> CodecError {
+            CodecError::other(format!(
+                "{found:?} disagrees with the dossier, which implies {expected:?}"
+            ))
+            .in_field(field)
+        }
+        if self.seq != dossier.seq {
+            return Err(disagrees("seq", self.seq, dossier.seq));
+        }
+        if self.kind != dossier.kind {
+            return Err(disagrees("kind", self.kind, dossier.kind));
+        }
+        if self.opened_at != dossier.at {
+            return Err(disagrees("opened_at", self.opened_at, dossier.at));
+        }
+        if self.closed_at != dossier.closed_at() {
+            return Err(disagrees("closed_at", self.closed_at, dossier.closed_at()));
+        }
+        let mut window = self.window;
+        let closing = dossier.closing_entries().count();
+        if window.len() <= closing {
+            return Err(CodecError::other(format!(
+                "{} entries cannot hold the dossier's recovery timeline of {}",
+                window.len(),
+                closing + 1
+            ))
+            .in_field("window"));
+        }
+        let evidence_end = window.len() - closing;
+        let rebuilt = std::iter::once((0, dossier.detected_entry()))
+            .chain((evidence_end..).zip(dossier.closing_entries()));
+        for (index, expected) in rebuilt {
+            if window[index] != expected {
+                return Err(CodecError::other(format!(
+                    "{:?} disagrees with the dossier's rebuilt timeline, which has {expected:?} here",
+                    window[index]
+                ))
+                .in_index(index)
+                .in_field("window"));
+            }
+        }
+        window.truncate(evidence_end);
+        Ok(IncidentCapture {
+            context: self.context,
+            evidence: window.drain(1..).collect(),
+        })
+    }
+}
 
 impl EncodeMembers for IncidentStore {
     fn encode_members(&self, w: &mut JsonWriter) {
@@ -1604,22 +1719,25 @@ mod tests {
             downtime: cost.total(),
         }
         .classify();
-        let mut capture = IncidentCapture::empty(seq, FaultKind::JobHang, SimTime::from_hours(3));
-        capture.closed_at = capture.opened_at + cost.total();
-        capture.context = Arc::from([RecorderEntry {
-            at: SimTime::from_hours(3),
-            event: RecorderEvent::Telemetry(SystemEvent::new(
-                SimTime::from_hours(3),
-                EventKind::XidError,
-                MachineId(7),
-            )),
-        }]);
-        for event in every_recorder_event() {
-            capture.window.push(RecorderEntry {
-                at: capture.opened_at,
-                event,
-            });
-        }
+        let capture = IncidentCapture {
+            context: Arc::from([RecorderEntry {
+                at: SimTime::from_hours(3),
+                event: RecorderEvent::Telemetry(SystemEvent::new(
+                    SimTime::from_hours(3),
+                    EventKind::XidError,
+                    MachineId(7),
+                )),
+            }]),
+            // Every variant as evidence, the timeline variants included:
+            // the decoder splits the evidence out by position, not by kind.
+            evidence: every_recorder_event()
+                .into_iter()
+                .map(|event| RecorderEntry {
+                    at: SimTime::from_hours(3),
+                    event,
+                })
+                .collect(),
+        };
         IncidentDossier {
             seq,
             at: SimTime::from_hours(3),

@@ -78,7 +78,7 @@ pub fn filter<'a>(
 pub fn implicated_machines_into(dossier: &IncidentDossier, out: &mut Vec<MachineId>) {
     out.clear();
     out.extend_from_slice(&dossier.evicted);
-    dossier.capture.machines_mentioned_into(out);
+    dossier.machines_mentioned_into(out);
     out.sort_unstable();
     out.dedup();
 }

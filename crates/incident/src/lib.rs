@@ -7,11 +7,15 @@
 //! unfolded, in four pieces:
 //!
 //! 1. [`recorder::FlightRecorder`] — a bounded ring buffer that continuously
-//!    taps telemetry events, monitor verdicts, diagnoser/analyzer decisions
-//!    and recovery-phase transitions. When the controller opens an incident
-//!    the recorder snapshots the recent background context; when the incident
-//!    closes, the captured window freezes into an immutable
-//!    [`recorder::IncidentCapture`].
+//!    taps telemetry events, and, while an incident is open, records its
+//!    evidence: monitor verdicts, diagnoser/analyzer decisions, evictions,
+//!    rollbacks and hot updates. When the controller opens an incident the
+//!    recorder snapshots the recent background context; when the incident
+//!    closes, context and evidence freeze into an immutable
+//!    [`recorder::IncidentCapture`]. The detection, recovery-phase
+//!    transitions and resume marker are not recorded: they restate the
+//!    dossier, and [`store::IncidentDossier::window`] rebuilds the complete
+//!    window from it.
 //! 2. [`classify::ClassificationInput::classify`] — the classification
 //!    matrix: maps (incident category, root cause, resolution mechanism,
 //!    blast radius) onto `REC-*` severity classes with escalation rules, in

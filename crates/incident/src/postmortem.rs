@@ -33,32 +33,10 @@ impl PhaseCost {
     /// Decomposes a [`FailoverCost`] into the six chronological phases. The
     /// durations sum exactly to `cost.total()`.
     pub fn breakdown(cost: &FailoverCost) -> Vec<PhaseCost> {
-        vec![
-            PhaseCost {
-                phase: RecoveryPhase::Detection,
-                duration: cost.detection,
-            },
-            PhaseCost {
-                phase: RecoveryPhase::Localization,
-                duration: cost.localization,
-            },
-            PhaseCost {
-                phase: RecoveryPhase::Scheduling,
-                duration: cost.scheduling,
-            },
-            PhaseCost {
-                phase: RecoveryPhase::PodBuild,
-                duration: cost.pod_build,
-            },
-            PhaseCost {
-                phase: RecoveryPhase::CheckpointLoad,
-                duration: cost.checkpoint_load,
-            },
-            PhaseCost {
-                phase: RecoveryPhase::Recompute,
-                duration: cost.recompute,
-            },
-        ]
+        RecoveryPhase::durations(cost)
+            .into_iter()
+            .map(|(phase, duration)| PhaseCost { phase, duration })
+            .collect()
     }
 }
 
@@ -90,8 +68,9 @@ pub struct Postmortem {
     pub closed_at: SimTime,
     /// Pre-incident background context from the flight recorder.
     pub context: Vec<RecorderEntry>,
-    /// The incident window: every event recorded while the incident was
-    /// active, in order.
+    /// The incident window ([`IncidentDossier::window`]): the detection,
+    /// the evidence, the phase transitions and the resume marker, in
+    /// chronological order.
     pub timeline: Vec<RecorderEntry>,
     /// Unproductive time broken down by recovery phase; sums to
     /// [`Postmortem::total_cost`].
@@ -135,10 +114,10 @@ impl Postmortem {
                 machines.join(", ")
             ));
         }
-        // The capture window is in insertion order; phase transitions are
-        // recorded at incident close, so re-sort chronologically (stable, so
+        // The window lists the phase transitions after the evidence, as the
+        // controller closed them; re-sort chronologically (stable, so
         // simultaneous events keep their causal order).
-        let mut timeline = dossier.capture.window.clone();
+        let mut timeline = dossier.window();
         timeline.sort_by_key(|entry| entry.at);
         Postmortem {
             seq: dossier.seq,
@@ -150,8 +129,8 @@ impl Postmortem {
             root_cause: dossier.root_cause,
             concluded_cause: dossier.concluded_cause,
             mechanism: dossier.mechanism,
-            opened_at: dossier.capture.opened_at,
-            closed_at: dossier.capture.closed_at,
+            opened_at: dossier.at,
+            closed_at: dossier.closed_at(),
             context: dossier.capture.context.to_vec(),
             timeline,
             phase_costs: PhaseCost::breakdown(&dossier.cost),
@@ -260,6 +239,7 @@ mod tests {
     use super::*;
     use crate::classify::ClassificationInput;
     use crate::recorder::{IncidentCapture, RecorderEvent};
+    use std::sync::Arc;
 
     fn dossier() -> IncidentDossier {
         let cost = FailoverCost {
@@ -280,22 +260,16 @@ mod tests {
             downtime: cost.total(),
         }
         .classify();
-        let mut capture = IncidentCapture::empty(42, FaultKind::CudaError, SimTime::from_hours(5));
-        capture.closed_at = SimTime::from_hours(5) + cost.total();
-        capture.window.push(RecorderEntry {
-            at: capture.opened_at,
-            event: RecorderEvent::Detected {
-                kind: FaultKind::CudaError,
-                latency: SimDuration::from_secs(10),
-            },
-        });
-        capture.window.push(RecorderEntry {
-            at: capture.closed_at,
-            event: RecorderEvent::Eviction {
-                machine: MachineId(7),
-                over_eviction: false,
-            },
-        });
+        let capture = IncidentCapture {
+            context: Arc::from([]),
+            evidence: Box::new([RecorderEntry {
+                at: SimTime::from_hours(5) + cost.total(),
+                event: RecorderEvent::Eviction {
+                    machine: MachineId(7),
+                    over_eviction: false,
+                },
+            }]),
+        };
         IncidentDossier {
             seq: 42,
             at: SimTime::from_hours(5),
@@ -336,6 +310,23 @@ mod tests {
         assert!(text.contains("evicted machine-7"));
         assert!(text.contains("resumed from step 1234"));
         assert!(text.contains("hardware repair ticket"));
+    }
+
+    #[test]
+    fn timeline_is_the_rebuilt_window_in_time_order() {
+        let d = dossier();
+        let postmortem = Postmortem::for_dossier(&d);
+        let mut window = d.window();
+        assert_eq!(postmortem.timeline.len(), window.len());
+        window.sort_by_key(|entry| entry.at);
+        assert_eq!(postmortem.timeline, window);
+        // Detected, the five non-zero phases, the eviction and the resume.
+        assert_eq!(postmortem.timeline.len(), 8);
+        assert!(postmortem.timeline.windows(2).all(|w| w[0].at <= w[1].at));
+        assert_eq!(
+            (postmortem.opened_at, postmortem.closed_at),
+            (d.at, d.at + d.cost.total())
+        );
     }
 
     #[test]

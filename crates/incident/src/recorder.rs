@@ -6,31 +6,39 @@
 //! a ring. When the controller opens an incident, the recorder snapshots the
 //! most recent background entries as pre-incident *context* and starts an
 //! incident *window*; every monitor verdict, diagnoser decision, analyzer
-//! decision, replay verdict, eviction, and recovery-phase transition recorded
-//! while the incident is active lands in that window. Closing the incident
-//! freezes context + window into an immutable [`IncidentCapture`] that the
-//! postmortem generator and the incident store consume.
+//! decision, replay verdict, eviction, rollback, hot update and starvation
+//! notice recorded while the incident is active lands in that window as
+//! *evidence*. Closing the incident freezes context + evidence into an
+//! immutable [`IncidentCapture`] that the postmortem generator and the
+//! incident store consume.
+//!
+//! A capture holds what a postmortem needs and nothing more. The recovery
+//! timeline around the evidence — the detection, one transition per recovery
+//! phase and the resume marker — restates the dossier's own `at`, `kind`,
+//! `cost` and `resumed_step`, so it is not recorded: the dossier rebuilds it
+//! ([`IncidentDossier::window`](crate::IncidentDossier::window)), and every
+//! reader and the codec see the same complete window.
 //!
 //! The context is one shared snapshot per ring state: the recorder caches the
 //! `Arc<[RecorderEntry]>` it last handed out and drops the cache whenever a
 //! background entry is pushed, so every incident opened while the ring is
 //! unchanged shares one allocation instead of carrying its own copy of the
-//! same stale entries. Window entries accumulate in one buffer per
+//! same stale entries. Evidence entries accumulate in one buffer per
 //! recorder, reused across incidents, and close copies them out exactly
 //! sized.
 //!
 //! # Compact layout
 //!
-//! A long run keeps every window it ever closed (about six entries per
-//! incident, a million incidents on the mega drill), so an entry holds its
-//! payload and nothing more. The common events — phase transitions,
-//! detections, hot updates, resumes — carry a few bytes each, and the rare
-//! variants with variable-length payloads box them: machine lists are
+//! A long run keeps every capture it ever closed (a million incidents on the
+//! mega drill, nearly all of them hot updates with one evidence entry), so a
+//! capture is two slice pointers and an entry holds its payload and nothing
+//! more. The common events carry a few bytes each, and the rare variants
+//! with variable-length payloads box them: machine lists are
 //! `Box<[MachineId]>`, the monitor's issue text is a `Box<str>`, and the
 //! analyzer's shared group is a `GroupKind`, not its rendered name. That
-//! keeps [`RecorderEvent`] at 32 bytes and [`RecorderEntry`] at 40; the
-//! `incident_records_stay_compact` test guards both sizes, and the
-//! dossier's.
+//! keeps [`RecorderEvent`] at 32 bytes, [`RecorderEntry`] at 40 and
+//! [`IncidentCapture`] at 32; the `incident_records_stay_compact` test guards
+//! those sizes, and the dossier's.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -39,6 +47,7 @@ use std::sync::Arc;
 use byterobust_agent::DiagnosisConclusion;
 use byterobust_cluster::{FaultKind, MachineId};
 use byterobust_parallelism::GroupKind;
+use byterobust_recovery::FailoverCost;
 use byterobust_sim::{SimDuration, SimTime};
 use byterobust_telemetry::{EventKind, SystemEvent};
 
@@ -71,6 +80,22 @@ impl RecoveryPhase {
         RecoveryPhase::Recompute,
     ];
 
+    /// The canonical decomposition of a failover cost into the six phases,
+    /// in chronological order: the single source of truth for "which phase
+    /// lasted how long". The durations sum exactly to `cost.total()`; the
+    /// rebuilt recovery timeline, the postmortem's breakdown and the fleet
+    /// runner's per-phase alert signals all read it.
+    pub fn durations(cost: &FailoverCost) -> [(RecoveryPhase, SimDuration); 6] {
+        [
+            (RecoveryPhase::Detection, cost.detection),
+            (RecoveryPhase::Localization, cost.localization),
+            (RecoveryPhase::Scheduling, cost.scheduling),
+            (RecoveryPhase::PodBuild, cost.pod_build),
+            (RecoveryPhase::CheckpointLoad, cost.checkpoint_load),
+            (RecoveryPhase::Recompute, cost.recompute),
+        ]
+    }
+
     /// Human-readable phase name.
     pub fn name(self) -> &'static str {
         match self {
@@ -92,7 +117,8 @@ impl RecoveryPhase {
 pub enum RecorderEvent {
     /// A raw system event surfaced by the telemetry tap.
     Telemetry(SystemEvent),
-    /// The monitor noticed the incident (detection latency attached).
+    /// The monitor noticed the incident (detection latency attached). Part
+    /// of the rebuilt recovery timeline, never recorded as evidence.
     Detected {
         /// Observable symptom that fired.
         kind: FaultKind,
@@ -134,6 +160,7 @@ pub enum RecorderEvent {
         duration: SimDuration,
     },
     /// A recovery phase completed, charging `duration` to the incident.
+    /// Part of the rebuilt recovery timeline, never recorded as evidence.
     PhaseTransition {
         /// Which phase.
         phase: RecoveryPhase,
@@ -158,7 +185,8 @@ pub enum RecorderEvent {
         /// The code version now running.
         version: u32,
     },
-    /// Training resumed.
+    /// Training resumed. Part of the rebuilt recovery timeline, never
+    /// recorded as evidence.
     Resumed {
         /// Optimizer step training resumed from.
         step: u64,
@@ -292,75 +320,50 @@ impl fmt::Display for RecorderEntry {
     }
 }
 
-/// The frozen capture of one incident: pre-incident context plus the incident
-/// window, immutable once the incident closes.
-#[derive(Debug, Clone, PartialEq)]
+/// The frozen capture of one incident: pre-incident context plus the
+/// evidence recorded while it was active, immutable once the incident
+/// closes. The incident's header (seq, symptom, open and close times) and
+/// its recovery timeline live on the dossier, which rebuilds the complete
+/// window ([`IncidentDossier::window`](crate::IncidentDossier::window)).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IncidentCapture {
-    /// Incident sequence number (matches the fault injector's `seq`).
-    pub seq: u64,
-    /// Symptom the incident opened with.
-    pub kind: FaultKind,
-    /// When the incident opened.
-    pub opened_at: SimTime,
-    /// When the incident closed.
-    pub closed_at: SimTime,
     /// Background entries captured *before* the incident opened (most recent
     /// last), snapshotted at open time. The snapshot is shared: every capture
     /// opened while the recorder's ring was unchanged holds the same
     /// allocation.
     pub context: Arc<[RecorderEntry]>,
-    /// Every entry recorded while the incident was active, in order.
-    pub window: Vec<RecorderEntry>,
+    /// Every evidence entry recorded while the incident was active, in
+    /// order: verdicts, decisions, evictions, rollbacks, hot updates and
+    /// starvation notices, at most [`FlightRecorderConfig::window_capacity`]
+    /// of them.
+    pub evidence: Box<[RecorderEntry]>,
 }
 
 impl IncidentCapture {
     /// Whether this incident's recovery was delayed by capacity starvation
     /// (the warm-standby pool could not cover its evictions) rather than by
-    /// failure handling alone.
+    /// failure handling alone. Starvation is evidence, so the rebuilt
+    /// timeline entries need not be looked at.
     pub fn capacity_starved(&self) -> bool {
-        self.window
+        self.evidence
             .iter()
             .any(|entry| matches!(entry.event, RecorderEvent::CapacityStarvation { .. }))
     }
 
-    /// An empty capture, for synthesizing dossiers in tests and tools.
-    pub fn empty(seq: u64, kind: FaultKind, at: SimTime) -> Self {
-        IncidentCapture {
-            seq,
-            kind,
-            opened_at: at,
-            closed_at: at,
-            context: Arc::from([]),
-            window: Vec::new(),
-        }
-    }
-
-    /// Appends every machine mentioned in the capture to `out`: the
-    /// incident window, plus the context entries recorded at or after the
-    /// incident opened. The latter matters because the telemetry tap fires at
-    /// fault time, just before the window opens — for a transient fault
-    /// resolved by reattempt that signature is the *only* place the culprit
-    /// machine is named. Older context entries are ring carryover from
-    /// previous incidents and are deliberately excluded. Order and duplicates
-    /// follow the capture's entries; callers on per-incident hot paths reuse
-    /// one scratch buffer and sort/dedup themselves.
-    pub fn machines_mentioned_into(&self, out: &mut Vec<MachineId>) {
-        out.extend(self.mentioned());
-    }
-
-    /// Whether the capture mentions `machine`, by the rules of
-    /// [`IncidentCapture::machines_mentioned_into`]; stops at the first
-    /// mention and allocates nothing.
-    pub fn mentions_machine(&self, machine: MachineId) -> bool {
-        self.mentioned().any(|mentioned| mentioned == machine)
-    }
-
-    /// Every mentioned machine in entry order, duplicates included.
-    fn mentioned(&self) -> impl Iterator<Item = MachineId> + '_ {
+    /// Every machine the capture mentions for an incident opened at
+    /// `opened_at`, in entry order, duplicates included: the evidence, plus
+    /// the context entries recorded at or after the incident opened. The
+    /// latter matters because the telemetry tap fires at fault time, just
+    /// before the window opens — for a transient fault resolved by reattempt
+    /// that signature is the *only* place the culprit machine is named.
+    /// Older context entries are ring carryover from previous incidents and
+    /// are deliberately excluded. The rebuilt timeline entries name no
+    /// machine.
+    pub(crate) fn mentioned(&self, opened_at: SimTime) -> impl Iterator<Item = MachineId> + '_ {
         self.context
             .iter()
-            .filter(|entry| entry.at >= self.opened_at)
-            .chain(self.window.iter())
+            .filter(move |entry| entry.at >= opened_at)
+            .chain(self.evidence.iter())
             .flat_map(|entry| entry.event.machines_ref())
             .copied()
     }
@@ -374,8 +377,9 @@ pub struct FlightRecorderConfig {
     /// How many of the most recent background entries are snapshotted as
     /// pre-incident context when an incident opens.
     pub context_entries: usize,
-    /// Hard cap on entries captured inside one incident window (a runaway
-    /// incident must not grow the record unboundedly).
+    /// Hard cap on evidence entries captured inside one incident window (a
+    /// runaway incident must not grow the record unboundedly). The rebuilt
+    /// recovery timeline is not counted against it and is always complete.
     pub window_capacity: usize,
 }
 
@@ -389,7 +393,7 @@ impl Default for FlightRecorderConfig {
     }
 }
 
-/// The currently-open incident; its window entries live in
+/// The currently-open incident; its evidence entries live in
 /// [`FlightRecorder::window`].
 #[derive(Debug, Clone, PartialEq)]
 struct ActiveIncident {
@@ -407,8 +411,9 @@ pub struct FlightRecorder {
     /// The context snapshot of the ring as it stands, shared by every
     /// incident opened until the next background push drops it.
     context: Option<Arc<[RecorderEntry]>>,
-    /// The open incident's window entries. Reused across incidents: close
-    /// moves them out into an exactly sized `Vec` and keeps the buffer.
+    /// The open incident's evidence entries. Reused across incidents: close
+    /// moves them out into an exactly sized boxed slice and keeps the
+    /// buffer.
     window: Vec<RecorderEntry>,
     active: Option<ActiveIncident>,
 }
@@ -426,8 +431,9 @@ impl FlightRecorder {
     }
 
     /// Records an event. Outside an incident it lands in the background ring
-    /// (evicting the oldest entry at capacity); inside an incident it lands
-    /// in the open window (dropped once the window is full).
+    /// (evicting the oldest entry at capacity); inside an incident it is
+    /// evidence and lands in the open window (dropped once the window holds
+    /// [`FlightRecorderConfig::window_capacity`] entries).
     pub fn record(&mut self, at: SimTime, event: RecorderEvent) {
         let entry = RecorderEntry { at, event };
         match self.active {
@@ -493,18 +499,22 @@ impl FlightRecorder {
         machines
     }
 
-    /// Closes the open incident, freezing its capture: the window entries
-    /// move out of the recorder's window buffer into one exactly sized
-    /// allocation. Returns `None` if no incident is open.
+    /// Closes the open incident at `at`, freezing its capture: the evidence
+    /// entries move out of the recorder's window buffer into one exactly
+    /// sized allocation (none for an incident without evidence). Returns
+    /// `None` if no incident is open.
     pub fn close_incident(&mut self, at: SimTime) -> Option<IncidentCapture> {
         let active = self.active.take()?;
+        debug_assert!(
+            at >= active.opened_at,
+            "incident #{} ({:?}) closes at {at}, before it opened at {}",
+            active.seq,
+            active.kind,
+            active.opened_at
+        );
         Some(IncidentCapture {
-            seq: active.seq,
-            kind: active.kind,
-            opened_at: active.opened_at,
-            closed_at: at,
             context: active.context,
-            window: self.window.drain(..).collect(),
+            evidence: self.window.drain(..).collect(),
         })
     }
 }
@@ -546,13 +556,18 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
-    /// The capture's mentioned machines, sorted and deduplicated.
-    fn mentioned(capture: &IncidentCapture) -> Vec<MachineId> {
-        let mut machines = Vec::new();
-        capture.machines_mentioned_into(&mut machines);
+    /// The capture's mentioned machines for an incident opened at
+    /// `opened_at`, sorted and deduplicated.
+    fn mentioned(capture: &IncidentCapture, opened_at: SimTime) -> Vec<MachineId> {
+        let mut machines: Vec<MachineId> = capture.mentioned(opened_at).collect();
         machines.sort();
         machines.dedup();
         machines
+    }
+
+    /// An evidence event that names no machine.
+    fn hot_update(version: u32) -> RecorderEvent {
+        RecorderEvent::HotUpdateApplied { version }
     }
 
     fn telemetry_event(secs: u64, machine: u32) -> RecorderEvent {
@@ -590,9 +605,9 @@ mod tests {
         assert!(recorder.active.is_some());
         recorder.record(
             t(10),
-            RecorderEvent::Detected {
-                kind: FaultKind::CudaError,
-                latency: SimDuration::from_secs(5),
+            RecorderEvent::MonitorVerdict {
+                machine: MachineId(3),
+                issue: "Xid 79".into(),
             },
         );
         recorder.record(
@@ -607,19 +622,18 @@ mod tests {
         // Context is the *last two* background entries.
         assert_eq!(capture.context.len(), 2);
         assert_eq!(capture.context[1].at, t(4));
-        // Window holds exactly the events recorded while open.
-        assert_eq!(capture.window.len(), 2);
-        assert_eq!(
-            capture.closed_at.since(capture.opened_at),
-            SimDuration::from_secs(2)
-        );
+        // The evidence is exactly the events recorded while open.
+        assert_eq!(capture.evidence.len(), 2);
+        assert_eq!(capture.evidence[0].at, t(10));
+        assert_eq!(capture.evidence[1].at, t(11));
         // Context telemetry (machines 3 and 4, recorded at t=3/t=4) predates
         // the open at t=10 — ring carryover from before this incident — so
-        // only the window's eviction of machine 3 counts as a mention.
-        assert_eq!(mentioned(&capture), vec![MachineId(3)]);
+        // only the evidence's verdict and eviction of machine 3 count as
+        // mentions.
+        assert_eq!(mentioned(&capture, t(10)), vec![MachineId(3)]);
         // The capture is frozen: further records do not touch it.
         recorder.record(t(13), telemetry_event(13, 9));
-        assert_eq!(capture.window.len(), 2);
+        assert_eq!(capture.evidence.len(), 2);
     }
 
     #[test]
@@ -636,13 +650,7 @@ mod tests {
         recorder.record(t(10), telemetry_event(10, 2)); // fault-time signature
         recorder.record(t(10), telemetry_event(10, 2)); // ...repeated
         recorder.open_incident(1, FaultKind::InfinibandError, t(10));
-        recorder.record(
-            t(10),
-            RecorderEvent::Detected {
-                kind: FaultKind::InfinibandError,
-                latency: SimDuration::from_secs(3),
-            },
-        );
+        recorder.record(t(10), hot_update(2));
         // The controller's view of the open incident: fault-time context
         // only, sorted and deduplicated.
         assert_eq!(recorder.context_machines_since(t(10)), vec![MachineId(2)]);
@@ -652,7 +660,7 @@ mod tests {
         );
         assert!(recorder.context_machines_since(t(11)).is_empty());
         let capture = recorder.close_incident(t(11)).unwrap();
-        assert_eq!(mentioned(&capture), vec![MachineId(2)]);
+        assert_eq!(mentioned(&capture, t(10)), vec![MachineId(2)]);
     }
 
     #[test]
@@ -660,13 +668,24 @@ mod tests {
         let mut recorder = FlightRecorder::default();
         assert!(recorder.open_incident(1, FaultKind::JobHang, t(1)));
         assert!(!recorder.open_incident(2, FaultKind::CudaError, t(2)));
-        let capture = recorder.close_incident(t(3)).unwrap();
-        assert_eq!(capture.seq, 1);
+        let active = recorder
+            .active
+            .as_ref()
+            .expect("the first incident stays open");
+        assert_eq!(
+            (active.seq, active.kind, active.opened_at),
+            (1, FaultKind::JobHang, t(1))
+        );
+        assert!(recorder.close_incident(t(3)).is_some());
         assert!(recorder.close_incident(t(4)).is_none());
     }
 
     #[test]
     fn incident_window_is_bounded_and_drops_are_counted() {
+        // The cap bounds evidence only: the first three entries are kept,
+        // the rest dropped. The recovery timeline is rebuilt around them
+        // and always complete (see the store's
+        // `window_capacity_bounds_evidence_and_the_timeline_stays_complete`).
         let mut recorder = FlightRecorder::new(FlightRecorderConfig {
             capacity: 4,
             context_entries: 0,
@@ -674,17 +693,14 @@ mod tests {
         });
         recorder.open_incident(7, FaultKind::JobHang, t(0));
         for i in 0..10 {
-            recorder.record(t(i), telemetry_event(i, 0));
+            recorder.record(t(i), telemetry_event(i, i as u32));
         }
         let capture = recorder.close_incident(t(10)).unwrap();
-        assert_eq!(capture.window.len(), 3);
-    }
-
-    fn detected(secs: u64) -> RecorderEvent {
-        RecorderEvent::Detected {
-            kind: FaultKind::JobHang,
-            latency: SimDuration::from_secs(secs),
-        }
+        assert_eq!(capture.evidence.len(), 3);
+        assert_eq!(
+            mentioned(&capture, t(0)),
+            vec![MachineId(0), MachineId(1), MachineId(2)]
+        );
     }
 
     #[test]
@@ -692,10 +708,10 @@ mod tests {
         let mut recorder = FlightRecorder::default();
         recorder.record(t(1), telemetry_event(1, 4));
         recorder.open_incident(1, FaultKind::JobHang, t(2));
-        recorder.record(t(2), detected(1));
+        recorder.record(t(2), hot_update(1));
         let first = recorder.close_incident(t(3)).unwrap();
         recorder.open_incident(2, FaultKind::JobHang, t(4));
-        recorder.record(t(4), detected(2));
+        recorder.record(t(4), hot_update(2));
         let second = recorder.close_incident(t(5)).unwrap();
         assert_eq!(first.context.len(), 1);
         assert!(Arc::ptr_eq(&first.context, &second.context));
@@ -715,20 +731,23 @@ mod tests {
         assert_eq!(second.context.len(), 2);
         assert_eq!(second.context[1].at, t(4));
         assert_eq!(second.context[1].event, telemetry_event(4, 5));
-        assert_eq!(mentioned(&second), vec![MachineId(5)]);
+        assert_eq!(mentioned(&second, t(4)), vec![MachineId(5)]);
     }
 
     #[test]
     fn closed_windows_are_exactly_sized() {
+        // The evidence is a boxed slice, so it carries no spare capacity by
+        // construction; the recorder's buffer is drained for the next
+        // incident.
         let mut recorder = FlightRecorder::default();
         for (seq, entries) in [(1, 6), (2, 1), (3, 0), (4, 9)] {
             recorder.open_incident(seq, FaultKind::JobHang, t(seq));
             for i in 0..entries {
-                recorder.record(t(seq), detected(i));
+                recorder.record(t(seq), hot_update(i as u32));
             }
             let capture = recorder.close_incident(t(seq + 1)).unwrap();
-            assert_eq!(capture.window.len() as u64, entries);
-            assert_eq!(capture.window.capacity(), capture.window.len());
+            assert_eq!(capture.evidence.len() as u64, entries);
+            assert!(recorder.window.is_empty());
         }
     }
 
@@ -738,17 +757,26 @@ mod tests {
         let mut recorder = FlightRecorder::default();
         recorder.record(t(1), telemetry_event(1, 4));
         recorder.record(t(2), telemetry_event(2, 6));
-        let mut captures = Vec::new();
+        let mut dossiers = Vec::new();
         for seq in 1..=2 {
             recorder.open_incident(seq, FaultKind::JobHang, t(2));
-            recorder.record(t(2), detected(seq));
-            captures.push(recorder.close_incident(t(3)).unwrap());
+            recorder.record(t(2), hot_update(seq as u32));
+            let capture = recorder.close_incident(t(3)).unwrap();
+            dossiers.push(crate::IncidentDossier::synthetic(
+                seq,
+                t(2),
+                FaultKind::JobHang,
+                capture,
+            ));
         }
-        assert!(Arc::ptr_eq(&captures[0].context, &captures[1].context));
-        for capture in &captures {
-            let exported = to_json(capture);
-            let imported: IncidentCapture = from_json(&exported).expect("export decodes");
-            assert_eq!(&imported, capture);
+        assert!(Arc::ptr_eq(
+            &dossiers[0].capture.context,
+            &dossiers[1].capture.context
+        ));
+        for dossier in &dossiers {
+            let exported = to_json(dossier);
+            let imported: crate::IncidentDossier = from_json(&exported).expect("export decodes");
+            assert_eq!(&imported, dossier);
             assert_eq!(to_json(&imported), exported);
         }
     }
@@ -796,7 +824,12 @@ mod tests {
             size_of::<RecorderEntry>()
         );
         assert!(
-            size_of::<crate::IncidentDossier>() <= 208,
+            size_of::<IncidentCapture>() <= 32,
+            "{}",
+            size_of::<IncidentCapture>()
+        );
+        assert!(
+            size_of::<crate::IncidentDossier>() <= 176,
             "{}",
             size_of::<crate::IncidentDossier>()
         );

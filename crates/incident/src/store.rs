@@ -19,7 +19,7 @@ use byterobust_sim::{SimDuration, SimTime};
 use crate::classify::{Classification, Escalation, Severity};
 use crate::mechanism::ResolutionMechanism;
 use crate::postmortem::Postmortem;
-use crate::recorder::{IncidentCapture, RecorderEvent};
+use crate::recorder::{IncidentCapture, RecorderEntry, RecorderEvent, RecoveryPhase};
 
 /// The Table 4 column label for an incident category.
 pub fn category_label(category: FaultCategory) -> &'static str {
@@ -62,7 +62,9 @@ pub struct IncidentDossier {
     pub resumed_step: u64,
     /// Severity classification.
     pub classification: Classification,
-    /// The frozen flight-recorder capture.
+    /// The frozen flight-recorder capture: context and evidence. The
+    /// recovery timeline around the evidence is rebuilt from the fields
+    /// above ([`IncidentDossier::window`]).
     pub capture: IncidentCapture,
 }
 
@@ -73,18 +75,91 @@ impl IncidentDossier {
         self.cost.scheduling + self.cost.pod_build + self.cost.checkpoint_load
     }
 
+    /// When the incident closed: training resumed once its whole
+    /// unproductive time had passed.
+    pub fn closed_at(&self) -> SimTime {
+        self.at + self.cost.total()
+    }
+
+    /// The incident's complete window, in the order the controller lived
+    /// it: `Detected` at `at + cost.detection`, then the captured evidence
+    /// in order, then one `PhaseTransition` per non-zero recovery phase at
+    /// its cumulative end, then `Resumed` from `resumed_step` at
+    /// [`closed_at`](IncidentDossier::closed_at). Only the evidence is
+    /// stored; the rest restates this dossier's own fields and is rebuilt
+    /// on every read, so it is always complete. The postmortem timeline,
+    /// the warehouse digest and the codec all read this one rebuild.
+    pub fn window(&self) -> Vec<RecorderEntry> {
+        let mut window =
+            Vec::with_capacity(self.capture.evidence.len() + RecoveryPhase::ALL.len() + 2);
+        self.for_each_window_entry(|entry| window.push(entry.clone()));
+        window
+    }
+
+    /// Visits [`window`](IncidentDossier::window)'s entries in order without
+    /// collecting them: the rebuilt entries live on the stack and the
+    /// evidence is lent in place.
+    pub fn for_each_window_entry(&self, mut visit: impl FnMut(&RecorderEntry)) {
+        visit(&self.detected_entry());
+        self.capture.evidence.iter().for_each(&mut visit);
+        self.closing_entries().for_each(|entry| visit(&entry));
+    }
+
+    /// The entry that opens the rebuilt window.
+    pub(crate) fn detected_entry(&self) -> RecorderEntry {
+        RecorderEntry {
+            at: self.at + self.cost.detection,
+            event: RecorderEvent::Detected {
+                kind: self.kind,
+                latency: self.cost.detection,
+            },
+        }
+    }
+
+    /// The entries that close the rebuilt window: each non-zero recovery
+    /// phase at its cumulative end, then the resume marker.
+    pub(crate) fn closing_entries(&self) -> impl Iterator<Item = RecorderEntry> + '_ {
+        let mut clock = self.at;
+        RecoveryPhase::durations(&self.cost)
+            .into_iter()
+            .filter_map(move |(phase, duration)| {
+                clock += duration;
+                (!duration.is_zero()).then_some(RecorderEntry {
+                    at: clock,
+                    event: RecorderEvent::PhaseTransition { phase, duration },
+                })
+            })
+            .chain(std::iter::once(RecorderEntry {
+                at: self.closed_at(),
+                event: RecorderEvent::Resumed {
+                    step: self.resumed_step,
+                },
+            }))
+    }
+
+    /// Appends every machine the capture mentions to `out`: the evidence,
+    /// plus the context entries recorded at or after the incident opened
+    /// (the fault-time telemetry signature; older context is carryover from
+    /// earlier incidents). Order and duplicates follow the entries; callers
+    /// on per-incident hot paths reuse one scratch buffer and sort/dedup
+    /// themselves.
+    pub fn machines_mentioned_into(&self, out: &mut Vec<MachineId>) {
+        out.extend(self.capture.mentioned(self.at));
+    }
+
     /// Machines evicted, and how many of those evictions were
     /// over-evictions of machines that were not true culprits.
     ///
-    /// The over count is exact when the capture carries one
+    /// The over count is exact when the evidence carries one
     /// [`RecorderEvent::Eviction`] per evicted machine (the controller
     /// records each with its own over-eviction flag, so a group eviction
     /// containing one real culprit counts its hostages only). Otherwise
     /// (synthetic dossiers), the incident-level `over_evicted` flag is used
-    /// as an upper-bound fallback.
+    /// as an upper-bound fallback. Evictions are evidence, so the rebuilt
+    /// timeline entries need not be looked at.
     pub fn eviction_counts(&self) -> (usize, usize) {
         let (mut events, mut over) = (0, 0);
-        for entry in &self.capture.window {
+        for entry in self.capture.evidence.iter() {
             if let RecorderEvent::Eviction { over_eviction, .. } = entry.event {
                 events += 1;
                 over += usize::from(over_eviction);
@@ -104,7 +179,48 @@ impl IncidentDossier {
     /// mentioned it anywhere in the captured evidence. Short-circuits and
     /// allocates nothing: it runs per dossier on every machine-predicate scan.
     pub fn involves_machine(&self, machine: MachineId) -> bool {
-        self.evicted.contains(&machine) || self.capture.mentions_machine(machine)
+        self.evicted.contains(&machine)
+            || self
+                .capture
+                .mentioned(self.at)
+                .any(|mentioned| mentioned == machine)
+    }
+
+    /// A dossier with a zero-cost reattempt and the given capture, for
+    /// tests that care about the capture alone.
+    #[cfg(test)]
+    pub(crate) fn synthetic(
+        seq: u64,
+        at: SimTime,
+        kind: FaultKind,
+        capture: IncidentCapture,
+    ) -> IncidentDossier {
+        let cost = FailoverCost::default();
+        let classification = crate::classify::ClassificationInput {
+            category: kind.category(),
+            root_cause: RootCause::Transient,
+            mechanism: ResolutionMechanism::Reattempt,
+            blast_radius: 0,
+            over_evicted: false,
+            reproducible: true,
+            downtime: cost.total(),
+        }
+        .classify();
+        IncidentDossier {
+            seq,
+            at,
+            kind,
+            category: kind.category(),
+            root_cause: RootCause::Transient,
+            concluded_cause: RootCause::Transient,
+            mechanism: ResolutionMechanism::Reattempt,
+            cost,
+            evicted: Box::default(),
+            over_evicted: false,
+            resumed_step: 0,
+            classification,
+            capture,
+        }
     }
 }
 
@@ -390,7 +506,7 @@ mod tests {
             over_evicted: false,
             resumed_step: 100 * seq,
             classification,
-            capture: IncidentCapture::empty(seq, kind, SimTime::from_hours(at_hours)),
+            capture: IncidentCapture::default(),
         }
     }
 
@@ -600,7 +716,6 @@ mod tests {
         // A group over-eviction of 4 machines containing 1 real culprit: the
         // capture's per-machine eviction events make the over count exact (3
         // hostages), not the incident-level approximation (4).
-        use crate::recorder::RecorderEntry;
         let mut d = dossier(
             9,
             3,
@@ -609,15 +724,15 @@ mod tests {
             (0..4).map(MachineId).collect(),
         );
         d.over_evicted = true;
-        for machine in 0..4u32 {
-            d.capture.window.push(RecorderEntry {
+        d.capture.evidence = (0..4u32)
+            .map(|machine| RecorderEntry {
                 at: d.at,
                 event: RecorderEvent::Eviction {
                     machine: MachineId(machine),
                     over_eviction: machine != 2, // machine-2 is the culprit
                 },
-            });
-        }
+            })
+            .collect();
         let mut store = IncidentStore::new();
         store.insert(d);
         assert_eq!(store.eviction_stats(), (4, 3));
@@ -635,6 +750,114 @@ mod tests {
         let mut fallback_store = IncidentStore::new();
         fallback_store.insert(synthetic);
         assert_eq!(fallback_store.eviction_stats(), (4, 4));
+    }
+
+    #[test]
+    fn the_window_rebuilds_the_recovery_timeline_around_the_evidence() {
+        // The fixture's cost has a zero pod build, which gets no transition.
+        let mut d = dossier(
+            9,
+            3,
+            FaultKind::CudaError,
+            ResolutionMechanism::StopTimeEviction,
+            vec![MachineId(3)],
+        );
+        let eviction = RecorderEntry {
+            at: d.at + SimDuration::from_secs(150),
+            event: RecorderEvent::Eviction {
+                machine: MachineId(3),
+                over_eviction: false,
+            },
+        };
+        d.capture.evidence = Box::new([eviction.clone()]);
+        let secs = |s| d.at + SimDuration::from_secs(s);
+        let phase = |phase, s| RecorderEvent::PhaseTransition {
+            phase,
+            duration: SimDuration::from_secs(s),
+        };
+        let expected = vec![
+            RecorderEntry {
+                at: secs(30),
+                event: RecorderEvent::Detected {
+                    kind: FaultKind::CudaError,
+                    latency: SimDuration::from_secs(30),
+                },
+            },
+            eviction,
+            RecorderEntry {
+                at: secs(30),
+                event: phase(RecoveryPhase::Detection, 30),
+            },
+            RecorderEntry {
+                at: secs(150),
+                event: phase(RecoveryPhase::Localization, 120),
+            },
+            RecorderEntry {
+                at: secs(210),
+                event: phase(RecoveryPhase::Scheduling, 60),
+            },
+            RecorderEntry {
+                at: secs(230),
+                event: phase(RecoveryPhase::CheckpointLoad, 20),
+            },
+            RecorderEntry {
+                at: secs(245),
+                event: phase(RecoveryPhase::Recompute, 15),
+            },
+            RecorderEntry {
+                at: secs(245),
+                event: RecorderEvent::Resumed { step: 900 },
+            },
+        ];
+        assert_eq!(d.window(), expected);
+        assert_eq!(d.closed_at(), secs(245));
+        let mut visited = Vec::new();
+        d.for_each_window_entry(|entry| visited.push(entry.clone()));
+        assert_eq!(visited, expected);
+    }
+
+    #[test]
+    fn window_capacity_bounds_evidence_and_the_timeline_stays_complete() {
+        use crate::recorder::{FlightRecorder, FlightRecorderConfig};
+        let mut recorder = FlightRecorder::new(FlightRecorderConfig {
+            capacity: 4,
+            context_entries: 0,
+            window_capacity: 3,
+        });
+        let mut d = dossier(
+            5,
+            2,
+            FaultKind::CudaError,
+            ResolutionMechanism::StopTimeEviction,
+            vec![MachineId(1)],
+        );
+        recorder.open_incident(d.seq, d.kind, d.at);
+        for version in 0..10 {
+            recorder.record(d.at, RecorderEvent::HotUpdateApplied { version });
+        }
+        d.capture = recorder.close_incident(d.closed_at()).unwrap();
+        // Three evidence entries survive the cap; the rebuilt timeline
+        // around them is whole: the detection, the five non-zero phases and
+        // the resume marker.
+        assert_eq!(d.capture.evidence.len(), 3);
+        let window = d.window();
+        assert_eq!(window.len(), 1 + 3 + 5 + 1);
+        assert!(matches!(window[0].event, RecorderEvent::Detected { .. }));
+        for (entry, version) in window[1..4].iter().zip(0..) {
+            assert_eq!(entry.event, RecorderEvent::HotUpdateApplied { version });
+        }
+        let phase_total: SimDuration = window
+            .iter()
+            .filter_map(|entry| match entry.event {
+                RecorderEvent::PhaseTransition { duration, .. } => Some(duration),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(phase_total, d.cost.total());
+        assert_eq!(
+            window.last().map(|entry| &entry.event),
+            Some(&RecorderEvent::Resumed { step: 500 })
+        );
     }
 
     #[test]

@@ -29,21 +29,35 @@ fn store_holds_one_dossier_per_incident_in_order() {
 fn every_capture_is_a_frozen_coherent_window() {
     let report = run_small(22);
     let monitor = Monitor::new();
-    for dossier in report.incident_store.all() {
-        let capture = &dossier.capture;
-        assert_eq!(capture.seq, dossier.seq);
-        assert_eq!(capture.kind, dossier.kind);
-        assert_eq!(capture.opened_at, dossier.at);
+    // The exported capture carries the dossier's header.
+    let exported =
+        JsonValue::parse(&report.incident_store.export_json()).expect("the export parses");
+    let JsonValue::Array(exported) = exported.get("dossiers").expect("a dossier list") else {
+        panic!("`dossiers` is not an array");
+    };
+    assert_eq!(exported.len(), report.incident_store.len());
+    for (dossier, document) in report.incident_store.all().iter().zip(exported) {
+        let header = document
+            .get("capture")
+            .expect("every dossier has a capture");
+        let field = |key: &str| header.get(key).expect(key).clone();
+        assert_eq!(field("seq"), JsonValue::U64(dossier.seq));
+        assert_eq!(field("kind"), JsonValue::Str(format!("{:?}", dossier.kind)));
+        assert_eq!(field("opened_at"), JsonValue::U64(dossier.at.as_millis()));
         // The window closes exactly when the incident's unproductive time
         // ends.
-        assert_eq!(capture.closed_at, dossier.at + dossier.cost.total());
+        assert_eq!(
+            field("closed_at"),
+            JsonValue::U64((dossier.at + dossier.cost.total()).as_millis())
+        );
+        assert_eq!(dossier.closed_at(), dossier.at + dossier.cost.total());
+        let window = dossier.window();
         // Every incident detects exactly once, after the Table 3 latency of
         // its symptom: the one detection model. The charged cost and the
-        // recorded detection both carry it.
+        // window's detection both carry it, and the window opens with it.
         let table = monitor.detection_time_with_inspection(dossier.kind);
         assert_eq!(dossier.cost.detection, table, "incident #{}", dossier.seq);
-        let detected: Vec<_> = capture
-            .window
+        let detected: Vec<_> = window
             .iter()
             .filter_map(|entry| match entry.event {
                 RecorderEvent::Detected { kind, latency } => Some((kind, latency)),
@@ -53,21 +67,25 @@ fn every_capture_is_a_frozen_coherent_window() {
         assert_eq!(
             detected,
             [(dossier.kind, table)],
-            "detection events in capture of incident #{}",
+            "detection events in window of incident #{}",
             dossier.seq
         );
-        // Every incident resumes.
-        assert!(
-            capture
-                .window
-                .iter()
-                .any(|entry| matches!(entry.event, RecorderEvent::Resumed { .. })),
-            "no resume event in capture of incident #{}",
+        assert_eq!(window[0].at, dossier.at + table);
+        // Every incident resumes, last, when it closes, from the step the
+        // dossier records.
+        assert_eq!(
+            window.last().map(|entry| (entry.at, &entry.event)),
+            Some((
+                dossier.closed_at(),
+                &RecorderEvent::Resumed {
+                    step: dossier.resumed_step
+                }
+            )),
+            "no closing resume event in window of incident #{}",
             dossier.seq
         );
-        // Phase transitions in the capture reproduce the cost breakdown.
-        let phase_total: byterobust::sim::SimDuration = capture
-            .window
+        // Phase transitions in the window reproduce the cost breakdown.
+        let phase_total: byterobust::sim::SimDuration = window
             .iter()
             .filter_map(|entry| match entry.event {
                 RecorderEvent::PhaseTransition { duration, .. } => Some(duration),
@@ -80,10 +98,10 @@ fn every_capture_is_a_frozen_coherent_window() {
             "incident #{}",
             dossier.seq
         );
-        // Every evicted machine has an eviction event in the window.
+        // Every evicted machine has an eviction event in the evidence.
         for &machine in &dossier.evicted {
             assert!(
-                capture.window.iter().any(|entry| matches!(
+                dossier.capture.evidence.iter().any(|entry| matches!(
                     entry.event,
                     RecorderEvent::Eviction { machine: m, .. } if m == machine
                 )),
@@ -91,6 +109,13 @@ fn every_capture_is_a_frozen_coherent_window() {
                 dossier.seq
             );
         }
+        // The evidence never restates the timeline.
+        assert!(dossier.capture.evidence.iter().all(|entry| !matches!(
+            entry.event,
+            RecorderEvent::Detected { .. }
+                | RecorderEvent::PhaseTransition { .. }
+                | RecorderEvent::Resumed { .. }
+        )));
     }
 }
 
@@ -227,7 +252,7 @@ fn explicit_incidents_carry_telemetry_context() {
             .capture
             .context
             .iter()
-            .chain(dossier.capture.window.iter())
+            .chain(dossier.capture.evidence.iter())
             .any(|entry| matches!(entry.event, RecorderEvent::Telemetry(_)));
         if has_signature && context_telemetry {
             telemetry_seen += 1;
