@@ -43,7 +43,10 @@
 //! [`struct_codec!`](crate::struct_codec) generates both impls for a struct
 //! whose wire form is one member per field, keyed by the field name, in the
 //! listed order. [`string_enum_codec!`](crate::string_enum_codec) does the
-//! same for unit enums, keyed by variant name or by `label()`. Every
+//! same for unit enums, keyed by variant name or by `label()`, and
+//! [`tagged_enum_codec!`](crate::tagged_enum_codec) for enums with payloads
+//! (`RecorderEvent`, `Detector`): a `type` member carries the variant's tag,
+//! then one member per payload field. Every
 //! top-level document goes through [`render_document`], which writes the
 //! `format`/`version` header and then the body's members, and
 //! [`parse_document`], which checks the header. A body is a closure that
@@ -58,8 +61,8 @@
 //!   `MachineId`: they are the leaves the macros build on. `String`,
 //!   `Vec`, `Box` and `Arc` write what they point to, so a boxed slice
 //!   travels exactly as a `Vec` and a boxed str exactly as a `String`;
-//! - tagged enums (`RecorderEvent`, `Detector`, `FleetQuery`,
-//!   `QueryResponse`): a `type` or `arm` tag selects the payload;
+//! - `FleetQuery` and `QueryResponse`: an `arm` tag selects a `body` whose
+//!   shape differs per arm;
 //! - `Classification`: `rec_code` is a `&'static str` that decodes back onto
 //!   the canonical `REC-*` constant;
 //! - `IncidentDossier`: its capture travels with the dossier's header
@@ -146,7 +149,7 @@ impl CodecError {
     }
 
     /// Prefixes a field name onto the error's path (decode errors only).
-    fn in_field(mut self, field: &str) -> CodecError {
+    pub fn in_field(mut self, field: &str) -> CodecError {
         if let ErrorPosition::Path(path) = &mut self.at {
             if path.is_empty() {
                 *path = field.to_string();
@@ -1228,6 +1231,72 @@ macro_rules! struct_codec {
     };
 }
 
+/// Generates [`Encode`]/[`Decode`] impls for an enum whose wire form is an
+/// object tagged by a `type` member: the variant's tag, then one member per
+/// payload field, keyed by the field name, in the listed order. Each variant
+/// is declared once, with its tag; a struct variant lists its fields, and a
+/// one-field tuple variant names the key its field travels under
+/// (`Telemetry(event)`). Encoding is an exhaustive `match`, so a new variant
+/// that is not listed does not compile. An unknown tag fails at path `type`
+/// with ``unknown Type variant `tag` ``.
+///
+/// ```
+/// use byterobust_incident::codec::{from_json, to_json};
+/// use byterobust_incident::tagged_enum_codec;
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Circle { radius: u64 },
+///     Named(String),
+/// }
+/// tagged_enum_codec!(Shape {
+///     "circle" => Circle { radius },
+///     "named" => Named(name),
+/// });
+///
+/// let circle = Shape::Circle { radius: 2 };
+/// assert_eq!(to_json(&circle), r#"{"type":"circle","radius":2}"#);
+/// let named = from_json::<Shape>(r#"{"type":"named","name":"a"}"#).unwrap();
+/// assert_eq!(named, Shape::Named("a".to_string()));
+/// ```
+#[macro_export]
+macro_rules! tagged_enum_codec {
+    ($ty:ident {
+        $($tag:literal => $variant:ident $(($inner:ident))? $({ $($field:ident),+ $(,)? })?),+
+        $(,)?
+    }) => {
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self, w: &mut $crate::codec::JsonWriter) {
+                w.object(|w| match self {
+                    $($ty::$variant $(($inner))? $({ $($field),+ })? => {
+                        w.member("type", $tag);
+                        $(w.member(stringify!($inner), $inner);)?
+                        $($(w.member(stringify!($field), $field);)+)?
+                    })+
+                });
+            }
+        }
+
+        impl $crate::codec::Decode for $ty {
+            fn decode(
+                value: &$crate::codec::JsonValue,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                let tag: String = value.field("type")?;
+                match tag.as_str() {
+                    $($tag => Ok($ty::$variant
+                        $((value.field(stringify!($inner))?))?
+                        $({ $($field: value.field(stringify!($field))?),+ })?),)+
+                    other => Err($crate::codec::CodecError::other(format!(
+                        concat!("unknown ", stringify!($ty), " variant `{}`"),
+                        other
+                    ))
+                    .in_field("type")),
+                }
+            }
+        }
+    };
+}
+
 string_enum_codec!(FaultCategory {
     Explicit,
     Implicit,
@@ -1372,146 +1441,36 @@ impl Decode for Classification {
     }
 }
 
-impl Encode for RecorderEvent {
-    fn encode(&self, w: &mut JsonWriter) {
-        w.object(|w| match self {
-            RecorderEvent::Telemetry(event) => {
-                w.member("type", "Telemetry");
-                w.member("event", event);
-            }
-            RecorderEvent::Detected { kind, latency } => {
-                w.member("type", "Detected");
-                w.member("kind", kind);
-                w.member("latency", latency);
-            }
-            RecorderEvent::MonitorVerdict { machine, issue } => {
-                w.member("type", "MonitorVerdict");
-                w.member("machine", machine);
-                w.member("issue", issue);
-            }
-            RecorderEvent::DiagnosisDecision {
-                conclusion,
-                suspects,
-                duration,
-            } => {
-                w.member("type", "DiagnosisDecision");
-                w.member("conclusion", conclusion);
-                w.member("suspects", suspects);
-                w.member("duration", duration);
-            }
-            RecorderEvent::AnalyzerDecision {
-                machines,
-                shared_group,
-                outlier_ranks,
-                over_evicts,
-            } => {
-                w.member("type", "AnalyzerDecision");
-                w.member("machines", machines);
-                w.member("shared_group", shared_group);
-                w.member("outlier_ranks", outlier_ranks);
-                w.member("over_evicts", over_evicts);
-            }
-            RecorderEvent::ReplayVerdict { suspects, duration } => {
-                w.member("type", "ReplayVerdict");
-                w.member("suspects", suspects);
-                w.member("duration", duration);
-            }
-            RecorderEvent::PhaseTransition { phase, duration } => {
-                w.member("type", "PhaseTransition");
-                w.member("phase", phase);
-                w.member("duration", duration);
-            }
-            RecorderEvent::Eviction {
-                machine,
-                over_eviction,
-            } => {
-                w.member("type", "Eviction");
-                w.member("machine", machine);
-                w.member("over_eviction", over_eviction);
-            }
-            RecorderEvent::Rollback { to_version } => {
-                w.member("type", "Rollback");
-                w.member("to_version", to_version);
-            }
-            RecorderEvent::HotUpdateApplied { version } => {
-                w.member("type", "HotUpdateApplied");
-                w.member("version", version);
-            }
-            RecorderEvent::Resumed { step } => {
-                w.member("type", "Resumed");
-                w.member("step", step);
-            }
-            RecorderEvent::CapacityStarvation {
-                preempted,
-                migrated,
-                shortfall,
-            } => {
-                w.member("type", "CapacityStarvation");
-                w.member("preempted", preempted);
-                w.member("migrated", migrated);
-                w.member("shortfall", shortfall);
-            }
-        });
-    }
-}
-
-impl Decode for RecorderEvent {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        let tag: String = value.field("type")?;
-        match tag.as_str() {
-            "Telemetry" => Ok(RecorderEvent::Telemetry(value.field("event")?)),
-            "Detected" => Ok(RecorderEvent::Detected {
-                kind: value.field("kind")?,
-                latency: value.field("latency")?,
-            }),
-            "MonitorVerdict" => Ok(RecorderEvent::MonitorVerdict {
-                machine: value.field("machine")?,
-                issue: value.field("issue")?,
-            }),
-            "DiagnosisDecision" => Ok(RecorderEvent::DiagnosisDecision {
-                conclusion: value.field("conclusion")?,
-                suspects: value.field("suspects")?,
-                duration: value.field("duration")?,
-            }),
-            "AnalyzerDecision" => Ok(RecorderEvent::AnalyzerDecision {
-                machines: value.field("machines")?,
-                shared_group: value.field("shared_group")?,
-                outlier_ranks: value.field("outlier_ranks")?,
-                over_evicts: value.field("over_evicts")?,
-            }),
-            "ReplayVerdict" => Ok(RecorderEvent::ReplayVerdict {
-                suspects: value.field("suspects")?,
-                duration: value.field("duration")?,
-            }),
-            "PhaseTransition" => Ok(RecorderEvent::PhaseTransition {
-                phase: value.field("phase")?,
-                duration: value.field("duration")?,
-            }),
-            "Eviction" => Ok(RecorderEvent::Eviction {
-                machine: value.field("machine")?,
-                over_eviction: value.field("over_eviction")?,
-            }),
-            "Rollback" => Ok(RecorderEvent::Rollback {
-                to_version: value.field("to_version")?,
-            }),
-            "HotUpdateApplied" => Ok(RecorderEvent::HotUpdateApplied {
-                version: value.field("version")?,
-            }),
-            "Resumed" => Ok(RecorderEvent::Resumed {
-                step: value.field("step")?,
-            }),
-            "CapacityStarvation" => Ok(RecorderEvent::CapacityStarvation {
-                preempted: value.field("preempted")?,
-                migrated: value.field("migrated")?,
-                shortfall: value.field("shortfall")?,
-            }),
-            other => Err(
-                CodecError::other(format!("unknown RecorderEvent variant `{other}`"))
-                    .in_field("type"),
-            ),
-        }
-    }
-}
+tagged_enum_codec!(RecorderEvent {
+    "Telemetry" => Telemetry(event),
+    "Detected" => Detected { kind, latency },
+    "MonitorVerdict" => MonitorVerdict { machine, issue },
+    "DiagnosisDecision" => DiagnosisDecision {
+        conclusion,
+        suspects,
+        duration,
+    },
+    "AnalyzerDecision" => AnalyzerDecision {
+        machines,
+        shared_group,
+        outlier_ranks,
+        over_evicts,
+    },
+    "ReplayVerdict" => ReplayVerdict { suspects, duration },
+    "PhaseTransition" => PhaseTransition { phase, duration },
+    "Eviction" => Eviction {
+        machine,
+        over_eviction,
+    },
+    "Rollback" => Rollback { to_version },
+    "HotUpdateApplied" => HotUpdateApplied { version },
+    "Resumed" => Resumed { step },
+    "CapacityStarvation" => CapacityStarvation {
+        preempted,
+        migrated,
+        shortfall,
+    },
+});
 
 struct_codec!(RecorderEntry { at, event });
 
@@ -1842,6 +1801,20 @@ mod tests {
         for event in &events {
             roundtrip(event);
         }
+    }
+
+    #[test]
+    fn an_unknown_tag_fails_at_path_type() {
+        let text = to_json(&RecorderEvent::Resumed { step: 7 });
+        let bad = text.replacen("\"Resumed\"", "\"Paused\"", 1);
+        assert_ne!(bad, text, "the edit changed nothing");
+        let err = from_json::<RecorderEvent>(&bad).expect_err("an unknown tag must fail");
+        assert_eq!(err.at, ErrorPosition::Path("type".to_string()), "{err}");
+        assert!(
+            err.message
+                .contains("unknown RecorderEvent variant `Paused`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -22,10 +22,9 @@
 //!   before the rule fires, which suppresses one-sample blips.
 
 use byterobust_incident::codec::{
-    parse_document, render_document, CodecError, Decode, Encode, EncodeMembers, JsonValue,
-    JsonWriter,
+    parse_document, render_document, CodecError, Decode, EncodeMembers,
 };
-use byterobust_incident::{string_enum_codec, struct_codec};
+use byterobust_incident::{string_enum_codec, struct_codec, tagged_enum_codec};
 use byterobust_sim::SimDuration;
 
 /// Format header written by [`RuleSet::export_json`] and checked by
@@ -329,63 +328,20 @@ impl RuleSet {
 string_enum_codec!(AlertSeverity by label);
 string_enum_codec!(Aggregate by label);
 
-impl Encode for Detector {
-    fn encode(&self, w: &mut JsonWriter) {
-        w.object(|w| match self {
-            Detector::Threshold {
-                aggregate,
-                window,
-                threshold,
-            } => {
-                w.member("type", "threshold");
-                w.member("aggregate", aggregate);
-                w.member("window", window);
-                w.member("threshold", threshold);
-            }
-            Detector::RateOfChange { window, delta } => {
-                w.member("type", "rate-of-change");
-                w.member("window", window);
-                w.member("delta", delta);
-            }
-            Detector::BurnRate {
-                short_window,
-                long_window,
-                budget_per_hour,
-                burn,
-            } => {
-                w.member("type", "burn-rate");
-                w.member("short_window", short_window);
-                w.member("long_window", long_window);
-                w.member("budget_per_hour", budget_per_hour);
-                w.member("burn", burn);
-            }
-        });
-    }
-}
-
-impl Decode for Detector {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        let tag: String = value.field("type")?;
-        match tag.as_str() {
-            "threshold" => Ok(Detector::Threshold {
-                aggregate: value.field("aggregate")?,
-                window: value.field("window")?,
-                threshold: value.field("threshold")?,
-            }),
-            "rate-of-change" => Ok(Detector::RateOfChange {
-                window: value.field("window")?,
-                delta: value.field("delta")?,
-            }),
-            "burn-rate" => Ok(Detector::BurnRate {
-                short_window: value.field("short_window")?,
-                long_window: value.field("long_window")?,
-                budget_per_hour: value.field("budget_per_hour")?,
-                burn: value.field("burn")?,
-            }),
-            other => Err(CodecError::other(format!("unknown Detector `{other}`"))),
-        }
-    }
-}
+tagged_enum_codec!(Detector {
+    "threshold" => Threshold {
+        aggregate,
+        window,
+        threshold,
+    },
+    "rate-of-change" => RateOfChange { window, delta },
+    "burn-rate" => BurnRate {
+        short_window,
+        long_window,
+        budget_per_hour,
+        burn,
+    },
+});
 
 struct_codec!(AlertRule {
     name,
@@ -446,6 +402,10 @@ mod tests {
         let bad_detector = good.replacen("\"type\":\"threshold\"", "\"type\":\"psychic\"", 1);
         let err = RuleSet::import_json(&bad_detector).expect_err("unknown detector must fail");
         assert!(err.to_string().contains("unknown Detector"), "{err}");
+        assert_eq!(
+            err.at,
+            ErrorPosition::Path("rules[0].detector.type".to_string())
+        );
 
         let bad_severity = good.replacen("\"severity\":\"page\"", "\"severity\":\"shrug\"", 1);
         let err = RuleSet::import_json(&bad_severity).expect_err("unknown severity must fail");
