@@ -6,6 +6,7 @@
 //! individual incidents that the cumulative figure smooths away.
 
 use byterobust_incident::codec::{CodecError, Decode, Encode, JsonValue, JsonWriter};
+use byterobust_incident::struct_codec;
 use byterobust_sim::{SimDuration, SimTime};
 
 /// One recorded segment of job time. Segments are contiguous (each starts
@@ -25,39 +26,23 @@ pub struct EttrTracker {
     end: SimTime,
 }
 
+struct_codec!(Segment {
+    duration,
+    productive
+});
+
 impl Encode for EttrTracker {
     /// The wire form is the segment list itself, `(duration, productive)`
     /// pairs; decode replays them to rederive the running end.
     fn encode(&self, w: &mut JsonWriter) {
-        w.array(|w| {
-            for segment in &self.segments {
-                w.object(|w| {
-                    w.member("duration", &segment.duration);
-                    w.member("productive", &segment.productive);
-                });
-            }
-        });
+        self.segments.encode(w);
     }
 }
 
 impl Decode for EttrTracker {
     fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        #[derive(Debug)]
-        struct WireSegment {
-            duration: SimDuration,
-            productive: bool,
-        }
-        impl Decode for WireSegment {
-            fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-                Ok(WireSegment {
-                    duration: value.field("duration")?,
-                    productive: value.field("productive")?,
-                })
-            }
-        }
-        let wire: Vec<WireSegment> = Vec::decode(value)?;
         let mut tracker = EttrTracker::new();
-        for segment in wire {
+        for segment in Vec::<Segment>::decode(value)? {
             tracker.push(segment.duration, segment.productive);
         }
         Ok(tracker)

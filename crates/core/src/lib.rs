@@ -39,8 +39,10 @@
 //!   which then owns it alone;
 //! * [`report::JobReport::incidents`] is read off the store
 //!   ([`report::IncidentRecord`] is a projection of a dossier, never kept
-//!   beside it), its incident aggregations (Table 4 resolution counts,
-//!   eviction stats) are computed as incident-store queries, and
+//!   beside it, and never written: `JobReport::import_json` reads it off
+//!   the imported store again), its incident aggregations (Table 4
+//!   resolution counts, eviction stats) are computed as incident-store
+//!   queries, and
 //!   `JobReport::incident_store.postmortem(seq)` renders any incident into a
 //!   full postmortem artifact.
 

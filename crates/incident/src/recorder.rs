@@ -17,7 +17,8 @@
 //! phase and the resume marker — restates the dossier's own `at`, `kind`,
 //! `cost` and `resumed_step`, so it is not recorded: the dossier rebuilds it
 //! ([`IncidentDossier::window`](crate::IncidentDossier::window)), and every
-//! reader and the codec see the same complete window.
+//! reader sees the same complete window. The codec writes what the capture
+//! holds, `{context, evidence}`, and nothing it would have to rebuild.
 //!
 //! The context is one shared snapshot per ring state: the recorder caches the
 //! `Arc<[RecorderEntry]>` it last handed out and drops the cache whenever a
@@ -325,6 +326,7 @@ impl fmt::Display for RecorderEntry {
 /// closes. The incident's header (seq, symptom, open and close times) and
 /// its recovery timeline live on the dossier, which rebuilds the complete
 /// window ([`IncidentDossier::window`](crate::IncidentDossier::window)).
+/// It travels as these two fields, so neither is written twice.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct IncidentCapture {
     /// Background entries captured *before* the incident opened (most recent

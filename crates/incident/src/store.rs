@@ -87,8 +87,9 @@ impl IncidentDossier {
     /// its cumulative end, then `Resumed` from `resumed_step` at
     /// [`closed_at`](IncidentDossier::closed_at). Only the evidence is
     /// stored; the rest restates this dossier's own fields and is rebuilt
-    /// on every read, so it is always complete. The postmortem timeline,
-    /// the warehouse digest and the codec all read this one rebuild.
+    /// on every read, so it is always complete. The postmortem timeline and
+    /// the warehouse digest read this one rebuild; the codec writes only the
+    /// evidence, and a decoded dossier rebuilds the rest the same way.
     pub fn window(&self) -> Vec<RecorderEntry> {
         let mut window =
             Vec::with_capacity(self.capture.evidence.len() + RecoveryPhase::ALL.len() + 2);
@@ -106,7 +107,7 @@ impl IncidentDossier {
     }
 
     /// The entry that opens the rebuilt window.
-    pub(crate) fn detected_entry(&self) -> RecorderEntry {
+    fn detected_entry(&self) -> RecorderEntry {
         RecorderEntry {
             at: self.at + self.cost.detection,
             event: RecorderEvent::Detected {
@@ -118,7 +119,7 @@ impl IncidentDossier {
 
     /// The entries that close the rebuilt window: each non-zero recovery
     /// phase at its cumulative end, then the resume marker.
-    pub(crate) fn closing_entries(&self) -> impl Iterator<Item = RecorderEntry> + '_ {
+    fn closing_entries(&self) -> impl Iterator<Item = RecorderEntry> + '_ {
         let mut clock = self.at;
         RecoveryPhase::durations(&self.cost)
             .into_iter()

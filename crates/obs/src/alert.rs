@@ -701,7 +701,7 @@ struct_codec!(AlertScorecard {
 mod tests {
     use super::*;
     use crate::rules::signals;
-    use byterobust_incident::codec::ErrorPosition;
+    use byterobust_incident::codec::{ErrorPosition, FORMAT_VERSION};
 
     fn hours(h: u64) -> SimDuration {
         SimDuration::from_hours(h)
@@ -1011,7 +1011,9 @@ mod tests {
         let err = AlertTimeline::import_json(&foreign).expect_err("foreign format must fail");
         assert!(err.to_string().contains("unexpected format"), "{err}");
 
-        let future = good.replacen("\"version\":1", "\"version\":99", 1);
+        let current = format!("\"version\":{FORMAT_VERSION}");
+        let future = good.replacen(&current, &format!("\"version\":{}", FORMAT_VERSION + 1), 1);
+        assert_ne!(future, good, "the document has no `{current}` header");
         let err = AlertTimeline::import_json(&future).expect_err("future version must fail");
         assert!(err.to_string().contains("unsupported version"), "{err}");
 

@@ -230,7 +230,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byterobust_incident::codec::ErrorPosition;
+    use byterobust_incident::codec::{ErrorPosition, FORMAT_VERSION};
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
@@ -359,7 +359,9 @@ mod tests {
         let err = MetricsRegistry::import_json(&foreign).expect_err("foreign format must fail");
         assert!(err.to_string().contains("unexpected format"), "{err}");
 
-        let future = good.replacen("\"version\":1", "\"version\":2", 1);
+        let current = format!("\"version\":{FORMAT_VERSION}");
+        let future = good.replacen(&current, &format!("\"version\":{}", FORMAT_VERSION + 1), 1);
+        assert_ne!(future, good, "the document has no `{current}` header");
         let err = MetricsRegistry::import_json(&future).expect_err("future version must fail");
         assert!(err.to_string().contains("unsupported version"), "{err}");
 

@@ -356,7 +356,7 @@ struct_codec!(RuleSet { name, rules });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byterobust_incident::codec::ErrorPosition;
+    use byterobust_incident::codec::{ErrorPosition, FORMAT_VERSION};
 
     #[test]
     fn builtin_sets_are_distinct_and_named() {
@@ -395,7 +395,9 @@ mod tests {
         let err = RuleSet::import_json(&foreign).expect_err("foreign format must fail");
         assert!(err.to_string().contains("unexpected format"), "{err}");
 
-        let future = good.replacen("\"version\":1", "\"version\":99", 1);
+        let current = format!("\"version\":{FORMAT_VERSION}");
+        let future = good.replacen(&current, &format!("\"version\":{}", FORMAT_VERSION + 1), 1);
+        assert_ne!(future, good, "the document has no `{current}` header");
         let err = RuleSet::import_json(&future).expect_err("future version must fail");
         assert!(err.to_string().contains("unsupported version"), "{err}");
 

@@ -499,7 +499,7 @@ struct_codec!(Trace { spans });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byterobust_incident::codec::{ErrorPosition, JsonValue};
+    use byterobust_incident::codec::{ErrorPosition, JsonValue, FORMAT_VERSION};
 
     fn sample_trace() -> Trace {
         let mut job = TraceRecorder::new();
@@ -598,7 +598,9 @@ mod tests {
         let err = Trace::import_json(&foreign).expect_err("foreign format must fail");
         assert!(err.to_string().contains("unexpected format"), "{err}");
 
-        let future = good.replacen("\"version\":1", "\"version\":999", 1);
+        let current = format!("\"version\":{FORMAT_VERSION}");
+        let future = good.replacen(&current, &format!("\"version\":{}", FORMAT_VERSION + 1), 1);
+        assert_ne!(future, good, "the document has no `{current}` header");
         let err = Trace::import_json(&future).expect_err("future version must fail");
         assert!(err.to_string().contains("unsupported version"), "{err}");
     }

@@ -430,67 +430,3 @@ fn seeded_mutations_of_every_pinned_document_fail_cleanly() {
     assert!(accepted + rejected >= documents.len() * MUTATIONS);
     assert!(rejected > accepted, "most mutations corrupt the document");
 }
-
-/// Adds one to the integer that follows the first `marker` in `text`.
-fn bump_after(text: &str, marker: &str) -> String {
-    let start = text.find(marker).unwrap_or_else(|| panic!("no `{marker}`")) + marker.len();
-    let len = text[start..]
-        .find(|c: char| !c.is_ascii_digit())
-        .expect("the number ends");
-    let value: u64 = text[start..start + len].parse().expect("an integer");
-    format!("{}{}{}", &text[..start], value + 1, &text[start + len..])
-}
-
-#[test]
-fn a_capture_that_disagrees_with_its_dossier_fails_at_a_capture_path() {
-    // A dossier's capture travels with its header and its whole recovery
-    // timeline, both restating the dossier; the decoder rebuilds them and
-    // rejects any edit that makes them disagree.
-    let text = FleetRunner::new(FleetConfig::small_drill(), SEED)
-        .run()
-        .job_report(0)
-        .incident_store
-        .export_json();
-    IncidentStore::import_json(&text).expect("the real export imports");
-    let detected = {
-        let tag = text
-            .find("\"type\":\"Detected\"")
-            .expect("a Detected entry");
-        let start = text[..tag].rfind("{\"at\":").expect("its entry");
-        let end = tag + text[tag..].find("}},").expect("another entry follows") + 3;
-        format!("{}{}", &text[..start], &text[end..])
-    };
-    let edits = [
-        (
-            "a phase transition's duration",
-            bump_after(
-                &text,
-                "\"type\":\"PhaseTransition\",\"phase\":\"Detection\",\"duration\":",
-            ),
-            ".capture.window[",
-        ),
-        (
-            "a resume step",
-            bump_after(&text, "\"type\":\"Resumed\",\"step\":"),
-            ".capture.window[",
-        ),
-        (
-            "the capture's opened_at",
-            bump_after(&text, "\"opened_at\":"),
-            ".capture.opened_at",
-        ),
-        ("a deleted Detected entry", detected, ".capture.window"),
-    ];
-    for (edit, edited, expected) in edits {
-        assert_ne!(edited, text, "{edit}: the edit changed nothing");
-        let err = IncidentStore::import_json(&edited)
-            .expect_err(&format!("{edit}: the import must fail"));
-        let ErrorPosition::Path(path) = &err.at else {
-            panic!("{edit}: expected a path-positioned error, got {err}");
-        };
-        assert!(
-            path.starts_with("dossiers[") && path.contains(expected),
-            "{edit}: the error names `{path}`, not `…{expected}…`: {err}"
-        );
-    }
-}
