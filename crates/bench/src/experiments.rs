@@ -18,8 +18,7 @@ use byterobust_fleet::{
     WarehouseStorage,
 };
 use byterobust_incident::{
-    Classification, IncidentCapture, IncidentDossier, IncidentQuery, IncidentStore,
-    ResolutionMechanism, Severity,
+    IncidentCapture, IncidentDossier, IncidentQuery, IncidentStore, ResolutionMechanism, Severity,
 };
 use byterobust_obs::{
     score_alerts, trace_diagnose, trace_diagnose_all, trace_get, AlertScorecard, AlertTimeline,
@@ -108,11 +107,7 @@ fn synthetic_dossier(event: &FaultEvent) -> IncidentDossier {
         evicted: Box::default(),
         over_evicted: false,
         resumed_step: 0,
-        classification: Classification {
-            severity: Severity::Sev4,
-            rec_code: "REC-SYNTHETIC",
-            escalations: Box::default(),
-        },
+        reproducible: event.reproducible,
         capture: IncidentCapture::default(),
     }
 }
@@ -218,12 +213,12 @@ pub fn fig2_loss_mfu() -> String {
     );
     let rel_mfu = report.relative_mfu_series();
     let max_step = report.final_step.max(1) as f64;
-    let max_loss = report
-        .loss_series
+    let loss_series = report.loss_series();
+    let max_loss = loss_series
         .iter()
         .map(|p| p.value)
         .fold(f64::NEG_INFINITY, f64::max);
-    for (loss, mfu) in report.loss_series.iter().zip(rel_mfu.iter()).step_by(4) {
+    for (loss, mfu) in loss_series.iter().zip(rel_mfu.iter()).step_by(4) {
         table.row(&[
             format!("{:.3}", loss.step as f64 / max_step),
             format!("{:.3}", loss.value / max_loss),

@@ -6,16 +6,35 @@
 //! individual incidents that the cumulative figure smooths away.
 
 use byterobust_incident::codec::{CodecError, Decode, Encode, JsonValue, JsonWriter};
-use byterobust_incident::struct_codec;
 use byterobust_sim::{SimDuration, SimTime};
 
 /// One recorded segment of job time. Segments are contiguous (each starts
 /// where the previous one ended), so a segment stores no start time: readers
 /// rederive starts by prefix sum, and the tracker keeps the running end.
+///
+/// A run keeps two segments per incident, so a segment is packed into one
+/// `u64`: the duration in milliseconds above the lowest bit, and the
+/// productive flag in it. Durations up to [`Segment::MAX_MILLIS`] (about
+/// 292 million years) fit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Segment {
-    duration: SimDuration,
-    productive: bool,
+struct Segment(u64);
+
+impl Segment {
+    /// The longest duration a segment holds, in milliseconds.
+    const MAX_MILLIS: u64 = u64::MAX >> 1;
+
+    fn new(duration: SimDuration, productive: bool) -> Segment {
+        debug_assert!(duration.as_millis() <= Segment::MAX_MILLIS);
+        Segment(duration.as_millis() << 1 | u64::from(productive))
+    }
+
+    fn duration(self) -> SimDuration {
+        SimDuration::from_millis(self.0 >> 1)
+    }
+
+    fn productive(self) -> bool {
+        self.0 & 1 == 1
+    }
 }
 
 /// Tracks productive vs. unproductive time and derives ETTR curves.
@@ -26,10 +45,30 @@ pub struct EttrTracker {
     end: SimTime,
 }
 
-struct_codec!(Segment {
-    duration,
-    productive
-});
+// A segment travels as `{duration, productive}`, the fields it packs.
+impl Encode for Segment {
+    fn encode(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.member("duration", &self.duration());
+            w.member("productive", &self.productive());
+        });
+    }
+}
+
+impl Decode for Segment {
+    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
+        let duration: SimDuration = value.field("duration")?;
+        if duration.as_millis() > Segment::MAX_MILLIS {
+            return Err(CodecError::other(format!(
+                "segment duration {} ms exceeds {} ms",
+                duration.as_millis(),
+                Segment::MAX_MILLIS
+            ))
+            .in_field("duration"));
+        }
+        Ok(Segment::new(duration, value.field("productive")?))
+    }
+}
 
 impl Encode for EttrTracker {
     /// The wire form is the segment list itself, `(duration, productive)`
@@ -43,7 +82,7 @@ impl Decode for EttrTracker {
     fn decode(value: &JsonValue) -> Result<Self, CodecError> {
         let mut tracker = EttrTracker::new();
         for segment in Vec::<Segment>::decode(value)? {
-            tracker.push(segment.duration, segment.productive);
+            tracker.push(segment.duration(), segment.productive());
         }
         Ok(tracker)
     }
@@ -65,17 +104,14 @@ impl EttrTracker {
             return;
         }
         self.end += duration;
-        self.segments.push(Segment {
-            duration,
-            productive,
-        });
+        self.segments.push(Segment::new(duration, productive));
     }
 
     /// Every segment with its start time, rederived by prefix sum.
-    fn timeline(&self) -> impl Iterator<Item = (SimTime, &Segment)> + '_ {
-        self.segments.iter().scan(SimTime::ZERO, |start, segment| {
+    fn timeline(&self) -> impl Iterator<Item = (SimTime, Segment)> + '_ {
+        self.segments.iter().scan(SimTime::ZERO, |start, &segment| {
             let at = *start;
-            *start += segment.duration;
+            *start += segment.duration();
             Some((at, segment))
         })
     }
@@ -93,15 +129,15 @@ impl EttrTracker {
 
     /// Total wall-clock time recorded.
     pub fn total_time(&self) -> SimDuration {
-        self.segments.iter().map(|s| s.duration).sum()
+        self.segments.iter().map(|s| s.duration()).sum()
     }
 
     /// Total productive time recorded.
     pub fn productive_time(&self) -> SimDuration {
         self.segments
             .iter()
-            .filter(|s| s.productive)
-            .map(|s| s.duration)
+            .filter(|s| s.productive())
+            .map(|s| s.duration())
             .sum()
     }
 
@@ -130,13 +166,13 @@ impl EttrTracker {
         let mut productive = 0u64;
         let mut total = 0u64;
         for (start, seg) in self.timeline() {
-            let seg_end = start + seg.duration;
+            let seg_end = start + seg.duration();
             let overlap_start = start.max(window_start);
             let overlap_end = seg_end.min(at);
             if overlap_end > overlap_start {
                 let overlap = overlap_end.since(overlap_start).as_millis();
                 total += overlap;
-                if seg.productive {
+                if seg.productive() {
                     productive += overlap;
                 }
             }
@@ -182,12 +218,12 @@ impl EttrTracker {
         let mut productive = 0u64;
         let mut total = 0u64;
         for (start, seg) in self.timeline() {
-            let seg_end = start + seg.duration;
+            let seg_end = start + seg.duration();
             let overlap_end = seg_end.min(at);
             if overlap_end > start {
                 let overlap = overlap_end.since(start).as_millis();
                 total += overlap;
-                if seg.productive {
+                if seg.productive() {
                     productive += overlap;
                 }
             }
@@ -204,8 +240,8 @@ impl EttrTracker {
     pub fn longest_unproductive(&self) -> SimDuration {
         self.segments
             .iter()
-            .filter(|s| !s.productive)
-            .map(|s| s.duration)
+            .filter(|s| !s.productive())
+            .map(|s| s.duration())
             .max()
             .unwrap_or(SimDuration::ZERO)
     }
@@ -280,10 +316,37 @@ mod tests {
     }
 
     /// ETTR segments are kept for the whole run (about two million on the
-    /// mega drill). If this trips, keep the start out of the segment.
+    /// mega drill). If this trips, keep the start out of the segment and
+    /// the flag inside the duration's word.
     #[test]
     fn segments_stay_compact() {
-        assert!(std::mem::size_of::<Segment>() <= 16);
+        assert!(std::mem::size_of::<Segment>() <= 8);
+    }
+
+    #[test]
+    fn a_segment_packs_its_duration_and_flag_losslessly() {
+        for millis in [
+            0,
+            1,
+            2,
+            3_600_000,
+            Segment::MAX_MILLIS - 1,
+            Segment::MAX_MILLIS,
+        ] {
+            for productive in [false, true] {
+                let segment = Segment::new(SimDuration::from_millis(millis), productive);
+                assert_eq!(segment.duration().as_millis(), millis);
+                assert_eq!(segment.productive(), productive);
+            }
+        }
+        // The wire form is the unpacked pair, and a duration the packing
+        // cannot hold is an error, not a truncation.
+        use byterobust_incident::codec::{from_json, to_json};
+        let segment = Segment::new(SimDuration::from_secs(90), true);
+        assert_eq!(to_json(&segment), r#"{"duration":90000,"productive":true}"#);
+        assert_eq!(from_json::<Segment>(&to_json(&segment)), Ok(segment));
+        let too_long = format!(r#"{{"duration":{},"productive":false}}"#, u64::MAX);
+        assert!(from_json::<Segment>(&too_long).is_err());
     }
 
     /// The tracker as it was when every segment carried its start time: the
@@ -385,12 +448,72 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn start_free_segments_match_the_start_carrying_reference() {
+    /// Pushes one segment into both trackers.
+    fn push_both(
+        tracker: &mut EttrTracker,
+        reference: &mut StartCarryingTracker,
+        duration: SimDuration,
+        productive: bool,
+    ) {
+        if productive {
+            tracker.record_productive(duration);
+        } else {
+            tracker.record_unproductive(duration);
+        }
+        reference.push(duration, productive);
+    }
+
+    /// Asserts that `tracker` answers every read bit for bit like
+    /// `reference`, probing the sliding window at instants drawn from `rng`,
+    /// and that its export is an import fixed point.
+    fn assert_matches_reference(
+        tracker: &EttrTracker,
+        reference: &StartCarryingTracker,
+        rng: &mut byterobust_sim::SimRng,
+        case: &str,
+    ) {
         use byterobust_incident::codec::{from_json, to_json};
-        use byterobust_sim::SimRng;
 
         let window = SimDuration::from_hours(1);
+        assert_eq!(tracker.now(), reference.now(), "{case}");
+        assert_eq!(
+            tracker.longest_unproductive(),
+            reference.longest_unproductive(),
+            "{case}"
+        );
+        let end = reference.now().as_millis();
+        for _ in 0..50 {
+            let at = SimTime::from_millis(rng.range_u64(0, end + 7_200_000));
+            let window = SimDuration::from_millis(rng.range_u64(0, 3 * 3_600_000));
+            assert_eq!(
+                tracker.sliding_ettr(at, window).to_bits(),
+                reference.sliding_ettr(at, window).to_bits(),
+                "{case}, at {at}, window {window}"
+            );
+        }
+        for points in [0, 1, 7, 50] {
+            assert_eq!(
+                bits(tracker.cumulative_series(points)),
+                reference.series(points, |at| reference.cumulative_up_to(at)),
+                "{case}, {points} points"
+            );
+            assert_eq!(
+                bits(tracker.sliding_series(points, window)),
+                reference.series(points, |at| reference.sliding_ettr(at, window)),
+                "{case}, {points} points"
+            );
+        }
+        let exported = to_json(tracker);
+        let imported: EttrTracker = from_json(&exported).expect("export decodes");
+        assert_eq!(&imported, tracker, "{case}");
+        assert_eq!(imported.now(), reference.now(), "{case}");
+        assert_eq!(to_json(&imported), exported, "{case}");
+    }
+
+    #[test]
+    fn start_free_segments_match_the_start_carrying_reference() {
+        use byterobust_sim::SimRng;
+
         for seed in 0..40u64 {
             let mut rng = SimRng::new(seed);
             let mut tracker = EttrTracker::new();
@@ -403,46 +526,55 @@ mod tests {
                     SimDuration::from_millis(rng.range_u64(1, 4 * 3_600_000))
                 };
                 let productive = rng.chance(0.6);
-                if productive {
-                    tracker.record_productive(duration);
-                } else {
-                    tracker.record_unproductive(duration);
-                }
-                reference.push(duration, productive);
+                push_both(&mut tracker, &mut reference, duration, productive);
             }
-            assert_eq!(tracker.now(), reference.now(), "seed {seed}");
-            assert_eq!(
-                tracker.longest_unproductive(),
-                reference.longest_unproductive(),
-                "seed {seed}"
-            );
-            let end = reference.now().as_millis();
-            for _ in 0..50 {
-                let at = SimTime::from_millis(rng.range_u64(0, end + 7_200_000));
-                let window = SimDuration::from_millis(rng.range_u64(0, 3 * 3_600_000));
-                assert_eq!(
-                    tracker.sliding_ettr(at, window).to_bits(),
-                    reference.sliding_ettr(at, window).to_bits(),
-                    "seed {seed}, at {at}, window {window}"
-                );
+            assert_matches_reference(&tracker, &reference, &mut rng, &format!("seed {seed}"));
+        }
+
+        let ms = SimDuration::from_millis;
+        // Fixed (duration, productive) pushes: only zero lengths; zero
+        // lengths between and around segments; back-to-back runs of one
+        // kind, which stay separate segments; and one-millisecond segments.
+        let cases: [&[(SimDuration, bool)]; 5] = [
+            &[(ms(0), true), (ms(0), false), (ms(0), true)],
+            &[
+                (ms(0), false),
+                (ms(5_000), true),
+                (ms(0), true),
+                (ms(0), false),
+                (ms(7_000), false),
+                (ms(0), true),
+            ],
+            &[
+                (ms(3_600_000), true),
+                (ms(3_600_000), true),
+                (ms(1_800_000), true),
+                (ms(600_000), false),
+                (ms(600_000), false),
+                (ms(0), false),
+                (ms(2_400_000), false),
+            ],
+            &[
+                (ms(900_000), false),
+                (ms(900_000), false),
+                (ms(7_200_000), true),
+                (ms(1), true),
+                (ms(1), false),
+                (ms(1), false),
+            ],
+            &[(ms(1), true), (ms(1), true), (ms(1), false), (ms(1), true)],
+        ];
+        for (index, pushes) in cases.iter().enumerate() {
+            let mut tracker = EttrTracker::new();
+            let mut reference = StartCarryingTracker::default();
+            for &(duration, productive) in pushes.iter() {
+                push_both(&mut tracker, &mut reference, duration, productive);
             }
-            for points in [0, 1, 7, 50] {
-                assert_eq!(
-                    bits(tracker.cumulative_series(points)),
-                    reference.series(points, |at| reference.cumulative_up_to(at)),
-                    "seed {seed}, {points} points"
-                );
-                assert_eq!(
-                    bits(tracker.sliding_series(points, window)),
-                    reference.series(points, |at| reference.sliding_ettr(at, window)),
-                    "seed {seed}, {points} points"
-                );
-            }
-            let exported = to_json(&tracker);
-            let imported: EttrTracker = from_json(&exported).expect("export decodes");
-            assert_eq!(imported, tracker, "seed {seed}");
-            assert_eq!(imported.now(), reference.now(), "seed {seed}");
-            assert_eq!(to_json(&imported), exported, "seed {seed}");
+            let kept = pushes.iter().filter(|(d, _)| !d.is_zero()).count();
+            assert_eq!(tracker.segments.len(), kept, "case {index}");
+            assert_eq!(reference.segments.len(), kept, "case {index}");
+            let mut rng = SimRng::new(index as u64);
+            assert_matches_reference(&tracker, &reference, &mut rng, &format!("case {index}"));
         }
     }
 

@@ -30,10 +30,10 @@
 //!   freezes the capture into the returned [`ft::IncidentOutcome`] (the
 //!   detection, recovery-phase transitions and resume marker are rebuilt
 //!   from the dossier, not recorded);
-//! * the lifecycle driver classifies each closed incident through the
-//!   `REC-*` classification matrix and appends a dossier (resolution +
-//!   capture + classification) to the job's incident store, the one
-//!   per-incident record of a solo run. A fleet run moves each dossier out
+//! * the lifecycle driver appends a dossier (resolution + capture + the
+//!   `reproducible` bit) to the job's incident store, the one per-incident
+//!   record of a solo run; the dossier runs the `REC-*` classification
+//!   matrix on read, so no classification is stored. A fleet run moves each dossier out
 //!   of that store into the fleet warehouse
 //!   ([`JobExecution::take_incident`](lifecycle::JobExecution::take_incident)),
 //!   which then owns it alone;

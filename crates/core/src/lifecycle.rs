@@ -13,13 +13,11 @@ use std::sync::Arc;
 
 use byterobust_agent::CkptManager;
 use byterobust_cluster::{Cluster, FaultEvent, FaultInjector, FaultKind, NicState, RootCause};
-use byterobust_incident::{
-    telemetry_signature, ClassificationInput, IncidentDossier, IncidentStore, RecorderEvent,
-};
+use byterobust_incident::{telemetry_signature, IncidentDossier, IncidentStore, RecorderEvent};
 use byterobust_recovery::{StandbyScheduler, WarmStandbyPool};
 use byterobust_sim::{SimDuration, SimRng, SimTime};
 use byterobust_telemetry::SystemEvent;
-use byterobust_trainsim::{loss_at, StepModel, TrainingRuntime};
+use byterobust_trainsim::{StepModel, TrainingRuntime};
 
 use crate::config::JobConfig;
 use crate::ettr::EttrTracker;
@@ -82,7 +80,6 @@ pub struct JobExecution {
     step_model: StepModel,
     ettr: EttrTracker,
     mfu_series: Vec<SeriesPoint>,
-    loss_series: Vec<SeriesPoint>,
     incident_store: IncidentStore,
     /// The job's own pool, used by [`JobExecution::advance`] for solo runs
     /// (fleet runs bypass it and pass a shared pool).
@@ -119,7 +116,6 @@ impl JobExecution {
             step_model,
             ettr: EttrTracker::new(),
             mfu_series: Vec::new(),
-            loss_series: Vec::new(),
             incident_store: IncidentStore::new(),
             solo_pool: Some(solo_pool),
             now: SimTime::ZERO,
@@ -246,11 +242,6 @@ impl JobExecution {
                 step: to_step,
                 value: breakdown.mfu,
             });
-            self.loss_series.push(SeriesPoint {
-                at: interval_end,
-                step: to_step,
-                value: loss_at(to_step),
-            });
         }
         self.now = interval_end;
         if self.now >= self.end {
@@ -282,16 +273,6 @@ impl JobExecution {
         );
         let unproductive = outcome.cost.total();
         self.ettr.record_unproductive(unproductive);
-        let classification = ClassificationInput {
-            category: fault.category(),
-            root_cause: fault.root_cause,
-            mechanism: outcome.mechanism,
-            blast_radius: outcome.evicted.len(),
-            over_evicted: outcome.over_evicted,
-            reproducible: fault.reproducible,
-            downtime: unproductive,
-        }
-        .classify();
         self.incident_store.insert(IncidentDossier {
             seq: fault.seq,
             at: self.now,
@@ -304,7 +285,7 @@ impl JobExecution {
             evicted: outcome.evicted.into(),
             over_evicted: outcome.over_evicted,
             resumed_step: outcome.resumed_step,
-            classification,
+            reproducible: fault.reproducible,
             capture: outcome.capture,
         });
         self.now += unproductive;
@@ -325,7 +306,6 @@ impl JobExecution {
             job_name: self.config.job.model.name.clone(),
             ettr: self.ettr,
             mfu_series: self.mfu_series,
-            loss_series: self.loss_series,
             incidents: IncidentRecord::all_of(&self.incident_store),
             incident_store: self.incident_store,
             final_step: self.runtime.current_step(),

@@ -11,12 +11,13 @@ use byterobust_incident::struct_codec;
 use byterobust_incident::{IncidentDossier, IncidentStore};
 use byterobust_recovery::FailoverCost;
 use byterobust_sim::SimTime;
+use byterobust_trainsim::loss_at;
 
 use crate::ettr::EttrTracker;
 use crate::ft::ResolutionMechanism;
 
 /// One resolved incident: the flat summary of a dossier, without its
-/// capture or classification. Always read off a dossier
+/// capture. Always read off a dossier
 /// ([`IncidentRecord::from`]), never kept beside one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncidentRecord {
@@ -76,7 +77,10 @@ pub struct SeriesPoint {
     pub value: f64,
 }
 
-/// The full report of one simulated job run.
+/// The full report of one simulated job run. Each fact is held once: the
+/// loss curve is derived from the MFU series' steps
+/// ([`JobReport::loss_series`]), the incident records are read off the
+/// store, and each dossier classifies itself on read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
     /// Human-readable name of the job.
@@ -85,13 +89,11 @@ pub struct JobReport {
     pub ettr: EttrTracker,
     /// Absolute MFU over time (one sample per productive interval).
     pub mfu_series: Vec<SeriesPoint>,
-    /// Training loss over time.
-    pub loss_series: Vec<SeriesPoint>,
     /// Every incident, in order: [`IncidentRecord::all_of`] the store below.
     pub incidents: Vec<IncidentRecord>,
-    /// The incident store: one dossier per incident (flight-recorder capture,
-    /// classification, postmortem source). The incident aggregations below
-    /// are computed as store queries.
+    /// The incident store: one dossier per incident (flight-recorder capture
+    /// and the facts its classification and postmortem are computed from).
+    /// The incident aggregations below are computed as store queries.
     pub incident_store: IncidentStore,
     /// Final optimizer step reached.
     pub final_step: u64,
@@ -100,6 +102,19 @@ pub struct JobReport {
 }
 
 impl JobReport {
+    /// Training loss over time: one point per MFU sample, at the same
+    /// instant and step, valued [`loss_at`] that step. Derived on every
+    /// call, so it is never stored beside the MFU series it restates.
+    pub fn loss_series(&self) -> Vec<SeriesPoint> {
+        self.mfu_series
+            .iter()
+            .map(|point| SeriesPoint {
+                value: loss_at(point.step),
+                ..*point
+            })
+            .collect()
+    }
+
     /// Relative MFU series: each sample divided by the minimum sample, the
     /// normalization used by Fig. 2 and Fig. 11.
     pub fn relative_mfu_series(&self) -> Vec<SeriesPoint> {
@@ -154,10 +169,10 @@ impl JobReport {
         self.incident_store.eviction_stats()
     }
 
-    /// Exports the full report — ETTR segments, MFU/loss series and the
-    /// complete incident store — as one self-describing JSON document via
-    /// the in-repo codec. The incident records are not written: import reads
-    /// them off the store again. Deterministic: equal reports
+    /// Exports the full report — ETTR segments, MFU series and the complete
+    /// incident store — as one self-describing JSON document via the in-repo
+    /// codec. Nothing derived is written: import reads the incident records
+    /// off the store again, and the loss curve follows from the MFU steps. Deterministic: equal reports
     /// export byte-identical text, and
     /// `JobReport::import_json(r.export_json())` reproduces `r` exactly
     /// (pinned by the persistence tests and the `persistence-roundtrip` CI
@@ -178,14 +193,14 @@ impl JobReport {
 pub const JOB_REPORT_FORMAT: &str = "byterobust-job-report";
 
 struct_codec!(SeriesPoint { at, step, value });
-// The incident records are not written: they are read off the store again
-// on decode, so a document cannot carry records that disagree with it.
+// The incident records and the loss curve are not written: the records are
+// read off the store again on decode and the loss curve off the MFU steps,
+// so a document cannot carry either disagreeing with what it derives from.
 impl EncodeMembers for JobReport {
     fn encode_members(&self, w: &mut JsonWriter) {
         w.member("job_name", &self.job_name);
         w.member("ettr", &self.ettr);
         w.member("mfu_series", &self.mfu_series);
-        w.member("loss_series", &self.loss_series);
         w.member("incident_store", &self.incident_store);
         w.member("final_step", &self.final_step);
         w.member("code_versions_deployed", &self.code_versions_deployed);
@@ -199,7 +214,6 @@ impl Decode for JobReport {
             job_name: value.field("job_name")?,
             ettr: value.field("ettr")?,
             mfu_series: value.field("mfu_series")?,
-            loss_series: value.field("loss_series")?,
             incidents: IncidentRecord::all_of(&incident_store),
             incident_store,
             final_step: value.field("final_step")?,
@@ -212,7 +226,7 @@ impl Decode for JobReport {
 mod tests {
     use super::*;
     use byterobust_cluster::MachineId;
-    use byterobust_incident::{ClassificationInput, IncidentCapture, IncidentDossier};
+    use byterobust_incident::{IncidentCapture, IncidentDossier};
     use byterobust_sim::SimDuration;
 
     /// A resolved infrastructure incident with one evicted machine, the
@@ -227,16 +241,6 @@ mod tests {
             recompute: SimDuration::from_secs(15),
         };
         let at = SimTime::from_hours(1);
-        let classification = ClassificationInput {
-            category: kind.category(),
-            root_cause: RootCause::Infrastructure,
-            mechanism,
-            blast_radius: 1,
-            over_evicted: false,
-            reproducible: true,
-            downtime: cost.total(),
-        }
-        .classify();
         IncidentDossier {
             seq,
             at,
@@ -249,7 +253,7 @@ mod tests {
             evicted: Box::new([MachineId(0)]),
             over_evicted: false,
             resumed_step: 0,
-            classification,
+            reproducible: true,
             capture: IncidentCapture::default(),
         }
     }
@@ -286,11 +290,21 @@ mod tests {
                     value: 0.45,
                 },
             ],
-            loss_series: vec![],
             incidents,
             incident_store,
             final_step: 1000,
             code_versions_deployed: 3,
+        }
+    }
+
+    #[test]
+    fn the_loss_curve_follows_the_mfu_steps() {
+        let r = report();
+        let loss = r.loss_series();
+        assert_eq!(loss.len(), r.mfu_series.len());
+        for (loss, mfu) in loss.iter().zip(&r.mfu_series) {
+            assert_eq!((loss.at, loss.step), (mfu.at, mfu.step));
+            assert_eq!(loss.value.to_bits(), loss_at(mfu.step).to_bits());
         }
     }
 

@@ -72,12 +72,13 @@ impl BacklogDrainer {
         BacklogDrainer::default()
     }
 
-    /// Consumes a closed incident's escalations. Every escalation is tallied;
-    /// a `StressTestSweep` over a non-empty eviction set additionally
-    /// dispatches a sweep that completes after the tester's symptom-specific
-    /// duration.
+    /// Consumes a closed incident's escalations, classifying the dossier
+    /// once (a dossier stores no classification). Every escalation is
+    /// tallied; a `StressTestSweep` over a non-empty eviction set
+    /// additionally dispatches a sweep that completes after the tester's
+    /// symptom-specific duration.
     pub fn dispatch(&mut self, job: &str, dossier: &IncidentDossier, now: SimTime) {
-        for &escalation in &dossier.classification.escalations {
+        for &escalation in dossier.classification().escalations.iter() {
             *self.escalation_counts.entry(escalation).or_insert(0) += 1;
             if escalation != Escalation::StressTestSweep || dossier.evicted.is_empty() {
                 continue;
@@ -187,9 +188,7 @@ impl BacklogDrainer {
 mod tests {
     use super::*;
     use byterobust_cluster::{FaultKind, RootCause};
-    use byterobust_incident::{
-        ClassificationInput, IncidentCapture, RecorderEntry, ResolutionMechanism,
-    };
+    use byterobust_incident::{IncidentCapture, RecorderEntry, ResolutionMechanism};
     use byterobust_recovery::FailoverCost;
 
     /// An analyzer group over-eviction: machine 2 is the culprit, 0/1/3 are
@@ -205,19 +204,6 @@ mod tests {
             recompute: SimDuration::from_secs(30),
         };
         let evicted: Vec<MachineId> = (0..4).map(MachineId).collect();
-        let classification = ClassificationInput {
-            category: FaultKind::JobHang.category(),
-            root_cause: RootCause::Infrastructure,
-            mechanism: ResolutionMechanism::AnalyzerEviction,
-            blast_radius: evicted.len(),
-            over_evicted: true,
-            reproducible: true,
-            downtime: cost.total(),
-        }
-        .classify();
-        assert!(classification
-            .escalations
-            .contains(&Escalation::StressTestSweep));
         let capture = IncidentCapture {
             evidence: (0..4u32)
                 .map(|machine| RecorderEntry {
@@ -230,7 +216,7 @@ mod tests {
                 .collect(),
             ..IncidentCapture::default()
         };
-        IncidentDossier {
+        let dossier = IncidentDossier {
             seq: 7,
             at,
             kind: FaultKind::JobHang,
@@ -242,9 +228,14 @@ mod tests {
             evicted: evicted.into(),
             over_evicted: true,
             resumed_step: 500,
-            classification,
+            reproducible: true,
             capture,
-        }
+        };
+        assert!(dossier
+            .classification()
+            .escalations
+            .contains(&Escalation::StressTestSweep));
+        dossier
     }
 
     #[test]

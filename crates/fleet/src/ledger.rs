@@ -92,7 +92,7 @@ impl RepeatOffenderLedger {
 mod tests {
     use super::*;
     use byterobust_cluster::{FaultKind, RootCause};
-    use byterobust_incident::{ClassificationInput, IncidentCapture, ResolutionMechanism};
+    use byterobust_incident::{IncidentCapture, ResolutionMechanism};
     use byterobust_recovery::FailoverCost;
     use byterobust_sim::{SimDuration, SimTime};
 
@@ -102,16 +102,6 @@ mod tests {
             localization: SimDuration::from_secs(60),
             ..FailoverCost::default()
         };
-        let classification = ClassificationInput {
-            category: FaultKind::CudaError.category(),
-            root_cause: RootCause::Infrastructure,
-            mechanism: ResolutionMechanism::ImmediateEviction,
-            blast_radius: evicted.len(),
-            over_evicted: false,
-            reproducible: true,
-            downtime: cost.total(),
-        }
-        .classify();
         IncidentDossier {
             seq,
             at: SimTime::from_hours(seq),
@@ -124,7 +114,7 @@ mod tests {
             evicted: evicted.into(),
             over_evicted: false,
             resumed_step: 0,
-            classification,
+            reproducible: true,
             capture: IncidentCapture::default(),
         }
     }

@@ -181,7 +181,7 @@ impl IncidentRow {
             at: dossier.at,
             kind: dossier.kind,
             category: dossier.category,
-            severity: dossier.classification.severity,
+            severity: dossier.severity(),
             mechanism: dossier.mechanism,
             evicted: dossier.evicted.len(),
         }
@@ -278,7 +278,7 @@ impl QueryResponse {
                         dossier.seq,
                         dossier.at,
                         dossier.kind,
-                        dossier.classification.severity.label(),
+                        dossier.severity().label(),
                         dossier.root_cause,
                         dossier.concluded_cause,
                         dossier.mechanism,

@@ -40,10 +40,9 @@ pub struct FleetJobReport {
     pub job_name: String,
     /// ETTR accounting.
     pub ettr: EttrTracker,
-    /// Absolute MFU over time (one sample per productive interval).
+    /// Absolute MFU over time (one sample per productive interval); the
+    /// loss curve is derived from its steps ([`JobReport::loss_series`]).
     pub mfu_series: Vec<SeriesPoint>,
-    /// Training loss over time.
-    pub loss_series: Vec<SeriesPoint>,
     /// Final optimizer step reached.
     pub final_step: u64,
     /// Number of code versions deployed over the job (hot updates applied).
@@ -204,7 +203,6 @@ impl FleetReport {
             job_name: job.job_name.clone(),
             ettr: job.ettr.clone(),
             mfu_series: job.mfu_series.clone(),
-            loss_series: job.loss_series.clone(),
             incidents: IncidentRecord::all_of(&incident_store),
             incident_store,
             final_step: job.final_step,
@@ -297,7 +295,7 @@ impl FleetReport {
             let (evicted, over) = dossier.eviction_counts();
             let row = &mut shards[shard];
             *row = (row.0 + 1, row.1 + evicted, row.2 + over);
-            *severity.entry(dossier.classification.severity).or_default() += 1;
+            *severity.entry(dossier.severity()).or_default() += 1;
             *category.entry(dossier.category).or_default() += 1;
             attributed += usize::from(dossier.concluded_cause == dossier.root_cause);
         });

@@ -852,7 +852,6 @@ impl FleetRunner {
                     job_name: report.job_name,
                     ettr: report.ettr,
                     mfu_series: report.mfu_series,
-                    loss_series: report.loss_series,
                     final_step: report.final_step,
                     code_versions_deployed: report.code_versions_deployed,
                 }

@@ -648,7 +648,7 @@ impl EpochSnapshot {
         let mut severity: BTreeMap<Severity, u64> = BTreeMap::new();
         let mut category: BTreeMap<FaultCategory, u64> = BTreeMap::new();
         self.for_each_dossier(|_, dossier| {
-            *severity.entry(dossier.classification.severity).or_default() += 1;
+            *severity.entry(dossier.severity()).or_default() += 1;
             *category.entry(dossier.category).or_default() += 1;
         });
         WarehouseDigest {
@@ -673,9 +673,7 @@ impl EpochSnapshot {
     /// prefixes.
     pub fn severity_counts(&self) -> BTreeMap<Severity, usize> {
         let mut counts = BTreeMap::new();
-        self.for_each_dossier(|_, dossier| {
-            *counts.entry(dossier.classification.severity).or_default() += 1
-        });
+        self.for_each_dossier(|_, dossier| *counts.entry(dossier.severity()).or_default() += 1);
         counts
     }
 
@@ -1258,7 +1256,7 @@ mod tests {
     use super::*;
     use crate::warehouse::WarehouseStorage;
     use byterobust_cluster::RootCause;
-    use byterobust_incident::{ClassificationInput, IncidentCapture, ResolutionMechanism};
+    use byterobust_incident::{IncidentCapture, ResolutionMechanism};
     use byterobust_recovery::FailoverCost;
     use std::path::Path;
 
@@ -1281,16 +1279,6 @@ mod tests {
         } else {
             ResolutionMechanism::StopTimeEviction
         };
-        let classification = ClassificationInput {
-            category: kind.category(),
-            root_cause: RootCause::Infrastructure,
-            mechanism,
-            blast_radius: evicted.len(),
-            over_evicted: false,
-            reproducible: true,
-            downtime: cost.total(),
-        }
-        .classify();
         IncidentDossier {
             seq,
             at: SimTime::from_hours(at_hours),
@@ -1303,7 +1291,7 @@ mod tests {
             evicted: evicted.into(),
             over_evicted: false,
             resumed_step: 100 * seq,
-            classification,
+            reproducible: true,
             capture: IncidentCapture::default(),
         }
     }

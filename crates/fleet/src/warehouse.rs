@@ -503,7 +503,8 @@ impl IncidentWarehouse {
         let mut attributed = 0usize;
         let mut listings: Vec<(usize, String)> = vec![(0, String::new()); self.shards.len()];
         snapshot.for_each_dossier(|shard, dossier| {
-            *severity.entry(dossier.classification.severity).or_default() += 1;
+            let classification = dossier.classification();
+            *severity.entry(classification.severity).or_default() += 1;
             *category.entry(dossier.category).or_default() += 1;
             attributed += usize::from(dossier.concluded_cause == dossier.root_cause);
             filter::implicated_machines_into(dossier, &mut machines);
@@ -519,8 +520,8 @@ impl IncidentWarehouse {
                 dossier.seq,
                 dossier.at,
                 dossier.kind,
-                dossier.classification.severity.label(),
-                dossier.classification.rec_code,
+                classification.severity.label(),
+                classification.rec_code,
                 dossier.root_cause,
                 dossier.concluded_cause,
                 evicted.join(", "),
@@ -625,9 +626,7 @@ mod tests {
     use super::*;
     use crate::query::{FleetQuery, QueryResponse};
     use byterobust_cluster::{FaultCategory, FaultKind, MachineId, RootCause};
-    use byterobust_incident::{
-        ClassificationInput, IncidentCapture, IncidentQuery, ResolutionMechanism, Severity,
-    };
+    use byterobust_incident::{IncidentCapture, IncidentQuery, ResolutionMechanism, Severity};
     use byterobust_recovery::FailoverCost;
     use byterobust_sim::SimTime;
 
@@ -650,16 +649,6 @@ mod tests {
         } else {
             ResolutionMechanism::StopTimeEviction
         };
-        let classification = ClassificationInput {
-            category: kind.category(),
-            root_cause: RootCause::Infrastructure,
-            mechanism,
-            blast_radius: evicted.len(),
-            over_evicted: false,
-            reproducible: true,
-            downtime: cost.total(),
-        }
-        .classify();
         IncidentDossier {
             seq,
             at: SimTime::from_hours(at_hours),
@@ -672,7 +661,7 @@ mod tests {
             evicted: evicted.into(),
             over_evicted: false,
             resumed_step: 100 * seq,
-            classification,
+            reproducible: true,
             capture: IncidentCapture::default(),
         }
     }

@@ -142,13 +142,10 @@ const SEV1_DOWNTIME: SimDuration = SimDuration::from_hours(2);
 const CAPACITY_REVIEW_BLAST_RADIUS: usize = 4;
 
 impl ClassificationInput {
-    /// Classifies one incident: picks the base `REC-*` row from the
-    /// resolution mechanism, then applies the escalation rules (blast radius,
-    /// over-eviction, irreproducibility, downtime) which can only *raise*
-    /// severity, never lower it.
-    pub fn classify(&self) -> Classification {
-        // Base row: how the incident was resolved.
-        let (mut severity, rec_code) = match self.mechanism {
+    /// The base row, keyed on how the incident was resolved: its severity
+    /// before escalation and its `REC-*` code.
+    fn base_row(&self) -> (Severity, &'static str) {
+        match self.mechanism {
             ResolutionMechanism::HotUpdate => (Severity::Sev4, "REC-HU"),
             ResolutionMechanism::Reattempt => (Severity::Sev4, "REC-RT"),
             ResolutionMechanism::Rollback => (Severity::Sev3, "REC-RB"),
@@ -156,52 +153,68 @@ impl ClassificationInput {
             ResolutionMechanism::StopTimeEviction => (Severity::Sev3, "REC-EV2"),
             ResolutionMechanism::DualPhaseReplay => (Severity::Sev2, "REC-RPL"),
             ResolutionMechanism::AnalyzerEviction => (Severity::Sev2, "REC-AGG"),
-        };
-        let mut escalations = Vec::new();
+        }
+    }
 
-        // Machine loss always feeds the repair pipeline.
-        if self.blast_radius > 0 {
-            escalations.push(Escalation::HardwareTicket);
-        }
-        // Multi-machine blast radius raises severity.
-        if self.blast_radius >= SEV2_BLAST_RADIUS {
+    /// The severity [`classify`](ClassificationInput::classify) assigns,
+    /// without building the escalation list: it allocates nothing, so a
+    /// severity fold or a severity-floor scan can classify every dossier it
+    /// reads. The base row is raised, never lowered, by the escalation
+    /// rules: a multi-machine blast radius, an over-eviction or an
+    /// irreproducible fault make it at least Sev2; a catastrophic blast
+    /// radius or uncontained downtime make it Sev1.
+    pub fn severity(&self) -> Severity {
+        let (mut severity, _) = self.base_row();
+        // Multi-machine blast radius raises severity. Over-eviction means
+        // healthy machines are hostage until a stress sweep clears them
+        // (§9's false-positive discussion). An SDC-class fault that did not
+        // reproduce under stop-time checks is exactly the kind that recurs.
+        if self.blast_radius >= SEV2_BLAST_RADIUS || self.over_evicted || !self.reproducible {
             severity = severity.escalate_to(Severity::Sev2);
-        }
-        // Over-eviction means healthy machines are hostage until a stress
-        // sweep clears them (§9's false-positive discussion).
-        if self.over_evicted {
-            severity = severity.escalate_to(Severity::Sev2);
-            escalations.push(Escalation::StressTestSweep);
-        }
-        // An SDC-class fault that did not reproduce under stop-time checks is
-        // exactly the kind that recurs; sweep it even if eviction "worked".
-        if !self.reproducible {
-            severity = severity.escalate_to(Severity::Sev2);
-            escalations.push(Escalation::StressTestSweep);
-        }
-        // Rollbacks audit the offending change.
-        if self.mechanism == ResolutionMechanism::Rollback || self.root_cause == RootCause::UserCode
-        {
-            escalations.push(Escalation::CodeReviewAudit);
-        }
-        // Large evictions dent the standby reserve.
-        if self.blast_radius >= CAPACITY_REVIEW_BLAST_RADIUS {
-            escalations.push(Escalation::CapacityReview);
         }
         // Catastrophic blast radius or uncontained downtime pages a human.
         if self.blast_radius >= SEV1_BLAST_RADIUS || self.downtime >= SEV1_DOWNTIME {
             severity = Severity::Sev1;
         }
-        if severity == Severity::Sev1 {
-            escalations.push(Escalation::PageOncall);
-        }
+        severity
+    }
 
-        escalations.sort();
-        escalations.dedup();
+    /// Classifies one incident: the base `REC-*` row from the resolution
+    /// mechanism, the [`severity`](ClassificationInput::severity) the
+    /// escalation rules raise it to, and the follow-up channels those rules
+    /// open. The escalations are listed in [`Escalation`] order, each once.
+    pub fn classify(&self) -> Classification {
+        let severity = self.severity();
+        let (_, rec_code) = self.base_row();
+        let rules = [
+            (severity == Severity::Sev1, Escalation::PageOncall),
+            // Machine loss always feeds the repair pipeline.
+            (self.blast_radius > 0, Escalation::HardwareTicket),
+            // Over-evicted hostages and irreproducible faults are swept even
+            // if eviction "worked".
+            (
+                self.over_evicted || !self.reproducible,
+                Escalation::StressTestSweep,
+            ),
+            // Rollbacks audit the offending change.
+            (
+                self.mechanism == ResolutionMechanism::Rollback
+                    || self.root_cause == RootCause::UserCode,
+                Escalation::CodeReviewAudit,
+            ),
+            // Large evictions dent the standby reserve.
+            (
+                self.blast_radius >= CAPACITY_REVIEW_BLAST_RADIUS,
+                Escalation::CapacityReview,
+            ),
+        ];
         Classification {
             severity,
             rec_code,
-            escalations: escalations.into(),
+            escalations: rules
+                .into_iter()
+                .filter_map(|(fires, escalation)| fires.then_some(escalation))
+                .collect(),
         }
     }
 }
@@ -318,6 +331,97 @@ mod tests {
         assert_eq!(class.severity, Severity::Sev3);
         assert_eq!(class.rec_code, "REC-RB");
         assert_eq!(*class.escalations, [Escalation::CodeReviewAudit]);
+    }
+
+    /// The matrix written rule by rule: the base row, then each rule
+    /// raising severity and pushing its escalation in turn, then a sort and
+    /// a dedup. The independent reference both paths must match.
+    fn reference_classify(input: &ClassificationInput) -> Classification {
+        let (mut severity, rec_code) = input.base_row();
+        let mut escalations = Vec::new();
+        if input.blast_radius > 0 {
+            escalations.push(Escalation::HardwareTicket);
+        }
+        if input.blast_radius >= SEV2_BLAST_RADIUS {
+            severity = severity.escalate_to(Severity::Sev2);
+        }
+        if input.over_evicted {
+            severity = severity.escalate_to(Severity::Sev2);
+            escalations.push(Escalation::StressTestSweep);
+        }
+        if !input.reproducible {
+            severity = severity.escalate_to(Severity::Sev2);
+            escalations.push(Escalation::StressTestSweep);
+        }
+        if input.mechanism == ResolutionMechanism::Rollback
+            || input.root_cause == RootCause::UserCode
+        {
+            escalations.push(Escalation::CodeReviewAudit);
+        }
+        if input.blast_radius >= CAPACITY_REVIEW_BLAST_RADIUS {
+            escalations.push(Escalation::CapacityReview);
+        }
+        if input.blast_radius >= SEV1_BLAST_RADIUS || input.downtime >= SEV1_DOWNTIME {
+            severity = Severity::Sev1;
+        }
+        if severity == Severity::Sev1 {
+            escalations.push(Escalation::PageOncall);
+        }
+        escalations.sort();
+        escalations.dedup();
+        Classification {
+            severity,
+            rec_code,
+            escalations: escalations.into(),
+        }
+    }
+
+    #[test]
+    fn severity_and_classify_agree_with_the_reference_over_the_whole_table() {
+        use ResolutionMechanism::*;
+        let mechanisms = [
+            ImmediateEviction,
+            StopTimeEviction,
+            Reattempt,
+            Rollback,
+            DualPhaseReplay,
+            AnalyzerEviction,
+            HotUpdate,
+        ];
+        let causes = [
+            RootCause::Infrastructure,
+            RootCause::UserCode,
+            RootCause::Human,
+            RootCause::Transient,
+        ];
+        let just_under = SimDuration::from_millis(SEV1_DOWNTIME.as_millis() - 1);
+        let mut rows = 0;
+        for mechanism in mechanisms {
+            for root_cause in causes {
+                for blast_radius in [0, 1, 2, 4, 8] {
+                    for over_evicted in [false, true] {
+                        for reproducible in [false, true] {
+                            for downtime in [just_under, SEV1_DOWNTIME] {
+                                let input = ClassificationInput {
+                                    category: FaultCategory::Explicit,
+                                    root_cause,
+                                    mechanism,
+                                    blast_radius,
+                                    over_evicted,
+                                    reproducible,
+                                    downtime,
+                                };
+                                let class = input.classify();
+                                assert_eq!(class, reference_classify(&input), "{input:?}");
+                                assert_eq!(input.severity(), class.severity, "{input:?}");
+                                rows += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(rows, 7 * 4 * 5 * 2 * 2 * 2);
     }
 
     #[test]

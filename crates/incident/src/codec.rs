@@ -63,15 +63,16 @@
 //!   travels exactly as a `Vec` and a boxed str exactly as a `String`;
 //! - `FleetQuery` and `QueryResponse`: an `arm` tag selects a `body` whose
 //!   shape differs per arm;
-//! - `Classification`: `rec_code` is a `&'static str` that decodes back onto
-//!   the canonical `REC-*` constant;
-//! - `IncidentStore`: it holds shared dossiers and re-indexes them on decode;
+//! - `IncidentStore`: it holds shared dossiers and re-indexes them on
+//!   decode, sharing one context allocation between neighbouring dossiers
+//!   whose decoded contexts are equal, as the recorder does in memory;
 //! - `HistogramSnapshot`: decode checks the bucket count;
-//! - `EttrTracker`: it travels as a bare array of its `(duration,
-//!   productive)` segments, and decode replays them to rederive its running
-//!   end;
-//! - `JobReport`: its incident records are not written, since they are read
-//!   off its incident store, and decode reads them off the decoded store;
+//! - `EttrTracker`: it travels as a bare array of its `{duration,
+//!   productive}` segments (in memory a segment packs both into one `u64`),
+//!   and decode replays them to rederive its running end;
+//! - `JobReport`: its incident records and loss curve are not written,
+//!   since they are read off its incident store and MFU series, and decode
+//!   derives them again;
 //! - `WarehouseDigest`: its count pairs travel as named objects;
 //! - `AlertQuery`: absent optional fields decode as `None`.
 
@@ -85,7 +86,7 @@ use byterobust_recovery::FailoverCost;
 use byterobust_sim::{SimDuration, SimTime};
 use byterobust_telemetry::{EventKind, SystemEvent};
 
-use crate::classify::{Classification, Escalation, Severity};
+use crate::classify::Severity;
 use crate::mechanism::ResolutionMechanism;
 use crate::recorder::{IncidentCapture, RecorderEntry, RecorderEvent, RecoveryPhase};
 use crate::store::{IncidentDossier, IncidentStore};
@@ -100,7 +101,7 @@ const MAX_DEPTH: usize = 128;
 pub const STORE_FORMAT: &str = "byterobust-incident-store";
 
 /// Current on-disk format version for every document this module writes.
-pub const FORMAT_VERSION: u64 = 2;
+pub const FORMAT_VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------------
 // Error type
@@ -1339,13 +1340,6 @@ string_enum_codec!(Severity {
     Sev3,
     Sev4
 });
-string_enum_codec!(Escalation {
-    PageOncall,
-    HardwareTicket,
-    StressTestSweep,
-    CodeReviewAudit,
-    CapacityReview,
-});
 // The variant names are the `Debug` names, which is how an analyzer
 // decision's shared group has always been written.
 string_enum_codec!(GroupKind {
@@ -1383,23 +1377,6 @@ string_enum_codec!(EventKind {
     ContainerFailure,
 });
 
-/// The stable `REC-*` codes the classification matrix can assign. `rec_code`
-/// is `&'static str` in memory; decoding maps the wire string back onto the
-/// canonical static — an unknown code is a decode error, not a dangling
-/// reference.
-const REC_CODES: [&str; 7] = [
-    "REC-HU", "REC-RT", "REC-RB", "REC-EV1", "REC-EV2", "REC-RPL", "REC-AGG",
-];
-
-fn decode_rec_code(value: &JsonValue) -> Result<&'static str, CodecError> {
-    let text = value.as_str()?;
-    REC_CODES
-        .iter()
-        .find(|code| **code == text)
-        .copied()
-        .ok_or_else(|| CodecError::other(format!("unknown REC code `{text}`")))
-}
-
 // ---------------------------------------------------------------------------
 // Structs
 // ---------------------------------------------------------------------------
@@ -1413,30 +1390,6 @@ struct_codec!(FailoverCost {
     recompute,
 });
 struct_codec!(SystemEvent { at, kind, machine });
-
-impl Encode for Classification {
-    fn encode(&self, w: &mut JsonWriter) {
-        w.object(|w| {
-            w.member("severity", &self.severity);
-            w.member("rec_code", self.rec_code);
-            w.member("escalations", &self.escalations);
-        });
-    }
-}
-
-impl Decode for Classification {
-    fn decode(value: &JsonValue) -> Result<Self, CodecError> {
-        Ok(Classification {
-            severity: value.field("severity")?,
-            rec_code: value
-                .get("rec_code")
-                .ok_or_else(|| CodecError::other("missing field `rec_code`"))
-                .and_then(decode_rec_code)
-                .map_err(|err| err.in_field("rec_code"))?,
-            escalations: value.field("escalations")?,
-        })
-    }
-}
 
 tagged_enum_codec!(RecorderEvent {
     "Telemetry" => Telemetry(event),
@@ -1484,7 +1437,7 @@ struct_codec!(IncidentDossier {
     evicted,
     over_evicted,
     resumed_step,
-    classification,
+    reproducible,
     capture,
 });
 
@@ -1501,10 +1454,22 @@ impl Encode for IncidentStore {
 }
 
 impl Decode for IncidentStore {
+    /// Every dossier writes its context in full, but incidents opened while
+    /// the recorder's ring was unchanged share one context allocation in
+    /// memory. Decoding restores that sharing between neighbours: a dossier
+    /// whose decoded context equals the previous dossier's takes the
+    /// previous one's `Arc` and frees its own copy.
     fn decode(value: &JsonValue) -> Result<Self, CodecError> {
         let dossiers: Vec<IncidentDossier> = value.field("dossiers")?;
         let mut store = IncidentStore::new();
-        for dossier in dossiers {
+        let mut previous: Option<Arc<[RecorderEntry]>> = None;
+        for mut dossier in dossiers {
+            match &previous {
+                Some(context) if *context == dossier.capture.context => {
+                    dossier.capture.context = Arc::clone(context);
+                }
+                _ => previous = Some(Arc::clone(&dossier.capture.context)),
+            }
             store.insert(dossier);
         }
         Ok(store)
@@ -1530,7 +1495,6 @@ impl IncidentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassificationInput;
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: &T) {
         let text = to_json(value);
@@ -1550,16 +1514,6 @@ mod tests {
             checkpoint_load: SimDuration::from_secs(20),
             recompute: SimDuration::from_secs(15),
         };
-        let classification = ClassificationInput {
-            category: FaultCategory::Implicit,
-            root_cause: RootCause::Infrastructure,
-            mechanism: ResolutionMechanism::AnalyzerEviction,
-            blast_radius: 2,
-            over_evicted: true,
-            reproducible: false,
-            downtime: cost.total(),
-        }
-        .classify();
         let capture = IncidentCapture {
             context: Arc::from([RecorderEntry {
                 at: SimTime::from_hours(3),
@@ -1591,7 +1545,7 @@ mod tests {
             evicted: Box::new([MachineId(7), MachineId(9)]),
             over_evicted: true,
             resumed_step: 4321,
-            classification,
+            reproducible: false,
             capture,
         }
     }
@@ -1769,7 +1723,6 @@ mod tests {
         }
         roundtrip(&RootCause::UserCode);
         roundtrip(&ResolutionMechanism::DualPhaseReplay);
-        roundtrip(&Escalation::StressTestSweep);
         roundtrip(&Some("maybe".to_string()));
         roundtrip(&Option::<String>::None);
         roundtrip(&1.5f64);

@@ -36,7 +36,7 @@ pub fn matches(query: &IncidentQuery, dossier: &IncidentDossier) -> bool {
         }
     }
     if let Some(floor) = query.min_severity {
-        if !dossier.classification.severity.is_at_least(floor) {
+        if !dossier.severity().is_at_least(floor) {
             return false;
         }
     }

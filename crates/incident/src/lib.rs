@@ -20,7 +20,11 @@
 //!    matrix: maps (incident category, root cause, resolution mechanism,
 //!    blast radius) onto `REC-*` severity classes with escalation rules, in
 //!    the style of production incident-response matrices. The matrix is a
-//!    fixed table; its thresholds are constants.
+//!    fixed table; its thresholds are constants. It is a function of a
+//!    dossier's own fields, so a dossier stores none of its output and
+//!    classifies on read ([`store::IncidentDossier::classification`]);
+//!    [`classify::ClassificationInput::severity`] is the allocation-free
+//!    path for readers that need only the severity.
 //! 3. [`postmortem::Postmortem`] — renders a closed incident into a
 //!    structured postmortem: timeline, evidence, unproductive-time breakdown
 //!    by recovery phase (summing exactly to the incident's

@@ -91,14 +91,14 @@ pub struct Postmortem {
 impl Postmortem {
     /// Generates the postmortem for a stored incident dossier.
     pub fn for_dossier(dossier: &IncidentDossier) -> Postmortem {
+        let classification = dossier.classification();
         let title = format!(
             "{} {} resolved by {}",
-            dossier.classification.severity.label(),
+            classification.severity.label(),
             dossier.kind.symptom_name(),
             dossier.mechanism.display_name()
         );
-        let mut follow_ups: Vec<String> = dossier
-            .classification
+        let mut follow_ups: Vec<String> = classification
             .escalations
             .iter()
             .map(|escalation| escalation.description().to_string())
@@ -122,8 +122,8 @@ impl Postmortem {
         Postmortem {
             seq: dossier.seq,
             title,
-            severity: dossier.classification.severity,
-            rec_code: dossier.classification.rec_code,
+            severity: classification.severity,
+            rec_code: classification.rec_code,
             kind: dossier.kind,
             category: dossier.category,
             root_cause: dossier.root_cause,
@@ -237,7 +237,6 @@ impl Postmortem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassificationInput;
     use crate::recorder::{IncidentCapture, RecorderEvent};
     use std::sync::Arc;
 
@@ -250,16 +249,6 @@ mod tests {
             checkpoint_load: SimDuration::from_secs(30),
             recompute: SimDuration::from_secs(45),
         };
-        let classification = ClassificationInput {
-            category: FaultCategory::Explicit,
-            root_cause: RootCause::Infrastructure,
-            mechanism: ResolutionMechanism::StopTimeEviction,
-            blast_radius: 1,
-            over_evicted: false,
-            reproducible: true,
-            downtime: cost.total(),
-        }
-        .classify();
         let capture = IncidentCapture {
             context: Arc::from([]),
             evidence: Box::new([RecorderEntry {
@@ -282,7 +271,7 @@ mod tests {
             evicted: Box::new([MachineId(7)]),
             over_evicted: false,
             resumed_step: 1234,
-            classification,
+            reproducible: true,
             capture,
         }
     }

@@ -811,7 +811,9 @@ mod tests {
 
     /// A million retained windows make every byte of an entry count. If a
     /// new variant trips this, box its payload (`Box<[T]>`, `Box<str>`)
-    /// instead of raising the bound.
+    /// instead of raising the bound. A dossier stores no fact it can derive
+    /// (classification, recovery timeline): at 128 bytes its `Arc`, 144
+    /// bytes with the counts, fits a 160-byte malloc chunk.
     #[test]
     fn incident_records_stay_compact() {
         use std::mem::size_of;
@@ -831,7 +833,7 @@ mod tests {
             size_of::<IncidentCapture>()
         );
         assert!(
-            size_of::<crate::IncidentDossier>() <= 176,
+            size_of::<crate::IncidentDossier>() <= 128,
             "{}",
             size_of::<crate::IncidentDossier>()
         );

@@ -1,13 +1,16 @@
 //! The incident store: durable dossiers with a query API.
 //!
 //! Every incident the controller closes becomes an [`IncidentDossier`] —
-//! resolution record, frozen flight-recorder capture, and classification —
-//! appended to an [`IncidentStore`]. The store is the single source of truth
-//! for incident aggregation: `JobReport`'s incident summaries and the bench
-//! tables (Table 4's mechanism distribution, Table 1-style symptom counts)
-//! are computed as store queries rather than ad-hoc recomputation over raw
-//! records, and [`IncidentQuery`] supports filtering by category, symptom,
-//! severity floor, time window, machine, and mechanism.
+//! resolution record and frozen flight-recorder capture — appended to an
+//! [`IncidentStore`]. Its classification is not stored: it is a function of
+//! the dossier's own fields, computed on read
+//! ([`IncidentDossier::classification`], [`IncidentDossier::severity`]).
+//! The store is the single source of truth for incident aggregation:
+//! `JobReport`'s incident summaries and the bench tables (Table 4's
+//! mechanism distribution, Table 1-style symptom counts) are computed as
+//! store queries rather than ad-hoc recomputation over raw records, and
+//! [`IncidentQuery`] supports filtering by category, symptom, severity
+//! floor, time window, machine, and mechanism.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -16,7 +19,7 @@ use byterobust_cluster::{FaultCategory, FaultKind, MachineId, RootCause};
 use byterobust_recovery::FailoverCost;
 use byterobust_sim::{SimDuration, SimTime};
 
-use crate::classify::{Classification, Escalation, Severity};
+use crate::classify::{Classification, ClassificationInput, Escalation, Severity};
 use crate::mechanism::ResolutionMechanism;
 use crate::postmortem::Postmortem;
 use crate::recorder::{IncidentCapture, RecorderEntry, RecorderEvent, RecoveryPhase};
@@ -30,7 +33,10 @@ pub fn category_label(category: FaultCategory) -> &'static str {
     }
 }
 
-/// Everything the system durably knows about one closed incident.
+/// Everything the system durably knows about one closed incident: each fact
+/// once. What can be derived from these fields — the classification, the
+/// recovery timeline around the evidence, the close time — is rebuilt on
+/// read, so a dossier is 128 bytes plus its evidence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncidentDossier {
     /// Incident sequence number (the injector's `seq`).
@@ -60,8 +66,10 @@ pub struct IncidentDossier {
     pub over_evicted: bool,
     /// The step training resumed from.
     pub resumed_step: u64,
-    /// Severity classification.
-    pub classification: Classification,
+    /// Whether the fault reproduced under stop-time diagnostics: with the
+    /// fields above, all the classification matrix keys on
+    /// ([`IncidentDossier::classification`]).
+    pub reproducible: bool,
     /// The frozen flight-recorder capture: context and evidence. The
     /// recovery timeline around the evidence is rebuilt from the fields
     /// above ([`IncidentDossier::window`]).
@@ -73,6 +81,35 @@ impl IncidentDossier {
     /// successful restart (scheduling + pod rebuild + checkpoint load).
     pub fn resolution_time(&self) -> SimDuration {
         self.cost.scheduling + self.cost.pod_build + self.cost.checkpoint_load
+    }
+
+    /// What the classification matrix keys on, read off this dossier: the
+    /// blast radius is the evicted count, the downtime the whole cost.
+    fn classification_input(&self) -> ClassificationInput {
+        ClassificationInput {
+            category: self.category,
+            root_cause: self.root_cause,
+            mechanism: self.mechanism,
+            blast_radius: self.evicted.len(),
+            over_evicted: self.over_evicted,
+            reproducible: self.reproducible,
+            downtime: self.cost.total(),
+        }
+    }
+
+    /// The incident's classification: severity, `REC-*` code and
+    /// escalations, computed from the dossier on every call. Readers that
+    /// need only the severity call [`IncidentDossier::severity`], which
+    /// allocates nothing.
+    pub fn classification(&self) -> Classification {
+        self.classification_input().classify()
+    }
+
+    /// The incident's severity class, exactly
+    /// `self.classification().severity`, without building the escalation
+    /// list.
+    pub fn severity(&self) -> Severity {
+        self.classification_input().severity()
     }
 
     /// When the incident closed: training resumed once its whole
@@ -197,16 +234,6 @@ impl IncidentDossier {
         capture: IncidentCapture,
     ) -> IncidentDossier {
         let cost = FailoverCost::default();
-        let classification = crate::classify::ClassificationInput {
-            category: kind.category(),
-            root_cause: RootCause::Transient,
-            mechanism: ResolutionMechanism::Reattempt,
-            blast_radius: 0,
-            over_evicted: false,
-            reproducible: true,
-            downtime: cost.total(),
-        }
-        .classify();
         IncidentDossier {
             seq,
             at,
@@ -219,7 +246,7 @@ impl IncidentDossier {
             evicted: Box::default(),
             over_evicted: false,
             resumed_step: 0,
-            classification,
+            reproducible: true,
             capture,
         }
     }
@@ -417,7 +444,7 @@ impl IncidentStore {
     pub fn severity_counts(&self) -> BTreeMap<Severity, usize> {
         let mut counts = BTreeMap::new();
         for dossier in &self.dossiers {
-            *counts.entry(dossier.classification.severity).or_insert(0) += 1;
+            *counts.entry(dossier.severity()).or_insert(0) += 1;
         }
         counts
     }
@@ -456,7 +483,7 @@ impl IncidentStore {
     pub fn escalation_backlog(&self) -> Vec<(u64, Escalation)> {
         let mut backlog = Vec::new();
         for dossier in &self.dossiers {
-            for &escalation in &dossier.classification.escalations {
+            for &escalation in dossier.classification().escalations.iter() {
                 backlog.push((dossier.seq, escalation));
             }
         }
@@ -467,7 +494,6 @@ impl IncidentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassificationInput;
 
     fn dossier(
         seq: u64,
@@ -484,16 +510,6 @@ mod tests {
             checkpoint_load: SimDuration::from_secs(20),
             recompute: SimDuration::from_secs(15),
         };
-        let classification = ClassificationInput {
-            category: kind.category(),
-            root_cause: RootCause::Infrastructure,
-            mechanism,
-            blast_radius: evicted.len(),
-            over_evicted: false,
-            reproducible: true,
-            downtime: cost.total(),
-        }
-        .classify();
         IncidentDossier {
             seq,
             at: SimTime::from_hours(at_hours),
@@ -506,7 +522,7 @@ mod tests {
             evicted: evicted.into(),
             over_evicted: false,
             resumed_step: 100 * seq,
-            classification,
+            reproducible: true,
             capture: IncidentCapture::default(),
         }
     }

@@ -55,7 +55,7 @@ fn main() {
                 dossier.seq,
                 dossier.kind.symptom_name(),
                 dossier.mechanism.display_name(),
-                dossier.classification.severity.label(),
+                dossier.severity().label(),
             );
         }
     }
@@ -73,7 +73,7 @@ fn main() {
                 .filter(|pc| !pc.duration.is_zero())
                 .count();
             (
-                std::cmp::Reverse(dossier.classification.severity),
+                std::cmp::Reverse(dossier.severity()),
                 phases,
                 dossier.cost.total(),
             )

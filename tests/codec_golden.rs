@@ -302,6 +302,45 @@ fn golden() -> String {
     out
 }
 
+#[test]
+fn decoded_segments_share_equal_neighbouring_contexts() {
+    // A segment writes each dossier's context in full; decoding gives equal
+    // neighbours one shared allocation again, and writes the same bytes.
+    let (mut neighbours, mut shared) = (0, 0);
+    for document in documents() {
+        if !document.name.starts_with("spill segment ") {
+            continue;
+        }
+        let store: IncidentStore = parse_document(&document.text, SEGMENT_FORMAT)
+            .and_then(|segment| segment.field("store"))
+            .unwrap_or_else(|err| panic!("{}: {err}", document.name));
+        for pair in store.all().windows(2) {
+            let (before, after) = (&pair[0].capture.context, &pair[1].capture.context);
+            neighbours += 1;
+            if before == after {
+                assert!(
+                    std::sync::Arc::ptr_eq(before, after),
+                    "{}: #{} and #{} decode equal contexts into two allocations",
+                    document.name,
+                    pair[0].seq,
+                    pair[1].seq
+                );
+                shared += 1;
+            }
+        }
+        assert_eq!(
+            reimport_segment(&document.text).as_deref(),
+            Ok(document.text.as_str()),
+            "{}: the round trip changed the bytes",
+            document.name
+        );
+    }
+    assert!(
+        shared > 0,
+        "no two neighbouring dossiers of {neighbours} pairs share a context"
+    );
+}
+
 /// Mutations of each pinned document.
 const MUTATIONS: usize = 1_000;
 
@@ -427,6 +466,7 @@ fn seeded_mutations_of_every_pinned_document_fail_cleanly() {
             .map(|worker| worker.join().expect("no import panicked"))
             .fold((0, 0), |(a, r), (wa, wr)| (a + wa, r + wr))
     });
+    eprintln!("mutated imports: {accepted} accepted, {rejected} rejected");
     assert!(accepted + rejected >= documents.len() * MUTATIONS);
     assert!(rejected > accepted, "most mutations corrupt the document");
 }

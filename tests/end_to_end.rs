@@ -166,7 +166,7 @@ fn render_production_history(report: &JobReport) -> String {
             d.mechanism,
             d.root_cause,
             d.concluded_cause,
-            d.classification.rec_code,
+            d.classification().rec_code,
             evicted.join(","),
             d.over_evicted,
             d.cost.total().as_millis()

@@ -188,25 +188,20 @@ fn manual_restarts_classify_as_routine_and_evictions_escalate() {
     let report = run_small(26);
     for dossier in report.incident_store.all() {
         if dossier.category == FaultCategory::ManualRestart {
-            assert_eq!(
-                dossier.classification.severity,
-                Severity::Sev4,
-                "#{}",
-                dossier.seq
-            );
-            assert_eq!(dossier.classification.rec_code, "REC-HU");
+            assert_eq!(dossier.severity(), Severity::Sev4, "#{}", dossier.seq);
+            assert_eq!(dossier.classification().rec_code, "REC-HU");
         }
         if !dossier.evicted.is_empty() {
             assert!(
                 dossier
-                    .classification
+                    .classification()
                     .escalations
                     .contains(&Escalation::HardwareTicket),
                 "eviction without hardware ticket in #{}",
                 dossier.seq
             );
             assert!(
-                dossier.classification.severity.is_at_least(Severity::Sev3),
+                dossier.severity().is_at_least(Severity::Sev3),
                 "eviction classified below Sev3 in #{}",
                 dossier.seq
             );
